@@ -116,6 +116,7 @@ type ticket = {
       (* the caller chose the shard explicitly ([submit_to]) — the
          drain-time ownership double-check must not re-route it; the
          migration copy deliberately targets the not-yet-owner *)
+  tk_notify : (reply -> unit) option;   (* run by the resolving worker *)
 }
 
 type migration_report = {
@@ -201,7 +202,13 @@ let resolve box hist nfailed items n replies =
       (int_of_float ((now -. tk.tk_submitted) *. 1e9))
   done;
   Condition.broadcast box.done_;
-  Mutex.unlock box.mu
+  Mutex.unlock box.mu;
+  (* callbacks run outside the lock, and cannot take the worker down *)
+  for j = 0 to n - 1 do
+    let (_, tk) = items.(j) in
+    Option.iter (fun f -> try f (Option.get tk.tk_reply) with _ -> ())
+      tk.tk_notify
+  done
 
 (* Promotion runs here, on the shard's own worker domain — the one
    domain allowed inside the old stack — so the router swap can never
@@ -241,7 +248,7 @@ let started t = Array.length t.workers > 0
    while swapping the table, so re-checking under it is race-free. The
    re-route loop terminates because [mig_mu] admits one migration at a
    time and each flip moves exactly one slot. *)
-let rec submit_queued t i ?key req =
+let rec submit_queued t i ?key ?notify req =
   let box = t.boxes.(i) in
   Mutex.lock box.mu;
   let owner =
@@ -249,7 +256,7 @@ let rec submit_queued t i ?key req =
   in
   if owner <> i then begin
     Mutex.unlock box.mu;
-    submit_queued t owner ?key req
+    submit_queued t owner ?key ?notify req
   end
   else if box.stop then begin
     Mutex.unlock box.mu;
@@ -258,7 +265,7 @@ let rec submit_queued t i ?key req =
   else begin
     let tk =
       { tk_shard = i; tk_submitted = Spp_benchlib.Bench_util.now_mono ();
-        tk_reply = None; tk_pinned = (key = None) }
+        tk_reply = None; tk_pinned = (key = None); tk_notify = notify }
     in
     Queue.push (req, tk) box.q;
     let d = Queue.length box.q in
@@ -268,7 +275,7 @@ let rec submit_queued t i ?key req =
     tk
   end
 
-let submit_prepared t i ?key req =
+let submit_prepared t i ?key ?notify req =
   let kv = Shard.shard_kv (Shard.shard t.store i) in
   (* Submission-time invalidation: by the time a mutation is visible in
      the mailbox, no later probe — from this client or any other — can
@@ -289,16 +296,18 @@ let submit_prepared t i ?key req =
     (match Spp_pmemkv.Engine.cache_probe kv gkey with
      | Some v ->
        Atomic.incr t.bypassed;
+       let r = Value (Some v) in
+       Option.iter (fun f -> try f r with _ -> ()) notify;
        { tk_shard = i;
          tk_submitted = Spp_benchlib.Bench_util.now_mono ();
-         tk_reply = Some (Value (Some v)); tk_pinned = false }
-     | None -> submit_queued t i ?key req)
-  | _ -> submit_queued t i ?key req
+         tk_reply = Some r; tk_pinned = false; tk_notify = None }
+     | None -> submit_queued t i ?key ?notify req)
+  | _ -> submit_queued t i ?key ?notify req
 
-let submit t req =
+let submit ?notify t req =
   let key = request_key req in
   Atomic.incr t.slot_ops.(Shard.slot_of t.store key);
-  submit_prepared t (Shard.route t.store key) ~key req
+  submit_prepared t (Shard.route t.store key) ~key ?notify req
 
 (* Target one shard explicitly — how a [Scan] (which has no routing
    key: the hash router spreads every range over all shards) enters a
@@ -478,7 +487,8 @@ let worker t i =
      fulfilled tickets don't outlive their drain. *)
   let idle =
     (Get "",
-     { tk_shard = i; tk_submitted = 0.; tk_reply = None; tk_pinned = true })
+     { tk_shard = i; tk_submitted = 0.; tk_reply = None; tk_pinned = true;
+       tk_notify = None })
   in
   let items = Array.make t.batch_cap idle in
   let opbuf = Array.make t.batch_cap (Spp_pmemkv.Engine.B_get "") in

@@ -133,14 +133,18 @@ val create :
 val start : t -> unit
 val started : t -> bool
 
-val submit : t -> request -> ticket
+val submit : ?notify:(reply -> unit) -> t -> request -> ticket
 (** Route by key to the owning shard's mailbox — or, for a cache-hit
     [Get] on an adaptive cached pipeline, answer it inline and return a
     pre-fulfilled ticket. Mutations invalidate their key in the shard's
     read cache before enqueueing. Callable from any domain. Raises once
     {!stop} has begun (a bypassed get may still succeed: it is
     read-only and touches no queue), and on [Scan] (no routing key —
-    use {!scan} or {!submit_to}). *)
+    use {!scan} or {!submit_to}).
+
+    [notify] gets the reply once: before [submit] returns for a
+    pre-fulfilled ticket, else on the resolving worker after it releases
+    the mailbox lock. Its exceptions are ignored. *)
 
 val submit_to : t -> int -> request -> ticket
 (** [submit_to t i req] bypasses the router and enqueues on shard [i] —
