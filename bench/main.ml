@@ -40,6 +40,19 @@ let jout = Spp_benchlib.Json_out.create ()
 let jemit ~experiment ~name ~metric ?unit_ ?extra v =
   Spp_benchlib.Json_out.emit jout ~experiment ~name ~metric ?unit_ ?extra v
 
+(* Identity and oracle gates: each emits metric "identical" (1 or 0),
+   and a failed one makes the run exit 1 once every requested experiment
+   has run and the JSON is written. Bars on timed speedups stay
+   advisory. *)
+let failed_gates = ref []
+
+let gate ~experiment ~name ?extra ok =
+  jemit ~experiment ~name ~metric:"identical" ?extra (if ok then 1. else 0.);
+  if not ok then begin
+    Printf.printf "!! GATE FAILED: %s/%s\n%!" experiment name;
+    failed_gates := (experiment ^ "/" ^ name) :: !failed_gates
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: persistent indices — insert/get/remove slowdowns            *)
 (* ------------------------------------------------------------------ *)
@@ -676,16 +689,16 @@ let hook_microbench () =
 (* Pipeline microbenchmark (ours): translate / flush / fence paths     *)
 (* ------------------------------------------------------------------ *)
 
-(* Before/after evidence for the fast-path refactor: address translation
-   through the TLB-fronted sorted-array lookup, and the tracking-mode
-   store/flush/fence pipeline under both engines. The List_based engine
-   is the pre-refactor implementation kept selectable precisely for this
-   comparison; the acceptance bar is >= 2x on the flush/fence-heavy
-   workload. *)
+(* Address translation through the TLB-fronted sorted-array lookup, the
+   tracking-mode store/flush/fence pipeline, and uncached engine gets
+   and scans. The reference paths these replaced (the list tracking
+   engine, the copying read path) were removed once their before/after
+   numbers were recorded in BENCH_pipeline.json. *)
 
 let pipeline () =
   let open Spp_sim in
-  print_title "Pipeline microbenchmark: translation TLB and tracking engines";
+  print_title
+    "Pipeline microbenchmark: translation TLB, store tracking, hot path";
   (* -- translation: hot loads through the TLB, with decoy regions so the
         slow path has a real array to search -- *)
   let space = Space.create () in
@@ -718,20 +731,18 @@ let pipeline () =
     ~unit_:"ns"
     ~extra:[ ("tlb_hit_rate", Spp_benchlib.Json_out.J_float hit_rate) ]
     ns_translate;
-  (* -- tracking engines: P stores to distinct cachelines, P flushes, one
-        fence — the PMDK commit pattern. The list engine walks all
-        pending stores on every flush (O(P^2) per round); the
-        line-indexed engine touches only the flushed line's bucket. -- *)
-  (* [lines] stays fixed even under --quick: the engines differ in
-     per-round asymptotics, so shrinking the pending set would shrink the
-     very effect being measured. Quick mode scales rounds only. *)
+  (* -- store tracking: P stores to distinct cachelines, P flushes, one
+        fence — the PMDK commit pattern. The pending set is indexed by
+        cacheline, so a flush touches only its line's bucket and the
+        fence drains only the flushed records. -- *)
+  (* [lines] stays fixed even under --quick: the cost per round depends
+     on the pending-set size, so quick mode scales rounds only. *)
   let lines = 1024 in
   let rounds = sc 100 in
   let ops_per_run = rounds * ((2 * lines) + 1) in
-  let bench_engine engine =
-    let dev = Memdev.create_persistent ~name:"engine" (1 lsl 20) in
-    Memdev.set_engine dev engine;
-    Memdev.set_tracking dev true;
+  let dev = Memdev.create_persistent ~name:"engine" (1 lsl 20) in
+  Memdev.set_tracking dev true;
+  let t_indexed =
     best_of (fun () ->
       for _ = 1 to rounds do
         for i = 0 to lines - 1 do
@@ -743,36 +754,22 @@ let pipeline () =
         Memdev.fence dev
       done)
   in
-  let t_list = bench_engine Memdev.List_based in
-  let t_indexed = bench_engine Memdev.Line_indexed in
-  let ns_of t = t /. float_of_int ops_per_run *. 1e9 in
-  let speedup = t_list /. t_indexed in
-  Printf.printf
-    "store/flush/fence     %8.1f ns/op (list engine, pre-refactor)\n"
-    (ns_of t_list);
-  Printf.printf "store/flush/fence     %8.1f ns/op (line-indexed engine)\n"
-    (ns_of t_indexed);
-  Printf.printf "engine speedup        %8.2fx %s\n" speedup
-    (if speedup >= 2.0 then "(>= 2x: OK)" else "(below the 2x bar!)");
-  jemit ~experiment:"pipeline" ~name:"flush_fence/list" ~metric:"ns_per_op"
-    ~unit_:"ns" (ns_of t_list);
+  let ns_indexed = t_indexed /. float_of_int ops_per_run *. 1e9 in
+  Printf.printf "store/flush/fence     %8.1f ns/op\n" ns_indexed;
   jemit ~experiment:"pipeline" ~name:"flush_fence/line_indexed"
-    ~metric:"ns_per_op" ~unit_:"ns" (ns_of t_indexed);
-  jemit ~experiment:"pipeline" ~name:"flush_fence" ~metric:"speedup" speedup;
-  (* -- hot path: engine gets and scans under the two read paths. The
-        [Lease] path hoists the pointer check and region resolution into
-        lease acquisition and reads each value in a single copy;
-        [Copying] is the pre-lease reference kept selectable exactly for
-        this comparison. Replies are gated bit-identical per engine
-        before numbers are reported; pm_bytes_loaded per get quantifies
-        the copy amplification the lease path removes. -- *)
-  print_subtitle "hot path: uncached gets and scans, copying vs lease";
+    ~metric:"ns_per_op" ~unit_:"ns" ns_indexed;
+  (* -- hot path: uncached engine gets and scans. Reads hoist the
+        pointer check and region resolution into lease acquisition and
+        copy each value once; pm_bytes_loaded per get counts the leased
+        windows. Every reply is checked against the preloaded contents
+        before numbers are reported. -- *)
+  print_subtitle "hot path: uncached gets and scans";
   let universe = sc 4_000 in
   let ngets = sc 40_000 in
   let nscans = sc 400 in
-  (* load factor ~4 in both quick and full mode, so the chain walk the
-     lease path accelerates is exercised the same way at either scale;
-     1 KiB values are the YCSB record size *)
+  (* load factor ~4 in both quick and full mode, so the chain walk is
+     exercised the same way at either scale; 1 KiB values are the YCSB
+     record size *)
   let nbuckets = max 64 (universe / 4) in
   let value = String.make 1024 'v' in
   let key_of = Spp_pmemkv.Db_bench.key_of_int in
@@ -780,9 +777,7 @@ let pipeline () =
     "(Spp variant, %d-key universe, %d B values, %d uncached gets, %d \
      scans of limit 64)\n"
     universe (String.length value) ngets nscans;
-  print_row ~w:13
-    [ "engine"; "path"; "ns/get"; "B loaded/get"; "ns/scan entry";
-      "get speedup" ];
+  print_row ~w:13 [ "engine"; "ns/get"; "B loaded/get"; "ns/scan entry" ];
   List.iter
     (fun ename ->
       let spec =
@@ -790,115 +785,67 @@ let pipeline () =
         | Some s -> s
         | None -> failwith ("unknown engine " ^ ename)
       in
-      let run path =
-        Gc.compact ();
-        Spp_pmemkv.Engine.with_read_path path (fun () ->
-          let a =
-            Spp_access.create ~pool_size:(1 lsl 25) ~name:("hot-" ^ ename)
-              Spp_access.Spp
-          in
-          let kv = Spp_pmemkv.Engine.create ~nbuckets spec a in
-          for k = 0 to universe - 1 do
-            Spp_pmemkv.Engine.put kv ~key:(key_of k) ~value
-          done;
-          let ks =
-            Array.map key_of (keys ~seed:11 ~universe ngets)
-          in
-          let scan_of i =
-            Spp_pmemkv.Engine.scan kv
-              ~lo:(key_of (i * 37 mod universe))
-              ~hi:"~" ~limit:64
-          in
-          (* digest pass: the identical-reply gate rides the exact key
-             and scan streams the timed passes use *)
-          let dig = ref 5381 in
-          let mix v = dig := ((!dig * 131) + Hashtbl.hash v) land max_int in
-          Array.iter (fun k -> mix (Spp_pmemkv.Engine.get kv k)) ks;
-          let entries = ref 0 in
-          for i = 0 to nscans - 1 do
-            let l = scan_of i in
-            entries := !entries + List.length l;
-            List.iter mix l
-          done;
-          let space = Pool.space a.Spp_access.pool in
-          let get_pass () =
-            Array.iter (fun k -> ignore (Spp_pmemkv.Engine.get kv k)) ks
-          in
-          Space.reset_stats space;
-          let t_first, () = time get_pass in
-          let st = Space.stats space in
-          let bytes_per_get =
-            float_of_int st.Space.pm_bytes_loaded /. float_of_int ngets
-          in
-          let t_get = min t_first (best_of ~n:2 get_pass) in
-          let t_scan =
-            best_of (fun () ->
-              for i = 0 to nscans - 1 do
-                ignore (scan_of i)
-              done)
-          in
-          ( !dig,
-            t_get /. float_of_int ngets *. 1e9,
-            bytes_per_get,
-            t_scan /. float_of_int (max 1 !entries) *. 1e9 ))
+      Gc.compact ();
+      let a =
+        Spp_access.create ~pool_size:(1 lsl 25) ~name:("hot-" ^ ename)
+          Spp_access.Spp
       in
-      let dig_c, ns_get_c, bytes_c, ns_scan_c =
-        run Spp_pmemkv.Engine.Copying in
-      let dig_l, ns_get_l, bytes_l, ns_scan_l =
-        run Spp_pmemkv.Engine.Lease in
-      let identical = dig_c = dig_l in
-      if not identical then
-        Printf.printf
-          "!! %s: copying and lease replies DIVERGE — results invalid\n"
-          ename;
-      let get_speedup = ns_get_c /. Float.max ns_get_l 1e-9 in
-      let scan_speedup = ns_scan_c /. Float.max ns_scan_l 1e-9 in
-      (* Copy amplification of the copying path: every PM byte it loads
-         is materialized into a fresh DRAM buffer, so bytes-loaded per
-         get over the value size is how many bytes it copies per byte
-         returned. The lease path copies the value exactly once; its
-         bytes-loaded count whole leased windows (block-op accounting),
-         not copies. *)
-      let amplification = bytes_c /. float_of_int (String.length value) in
-      print_row ~w:13
-        [ ename; "copying"; Printf.sprintf "%.0f" ns_get_c;
-          Printf.sprintf "%.0f" bytes_c; Printf.sprintf "%.1f" ns_scan_c;
-          "1.00x" ];
-      print_row ~w:13
-        [ ename; "lease"; Printf.sprintf "%.0f" ns_get_l;
-          Printf.sprintf "%.0f" bytes_l; Printf.sprintf "%.1f" ns_scan_l;
-          Printf.sprintf "%.2fx %s" get_speedup
-            (if get_speedup >= 2.0 then "(>= 2x: OK)"
-             else "(below the 2x bar!)") ];
-      Printf.printf
-        "  %s copying loads+copies %.0f B/get for a %d B value (%.2fx copy \
-         amplification); lease copies the value once (%.0f B/get windowed). \
-         scan %.2fx\n"
-        ename bytes_c (String.length value) amplification bytes_l
-        scan_speedup;
+      let kv = Spp_pmemkv.Engine.create ~nbuckets spec a in
+      for k = 0 to universe - 1 do
+        Spp_pmemkv.Engine.put kv ~key:(key_of k) ~value
+      done;
+      let ks = Array.map key_of (keys ~seed:11 ~universe ngets) in
+      let scan_lo i = i * 37 mod universe in
+      let scan_of i =
+        Spp_pmemkv.Engine.scan kv ~lo:(key_of (scan_lo i)) ~hi:"~" ~limit:64
+      in
+      (* oracle pass over the exact key and scan streams the timed passes
+         use: keys are zero-padded, so a scan from key [lo] returns the
+         next (at most) 64 keys in numeric order *)
+      let expected_scan i =
+        let lo = scan_lo i in
+        List.init (min 64 (universe - lo)) (fun j -> (key_of (lo + j), value))
+      in
+      let gets_ok =
+        Array.for_all (fun k -> Spp_pmemkv.Engine.get kv k = Some value) ks
+      in
+      let entries = ref 0 and scans_ok = ref true in
+      for i = 0 to nscans - 1 do
+        let l = scan_of i in
+        entries := !entries + List.length l;
+        if l <> expected_scan i then scans_ok := false
+      done;
       let nm what = Printf.sprintf "hotpath/%s/%s" ename what in
-      jemit ~experiment:"pipeline" ~name:(nm "differential")
-        ~metric:"identical"
-        (if identical then 1. else 0.);
-      jemit ~experiment:"pipeline" ~name:(nm "get/copying")
-        ~metric:"ns_per_get" ~unit_:"ns"
-        ~extra:[ ("pm_bytes_per_get", Spp_benchlib.Json_out.J_float bytes_c) ]
-        ns_get_c;
+      gate ~experiment:"pipeline" ~name:(nm "oracle") (gets_ok && !scans_ok);
+      let space = Pool.space a.Spp_access.pool in
+      let get_pass () =
+        Array.iter (fun k -> ignore (Spp_pmemkv.Engine.get kv k)) ks
+      in
+      Space.reset_stats space;
+      let t_first, () = time get_pass in
+      let st = Space.stats space in
+      let bytes_per_get =
+        float_of_int st.Space.pm_bytes_loaded /. float_of_int ngets
+      in
+      let t_get = min t_first (best_of ~n:2 get_pass) in
+      let t_scan =
+        best_of (fun () ->
+          for i = 0 to nscans - 1 do
+            ignore (scan_of i)
+          done)
+      in
+      let ns_get = t_get /. float_of_int ngets *. 1e9 in
+      let ns_scan = t_scan /. float_of_int (max 1 !entries) *. 1e9 in
+      print_row ~w:13
+        [ ename; Printf.sprintf "%.0f" ns_get;
+          Printf.sprintf "%.0f" bytes_per_get; Printf.sprintf "%.1f" ns_scan ];
       jemit ~experiment:"pipeline" ~name:(nm "get/lease")
         ~metric:"ns_per_get" ~unit_:"ns"
-        ~extra:[ ("pm_bytes_per_get", Spp_benchlib.Json_out.J_float bytes_l) ]
-        ns_get_l;
-      jemit ~experiment:"pipeline" ~name:(nm "get") ~metric:"speedup"
         ~extra:
-          [ ("copy_amplification", Spp_benchlib.Json_out.J_float amplification)
-          ]
-        get_speedup;
-      jemit ~experiment:"pipeline" ~name:(nm "scan/copying")
-        ~metric:"ns_per_scanned_entry" ~unit_:"ns" ns_scan_c;
+          [ ("pm_bytes_per_get", Spp_benchlib.Json_out.J_float bytes_per_get) ]
+        ns_get;
       jemit ~experiment:"pipeline" ~name:(nm "scan/lease")
-        ~metric:"ns_per_scanned_entry" ~unit_:"ns" ns_scan_l;
-      jemit ~experiment:"pipeline" ~name:(nm "scan") ~metric:"speedup"
-        scan_speedup)
+        ~metric:"ns_per_scanned_entry" ~unit_:"ns" ns_scan)
     [ "cmap"; "btree" ]
 
 (* ------------------------------------------------------------------ *)
@@ -955,13 +902,12 @@ let scaleout () =
           Some "op results agree but merged Space stats differ"
         else None
     in
-    (match diverged with
-     | None -> ()
-     | Some why ->
-       Printf.printf
-         "!! parallel/sequential DIVERGENCE at %d shards (%s) — results \
-          invalid\n   %s\n"
-         nshards (Shard_bench.dist_name dist) why);
+    Option.iter (Printf.printf "   %s\n") diverged;
+    gate ~experiment:"scaleout"
+      ~name:
+        (Printf.sprintf "differential/%s/%d" (Shard_bench.dist_name dist)
+           nshards)
+      (diverged = None);
     (rs, rp, diverged = None)
   in
   print_row ~w:12
@@ -984,10 +930,7 @@ let scaleout () =
       jemit ~experiment:"scaleout" ~name:(nm "sequential") ~metric:"ops_per_s"
         ~unit_:"op/s" rs.Shard_bench.r_throughput;
       jemit ~experiment:"scaleout" ~name:(nm "parallel") ~metric:"ops_per_s"
-        ~unit_:"op/s"
-        ~extra:
-          [ ("identical_to_sequential", Spp_benchlib.Json_out.J_bool agree) ]
-        rp.Shard_bench.r_throughput;
+        ~unit_:"op/s" rp.Shard_bench.r_throughput;
       jemit ~experiment:"scaleout"
         ~name:(Printf.sprintf "update_heavy/uniform/%d" nd) ~metric:"speedup"
         speedup;
@@ -1018,10 +961,7 @@ let scaleout () =
         ~name:
           (Printf.sprintf "update_heavy/%s/%d/parallel"
              (Shard_bench.dist_name dist) nd)
-        ~metric:"ops_per_s" ~unit_:"op/s"
-        ~extra:
-          [ ("identical_to_sequential", Spp_benchlib.Json_out.J_bool agree) ]
-        rp.Shard_bench.r_throughput)
+        ~metric:"ops_per_s" ~unit_:"op/s" rp.Shard_bench.r_throughput)
     [ Shard_bench.Uniform; Shard_bench.Zipfian 0.99 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1030,10 +970,10 @@ let scaleout () =
 
 (* Three parts. (1) Fence amortization, deterministic and timing-free:
    the sequential baseline chunked at each batch cap, fences/op from the
-   Memdev counters, under both tracking engines — the acceptance bar is
-   cap 32 <= 1/4 of cap 1. (2) Differential: the async pipeline in
-   deterministic mode (fixed batching, pre-enqueued) must be
-   bit-identical to that baseline before any live number is reported.
+   Memdev counters — the acceptance bar is cap 32 <= 1/4 of cap 1.
+   (2) Differential: the async pipeline in deterministic mode (fixed
+   batching, pre-enqueued) must be bit-identical to that baseline before
+   any live number is reported.
    (3) Live sweep: batch cap x offered load (per-client submission
    window) x shard count, with adaptive batching and per-request
    latency percentiles from the shard histograms. *)
@@ -1086,47 +1026,36 @@ let serve () =
     Shard.reset_stats t;
     t
   in
-  (* -- part 1: fence amortization, both engines -- *)
+  (* -- part 1: fence amortization -- *)
   print_subtitle "group-commit fence amortization (sequential path, 2 shards)";
   print_row ~w:14
-    ("engine" :: List.map (fun c -> Printf.sprintf "cap %d" c) caps
-     @ [ "ratio 32/1" ]);
+    (List.map (fun c -> Printf.sprintf "cap %d" c) caps @ [ "ratio 32/1" ]);
   let streams2 = partition ~nshards:2 (gen_requests ~seed:7 total_ops) in
+  let fences_per_op cap =
+    let t = build ~tracking:true 2 in
+    ignore (Serve.run_sequential t ~batch_cap:cap streams2);
+    let c = Shard.merged_counters t in
+    (float_of_int c.Spp_sim.Memdev.fences /. float_of_int total_ops, c)
+  in
+  let per_cap = List.map (fun c -> (c, fences_per_op c)) caps in
+  let f1 = fst (List.assoc 1 per_cap) and f32 = fst (List.assoc 32 per_cap) in
+  let ratio = f32 /. Float.max f1 1e-9 in
+  print_row ~w:14
+    (List.map (fun (_, (f, _)) -> Printf.sprintf "%.3f" f) per_cap
+     @ [ Printf.sprintf "%.3f %s" ratio
+           (if ratio <= 0.25 then "(<= 1/4: OK)" else "(above the bar!)") ]);
   List.iter
-    (fun (ename, engine) ->
-      let fences_per_op cap =
-        Spp_sim.Memdev.with_default_engine engine (fun () ->
-          let t = build ~tracking:true 2 in
-          ignore (Serve.run_sequential t ~batch_cap:cap streams2);
-          let c = Shard.merged_counters t in
-          ( float_of_int c.Spp_sim.Memdev.fences /. float_of_int total_ops,
-            c ))
-      in
-      let per_cap = List.map (fun c -> (c, fences_per_op c)) caps in
-      let f1 = fst (List.assoc 1 per_cap)
-      and f32, c32 = List.assoc 32 per_cap in
-      let ratio = f32 /. Float.max f1 1e-9 in
-      print_row ~w:14
-        (ename
-         :: List.map (fun (_, (f, _)) -> Printf.sprintf "%.3f" f) per_cap
-         @ [ Printf.sprintf "%.3f %s" ratio
-               (if ratio <= 0.25 then "(<= 1/4: OK)" else "(above the bar!)") ]);
-      List.iter
-        (fun (cap, (f, (c : Spp_sim.Memdev.counters))) ->
-          jemit ~experiment:"serve"
-            ~name:(Printf.sprintf "amortization/%s/cap%d" ename cap)
-            ~metric:"fences_per_op"
-            ~extra:
-              [ ("fences_saved", Json_out.J_int c.Spp_sim.Memdev.fences_saved);
-                ("batched_ops", Json_out.J_int c.Spp_sim.Memdev.batched_ops) ]
-            f)
-        per_cap;
+    (fun (cap, (f, (c : Spp_sim.Memdev.counters))) ->
       jemit ~experiment:"serve"
-        ~name:(Printf.sprintf "amortization/%s" ename)
-        ~metric:"fence_ratio_32_vs_1" ratio;
-      ignore c32)
-    [ ("line_indexed", Spp_sim.Memdev.Line_indexed);
-      ("list_based", Spp_sim.Memdev.List_based) ];
+        ~name:(Printf.sprintf "amortization/line_indexed/cap%d" cap)
+        ~metric:"fences_per_op"
+        ~extra:
+          [ ("fences_saved", Json_out.J_int c.Spp_sim.Memdev.fences_saved);
+            ("batched_ops", Json_out.J_int c.Spp_sim.Memdev.batched_ops) ]
+        f)
+    per_cap;
+  jemit ~experiment:"serve" ~name:"amortization/line_indexed"
+    ~metric:"fence_ratio_32_vs_1" ratio;
   (* -- part 2: async pipeline == sequential baseline, bit for bit -- *)
   let nd_max = List.fold_left max 1 shard_counts in
   let diff_cap = 16 in
@@ -1151,8 +1080,7 @@ let serve () =
     diff_cap
     (if identical then "bit-identical (replies, stats, counters)"
      else "!! DIVERGENCE — results invalid");
-  jemit ~experiment:"serve" ~name:"differential" ~metric:"identical"
-    (if identical then 1. else 0.);
+  gate ~experiment:"serve" ~name:"differential" identical;
   (* -- part 3: live sweep -- *)
   print_subtitle "live async sweep (adaptive batching, 2 client domains)";
   if quick then
@@ -1384,12 +1312,12 @@ let cache () =
        "bit-identical (replies, counters, recovered durable contents)"
      else "!! DIVERGENCE — results invalid")
     (fmt_pct (Spp_pmemkv.Rcache.hit_rate rc_diff));
-  jemit ~experiment:"cache" ~name:"differential" ~metric:"identical"
+  gate ~experiment:"cache" ~name:"differential"
     ~extra:
       [ ("hit_rate",
          Json_out.J_float (Spp_pmemkv.Rcache.hit_rate rc_diff));
         ("durable_images_equal", Json_out.J_bool durable_equal) ]
-    (if identical then 1. else 0.);
+    identical;
   (* -- part 2: live sweep -- *)
   print_subtitle "live async sweep (read fast path, window 64)";
   if quick then
@@ -1516,11 +1444,6 @@ let failover () =
       [ Spp_torture.Workloads.kvfailover ~ops:8 ();
         Spp_torture.Workloads.kvfailover_drop ~ops:8 () ]
   in
-  let gate_ok =
-    List.for_all
-      (fun r -> r.Spp_torture.Torture.r_invariant_failures = 0)
-      gate_reports
-  in
   List.iter
     (fun r ->
       Printf.printf "gate %s: %d crash points, %d invariant failures%s\n"
@@ -1530,16 +1453,13 @@ let failover () =
         (match r.Spp_torture.Torture.r_first_failure with
          | None -> ""
          | Some (i, msg) -> Printf.sprintf " (first at %d: %s)" i msg);
-      jemit ~experiment:"failover"
+      gate ~experiment:"failover"
         ~name:("gate/" ^ r.Spp_torture.Torture.r_workload)
-        ~metric:"identical"
         ~extra:
           [ ("crash_points",
              Json_out.J_int r.Spp_torture.Torture.r_crash_points) ]
-        (if r.Spp_torture.Torture.r_invariant_failures = 0 then 1. else 0.))
+        (r.Spp_torture.Torture.r_invariant_failures = 0))
     gate_reports;
-  if not gate_ok then
-    Printf.printf "!! GATE FAILED — timing numbers below are invalid\n";
   (* -- shared load shape -- *)
   let nshards =
     match domains_cap with Some c when c < 2 -> 1 | _ -> 2
@@ -1730,7 +1650,7 @@ let scan_bench () =
     t
   in
   (* -- gate: async = sequential over scan-bearing streams -- *)
-  let gate engine =
+  let async_matches_sequential engine =
     let ops = sc 4_000 in
     let st = Random.State.make [| 0x5CA7 |] in
     let reqs =
@@ -1792,13 +1712,11 @@ let scan_bench () =
   let gated =
     List.map
       (fun (nm, engine) ->
-        let ok = gate engine in
+        let ok = async_matches_sequential engine in
         Printf.printf "  %-8s %s\n" nm
           (if ok then "bit-identical (replies + Memdev counters)"
            else "!! DIVERGENCE -- engine skipped");
-        jemit ~experiment:"scan" ~name:(nm ^ "/differential")
-          ~metric:"identical"
-          (if ok then 1. else 0.);
+        gate ~experiment:"scan" ~name:(nm ^ "/differential") ok;
         (nm, engine, ok))
       engines
   in
@@ -1966,8 +1884,7 @@ let reshard () =
     nmig
     (if identical then "bit-identical replies, same surviving store"
      else "!! DIVERGENCE — results invalid");
-  jemit ~experiment:"reshard" ~name:"differential" ~metric:"identical"
-    (if identical then 1. else 0.);
+  gate ~experiment:"reshard" ~name:"differential" identical;
   (* -- part 2: migration storm under a rotating hotspot -- *)
   let total_ops = sc 48_000 in
   (* quick mode keeps windows large enough (~480 ops) for the load
@@ -2225,11 +2142,7 @@ let net () =
       Printf.printf "  %-6s %d ops: %s\n" ename diff_ops
         (if identical then "bit-identical reply digests"
          else "!! DIVERGENCE — results invalid");
-      jemit ~experiment:"net" ~name:("differential/" ^ ename)
-        ~metric:"identical"
-        (if identical then 1. else 0.);
-      if not identical then
-        failwith ("net: wire vs in-process divergence on " ^ ename))
+      gate ~experiment:"net" ~name:("differential/" ^ ename) identical)
     engines;
   (* -- part 2: closed-loop throughput ceiling -- *)
   print_subtitle "closed-loop ceiling: loopback wire vs in-process pipeline";
@@ -2474,12 +2387,17 @@ let () =
       jemit ~experiment:name ~name:"total" ~metric:"wall_s" ~unit_:"s" t;
       Printf.printf "[%s finished in %.1f s]\n%!" name t)
     to_run;
-  match json_file with
-  | None -> ()
-  | Some path ->
-    Spp_benchlib.Json_out.write jout
-      ~meta:
-        [ ("generator", Spp_benchlib.Json_out.J_string "bench/main.exe");
-          ("quick", Spp_benchlib.Json_out.J_bool quick) ]
-      path;
-    Printf.printf "wrote %s\n%!" path
+  (match json_file with
+   | None -> ()
+   | Some path ->
+     Spp_benchlib.Json_out.write jout
+       ~meta:
+         [ ("generator", Spp_benchlib.Json_out.J_string "bench/main.exe");
+           ("quick", Spp_benchlib.Json_out.J_bool quick) ]
+       path;
+     Printf.printf "wrote %s\n%!" path);
+  if !failed_gates <> [] then begin
+    Printf.eprintf "bench: gates failed: %s\n"
+      (String.concat ", " (List.rev !failed_gates));
+    exit 1
+  end

@@ -88,20 +88,11 @@ let with_lock t f =
 let pool t = t.a.Spp_access.pool
 let oid_size t = t.a.Spp_access.oid_size
 
-(* Leaf/item readers, selected by [Engine.read_path] like Cmap's: the
-   lease path reads key/value in a single copy ([Space.read_sub]) and
-   compares descent keys against the device view ([item_cmp]) without
-   materializing candidates; the copying path is the pre-lease
-   double-copy reference kept for before/after benchmarking. *)
+(* Leaf/item readers copy key or value once and compare descent keys
+   against the device view ([item_cmp]) without materializing
+   candidates.
 
-let item_key_copying t (it : Oid.t) =
-  let p = pool t in
-  let klen = Pool.load_word p ~off:it.Oid.off in
-  Bytes.to_string
-    (Spp_sim.Space.read_bytes (Pool.space p)
-       (Pool.addr_of_off p (it.Oid.off + 16)) klen)
-
-(* Whole-item window: in SPP mode every stored oid carries the object's
+   Whole-item window: in SPP mode every stored oid carries the object's
    durable size (paper §IV-B), so one raw view covers the item's
    lengths, key and value at once. Native-mode oids have size 0 and
    fall back to per-field translated reads. *)
@@ -111,63 +102,47 @@ let item_view t (it : Oid.t) =
     (Pool.addr_of_off p it.Oid.off) it.Oid.size
 
 let item_key t (it : Oid.t) =
-  match Engine.read_path () with
-  | Engine.Copying -> item_key_copying t it
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      Spp_sim.Space.view_string v ~off:16 ~len:klen
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      Spp_sim.Space.read_sub (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16)) klen
-    end
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    Spp_sim.Space.view_string v ~off:16 ~len:klen
+  end
+  else begin
+    let p = pool t in
+    let klen = Pool.load_word p ~off:it.Oid.off in
+    Spp_sim.Space.read_sub (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16)) klen
+  end
 
 let item_value t (it : Oid.t) =
-  match Engine.read_path () with
-  | Engine.Copying ->
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    let vlen = Spp_sim.Space.view_word v 8 in
+    Spp_sim.Space.view_string v ~off:(16 + klen) ~len:vlen
+  end
+  else begin
     let p = pool t in
     let klen = Pool.load_word p ~off:it.Oid.off in
     let vlen = Pool.load_word p ~off:(it.Oid.off + 8) in
-    Bytes.to_string
-      (Spp_sim.Space.read_bytes (Pool.space p)
-         (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen)
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      let vlen = Spp_sim.Space.view_word v 8 in
-      Spp_sim.Space.view_string v ~off:(16 + klen) ~len:vlen
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      let vlen = Pool.load_word p ~off:(it.Oid.off + 8) in
-      Spp_sim.Space.read_sub (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen
-    end
+    Spp_sim.Space.read_sub (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen
+  end
 
 (* [String.compare (item_key t it) key] without materializing the item
-   key on the lease path — what the descent ([search_desc]) and the
-   exact-match probes run per candidate. *)
+   key — what the descent ([search_desc], [find]) runs per candidate. *)
 let item_cmp t (it : Oid.t) key =
-  match Engine.read_path () with
-  | Engine.Copying -> String.compare (item_key_copying t it) key
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      Spp_sim.Space.view_compare_string v ~off:16 ~len:klen key
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      Spp_sim.Space.compare_string (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16)) ~len:klen key
-    end
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    Spp_sim.Space.view_compare_string v ~off:16 ~len:klen key
+  end
+  else begin
+    let p = pool t in
+    let klen = Pool.load_word p ~off:it.Oid.off in
+    Spp_sim.Space.compare_string (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16)) ~len:klen key
+  end
 
 (* In-memory image of one node, the unit the COW paths work on. The
    arrays are private to the desc, so mutating them never touches PM;
@@ -187,40 +162,24 @@ type desc = {
    [Pool.batch_load_oid]. *)
 let load_desc t (oid : Oid.t) =
   let p = pool t in
-  let off = oid.Oid.off in
   let osz = oid_size t in
-  match Engine.read_path () with
-  | Engine.Copying ->
-    let n = Pool.load_word p ~off in
-    let leaf = Pool.load_word p ~off:(off + 8) <> 0 in
-    { src = oid; d_leaf = leaf;
-      d_items =
-        Array.init n (fun i ->
-          Pool.load_oid p ~off:(off + items_off t.a + (i * osz)));
-      d_children =
-        (if leaf then [||]
-         else
-           Array.init (n + 1) (fun i ->
-             Pool.load_oid p ~off:(off + children_off + (i * osz)))) }
-  | Engine.Lease ->
-    (* one hoisted check per node: the whole node is opened as a raw
-       view and decoded with bare reads — the descent's dominant cost
-       was one translated load per header/child/item word *)
-    let v =
-      Spp_sim.Space.read_view (Pool.space p) (Pool.addr_of_off p off)
-        (node_size t.a)
-    in
-    let n = Spp_sim.Space.view_word v 0 in
-    let leaf = Spp_sim.Space.view_word v 8 <> 0 in
-    { src = oid; d_leaf = leaf;
-      d_items =
-        Array.init n (fun i ->
-          Pool.view_load_oid p v ~off:(items_off t.a + (i * osz)));
-      d_children =
-        (if leaf then [||]
-         else
-           Array.init (n + 1) (fun i ->
-             Pool.view_load_oid p v ~off:(children_off + (i * osz)))) }
+  (* one hoisted check per node: the whole node is opened as a raw view
+     and decoded with bare reads *)
+  let v =
+    Spp_sim.Space.read_view (Pool.space p) (Pool.addr_of_off p oid.Oid.off)
+      (node_size t.a)
+  in
+  let n = Spp_sim.Space.view_word v 0 in
+  let leaf = Spp_sim.Space.view_word v 8 <> 0 in
+  { src = oid; d_leaf = leaf;
+    d_items =
+      Array.init n (fun i ->
+        Pool.view_load_oid p v ~off:(items_off t.a + (i * osz)));
+    d_children =
+      (if leaf then [||]
+       else
+         Array.init (n + 1) (fun i ->
+           Pool.view_load_oid p v ~off:(children_off + (i * osz)))) }
 
 (* Materialize a desc as a fresh node: batch-allocate, write fields
    directly while unreachable, flush once, note the write for
@@ -283,19 +242,10 @@ let remove_at arr i =
 (* Read paths                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Point lookup: each node is opened as one raw view and only the oids
+   the walk actually touches are decoded — no per-level desc record, no
+   item/children arrays. *)
 let rec find t (oid : Oid.t) key =
-  let d = load_desc t oid in
-  let n = Array.length d.d_items in
-  let i = search_desc t d key in
-  if i < n && item_cmp t d.d_items.(i) key = 0 then
-    Some (item_value t d.d_items.(i))
-  else if d.d_leaf then None
-  else find t d.d_children.(i) key
-
-(* Desc-free descent for the lease path: each node is opened as one raw
-   view and only the oids the walk actually touches are decoded — no
-   per-level desc record, no item/children arrays. *)
-let rec find_lease t (oid : Oid.t) key =
   let p = pool t in
   let v =
     Spp_sim.Space.read_view (Pool.space p)
@@ -306,8 +256,7 @@ let rec find_lease t (oid : Oid.t) key =
   let osz = oid_size t in
   let descend i =
     if leaf then None
-    else
-      find_lease t (Pool.view_load_oid p v ~off:(children_off + (i * osz))) key
+    else find t (Pool.view_load_oid p v ~off:(children_off + (i * osz))) key
   in
   let rec scan i =
     if i >= n then descend n
@@ -656,39 +605,13 @@ let b_scan t bt ~lo ~hi ~limit =
   r
 
 let run_batch ?len t ops =
-  let n =
-    match len with
-    | None -> Array.length ops
-    | Some l ->
-      if l < 0 || l > Array.length ops then
-        invalid_arg "Bmap.run_batch: len out of range";
-      l
-  in
   with_lock t (fun () ->
-    let replies =
-      Pool.with_batch (pool t) (fun bt ->
-        Array.init n (fun i ->
-          match ops.(i) with
-          | Engine.B_put { key; value } -> b_put t bt ~key ~value; Engine.R_put
-          | Engine.B_get key -> Engine.R_get (b_get t bt key)
-          | Engine.B_remove key -> Engine.R_removed (b_remove t bt key)
-          | Engine.B_scan { lo; hi; limit } ->
-            Engine.R_scan (b_scan t bt ~lo ~hi ~limit)))
-    in
-    (* committed: replay cache effects in op order (see Cmap.run_batch;
-       scans have none by contract) *)
-    (match t.cache with
-     | None -> ()
-     | Some rc ->
-       for i = 0 to n - 1 do
-         match (ops.(i), replies.(i)) with
-         | Engine.B_get key, Engine.R_get (Some v) -> Rcache.insert rc key v
-         | Engine.B_get _, _ -> ()
-         | Engine.B_put { key; value }, _ -> Rcache.insert rc key value
-         | Engine.B_remove key, _ -> Rcache.invalidate rc key
-         | Engine.B_scan _, _ -> ()
-       done);
-    replies)
+    Engine.run_cached_batch ?len (pool t) t.cache ops (fun bt -> function
+      | Engine.B_put { key; value } -> b_put t bt ~key ~value; Engine.R_put
+      | Engine.B_get key -> Engine.R_get (b_get t bt key)
+      | Engine.B_remove key -> Engine.R_removed (b_remove t bt key)
+      | Engine.B_scan { lo; hi; limit } ->
+        Engine.R_scan (b_scan t bt ~lo ~hi ~limit)))
 
 (* ------------------------------------------------------------------ *)
 (* Synchronous API                                                     *)
@@ -701,18 +624,13 @@ let get t key =
   | Some _ as hit -> hit
   | None ->
     with_lock t (fun () ->
+      let tk = Option.map (fun rc -> (rc, Rcache.ticket rc key)) t.cache in
       let root = root_of t in
-      let r =
-        if Oid.is_null root then None
-        else
-          match Engine.read_path () with
-          | Engine.Lease -> find_lease t root key
-          | Engine.Copying -> find t root key
-      in
+      let r = if Oid.is_null root then None else find t root key in
       (* fill under the engine lock: a same-key writer serializes on
          it, so a stale value can never overwrite a newer put *)
-      (match (r, t.cache) with
-       | Some v, Some rc -> Rcache.insert rc key v
+      (match (r, tk) with
+       | Some v, Some (rc, tk) -> Rcache.insert rc tk v
        | _ -> ());
       r)
 

@@ -87,51 +87,25 @@ let with_bucket t b f =
 let bucket_slot_ptr t b =
   t.a.gep (t.a.direct t.buckets) (b * t.a.oid_size)
 
-(* Entry readers exist in two forms selected by [Engine.read_path]:
-
-   - the lease path (default): single-copy reads ([read_sub] /
-     [Space.lease_string] freeze a fresh buffer) and device-side key
-     comparison — no candidate key is ever materialized on a chain walk;
-   - the copying path: the pre-lease reference — [read_bytes] +
-     [Bytes.to_string] double copies, one pointer check per access —
-     kept selectable for before/after benchmarking. *)
-
-let entry_key_copying t p =
-  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-  Bytes.to_string (t.a.read_bytes (t.a.gep p (f_key t.a)) klen)
-
-let entry_value_copying t p =
-  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-  let vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
-  Bytes.to_string (t.a.read_bytes (t.a.gep p (f_value t.a klen)) vlen)
+(* Entry readers copy key or value bytes once ([read_sub]) and compare
+   keys against the device view through a leased window — one hoisted
+   check, no candidate key materialized on a chain walk. *)
 
 let entry_key t p =
-  match Engine.read_path () with
-  | Engine.Copying -> entry_key_copying t p
-  | Engine.Lease ->
-    let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-    t.a.read_sub (t.a.gep p (f_key t.a)) klen
+  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
+  t.a.read_sub (t.a.gep p (f_key t.a)) klen
 
 let entry_value t p =
-  match Engine.read_path () with
-  | Engine.Copying -> entry_value_copying t p
-  | Engine.Lease ->
-    let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-    let vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
-    t.a.read_sub (t.a.gep p (f_value t.a klen)) vlen
+  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
+  let vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
+  t.a.read_sub (t.a.gep p (f_value t.a klen)) vlen
 
 let key_matches t p key =
   let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
   klen = String.length key
-  && (match Engine.read_path () with
-      | Engine.Copying -> entry_key_copying t p = key
-      | Engine.Lease ->
-        (* compare against the device view through a leased window:
-           one hoisted check, no materialized candidate *)
-        klen = 0
-        || Space.view_equal_string
-             (t.a.view (t.a.gep p (f_key t.a)) klen)
-             ~off:0 key)
+  && (klen = 0
+      || Space.view_equal_string (t.a.view (t.a.gep p (f_key t.a)) klen)
+           ~off:0 key)
 
 (* Find the slot pointer referencing the entry for [key] plus the entry
    itself, starting from the bucket slot. *)
@@ -147,14 +121,14 @@ let find_slot t slot key =
   in
   go slot
 
-(* The zero-copy get walk: per entry one leased view over the header
+(* The get walk: per entry one leased view over the header
    (next oid + lengths, read raw after one hoisted check) and — only
    when the key length matches — one leased view over key+value, which
    serves both the device-side compare and the single-copy value read.
    Under SPP that is two masked-tag checks per matching entry instead
    of one hook per access, and within each window the reads are bare
    offsets into the pinned device view. *)
-let find_value_lease t slot key =
+let find_value t slot key =
   let hdr_len = t.a.oid_size + 16 in
   let klen_q = String.length key in
   let rec go oid =
@@ -215,19 +189,13 @@ let get t key =
   | None ->
     let b = bucket_of t key in
     with_bucket t b (fun () ->
-      let v =
-        match Engine.read_path () with
-        | Engine.Lease -> find_value_lease t (bucket_slot_ptr t b) key
-        | Engine.Copying ->
-          (match find_slot t (bucket_slot_ptr t b) key with
-           | None -> None
-           | Some (_, _, p) -> Some (entry_value_copying t p))
-      in
-      (* Fill while still holding the bucket stripe: a same-key writer
-         serializes on it, so a stale value can never be resurrected
-         over a newer put. *)
-      (match (v, t.cache) with
-       | Some v, Some rc -> Rcache.insert rc key v
+      (* Fill under the bucket stripe, which same-key writers hold; the
+         ticket drops the fill if a submitter invalidated the key after
+         this read began. *)
+      let tk = Option.map (fun rc -> (rc, Rcache.ticket rc key)) t.cache in
+      let v = find_value t (bucket_slot_ptr t b) key in
+      (match (v, tk) with
+       | Some v, Some (rc, tk) -> Rcache.insert rc tk v
        | _ -> ());
       v)
 
@@ -294,10 +262,10 @@ let scan t ~lo ~hi ~limit =
   if limit <= 0 || hi < lo then []
   else begin
     let acc = ref [] in
-    (* Lease walk: one whole-entry window per chain link (the SPP oid's
-       durable size bounds it), range-tested against the device view so
+    (* One whole-entry window per chain link (the SPP oid's durable
+       size bounds it), range-tested against the device view so
        out-of-range entries are never materialized. *)
-    let rec go_lease oid =
+    let rec go oid =
       if not (Oid.is_null oid) then begin
         let p = t.a.direct oid in
         if oid.Oid.size > 0 then begin
@@ -313,29 +281,17 @@ let scan t ~lo ~hi ~limit =
             let v = Space.view_string ev ~off:(f_value t.a klen) ~len:vlen in
             acc := (k, v) :: !acc
           end;
-          go_lease (Pool.view_load_oid t.a.pool ev ~off:f_next)
+          go (Pool.view_load_oid t.a.pool ev ~off:f_next)
         end
         else begin
           let k = entry_key t p in
           if lo <= k && k <= hi then acc := (k, entry_value t p) :: !acc;
-          go_lease (t.a.load_oid_at (t.a.gep p f_next))
+          go (t.a.load_oid_at (t.a.gep p f_next))
         end
       end
     in
-    let rec go slot_ptr =
-      let oid = t.a.load_oid_at slot_ptr in
-      if not (Oid.is_null oid) then begin
-        let p = t.a.direct oid in
-        let k = entry_key t p in
-        if lo <= k && k <= hi then acc := (k, entry_value t p) :: !acc;
-        go (t.a.gep p f_next)
-      end
-    in
     for b = 0 to t.nbuckets - 1 do
-      with_bucket t b (fun () ->
-        match Engine.read_path () with
-        | Engine.Lease -> go_lease (t.a.load_oid_at (bucket_slot_ptr t b))
-        | Engine.Copying -> go (bucket_slot_ptr t b))
+      with_bucket t b (fun () -> go (t.a.load_oid_at (bucket_slot_ptr t b)))
     done;
     clip_scan ~limit !acc
   end
@@ -382,38 +338,26 @@ let batch_key_of = Engine.batch_key_of
 
 (* Entry field reads through the overlay. Key/value bytes are never
    staged (fresh entries write them directly while unreachable), so byte
-   reads go straight to the space — single-copy [Space.read_sub] on the
-   lease path, with the key compared against the device view instead of
-   materialized (the pre-lease double-copy reads survive only behind
-   [Engine.Copying], as the before/after reference). *)
+   reads go straight to the space — single-copy [Space.read_sub], with
+   the key compared against the device view instead of materialized. *)
 
 let b_entry_key t bt eoff =
   let p = t.a.pool in
   let klen = Pool.batch_load_word p bt ~off:(eoff + f_klen t.a) in
-  let addr = Pool.addr_of_off p (eoff + f_key t.a) in
-  match Engine.read_path () with
-  | Engine.Copying ->
-    Bytes.to_string (Space.read_bytes (Pool.space p) addr klen)
-  | Engine.Lease -> Space.read_sub (Pool.space p) addr klen
+  Space.read_sub (Pool.space p) (Pool.addr_of_off p (eoff + f_key t.a)) klen
 
 let b_entry_value t bt eoff =
   let p = t.a.pool in
   let klen = Pool.batch_load_word p bt ~off:(eoff + f_klen t.a) in
   let vlen = Pool.batch_load_word p bt ~off:(eoff + f_vlen t.a) in
-  let addr = Pool.addr_of_off p (eoff + f_value t.a klen) in
-  match Engine.read_path () with
-  | Engine.Copying ->
-    Bytes.to_string (Space.read_bytes (Pool.space p) addr vlen)
-  | Engine.Lease -> Space.read_sub (Pool.space p) addr vlen
+  Space.read_sub (Pool.space p)
+    (Pool.addr_of_off p (eoff + f_value t.a klen)) vlen
 
 let b_key_matches t bt eoff key =
   Pool.batch_load_word t.a.pool bt ~off:(eoff + f_klen t.a)
   = String.length key
-  && (match Engine.read_path () with
-      | Engine.Copying -> b_entry_key t bt eoff = key
-      | Engine.Lease ->
-        Space.equal_string (Pool.space t.a.pool)
-          (Pool.addr_of_off t.a.pool (eoff + f_key t.a)) key)
+  && Space.equal_string (Pool.space t.a.pool)
+       (Pool.addr_of_off t.a.pool (eoff + f_key t.a)) key
 
 (* Slot offset (pool offset of the oid slot pointing at the entry) plus
    the entry's oid, walking the chain as the batch sees it. *)
@@ -543,42 +487,11 @@ let b_remove t bt key =
   r
 
 let run_batch ?len t ops =
-  let n =
-    match len with
-    | None -> Array.length ops
-    | Some l ->
-      if l < 0 || l > Array.length ops then
-        invalid_arg "Cmap.run_batch: len out of range";
-      l
-  in
-  let replies =
-    Pool.with_batch t.a.pool (fun bt ->
-      Array.init n (fun i ->
-        match ops.(i) with
-        | B_put { key; value } -> b_put t bt ~key ~value; R_put
-        | B_get key -> R_get (b_get t bt key)
-        | B_remove key -> R_removed (b_remove t bt key)
-        | B_scan { lo; hi; limit } -> R_scan (b_scan t bt ~lo ~hi ~limit)))
-  in
-  (* The batch is committed: everything the ops read or wrote is durable
-     now, so replay their cache effects in op order — a get fills the
-     value it returned, a put fills the value it made durable, a remove
-     drops the key. Replay order makes a later same-key mutation win
-     over an earlier get's fill, so no stale value is resurrected. On a
-     crash the exception propagates before this point and only the eager
-     stage-time invalidations remain — conservative, never wrong. *)
-  (match t.cache with
-   | None -> ()
-   | Some rc ->
-     for i = 0 to n - 1 do
-       match (ops.(i), replies.(i)) with
-       | B_get key, R_get (Some v) -> Rcache.insert rc key v
-       | B_get _, _ -> ()
-       | B_put { key; value }, _ -> Rcache.insert rc key value
-       | B_remove key, _ -> Rcache.invalidate rc key
-       | B_scan _, _ -> ()
-     done);
-  replies
+  Engine.run_cached_batch ?len t.a.pool t.cache ops (fun bt -> function
+    | B_put { key; value } -> b_put t bt ~key ~value; R_put
+    | B_get key -> R_get (b_get t bt key)
+    | B_remove key -> R_removed (b_remove t bt key)
+    | B_scan { lo; hi; limit } -> R_scan (b_scan t bt ~lo ~hi ~limit))
 
 let count_all t =
   let n = ref 0 in

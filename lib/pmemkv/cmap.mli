@@ -30,8 +30,11 @@ val attach : Spp_access.t -> buckets:Spp_pmdk.Oid.t -> t
     [b_put]/[b_remove] paths at stage time before the deferred commit —
     so the cache can never serve a value newer than the durable state
     allows, and [run_batch] replays fills only after its commit
-    returns. Purely volatile: no simulated PM traffic, no new crash
-    points, gone on reopen. *)
+    returns. A fill whose key was invalidated after its value was read
+    or staged drops itself (see {!Rcache.insert}), so a deferred fill
+    never resurrects a value a later submission replaced. Purely
+    volatile: no simulated PM traffic, no new crash points, gone on
+    reopen. *)
 
 val set_cache : t -> Rcache.t option -> unit
 val cache : t -> Rcache.t option

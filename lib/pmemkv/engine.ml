@@ -9,37 +9,17 @@
    oid parked by the caller, e.g. in the pool root), and the volatile
    read-cache hooks the serve fast path relies on.
 
+   Engine reads are zero-copy: readers pin a Space lease or view window
+   (one hoisted pointer check per window), compare keys against the
+   device view without materializing candidates, and copy a value out
+   exactly once ([read_sub] / [view_string]).
+
    The shard/serve/replica stack is written against [packed] values —
    an existential pairing of a module implementing [S] with its state —
    so a shard's engine is chosen at [Shard.create] time and everything
    above it stays engine-agnostic. *)
 
 open Spp_pmdk
-
-(* Process-wide read-path selector. [Lease] is the zero-copy hot path:
-   engine readers pin a Space lease (or use single-copy [read_sub]) and
-   compare keys against the device view, never materializing candidate
-   strings. [Copying] is the pre-lease reference path — read_bytes +
-   Bytes.to_string double copies and one pointer check per access —
-   kept selectable for before/after benchmarking, exactly like
-   [Memdev]'s list-based tracking engine. Engines consult the selector
-   per read, so [with_read_path] brackets work mid-run; like the Memdev
-   toggle it is not meant to be flipped while worker domains are live. *)
-
-type read_path =
-  | Copying   (* pre-lease reference: double-copy reads, per-access checks *)
-  | Lease     (* zero-copy: hoisted checks, device-side key compares *)
-
-let read_path_name = function Copying -> "copying" | Lease -> "lease"
-
-let read_path_ref = ref Lease
-let set_read_path p = read_path_ref := p
-let read_path () = !read_path_ref
-
-let with_read_path p f =
-  let saved = !read_path_ref in
-  read_path_ref := p;
-  Fun.protect ~finally:(fun () -> read_path_ref := saved) f
 
 (* Batch programs are shared across engines so the serving layer can
    build them without knowing which engine executes them. *)
@@ -59,6 +39,50 @@ type batch_reply =
 let batch_key_of = function
   | B_put { key; _ } | B_get key | B_remove key -> key
   | B_scan { lo; _ } -> lo
+
+(* The body of every engine's [run_batch]: ops [0, len) run inside one
+   [Pool.with_batch], and once it is durable their cache fills replay in
+   op order — a get fills the value it returned, a put the value it made
+   durable. A get's fill ticket is taken before it reads, a put's after
+   its stage-time invalidation, so a key invalidated in between — a
+   mutation submitted while the batch runs, or a later remove or put of
+   the same batch — drops the fill instead of resurrecting an older
+   value. On a crash the exception propagates before the replay and only
+   the stage-time invalidations remain: conservative, never wrong. *)
+let run_cached_batch ?len pool cache ops exec =
+  let n =
+    match len with
+    | None -> Array.length ops
+    | Some l ->
+      if l < 0 || l > Array.length ops then
+        invalid_arg "run_batch: len out of range";
+      l
+  in
+  let tickets = Array.make n None in
+  let ticket key = Option.map (fun rc -> Rcache.ticket rc key) cache in
+  let replies =
+    Pool.with_batch pool (fun bt ->
+      Array.init n (fun i ->
+        match ops.(i) with
+        | B_get key -> tickets.(i) <- ticket key; exec bt ops.(i)
+        | B_put { key; _ } ->
+          let r = exec bt ops.(i) in
+          tickets.(i) <- ticket key;
+          r
+        | B_remove _ | B_scan _ -> exec bt ops.(i)))
+  in
+  Option.iter
+    (fun rc ->
+      Array.iteri
+        (fun i tk ->
+          match (tk, ops.(i), replies.(i)) with
+          | Some tk, B_get _, R_get (Some v)
+          | Some tk, B_put { value = v; _ }, _ ->
+            Rcache.insert rc tk v
+          | _ -> ())
+        tickets)
+    cache;
+  replies
 
 module type S = sig
   type t

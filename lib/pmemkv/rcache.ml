@@ -21,7 +21,13 @@
    stale read is a stale pointer, never a torn string, and the stamp
    recheck rejects any cross-generation mix. This is what lets the serve
    layer probe a shard's cache from any submitting domain without taking
-   the shard's stripe locks or hopping through its mailbox. *)
+   the shard's stripe locks or hopping through its mailbox.
+
+   Fills are deferred (a batch fills after its commit), so every fill
+   carries a ticket taken before its value was read or staged, and each
+   set keeps a generation that every invalidation bumps: a fill whose
+   set was invalidated since its ticket drops itself, because its value
+   may predate the mutation that invalidated. *)
 
 type entry = {
   seq : int Atomic.t;       (* even = stable, odd = write in progress *)
@@ -58,6 +64,7 @@ type t = {
   ways : int;
   entries : entry array;    (* set-major: entries.(set * ways + way) *)
   victim : int array;       (* per-set round-robin eviction hint *)
+  gens : int Atomic.t array; (* per set: bumped by every invalidation *)
   wlocks : Mutex.t array;   (* writer striping; readers never lock *)
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -84,6 +91,7 @@ let create ~cap =
       Array.init (nsets * ways) (fun _ ->
         { seq = Atomic.make 0; valid = false; key = ""; value = "" });
     victim = Array.make nsets 0;
+    gens = Array.init nsets (fun _ -> Atomic.make 0);
     wlocks = Array.init (min nwlocks nsets) (fun _ -> Mutex.create ());
     hits = Atomic.make 0; misses = Atomic.make 0;
     invalidations = Atomic.make 0; fills = Atomic.make 0 }
@@ -142,36 +150,44 @@ let find_way t base key =
   in
   go 0
 
-let insert t key value =
+type ticket = { tk_key : string; tk_set : int; tk_gen : int }
+
+let ticket t key =
   let set = set_of t key in
+  { tk_key = key; tk_set = set; tk_gen = Atomic.get t.gens.(set) }
+
+let insert t { tk_key = key; tk_set = set; tk_gen } value =
   let base = set * t.ways in
   with_wlock t set (fun () ->
-    match find_way t base key with
-    | Some e -> write_entry e (fun e -> e.value <- value)
-    | None ->
-      let victim =
-        let rec free w =
-          if w = t.ways then None
-          else if not t.entries.(base + w).valid then Some w
-          else free (w + 1)
-        in
-        match free 0 with
-        | Some w -> w
-        | None ->
-          let w = t.victim.(set) in
-          t.victim.(set) <- (w + 1) land (t.ways - 1);
-          w
-      in
-      write_entry t.entries.(base + victim) (fun e ->
-        e.valid <- true;
-        e.key <- key;
-        e.value <- value));
-  Atomic.incr t.fills
+    if Atomic.get t.gens.(set) = tk_gen then begin
+      (match find_way t base key with
+       | Some e -> write_entry e (fun e -> e.value <- value)
+       | None ->
+         let victim =
+           let rec free w =
+             if w = t.ways then None
+             else if not t.entries.(base + w).valid then Some w
+             else free (w + 1)
+           in
+           match free 0 with
+           | Some w -> w
+           | None ->
+             let w = t.victim.(set) in
+             t.victim.(set) <- (w + 1) land (t.ways - 1);
+             w
+         in
+         write_entry t.entries.(base + victim) (fun e ->
+           e.valid <- true;
+           e.key <- key;
+           e.value <- value));
+      Atomic.incr t.fills
+    end)
 
 let invalidate t key =
   let set = set_of t key in
   let base = set * t.ways in
   with_wlock t set (fun () ->
+    Atomic.incr t.gens.(set);
     match find_way t base key with
     | None -> ()
     | Some e ->
@@ -184,6 +200,7 @@ let invalidate t key =
 let clear t =
   for set = 0 to t.nsets - 1 do
     with_wlock t set (fun () ->
+      Atomic.incr t.gens.(set);
       for w = 0 to t.ways - 1 do
         let e = t.entries.((set * t.ways) + w) in
         if e.valid then

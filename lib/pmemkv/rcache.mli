@@ -32,13 +32,25 @@ val capacity : t -> int
 val probe : t -> string -> string option
 (** Lock-free lookup; callable from any domain. Counts a hit or miss. *)
 
-val insert : t -> string -> string -> unit
-(** Install or overwrite [key]'s entry (evicting round-robin within its
-    set when full). The value must be durable at call time: fills come
-    from committed reads, never staged state. *)
+type ticket
+(** A key together with its set's generation at the time the ticket was
+    taken. *)
+
+val ticket : t -> string -> ticket
+(** Take a fill ticket for [key] before reading or staging the value a
+    later {!insert} installs. *)
+
+val insert : t -> ticket -> string -> unit
+(** Install or overwrite the ticket's key with the value (evicting
+    round-robin within its set when full) — unless a key of the same
+    set was invalidated since the ticket was taken: the value may then
+    predate that mutation, and the fill drops itself. The value must be
+    durable at call time: fills come from committed reads, never staged
+    state. *)
 
 val invalidate : t -> string -> unit
-(** Drop [key]'s entry if present. Mutation sites call this at stage
+(** Drop [key]'s entry if present and bump its set's generation, which
+    drops every fill ticketed before. Mutation sites call this at stage
     time — before the deferred commit — so a concurrent reader can
     never observe a value newer than the durable state allows. *)
 

@@ -811,8 +811,6 @@ let shard_failed t i = t.boxes.(i).failed
 
 let promotions t = Atomic.get t.promotions
 
-let replicated t i = t.repl.(i) <> None
-
 (* Ask shard [i]'s worker to promote a replica, and wait for it. The
    worker performs the swap between drains; requests queued meanwhile
    resolve [Failed Failed_over] (dead primary) or execute normally (live

@@ -131,7 +131,6 @@ val create :
     configured policy. *)
 
 val start : t -> unit
-val started : t -> bool
 
 val submit : ?notify:(reply -> unit) -> t -> request -> ticket
 (** Route by key to the owning shard's mailbox — or, for a cache-hit
@@ -226,8 +225,6 @@ val peak_queue_depths : t -> int array
 val shard_failed : t -> int -> bool
 (** The shard's device died and no replica has been promoted yet; its
     requests are resolving [Failed Failed_over]. *)
-
-val replicated : t -> int -> bool
 
 val promote : ?cache_cap:int -> t -> int -> Replica.promoted
 (** [promote t i] asks shard [i]'s worker — the only domain allowed

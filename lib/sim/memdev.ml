@@ -12,21 +12,14 @@
      fence (SFENCE) has drained them — the regime used by the crash
      simulator and the pmemcheck-style trace checker.
 
-   Tracking engines. The original engine kept pending stores in one
-   newest-first list: every flush scanned all P pending records and every
-   fence partitioned the whole list — O(P) per durability event, which the
-   crash-point torture harness replays O(E) times per event. The default
-   engine now indexes pending records by cacheline (a dirty table), so a
-   flush touches only the buckets of the lines it covers and a fence
-   drains an ordered queue of already-flushed records. The list engine is
-   kept selectable so the two can be benchmarked and differentially
-   tested against each other. *)
+   Pending records are indexed by cacheline (a dirty table), so a flush
+   touches only the buckets of the lines it covers and a fence drains an
+   ordered queue of already-flushed records: O(lines) per flush and
+   O(f log f) per fence in the f records drained, never O(P) in all
+   pending stores — the crash-point torture harness replays every
+   durability event once per crash point. *)
 
 let cacheline = 64
-
-type tracking_engine =
-  | Line_indexed
-  | List_based
 
 type store_rec = {
   seq : int;
@@ -55,14 +48,11 @@ type t = {
   view : Bytes.t;
   durable : Bytes.t option;
   mutable tracking : bool;
-  mutable engine : tracking_engine;
   mutable next_seq : int;
-  (* List engine state. *)
-  mutable pending : store_rec list;   (* newest first *)
-  (* Line-indexed engine state. All pending records live in [p_journal]
-     in program order; [line_tbl] indexes the not-yet-flushed ones by
-     cacheline; [flushed_q] holds flushed-not-yet-fenced records in flush
-     order (re-sorted by seq at the fence, which only pays for what it
+  (* All pending records live in [p_journal] in program order;
+     [line_tbl] indexes the not-yet-flushed ones by cacheline;
+     [flushed_q] holds flushed-not-yet-fenced records in flush order
+     (re-sorted by seq at the fence, which only pays for what it
      drains). Fenced records stay in the journal until compaction. *)
   p_journal : store_rec Journal.t;
   mutable p_live : int;               (* unfenced records in p_journal *)
@@ -79,25 +69,9 @@ type t = {
   mutable powered_off : bool;
 }
 
-(* New devices pick up the process-wide default engine, so harnesses that
-   replay workloads through freshly built pools (the torture enumerator
-   rebuilds one per crash point) can be switched wholesale. *)
-let default_engine_ref = ref Line_indexed
-let set_default_engine e = default_engine_ref := e
-let default_engine () = !default_engine_ref
-
-(* Scoped selection: the default engine is process-wide state, and a test
-   or bench that sets it and raises would poison every later suite. The
-   combinator restores the previous default on any exit path. *)
-let with_default_engine e f =
-  let saved = !default_engine_ref in
-  default_engine_ref := e;
-  Fun.protect ~finally:(fun () -> default_engine_ref := saved) f
-
 let create ~name ~durable size =
   { name; size; view = Bytes.make size '\000'; durable;
-    tracking = false; engine = !default_engine_ref; next_seq = 0;
-    pending = [];
+    tracking = false; next_seq = 0;
     p_journal = Journal.create (); p_live = 0;
     line_tbl = Hashtbl.create 64; flushed_q = Journal.create ();
     trace_j = Journal.create ();
@@ -114,27 +88,11 @@ let name t = t.name
 let size t = t.size
 let is_persistent t = t.durable <> None
 
-let has_pending t =
-  t.pending <> [] || t.p_live > 0
-
 let clear_pending t =
-  t.pending <- [];
   Journal.clear t.p_journal;
   t.p_live <- 0;
   Hashtbl.reset t.line_tbl;
   Journal.clear t.flushed_q
-
-let engine t = t.engine
-
-let set_engine t e =
-  if e <> t.engine then begin
-    if t.tracking && has_pending t then
-      invalid_arg
-        "Memdev.set_engine: pending stores buffered; switch engines at a \
-         quiescent point (after a fence or crash)";
-    clear_pending t;
-    t.engine <- e
-  end
 
 let set_tracking t on =
   if on && not (is_persistent t) then
@@ -231,12 +189,9 @@ let record_store t off len =
   let r = { seq = t.next_seq; s_off = off; s_len = len; data;
             flushed = false; fenced = false } in
   t.next_seq <- t.next_seq + 1;
-  (match t.engine with
-   | List_based -> t.pending <- r :: t.pending
-   | Line_indexed ->
-     Journal.push t.p_journal r;
-     t.p_live <- t.p_live + 1;
-     add_to_line_tbl t r);
+  Journal.push t.p_journal r;
+  t.p_live <- t.p_live + 1;
+  add_to_line_tbl t r;
   Journal.push t.trace_j (Ev_store { off; len; data })
 
 let store_bytes t ~off src ~src_off ~len =
@@ -359,20 +314,6 @@ let fill t ~off ~len c =
 
 (* Flush and fence. *)
 
-let ranges_intersect a_off a_len b_off b_len =
-  a_off < b_off + b_len && b_off < a_off + a_len
-
-let flush_list t off len =
-  (* CLWB works at cacheline granularity. *)
-  let lo = off / cacheline * cacheline in
-  let hi = (off + len + cacheline - 1) / cacheline * cacheline in
-  let flen = hi - lo in
-  List.iter
-    (fun r ->
-      if (not r.flushed) && ranges_intersect lo flen r.s_off r.s_len then
-        r.flushed <- true)
-    t.pending
-
 let flush_indexed t off len =
   (* Only the buckets of the covered cachelines are touched. A record
      spanning several lines is flushed on the first hit; the flag stops
@@ -398,9 +339,7 @@ let flush t ~off ~len =
   else begin
   t.n_flushes <- t.n_flushes + 1;
   if t.tracking then begin
-    (match t.engine with
-     | List_based -> flush_list t off len
-     | Line_indexed -> flush_indexed t off len);
+    flush_indexed t off len;
     Journal.push t.trace_j (Ev_flush { off; len })
   end;
   inject t (Hk_flush { off; len })
@@ -410,13 +349,6 @@ let apply_to_durable t r =
   match t.durable with
   | None -> ()
   | Some d -> Bytes.blit r.data 0 d r.s_off r.s_len
-
-let fence_list t =
-  (* Drain flushed stores to the durable image, in program order. *)
-  let drained, still = List.partition (fun r -> r.flushed) t.pending in
-  List.iter (apply_to_durable t) (List.rev drained);
-  List.iter (fun r -> r.fenced <- true) drained;
-  t.pending <- still
 
 let fence_indexed t =
   (* The queue holds exactly the flushed-unfenced records; sorting the
@@ -445,9 +377,7 @@ let fence t =
   else begin
   t.n_fences <- t.n_fences + 1;
   if t.tracking then begin
-    (match t.engine with
-     | List_based -> fence_list t
-     | Line_indexed -> fence_indexed t);
+    fence_indexed t;
     Journal.push t.trace_j Ev_fence
   end;
   inject t Hk_fence
@@ -468,10 +398,7 @@ let crash t =
   t.powered_off <- false       (* restart: power is back *)
 
 let pending_stores t =
-  match t.engine with
-  | List_based -> List.rev t.pending
-  | Line_indexed ->
-    List.filter (fun r -> not r.fenced) (Journal.to_list t.p_journal)
+  List.filter (fun r -> not r.fenced) (Journal.to_list t.p_journal)
 
 let crash_applying t recs =
   (* A crash where a chosen subset of the pending (not yet fenced) stores

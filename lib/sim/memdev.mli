@@ -5,46 +5,15 @@
     survives a crash). With store tracking enabled, a store only reaches the
     durable image after it has been flushed ([CLWB]) and drained by a fence
     ([SFENCE]) — the regime used by crash simulation and the
-    pmemcheck-style checker. With tracking disabled (the benchmark fast
-    path) stores are considered immediately durable. *)
+    pmemcheck-style checker. Pending stores are indexed by cacheline, so a
+    flush costs O(lines covered) and a fence O(f log f) in the stores it
+    drains. With tracking disabled (the benchmark fast path) stores are
+    considered immediately durable. *)
 
 type t
 
 val cacheline : int
 (** Cacheline size in bytes (64); flush granularity. *)
-
-(** {1 Tracking engines}
-
-    Two interchangeable implementations of the tracking-mode pending
-    set. [Line_indexed] (the default) keeps a cacheline-keyed dirty
-    table plus growable-array journals: a flush touches only the
-    covered lines' buckets and a fence drains an ordered queue —
-    O(lines) and O(drained log drained) instead of O(pending).
-    [List_based] is the original single-list engine, kept selectable
-    for differential testing and before/after benchmarking. Both
-    produce bit-identical durable images and traces. *)
-
-type tracking_engine =
-  | Line_indexed
-  | List_based
-
-val set_default_engine : tracking_engine -> unit
-(** Engine given to devices created afterwards (process-wide). *)
-
-val default_engine : unit -> tracking_engine
-
-val with_default_engine : tracking_engine -> (unit -> 'a) -> 'a
-(** [with_default_engine e f] runs [f] with [e] as the process-wide
-    default engine and restores the previous default on any exit path
-    (normal return or exception) — the leak-proof form of
-    {!set_default_engine} for differential suites. *)
-
-val engine : t -> tracking_engine
-
-val set_engine : t -> tracking_engine -> unit
-(** Switch this device's engine. Raises [Invalid_argument] if tracking
-    is on and stores are still buffered — switch at a quiescent point
-    (after a fence, a crash, or before enabling tracking). *)
 
 (** {1 Construction} *)
 

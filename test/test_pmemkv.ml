@@ -335,47 +335,43 @@ let test_cmap_scan_and_registry () =
   check_bool "registry: unknown" true
     (Spp_pmemkv.Engines.of_name "lsm" = None)
 
-(* The read-path selector must be invisible to semantics: an identical
-   workload answered under [Copying] and under [Lease] must produce
-   bit-identical gets and scans, on both engines and on every access
-   variant (each variant hoists its own check into lease acquisition). *)
-let test_read_path_equivalence () =
-  let replies path engine_name variant =
-    Spp_pmemkv.Engine.with_read_path path (fun () ->
-        let a = mk variant in
-        let spec = Option.get (Spp_pmemkv.Engines.of_name engine_name) in
-        let kv = Spp_pmemkv.Engine.create ~nbuckets:32 spec a in
-        let st = Random.State.make [| 42 |] in
-        let log = Buffer.create 4096 in
-        for i = 1 to 600 do
-          let key = Printf.sprintf "key-%03d" (Random.State.int st 120) in
-          match Random.State.int st 4 with
-          | 0 ->
-            Spp_pmemkv.Engine.put kv ~key
-              ~value:(Printf.sprintf "val-%d-%d" i (Random.State.int st 1000))
-          | 1 ->
-            Buffer.add_string log
-              (match Spp_pmemkv.Engine.get kv key with
-               | Some v -> "G:" ^ v ^ "\n"
-               | None -> "N\n")
-          | 2 ->
-            Buffer.add_string log
-              (if Spp_pmemkv.Engine.remove kv key then "R\n" else "r\n")
-          | _ ->
-            List.iter
-              (fun (k, v) -> Buffer.add_string log (k ^ "=" ^ v ^ ";"))
-              (Spp_pmemkv.Engine.scan kv ~lo:key ~hi:"~" ~limit:5)
-        done;
-        Buffer.contents log)
-  in
+(* Gets, removes and scans against a [Map] model, on both engines and
+   every access variant (each variant hoists its own pointer check into
+   lease acquisition, so each opens its windows differently). *)
+module Smap = Map.Make (String)
+
+let test_reads_match_model () =
   List.iter
-    (fun engine ->
+    (fun engine_name ->
       List.iter
-        (fun v ->
-          Alcotest.(check string)
-            (engine ^ "/" ^ Spp_access.variant_name v ^ ": copying = lease")
-            (replies Spp_pmemkv.Engine.Copying engine v)
-            (replies Spp_pmemkv.Engine.Lease engine v))
+        (fun variant ->
+          let name = engine_name ^ "/" ^ Spp_access.variant_name variant in
+          let spec = Option.get (Spp_pmemkv.Engines.of_name engine_name) in
+          let kv = Spp_pmemkv.Engine.create ~nbuckets:32 spec (mk variant) in
+          let st = Random.State.make [| 42 |] in
+          let model = ref Smap.empty in
+          for i = 1 to 600 do
+            let key = Printf.sprintf "key-%03d" (Random.State.int st 120) in
+            match Random.State.int st 4 with
+            | 0 ->
+              let value =
+                Printf.sprintf "val-%d-%d" i (Random.State.int st 1000)
+              in
+              Spp_pmemkv.Engine.put kv ~key ~value;
+              model := Smap.add key value !model
+            | 1 ->
+              Alcotest.(check (option string)) (name ^ " get")
+                (Smap.find_opt key !model) (Spp_pmemkv.Engine.get kv key)
+            | 2 ->
+              check_bool (name ^ " remove") (Smap.mem key !model)
+                (Spp_pmemkv.Engine.remove kv key);
+              model := Smap.remove key !model
+            | _ ->
+              Alcotest.(check (list (pair string string))) (name ^ " scan")
+                (List.filteri (fun i _ -> i < 5)
+                   (Smap.bindings (Smap.filter (fun k _ -> k >= key) !model)))
+                (Spp_pmemkv.Engine.scan kv ~lo:key ~hi:"~" ~limit:5)
+          done)
         Spp_access.all_variants)
     [ "cmap"; "btree" ]
 
@@ -409,8 +405,8 @@ let () =
         [
           Alcotest.test_case "cmap scan + registry" `Quick
             test_cmap_scan_and_registry;
-          Alcotest.test_case "read paths agree on both engines" `Quick
-            test_read_path_equivalence;
+          Alcotest.test_case "reads match a Map model on both engines" `Quick
+            test_reads_match_model;
         ] );
       ( "db_bench",
         [ Alcotest.test_case "all workloads run" `Quick test_db_bench_runs ] );

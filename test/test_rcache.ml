@@ -11,14 +11,17 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_opt = Alcotest.(check (option string))
 
+(* An unconditional fill: the ticket is taken right before it. *)
+let insert c key value = Rcache.insert c (Rcache.ticket c key) value
+
 (* --- Unit behaviour --------------------------------------------------- *)
 
 let test_probe_insert_invalidate () =
   let c = Rcache.create ~cap:64 in
   check_opt "miss on empty" None (Rcache.probe c "a");
-  Rcache.insert c "a" "1";
+  insert c "a" "1";
   check_opt "hit after insert" (Some "1") (Rcache.probe c "a");
-  Rcache.insert c "a" "2";
+  insert c "a" "2";
   check_opt "overwrite wins" (Some "2") (Rcache.probe c "a");
   Rcache.invalidate c "a";
   check_opt "miss after invalidate" None (Rcache.probe c "a");
@@ -49,7 +52,7 @@ let test_eviction_bounded () =
   let c = Rcache.create ~cap:16 in
   let key i = Printf.sprintf "key-%04d" i in
   for i = 0 to 199 do
-    Rcache.insert c (key i) (string_of_int i)
+    insert c (key i) (string_of_int i)
   done;
   check_bool "live bounded by capacity" true
     (Rcache.live c <= Rcache.capacity c);
@@ -109,8 +112,8 @@ let test_seqlock_readers_never_torn () =
     let k = key (Random.State.int st nkeys) in
     match Random.State.int st 4 with
     | 0 -> Rcache.invalidate c k
-    | 1 -> Rcache.insert c k (v2 k)
-    | _ -> Rcache.insert c k (v1 k)
+    | 1 -> insert c k (v2 k)
+    | _ -> insert c k (v1 k)
   done;
   Atomic.set stop true;
   Array.iter Domain.join readers;
@@ -173,6 +176,48 @@ let test_run_batch_replay_order () =
   check_opt "durable a" (Some "a1") (Cmap.get kv "a");
   check_opt "durable c" None (Cmap.get kv "c")
 
+(* A deferred fill must not resurrect a value that a mutation submitted
+   while the batch ran has invalidated: the serve layer invalidates a
+   put's key at submission, and a bypassed get from the same client must
+   then miss, not hit the value from before its own put. The injector
+   stands in for that submission at the commit's first fence — after the
+   batch's get read its value and its put staged its own. *)
+let test_fill_dropped_after_invalidation () =
+  let module E = Spp_pmemkv.Engine in
+  List.iter
+    (fun spec ->
+      let name = E.spec_name spec in
+      let a = Spp_access.create ~pool_size:(1 lsl 21) ~name:"rcache-stale"
+          Spp_access.Spp in
+      let kv = E.create ~nbuckets:32 spec a in
+      E.set_cache kv (Some (Rcache.create ~cap:64));
+      let dev = Spp_pmdk.Pool.dev a.Spp_access.pool in
+      let run_invalidating_k ops =
+        let fired = ref false in
+        Spp_sim.Memdev.set_injector dev
+          (Some
+             (function
+               | Spp_sim.Memdev.Hk_fence when not !fired ->
+                 fired := true;
+                 E.cache_invalidate kv "k"
+               | _ -> ()));
+        ignore (E.run_batch kv ops);
+        Spp_sim.Memdev.set_injector dev None;
+        check_bool (name ^ ": injector fired") true !fired
+      in
+      E.put kv ~key:"k" ~value:"old";
+      ignore (E.run_batch kv [| E.B_get "k" |]);
+      check_opt (name ^ ": get fills") (Some "old") (E.cache_probe kv "k");
+      E.cache_invalidate kv "k";
+      run_invalidating_k [| E.B_get "k"; E.B_put { key = "x"; value = "x" } |];
+      check_opt (name ^ ": get fill dropped") None (E.cache_probe kv "k");
+      ignore (E.run_batch kv [| E.B_put { key = "k"; value = "new" } |]);
+      check_opt (name ^ ": put fills") (Some "new") (E.cache_probe kv "k");
+      run_invalidating_k [| E.B_put { key = "k"; value = "newer" } |];
+      check_opt (name ^ ": put fill dropped") None (E.cache_probe kv "k");
+      check_opt (name ^ ": durable value") (Some "newer") (E.get kv "k"))
+    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
+
 let test_attach_starts_cold () =
   let a, kv = mk_cached () in
   let pool = a.Spp_access.pool in
@@ -220,5 +265,7 @@ let () =
             `Quick test_run_batch_replay_order;
           Alcotest.test_case "attach starts cold" `Quick
             test_attach_starts_cold;
+          Alcotest.test_case "fill dropped after invalidation (both engines)"
+            `Quick test_fill_dropped_after_invalidation;
         ] );
     ]

@@ -1,8 +1,7 @@
 (* Tests for the group-commit stack and the asynchronous batched serving
    pipeline: histogram unit tests, Cmap.run_batch vs a model oracle and
-   vs the synchronous path, the fences/op amortization bar on both
-   tracking engines, the async-pipeline differential, and the shard
-   divergence diagnostics. *)
+   vs the synchronous path, the fences/op amortization bar, the
+   async-pipeline differential, and the shard divergence diagnostics. *)
 
 open Spp_benchlib
 open Spp_shard
@@ -253,25 +252,19 @@ let fences_per_op ~batch_cap =
   ( float_of_int c.Spp_sim.Memdev.fences /. float_of_int ops,
     c )
 
-let test_fence_amortization_both_engines () =
-  List.iter
-    (fun engine ->
-      Spp_sim.Memdev.with_default_engine engine (fun () ->
-        let f32, c32 = fences_per_op ~batch_cap:32 in
-        let f1, c1 = fences_per_op ~batch_cap:1 in
-        check_bool
-          (Printf.sprintf "fences/op %.3f (cap 32) <= 1/4 of %.3f (cap 1)"
-             f32 f1)
-          true
-          (f32 <= f1 /. 4.);
-        (* the saved fences are accounted on the device; a batch of one
-           saves nothing *)
-        check_bool "fences_saved recorded" true
-          (c32.Spp_sim.Memdev.fences_saved > 0);
-        check_int "cap-1 batches save nothing" 0 c1.Spp_sim.Memdev.fences_saved;
-        check_bool "batched_ops recorded" true
-          (c32.Spp_sim.Memdev.batched_ops > 0)))
-    [ Spp_sim.Memdev.Line_indexed; Spp_sim.Memdev.List_based ]
+let test_fence_amortization () =
+  let f32, c32 = fences_per_op ~batch_cap:32 in
+  let f1, c1 = fences_per_op ~batch_cap:1 in
+  check_bool
+    (Printf.sprintf "fences/op %.3f (cap 32) <= 1/4 of %.3f (cap 1)" f32 f1)
+    true
+    (f32 <= f1 /. 4.);
+  (* the saved fences are accounted on the device; a batch of one saves
+     nothing *)
+  check_bool "fences_saved recorded" true
+    (c32.Spp_sim.Memdev.fences_saved > 0);
+  check_int "cap-1 batches save nothing" 0 c1.Spp_sim.Memdev.fences_saved;
+  check_bool "batched_ops recorded" true (c32.Spp_sim.Memdev.batched_ops > 0)
 
 (* --- Async pipeline --------------------------------------------------- *)
 
@@ -1269,8 +1262,8 @@ let () =
         ] );
       ( "amortization",
         [
-          Alcotest.test_case "cap 32 <= 1/4 fences of cap 1 (both engines)"
-            `Quick test_fence_amortization_both_engines;
+          Alcotest.test_case "cap 32 <= 1/4 fences of cap 1 (cmap engine)"
+            `Quick test_fence_amortization;
         ] );
       ( "pipeline",
         [

@@ -222,49 +222,85 @@ let test_memdev_blit () =
   Alcotest.(check string) "memmove-safe overlap" "123412345678"
     (Bytes.to_string (Memdev.load_bytes d ~off:200 ~len:12))
 
-(* Tracking-engine differentials: the line-indexed dirty table must be
-   observationally identical to the original list engine. *)
+(* Tracked durability against an independent model: pending stores in
+   program order, each with a flushed flag. A flush marks every pending
+   store meeting the cacheline-expanded range, a fence applies the
+   flushed ones to the durable image in program order and drops them,
+   and a crash applies a chosen subset of the pending stores, again in
+   program order, before the view reverts to the durable image. *)
 
-let bytes8 v = Bytes.make 8 (Char.chr v)
+type mstore = { m_off : int; m_data : Bytes.t; mutable m_flushed : bool }
 
-let prop_engines_agree =
+let model_crash ~size ops ~applied =
+  let durable = Bytes.make size '\000' and pending = ref [] in
+  let apply s = Bytes.blit s.m_data 0 durable s.m_off (Bytes.length s.m_data) in
+  List.iter
+    (function
+      | `Store (off, data) ->
+        pending :=
+          !pending @ [ { m_off = off; m_data = data; m_flushed = false } ]
+      | `Flush (off, len) ->
+        let lo = off / 64 * 64 and hi = (off + len + 63) / 64 * 64 in
+        List.iter
+          (fun s ->
+            if s.m_off < hi && lo < s.m_off + Bytes.length s.m_data then
+              s.m_flushed <- true)
+          !pending
+      | `Fence ->
+        List.iter (fun s -> if s.m_flushed then apply s) !pending;
+        pending := List.filter (fun s -> not s.m_flushed) !pending)
+    ops;
+  List.iteri (fun i s -> if applied i then apply s) !pending;
+  (List.length !pending, durable)
+
+let prop_tracking_matches_model =
   QCheck.Test.make
-    ~name:"line-indexed and list engines produce identical durable images"
+    ~name:"tracked flush/fence/crash matches a pending-store model"
     ~count:300
     QCheck.(
-      list_of_size (Gen.int_range 1 60)
-        (triple (int_bound 4) (int_bound 440) (int_bound 255)))
-    (fun ops ->
-      let run engine =
-        let d = Memdev.create_persistent ~name:"p" 512 in
-        Memdev.set_engine d engine;
-        Memdev.set_tracking d true;
-        List.iter
-          (fun (kind, off, v) ->
+      pair
+        (list_of_size (Gen.int_range 1 60)
+           (quad (int_bound 4) (int_bound 440) (int_range 1 16)
+              (int_bound 255)))
+        (list_of_size (Gen.int_range 0 60) bool))
+    (fun (gen_ops, mask) ->
+      let applied i = i < List.length mask && List.nth mask i in
+      let ops =
+        List.concat_map
+          (fun (kind, off, len, v) ->
             match kind with
-            | 0 | 1 -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8
-            | 2 -> Memdev.flush d ~off ~len:(1 + (v land 63))
-            | 3 -> Memdev.fence d
-            | _ -> Memdev.persist d ~off ~len:8)
-          ops;
-        Memdev.crash d;
-        Memdev.durable_snapshot d
+            | 0 | 1 -> [ `Store (off, Bytes.make len (Char.chr v)) ]
+            | 2 -> [ `Flush (off, 1 + (v land 63)) ]
+            | 3 -> [ `Fence ]
+            | _ -> [ `Flush (off, 8); `Fence ])
+          gen_ops
       in
-      Bytes.equal (run Memdev.Line_indexed) (run Memdev.List_based))
+      let d = Memdev.create_persistent ~name:"p" 512 in
+      Memdev.set_tracking d true;
+      List.iter
+        (function
+          | `Store (off, data) ->
+            Memdev.store_bytes d ~off data ~src_off:0 ~len:(Bytes.length data)
+          | `Flush (off, len) -> Memdev.flush d ~off ~len
+          | `Fence -> Memdev.fence d)
+        ops;
+      let pending = Memdev.pending_stores d in
+      Memdev.crash_applying d (List.filteri (fun i _ -> applied i) pending);
+      let npending, expected = model_crash ~size:512 ops ~applied in
+      List.length pending = npending
+      && Bytes.equal expected (Memdev.durable_snapshot d))
+
+let bytes8 v = Bytes.make 8 (Char.chr v)
 
 let prop_tracked_full_flush_equals_untracked =
   QCheck.Test.make
     ~name:"tracking-on + full flush/fence = tracking-off durable image"
     ~count:150
     QCheck.(
-      pair bool
-        (list_of_size (Gen.int_range 1 40)
-           (pair (int_bound 440) (int_bound 255))))
-    (fun (indexed, writes) ->
+      list_of_size (Gen.int_range 1 40) (pair (int_bound 440) (int_bound 255)))
+    (fun writes ->
       let run tracking =
         let d = Memdev.create_persistent ~name:"p" 512 in
-        Memdev.set_engine d
-          (if indexed then Memdev.Line_indexed else Memdev.List_based);
         Memdev.set_tracking d tracking;
         List.iter
           (fun (off, v) -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8)
@@ -697,26 +733,6 @@ let prop_crash_is_prefix_consistent =
       Memdev.crash d;
       Bytes.equal expected (Memdev.load_bytes d ~off:0 ~len:512))
 
-(* The scoped default-engine selector must restore the previous default
-   on every exit path — including an exception mid-scope — so an
-   engine-differential suite can never poison suites that run after it. *)
-let test_with_default_engine_scoped () =
-  let initial = Memdev.default_engine () in
-  let inside =
-    Memdev.with_default_engine Memdev.List_based Memdev.default_engine
-  in
-  check_bool "selected inside the scope" true (inside = Memdev.List_based);
-  check_bool "restored after return" true (Memdev.default_engine () = initial);
-  (try
-     Memdev.with_default_engine Memdev.List_based (fun () -> failwith "boom")
-   with Failure _ -> ());
-  check_bool "restored after exception" true
-    (Memdev.default_engine () = initial);
-  let d = Memdev.with_default_engine Memdev.List_based
-      (fun () -> Memdev.create_persistent ~name:"scoped" 64) in
-  check_bool "device created in scope uses the scoped engine" true
-    (Memdev.engine d = Memdev.List_based)
-
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "spp_sim"
@@ -751,8 +767,6 @@ let () =
           Alcotest.test_case "load_durable validates size and magic" `Quick
             test_load_durable_validation;
           Alcotest.test_case "device-level blit" `Quick test_memdev_blit;
-          Alcotest.test_case "with_default_engine scoped" `Quick
-            test_with_default_engine_scoped;
         ] );
       ( "space",
         [
@@ -806,7 +820,7 @@ let () =
       ( "properties",
         [ qt prop_word_roundtrip; qt prop_vheap_disjoint;
           qt prop_crash_is_prefix_consistent;
-          qt prop_engines_agree;
+          qt prop_tracking_matches_model;
           qt prop_tracked_full_flush_equals_untracked;
           qt prop_tlb_never_stale ] );
     ]

@@ -122,42 +122,18 @@ let test_seed_reproducible () =
   in
   check_bool "identical reports" true (run () = run ())
 
-(* Engine differential: the line-indexed tracking engine must reproduce
-   the list-based engine's torture results exactly — same event count,
-   same crash points, same verdicts. [w_make] builds fresh devices per
-   replay, so the engine is selected process-wide. *)
-
-let engine_differential ?faults ?budget ?seed w =
-  let run e =
-    Memdev.with_default_engine e (fun () -> Torture.run ?budget ?seed ?faults w)
-  in
-  let a = run Memdev.Line_indexed in
-  let b = run Memdev.List_based in
-  check_bool ("identical reports: " ^ a.Torture.r_workload) true (a = b);
-  a
-
-let test_engine_differential_clean () =
+(* Seeded fault plans the tests above do not run: torn counter stores
+   under another seed, torn stores under group commit, and torn stores
+   plus media bit rot on the log. *)
+let test_fault_plans () =
   List.iter
-    (fun w ->
-      let r = engine_differential w in
-      check_int "zero invariant failures" 0 r.Torture.r_invariant_failures)
-    [ Workloads.kvstore ~ops:5 (); Workloads.pmemlog ~ops:5 ();
-      Workloads.counter ~ops:5 (); Workloads.kvbatch ~ops:5 ();
-      Workloads.kvscan ~ops:7 (); Workloads.kvscan_btree ~ops:7 () ]
-
-let test_engine_differential_faults () =
-  ignore
-    (engine_differential ~budget:40 ~seed:7
-       ~faults:{ Torture.torn = true; bitflips = 0 }
-       (Workloads.counter ~ops:6 ()));
-  ignore
-    (engine_differential ~budget:30 ~seed:9
-       ~faults:{ Torture.torn = true; bitflips = 2 }
-       (Workloads.pmemlog ~ops:5 ()));
-  ignore
-    (engine_differential ~budget:40 ~seed:13
-       ~faults:{ Torture.torn = true; bitflips = 0 }
-       (Workloads.kvbatch ~ops:6 ()))
+    (fun (budget, seed, faults, w) ->
+      let r = Torture.run ~budget ~seed ~faults w in
+      check_int ("zero invariant failures: " ^ r.Torture.r_workload) 0
+        r.Torture.r_invariant_failures)
+    [ (40, 7, { Torture.torn = true; bitflips = 0 }, Workloads.counter ~ops:6 ());
+      (30, 9, { Torture.torn = true; bitflips = 2 }, Workloads.pmemlog ~ops:5 ());
+      (40, 13, { Torture.torn = true; bitflips = 0 }, Workloads.kvbatch ~ops:6 ()) ]
 
 (* Graceful pool-corruption handling *)
 
@@ -271,16 +247,11 @@ let () =
             test_kvreshard_btree_full;
           Alcotest.test_case "budget sampling" `Quick test_budget_sampling;
         ] );
-      ( "engine differential",
-        [
-          Alcotest.test_case "clean suites agree across engines" `Quick
-            test_engine_differential_clean;
-          Alcotest.test_case "fault suites agree across engines" `Quick
-            test_engine_differential_faults;
-        ] );
       ( "media faults",
         [
           Alcotest.test_case "torn crashes survive" `Quick test_torn_crashes;
+          Alcotest.test_case "seeded fault plans recover" `Quick
+            test_fault_plans;
           Alcotest.test_case "bit flips fully accounted" `Quick
             test_bitflips_accounted;
           Alcotest.test_case "seeded runs reproduce" `Quick
