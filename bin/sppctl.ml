@@ -630,10 +630,15 @@ let serve_cmd =
          "Drive the asynchronous batched serving pipeline: per-shard \
           submission queues drained in adaptive batches, each batch \
           group-committed through one coalesced redo flush and fence \
-          schedule. A per-shard DRAM read cache (--cache-cap) answers \
-          hot gets on the submitting thread, bypassing the queue. With \
-          --replicas N every batch is also shipped to N warm standbys \
-          per shard and acknowledged per --ack-policy. Keys route \
+          schedule. An op whose shard is idle (nothing queued, no other \
+          domain inside it) runs on the submitting thread as a one-op \
+          batch, so a lone submitter commits op by op; batches form \
+          when requests queue behind a busy shard. A per-shard DRAM \
+          read cache (--cache-cap) answers hot gets on the submitting \
+          thread, bypassing the queue. With --replicas N every batch is \
+          also shipped to N warm standbys per shard and acknowledged per \
+          --ack-policy (threaded standbys under semi-sync or sync keep \
+          every op on the shard's worker). Keys route \
           through a versioned slot table (--slots); --rebalance \
           live-migrates hot slots between shards while serving")
     Term.(const run $ variant_arg $ engine_arg $ shards_arg $ batch_cap_arg

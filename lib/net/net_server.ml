@@ -1,10 +1,11 @@
 (* Socket front end: one I/O domain runs a [Unix.select] loop over the
    listener, a self-pipe and every connection's non-blocking socket.
 
-   Replies are encoded on the loop: at once for a cache hit, which
-   [Serve.submit] answers inline; through [post], which queues a closure
-   and writes a byte to the pipe, for a queued ticket (its [notify] runs
-   on the resolving worker) and for a scan (run on the helper thread).
+   Replies are encoded on the loop: at once for a cache hit or an op
+   that [Serve.submit] ran on its idle shard, both of which resolve
+   inside the call; through [post], which queues a closure and writes a
+   byte to the pipe, for a queued ticket (its [notify] runs on the
+   resolving worker) and for a scan (run on the helper thread).
    Each sweep decodes what every connection has buffered, writes what
    its peer will take and closes the connections that are done. The
    loop's thread blocks SIGPIPE, so a vanished peer fails its write with
@@ -144,7 +145,8 @@ let dispatch t me c corr (req : Serve.request) =
       in
       post t (fun () -> c.c_scan <- false; reply c corr r))
   | _ ->
-    (* a cache hit is answered inside [submit], here on the loop *)
+    (* a cache hit or an op run inline is answered inside [submit],
+       here on the loop *)
     let notify r =
       if Domain.self () = me then reply c corr r
       else post t (fun () -> reply c corr r)

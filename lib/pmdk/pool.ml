@@ -353,16 +353,21 @@ let batch_load_oid (t : Rep.t) b ~off : Oid.t =
       uuid = Redo.batch_load b (off + 8);
       off = Redo.batch_load b (off + 16) }
 
-let batch_stage_oid (t : Rep.t) b ~off (oid : Oid.t) =
+(* Only the fields that differ from [prev] are staged: the uuid never
+   changes within a pool and an updated entry usually keeps its size.
+   [prev] comes from the caller's own read rather than a fresh load, so
+   skipping a field costs no PM access. *)
+let batch_stage_oid (t : Rep.t) b ~off ~(prev : Oid.t) (oid : Oid.t) =
+  let field o v v0 = if v <> v0 then Redo.batch_stage b ~off:o ~v in
   match t.Rep.mode with
   | Mode.Native ->
-    Redo.batch_stage b ~off ~v:oid.Oid.uuid;
-    Redo.batch_stage b ~off:(off + 8) ~v:oid.Oid.off
+    field off oid.Oid.uuid prev.Oid.uuid;
+    field (off + 8) oid.Oid.off prev.Oid.off
   | Mode.Spp _ ->
     (* size strictly before off in application order (paper §IV-F) *)
-    Redo.batch_stage b ~off ~v:oid.Oid.size;
-    Redo.batch_stage b ~off:(off + 8) ~v:oid.Oid.uuid;
-    Redo.batch_stage b ~off:(off + 16) ~v:oid.Oid.off
+    field off oid.Oid.size prev.Oid.size;
+    field (off + 8) oid.Oid.uuid prev.Oid.uuid;
+    field (off + 16) oid.Oid.off prev.Oid.off
 
 let batch_note_write (_ : Rep.t) b ~off ~len = Redo.batch_note_write b ~off ~len
 

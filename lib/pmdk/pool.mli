@@ -143,10 +143,14 @@ val batch_load_word : t -> Redo.batch -> off:int -> int
 val batch_stage_word : t -> Redo.batch -> off:int -> int -> unit
 
 val batch_load_oid : t -> Redo.batch -> off:int -> Oid.t
-val batch_stage_oid : t -> Redo.batch -> off:int -> Oid.t -> unit
+val batch_stage_oid :
+  t -> Redo.batch -> off:int -> prev:Oid.t -> Oid.t -> unit
 (** Mode-aware oid slot IO through the batch overlay; in SPP mode the
     staged size entry precedes the offset entry, preserving the paper's
-    §IV-F ordering through group commit. *)
+    §IV-F ordering through group commit. [batch_stage_oid ~off ~prev oid]
+    stages only the fields of [oid] that differ from [prev], which must
+    be what the slot holds now — the oid the caller just read through
+    {!batch_load_oid}. *)
 
 val batch_alloc : t -> Redo.batch -> size:int -> Oid.t
 (** Allocation staged into the open batch op ({!Heap.alloc_batched});

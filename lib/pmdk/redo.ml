@@ -180,10 +180,31 @@ let batch_op_begin b =
   if b.b_in_op then invalid_arg "Redo.batch_op_begin: operation already open";
   b.b_in_op <- true
 
+(* The op's entries with only the newest one per offset, still newest
+   first, and their count. An op may stage a word twice — the freelist
+   head by an allocation's pop and again by a free's push, a pinned
+   block's link by its free and again by the next pop — and only the
+   last value matters once the log is applied. An op stages a few dozen
+   words at most, so the quadratic scan beats a table. *)
+let newest_per_offset entries =
+  let rec staged off = function
+    | [] -> false
+    | (o, _) :: tl -> o = off || staged off tl
+  in
+  let rec go kept n = function
+    | [] -> (List.rev kept, n)
+    | ((off, _) as e) :: tl ->
+      if staged off kept then go kept n tl else go (e :: kept) (n + 1) tl
+  in
+  go [] 0 entries
+
 let batch_op_end b =
   check_open b;
   if not b.b_in_op then invalid_arg "Redo.batch_op_end: no open operation";
   b.b_in_op <- false;
+  let op, n = newest_per_offset b.b_op in
+  b.b_op <- op;
+  b.b_op_n <- n;
   if b.b_op_n > Rep.redo_capacity then raise Redo_full;
   if b.b_acc_n + b.b_op_n > Rep.redo_capacity then commit_acc b;
   if b.b_op_n > 0 then begin

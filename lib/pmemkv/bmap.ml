@@ -542,17 +542,18 @@ let b_put t bt ~key ~value =
        { src = Oid.null; d_leaf = true;
          d_items = [| b_mk_item t bt ~key ~value |]; d_children = [||] }
      in
-     Pool.batch_stage_oid p bt ~off:slot (b_materialize t bt leaf)
+     Pool.batch_stage_oid p bt ~off:slot ~prev:root (b_materialize t bt leaf)
    end
    else
      match b_ins t bt root ~key ~value with
-     | Fit r -> Pool.batch_stage_oid p bt ~off:slot r
+     | Fit r -> Pool.batch_stage_oid p bt ~off:slot ~prev:root r
      | Split (l, sep, r) ->
        let nroot =
          { src = Oid.null; d_leaf = false;
            d_items = [| sep |]; d_children = [| l; r |] }
        in
-       Pool.batch_stage_oid p bt ~off:slot (b_materialize t bt nroot));
+       Pool.batch_stage_oid p bt ~off:slot ~prev:root
+         (b_materialize t bt nroot));
   Redo.batch_op_end bt
 
 let b_get t bt key =
@@ -584,9 +585,11 @@ let b_remove t bt key =
              an emptied internal root hands over to its lone child *)
           let next = if d.d_leaf then Oid.null else d.d_children.(0) in
           Pool.batch_free p bt d.src;
-          Pool.batch_stage_oid p bt ~off:slot next
+          Pool.batch_stage_oid p bt ~off:slot ~prev:root next
         end
-        else Pool.batch_stage_oid p bt ~off:slot (b_materialize t bt d)
+        else
+          Pool.batch_stage_oid p bt ~off:slot ~prev:root
+            (b_materialize t bt d)
       end;
       removed <> None
     end

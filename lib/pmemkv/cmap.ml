@@ -408,12 +408,12 @@ let b_put t bt ~key ~value =
    | Some (slot_off, old) ->
      let next = Pool.batch_load_oid p bt ~off:(old.Oid.off + f_next) in
      let fresh = b_mk_entry t bt ~key ~value ~next in
-     Pool.batch_stage_oid p bt ~off:slot_off fresh;
+     Pool.batch_stage_oid p bt ~off:slot_off ~prev:old fresh;
      Pool.batch_free p bt old
    | None ->
      let head = Pool.batch_load_oid p bt ~off:slot in
      let fresh = b_mk_entry t bt ~key ~value ~next:head in
-     Pool.batch_stage_oid p bt ~off:slot fresh);
+     Pool.batch_stage_oid p bt ~off:slot ~prev:head fresh);
   Redo.batch_op_end bt
 
 let b_get t bt key =
@@ -479,7 +479,7 @@ let b_remove t bt key =
     | None -> false
     | Some (slot_off, oid) ->
       let next = Pool.batch_load_oid p bt ~off:(oid.Oid.off + f_next) in
-      Pool.batch_stage_oid p bt ~off:slot_off next;
+      Pool.batch_stage_oid p bt ~off:slot_off ~prev:oid next;
       Pool.batch_free p bt oid;
       true
   in

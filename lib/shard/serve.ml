@@ -1,23 +1,36 @@
 (* Asynchronous batched serving pipeline over the shard stack.
 
-   One MPSC mailbox per shard (Mutex/Condition, any submitter, one
-   consumer); one worker Domain per shard drains it and executes the
-   drained requests through [Cmap.run_batch], so the whole drain rides a
-   single group-committed redo log (see [Redo.batch]) — the fence
-   schedule that a synchronous routed put pays per operation is paid
-   once per batch. Each request carries a promise-like ticket: the
-   worker fulfils it after the batch's commit returns, which is exactly
+   One MPSC mailbox per shard (Mutex/Condition, any submitter) and one
+   worker Domain per shard. A shard is held by one domain at a time — a
+   flag under the mailbox lock — and only the holder enters the shard's
+   stack: its worker, to drain the queue or to run a promotion or a
+   migration, or a submitter that found the shard idle. A drain executes
+   the drained requests through [Engine.run_batch], so the whole drain
+   rides a single group-committed redo log (see [Redo.batch]) — the
+   fence schedule that a synchronous routed put pays per operation is
+   paid once per batch. Each request carries a promise-like ticket: the
+   holder fulfils it after the batch's commit returns, which is exactly
    when the op is durable, and records the submission-to-fulfilment
-   latency into a shard-local histogram.
+   latency into the shard's histogram.
+
+   Inline execution: a routed [submit] that finds its shard unheld with
+   an empty queue takes the shard and runs the op itself, as a one-op
+   drain through the same code, so its ticket and [notify] resolve
+   before [submit] returns — no worker wake, no hand-off back. That
+   needs an adaptive, started pipeline, a live shard with no promotion
+   or migration pending, and acks that wait on no other domain (not
+   threaded replicas under semi-sync or sync). [submit_to] always
+   queues. Batches still form whenever requests queue behind a held
+   shard; a lone submitter pipelining to an idle shard commits op by op.
 
    Batching is adaptive: the drain size doubles while a backlog remains
    after a drain (queue pressure) up to [batch_cap], and halves when a
    drain empties the queue (idle). With [adaptive = false] every drain
-   takes exactly [batch_cap] requests when available — combined with
-   pre-enqueueing ([autostart:false] then [start]) this makes batch
-   boundaries, and therefore every Space/Memdev counter, a pure
-   function of the submitted streams: the property the
-   parallel-vs-sequential differential asserts.
+   takes exactly [batch_cap] requests when available and nothing runs
+   inline — combined with pre-enqueueing ([autostart:false] then
+   [start]) this makes batch boundaries, and therefore every
+   Space/Memdev counter, a pure function of the submitted streams: the
+   property the parallel-vs-sequential differential asserts.
 
    Crash atomicity is per op, not per batch: recovery lands on a prefix
    of whole operations of the interrupted batch (torture workload
@@ -39,22 +52,23 @@
    Replication rides the batch observer, so it sees exactly the batched
    mutations: with [?replication] configured, all writes must flow
    through this pipeline (the synchronous [Shard.put] tx path is
-   invisible to replicas). Workers gate ticket fulfilment on
-   [Replica.wait_acks] per the configured policy and run one heartbeat
+   invisible to replicas). The holder gates ticket fulfilment on
+   [Replica.wait_acks] per the configured policy and runs one heartbeat
    round per drain; [promote] executes on the failed shard's own worker
-   domain — the only domain allowed inside the old stack — then repoints
-   the router via [Shard.set_shard].
+   domain, holding the shard, then repoints the router via
+   [Shard.set_shard].
 
    Live slot migration ([migrate_slot]) also executes on the source
-   shard's own worker domain, between drains — the migration is a
-   mailbox control request like promotion, so the source stack is never
-   entered from a second domain. The protocol is copy -> flip -> delete:
+   shard's own worker domain, holding the shard between drains — the
+   migration is a mailbox control request like promotion, so the source
+   stack is never entered by two domains at once. The protocol is
+   copy -> flip -> delete:
    (1) the worker drains the slot's keys out of its own engine through
    paginated ordered scans and replays them into the target shard as
    ordinary batched [Put]s via the target's mailbox — so the copy rides
    the target's group commit and its redo payloads reach the target's
-   replica; during the copy the source queue is frozen (its worker is
-   the one copying), so the scanned values cannot go stale; (2) the
+   replica; during the copy the worker holds the source shard, so no
+   op, queued or inline, can make the scanned values stale; (2) the
    flip takes both mailbox locks, re-points every queued request on the
    migrating slot at the target (tickets chase their requests across
    mailboxes), invalidates the source cache for the moved keys and
@@ -87,8 +101,8 @@ type reply =
   | Failed of failure        (* op not acked; outcome unknown *)
 
 (* Every scan reply is clamped to this many pairs, whatever limit the
-   client asked for — the reply is a materialized list and the worker
-   holds the shard for the whole batch. *)
+   client asked for — the reply is a materialized list built while the
+   worker holds the shard. *)
 let scan_limit_cap = 4096
 
 exception Not_replicated of int
@@ -116,7 +130,7 @@ type ticket = {
       (* the caller chose the shard explicitly ([submit_to]) — the
          drain-time ownership double-check must not re-route it; the
          migration copy deliberately targets the not-yet-owner *)
-  tk_notify : (reply -> unit) option;   (* run by the resolving worker *)
+  tk_notify : (reply -> unit) option;   (* run by the resolving holder *)
 }
 
 type migration_report = {
@@ -130,7 +144,7 @@ type migration_report = {
 
 type mailbox = {
   mu : Mutex.t;
-  work : Condition.t;   (* signaled on submit, stop, promote, migrate *)
+  work : Condition.t;   (* the worker waits here for work it may take *)
   done_ : Condition.t;  (* broadcast on fulfilment; awaiters wait *)
   q : (request * ticket) Queue.t;
   mutable peak_q : int;    (* high-water queue depth, under [mu] *)
@@ -140,6 +154,22 @@ type mailbox = {
   mutable promoted : (Replica.promoted, string) result option;
   mutable migrate_req : (int * int) option;   (* (slot, target shard) *)
   mutable migrated : (migration_report, string) result option;
+  mutable held : bool;     (* a domain is inside the shard, under [mu] *)
+  (* Written only by the domain holding the shard; [ops] and [busy] are
+     atomic so observers read them live (the rebalancer's busy windows,
+     sppctl's stats table). *)
+  ops : int Atomic.t;
+  mutable batches : int;
+  mutable max_batch : int;
+  mutable nfailed : int;   (* tickets resolved [Failed] *)
+  busy : float Atomic.t;   (* seconds inside [run_batch] *)
+  hist : Spp_benchlib.Histogram.t;   (* latency, ns *)
+  mutable cur : int;       (* adaptive drain size *)
+  (* drain scratch, allocated once at [batch_cap]: only the first [n]
+     slots are live per drain, and item slots are reset to [idle] after
+     resolution so fulfilled tickets don't outlive their drain *)
+  items : (request * ticket) array;
+  opbuf : Spp_pmemkv.Engine.batch_op array;
 }
 
 type shard_stats = {
@@ -158,18 +188,16 @@ type t = {
   repl : Replica.t option array;   (* one group per shard, if configured *)
   batch_cap : int;
   adaptive : bool;
+  inline : bool;            (* a routed op may run on an idle shard *)
   bypass : bool;            (* answer cache-hit gets on the submitter *)
   bypassed : int Atomic.t;  (* gets that never saw a mailbox *)
   promotions : int Atomic.t;
   mig_mu : Mutex.t;         (* one migration at a time; scans serialize *)
   slot_ops : int Atomic.t array;   (* per-slot routed-op histogram *)
-  live_ops : int Atomic.t array;   (* per-shard executed ops, live *)
-  live_busy : float Atomic.t array;   (* per-shard run_batch seconds, live *)
   migrations : int Atomic.t;
   forwarded : int Atomic.t;        (* requests re-pointed across boxes *)
   keys_moved : int Atomic.t;
   mutable workers : unit Domain.t array;
-  mutable results : shard_stats array;   (* valid after [stop] *)
   mutable stopped : bool;
 }
 
@@ -187,33 +215,47 @@ let of_engine_reply = function
   | Spp_pmemkv.Engine.R_removed b -> Removed b
   | Spp_pmemkv.Engine.R_scan kvs -> Scanned kvs
 
-(* Resolve a drain's tickets — the first [n] slots of the worker's
+(* Resolve a drain's tickets — the first [n] slots of the holder's
    scratch buffer. [Failed] still records latency — a failed op occupied
    the pipeline for that long. *)
-let resolve box hist nfailed items n replies =
+let resolve box n replies =
   let now = Spp_benchlib.Bench_util.now_mono () in
   Mutex.lock box.mu;
   for j = 0 to n - 1 do
-    let (_, tk) = items.(j) in
+    let (_, tk) = box.items.(j) in
     let r = replies j in
-    (match r with Failed _ -> incr nfailed | _ -> ());
+    (match r with Failed _ -> box.nfailed <- box.nfailed + 1 | _ -> ());
     tk.tk_reply <- Some r;
-    Spp_benchlib.Histogram.add hist
+    Spp_benchlib.Histogram.add box.hist
       (int_of_float ((now -. tk.tk_submitted) *. 1e9))
   done;
   Condition.broadcast box.done_;
   Mutex.unlock box.mu;
-  (* callbacks run outside the lock, and cannot take the worker down *)
+  (* callbacks run outside the lock, and cannot take the holder down *)
   for j = 0 to n - 1 do
-    let (_, tk) = items.(j) in
+    let (_, tk) = box.items.(j) in
     Option.iter (fun f -> try f (Option.get tk.tk_reply) with _ -> ())
       tk.tk_notify
   done
 
-(* Promotion runs here, on the shard's own worker domain — the one
-   domain allowed inside the old stack — so the router swap can never
-   race a drain. The sealed group stays in [t.repl] for post-mortem
-   stats; [Replica.sealed] keeps it off the ack path. *)
+let has_work box =
+  not (Queue.is_empty box.q) || box.stop || box.promote_req <> None
+  || box.migrate_req <> None
+
+(* Run [f] holding the shard — the caller set [held] under the lock —
+   and give the shard back however [f] exits. The worker is woken only
+   when it has something to take. *)
+let holding box f =
+  Fun.protect f ~finally:(fun () ->
+    Mutex.lock box.mu;
+    box.held <- false;
+    if has_work box then Condition.signal box.work;
+    Mutex.unlock box.mu)
+
+(* Promotion runs here, on the shard's own worker domain holding the
+   shard, so the router swap can never race a drain. The sealed group
+   stays in [t.repl] for post-mortem stats; [Replica.sealed] keeps it off
+   the ack path. *)
 let do_promote t i box cache_cap =
   let res =
     match t.repl.(i) with
@@ -242,12 +284,117 @@ let scan_hi_sentinel = String.make 32 '\xff'
 
 let started t = Array.length t.workers > 0
 
+let idle =
+  (Get "",
+   { tk_shard = 0; tk_submitted = 0.; tk_reply = None; tk_pinned = true;
+     tk_notify = None })
+
+(* The drain size after a drain that left [backlog] requests queued *)
+let adapt t box ~backlog =
+  if t.adaptive then
+    box.cur <-
+      (if backlog > 0 then min (max (2 * box.cur) 2) t.batch_cap
+       else max 1 (box.cur / 2))
+
+(* Execute the first [n0] requests of shard [i]'s scratch buffer as one
+   group-committed batch, resolve their tickets and account the batch.
+   The caller holds the shard: its worker for a drain, or a submitter
+   for the one op it runs inline. *)
+let execute t i box n0 ~already_failed =
+  let items = box.items and opbuf = box.opbuf in
+  (* Double-check router-submitted ops against the live slot table: a
+     keyed request that raced a migration flip is forwarded to its
+     owner's mailbox instead of executing on a shard that no longer
+     holds the key. The flip itself re-points everything still queued
+     under the lock, so this net only catches stragglers. Pinned
+     requests ([submit_to]) are exempt: the caller chose the shard —
+     notably the migration copy, which targets the shard that does not
+     own the slot yet. *)
+  let n =
+    let m = ref 0 in
+    for j = 0 to n0 - 1 do
+      let (req, tk) = items.(j) in
+      let owner =
+        match req with
+        | _ when tk.tk_pinned -> i
+        | Put { key; _ } | Get key | Remove key -> Shard.route t.store key
+        | Scan _ -> i
+      in
+      if owner = i then begin
+        items.(!m) <- items.(j);
+        incr m
+      end
+      else begin
+        let obox = t.boxes.(owner) in
+        Mutex.lock obox.mu;
+        tk.tk_shard <- owner;
+        Queue.push (req, tk) obox.q;
+        if not obox.held then Condition.signal obox.work;
+        Mutex.unlock obox.mu;
+        Atomic.incr t.forwarded
+      end
+    done;
+    !m
+  in
+  (if n = 0 then ()
+   else if already_failed then
+     (* dead primary, not yet promoted: nothing to execute on *)
+     resolve box n (fun _ -> Failed Failed_over)
+   else begin
+     (* re-resolve the stack each drain: [promote] may have swapped it
+        since the last one *)
+     let sh = Shard.shard t.store i in
+     let kv = Shard.shard_kv sh in
+     let dev = Spp_pmdk.Pool.dev (Shard.shard_access sh).Spp_access.pool in
+     for j = 0 to n - 1 do
+       opbuf.(j) <- to_engine_op (fst items.(j))
+     done;
+     let t0 = Spp_benchlib.Bench_util.now_mono () in
+     let res =
+       match Spp_pmemkv.Engine.run_batch kv ~len:n opbuf with
+       | replies -> Ok replies
+       | exception e -> Error e
+     in
+     Atomic.set box.busy
+       (Atomic.get box.busy +. (Spp_benchlib.Bench_util.now_mono () -. t0));
+     match res with
+     | _ when Spp_sim.Memdev.is_powered_off dev ->
+       (* the device died under the batch: its stores were silently
+          discarded, so the "commit" is not durable — never ack it *)
+       Mutex.lock box.mu;
+       box.failed <- true;
+       Mutex.unlock box.mu;
+       resolve box n (fun _ -> Failed Failed_over)
+     | Error e ->
+       (* the op's own failure: the abandoned batch staged only volatile
+          state, so the shard keeps serving *)
+       resolve box n (fun _ -> Failed (Op_raised (Printexc.to_string e)))
+     | Ok replies ->
+       (* gate the acks on the replication policy *)
+       (match t.repl.(i) with
+        | Some g when not (Replica.sealed g) ->
+          Replica.heartbeat g;
+          Replica.wait_acks g
+        | _ -> ());
+       resolve box n (fun j -> of_engine_reply replies.(j));
+       Atomic.set box.ops (Atomic.get box.ops + n);
+       box.batches <- box.batches + 1;
+       if n > box.max_batch then box.max_batch <- n
+   end);
+  (* release resolved tickets to the GC before the next drain *)
+  Array.fill items 0 n0 idle
+
 (* Push under the mailbox lock, re-checking the slot table for keyed
    requests: a migration flip that completed between routing and this
    lock acquisition moved the key — and the flip holds this same lock
    while swapping the table, so re-checking under it is race-free. The
    re-route loop terminates because [mig_mu] admits one migration at a
-   time and each flip moves exactly one slot. *)
+   time and each flip moves exactly one slot.
+
+   A routed op ([key] given) that finds the shard idle — unheld, nothing
+   queued, nothing pending, not failed — is run here instead, holding
+   the shard, so its ticket is resolved on return. Nothing queued means
+   nothing submitted earlier is overtaken. *)
 let rec submit_queued t i ?key ?notify req =
   let box = t.boxes.(i) in
   Mutex.lock box.mu;
@@ -267,11 +414,25 @@ let rec submit_queued t i ?key ?notify req =
       { tk_shard = i; tk_submitted = Spp_benchlib.Bench_util.now_mono ();
         tk_reply = None; tk_pinned = (key = None); tk_notify = notify }
     in
-    Queue.push (req, tk) box.q;
-    let d = Queue.length box.q in
-    if d > box.peak_q then box.peak_q <- d;
-    Condition.signal box.work;
-    Mutex.unlock box.mu;
+    if t.inline && key <> None && started t && not box.held
+       && Queue.is_empty box.q && not box.failed && box.promote_req = None
+       && box.migrate_req = None
+    then begin
+      box.held <- true;
+      box.items.(0) <- (req, tk);
+      Mutex.unlock box.mu;
+      holding box (fun () ->
+        adapt t box ~backlog:0;
+        execute t i box 1 ~already_failed:false)
+    end
+    else begin
+      Queue.push (req, tk) box.q;
+      let d = Queue.length box.q in
+      if d > box.peak_q then box.peak_q <- d;
+      (* a holder signals as it releases *)
+      if not box.held then Condition.signal box.work;
+      Mutex.unlock box.mu
+    end;
     tk
   end
 
@@ -323,7 +484,7 @@ let submit_to t i req =
    notice the move and chase the ticket to its new box. *)
 let await t tk =
   match tk.tk_reply with
-  | Some r -> r   (* bypassed get: fulfilled at submission *)
+  | Some r -> r   (* cache hit or inline op: fulfilled at submission *)
   | None ->
     if not (started t) then
       invalid_arg "Serve.await: pipeline not started (autostart:false)";
@@ -354,9 +515,8 @@ let do_migrate t i box (slot, dst) =
       let kv = Shard.shard_kv sh in
       (* Phase 1 — copy: paginate the source engine in key order and
          replay the slot's entries into the target through its normal
-         mailbox/batch path. The source queue is frozen (this domain is
-         its only consumer), so no copied value can be overwritten on
-         the source mid-copy. *)
+         mailbox/batch path. This domain holds the source shard, so no
+         copied value can be overwritten on the source mid-copy. *)
       let moved = ref [] and nmoved = ref 0 and nbatches = ref 0 in
       let flush chunk =
         match chunk with
@@ -442,7 +602,7 @@ let do_migrate t i box (slot, dst) =
       Mutex.unlock box.mu;
       Atomic.set t.forwarded (Atomic.get t.forwarded + !nfwd);
       (* Phase 3 — delete: group-committed remove batches on our own
-         engine (this domain owns it). The batch observer fires, so the
+         engine (this domain holds it). The batch observer fires, so the
          source's replica sees the departures too. The slot already
          routes to the target, so nothing can read these keys here. *)
       let rec delete = function
@@ -473,167 +633,53 @@ let do_migrate t i box (slot, dst) =
   Condition.broadcast box.done_;
   Mutex.unlock box.mu
 
+(* The worker waits until its shard is unheld and has work, takes the
+   shard and runs that work: a promotion, a migration or one drain. It
+   leaves once [stop] is set, nothing is queued and nobody holds the
+   shard. *)
 let worker t i =
   let box = t.boxes.(i) in
-  let hist = Spp_benchlib.Histogram.create () in
-  let ops = ref 0 and batches = ref 0 and max_batch = ref 0 in
-  let nfailed = ref 0 in
-  let busy = ref 0. in
-  let cur = ref 1 in
-  (* Per-domain scratch, reused across every drain this worker runs: the
-     (request, ticket) buffer and the engine-op buffer are allocated
-     once at [batch_cap] and only their first [n] slots are live per
-     drain; item slots are reset to [idle] after resolution so
-     fulfilled tickets don't outlive their drain. *)
-  let idle =
-    (Get "",
-     { tk_shard = i; tk_submitted = 0.; tk_reply = None; tk_pinned = true;
-       tk_notify = None })
-  in
-  let items = Array.make t.batch_cap idle in
-  let opbuf = Array.make t.batch_cap (Spp_pmemkv.Engine.B_get "") in
-  let running = ref true in
-  while !running do
+  let rec loop () =
     Mutex.lock box.mu;
-    while
-      Queue.is_empty box.q && not box.stop && box.promote_req = None
-      && box.migrate_req = None
-    do
+    while box.held || not (has_work box) do
       Condition.wait box.work box.mu
     done;
-    match (box.promote_req, box.migrate_req) with
-    | Some cap, _ ->
-      Mutex.unlock box.mu;
-      do_promote t i box cap
-    | None, Some mig ->
-      Mutex.unlock box.mu;
-      do_migrate t i box mig
-    | None, None ->
-      if Queue.is_empty box.q then begin
-        (* stop requested and the queue is drained *)
-        Mutex.unlock box.mu;
-        running := false
-      end
-      else begin
-        let want = if t.adaptive then !cur else t.batch_cap in
-        let n0 = min (Queue.length box.q) (min want t.batch_cap) in
+    let job =
+      match (box.promote_req, box.migrate_req) with
+      | Some cap, _ -> Some (fun () -> do_promote t i box cap)
+      | None, Some mig -> Some (fun () -> do_migrate t i box mig)
+      | None, None when Queue.is_empty box.q -> None   (* stopping *)
+      | None, None ->
+        let want = if t.adaptive then box.cur else t.batch_cap in
+        let n0 = min (Queue.length box.q) want in
         for j = 0 to n0 - 1 do
-          items.(j) <- Queue.pop box.q
+          box.items.(j) <- Queue.pop box.q
         done;
-        let backlog = Queue.length box.q in
-        let already_failed = box.failed in
-        Mutex.unlock box.mu;
-        if t.adaptive then
-          cur := if backlog > 0 then min (max (2 * !cur) 2) t.batch_cap
-                 else max 1 (!cur / 2);
-        (* Double-check the drained router-submitted ops against the
-           live slot table: a keyed request that raced a migration flip
-           is forwarded to its owner's mailbox instead of executing on a
-           shard that no longer holds the key. The flip itself re-points
-           everything still queued under the lock, so this net only
-           catches stragglers. Pinned requests ([submit_to]) are exempt:
-           the caller chose the shard — notably the migration copy,
-           which targets the shard that does not own the slot yet. *)
-        let n =
-          let m = ref 0 in
-          for j = 0 to n0 - 1 do
-            let (req, tk) = items.(j) in
-            let owner =
-              match req with
-              | _ when tk.tk_pinned -> i
-              | Put { key; _ } | Get key | Remove key ->
-                Shard.route t.store key
-              | Scan _ -> i
-            in
-            if owner = i then begin
-              items.(!m) <- items.(j);
-              incr m
-            end
-            else begin
-              let obox = t.boxes.(owner) in
-              Mutex.lock obox.mu;
-              tk.tk_shard <- owner;
-              Queue.push (req, tk) obox.q;
-              Condition.signal obox.work;
-              Mutex.unlock obox.mu;
-              Atomic.incr t.forwarded
-            end
-          done;
-          !m
-        in
-        (if n = 0 then ()
-         else if already_failed then
-           (* dead primary, not yet promoted: nothing to execute on *)
-           resolve box hist nfailed items n (fun _ -> Failed Failed_over)
-         else begin
-          (* re-resolve the stack each drain: [promote] may have swapped
-             it since the last one *)
-          let sh = Shard.shard t.store i in
-          let kv = Shard.shard_kv sh in
-          let dev =
-            Spp_pmdk.Pool.dev (Shard.shard_access sh).Spp_access.pool
-          in
-          for j = 0 to n - 1 do
-            opbuf.(j) <- to_engine_op (fst items.(j))
-          done;
-          let t0 = Spp_benchlib.Bench_util.now_mono () in
-          match Spp_pmemkv.Engine.run_batch kv ~len:n opbuf with
-          | exception e ->
-            busy := !busy +. (Spp_benchlib.Bench_util.now_mono () -. t0);
-            if Spp_sim.Memdev.is_powered_off dev then begin
-              Mutex.lock box.mu;
-              box.failed <- true;
-              Mutex.unlock box.mu;
-              resolve box hist nfailed items n (fun _ -> Failed Failed_over)
-            end
-            else
-              (* the op's own failure: the abandoned batch staged only
-                 volatile state, so the shard keeps serving *)
-              resolve box hist nfailed items n
-                (fun _ -> Failed (Op_raised (Printexc.to_string e)))
-          | replies ->
-            busy := !busy +. (Spp_benchlib.Bench_util.now_mono () -. t0);
-            if Spp_sim.Memdev.is_powered_off dev then begin
-              (* the device died under the batch: its stores were
-                 silently discarded, so the "commit" is not durable —
-                 never ack it *)
-              Mutex.lock box.mu;
-              box.failed <- true;
-              Mutex.unlock box.mu;
-              resolve box hist nfailed items n (fun _ -> Failed Failed_over)
-            end
-            else begin
-              (* gate the acks on the replication policy *)
-              (match t.repl.(i) with
-               | Some g when not (Replica.sealed g) ->
-                 Replica.heartbeat g;
-                 Replica.wait_acks g
-               | _ -> ());
-              resolve box hist nfailed items n
-                (fun j -> of_engine_reply replies.(j));
-              ops := !ops + n;
-              incr batches;
-              if n > !max_batch then max_batch := n
-            end
-        end);
-        (* release resolved tickets to the GC before the next drain *)
-        Array.fill items 0 n0 idle;
-        (* publish live accounting (monotone snapshots for observers:
-           the rebalancer's busy windows, sppctl's stats table) *)
-        Atomic.set t.live_ops.(i) !ops;
-        Atomic.set t.live_busy.(i) !busy
-      end
-  done;
-  t.results.(i) <-
-    { ss_shard = i; ss_ops = !ops; ss_batches = !batches;
-      ss_max_batch = !max_batch; ss_failed = !nfailed; ss_busy = !busy;
-      ss_hist = hist }
+        let backlog = Queue.length box.q and already_failed = box.failed in
+        Some (fun () ->
+          adapt t box ~backlog;
+          execute t i box n0 ~already_failed)
+    in
+    match job with
+    | None -> Mutex.unlock box.mu
+    | Some f ->
+      box.held <- true;
+      Mutex.unlock box.mu;
+      holding box f;
+      loop ()
+  in
+  loop ()
 
-let mk_box () =
+let mk_box batch_cap =
   { mu = Mutex.create (); work = Condition.create ();
     done_ = Condition.create (); q = Queue.create (); peak_q = 0;
     stop = false; failed = false; promote_req = None; promoted = None;
-    migrate_req = None; migrated = None }
+    migrate_req = None; migrated = None; held = false;
+    ops = Atomic.make 0; batches = 0; max_batch = 0; nfailed = 0;
+    busy = Atomic.make 0.;
+    hist = Spp_benchlib.Histogram.create (); cur = 1;
+    items = Array.make batch_cap idle;
+    opbuf = Array.make batch_cap (Spp_pmemkv.Engine.B_get "") }
 
 let start t =
   if t.stopped then invalid_arg "Serve.start: pipeline already stopped";
@@ -647,7 +693,7 @@ let create ?(batch_cap = 32) ?(adaptive = true) ?(autostart = true)
   if batch_cap <= 0 then invalid_arg "Serve.create: batch_cap must be positive";
   let n = Shard.nshards store in
   let t =
-    { store; boxes = Array.init n (fun _ -> mk_box ());
+    { store; boxes = Array.init n (fun _ -> mk_box batch_cap);
       repl =
         (match replication with
          | None -> Array.make n None
@@ -662,6 +708,16 @@ let create ?(batch_cap = 32) ?(adaptive = true) ?(autostart = true)
                (Replica.create ~cfg ~engine:(Shard.engine store) ~shard:i
                   pool)));
       batch_cap; adaptive;
+      (* A threaded replica acks from its applier domain: under semi-sync
+         or sync, an op run inline would block the submitter — in
+         Net_server, the loop serving every connection — in
+         [Replica.wait_acks]. *)
+      inline =
+        adaptive
+        && (match replication with
+            | Some { Replica.threaded = true; policy = Semi_sync | Sync; _ }
+              -> false
+            | _ -> true);
       (* The read fast path answers a cache-hit [Get] on the submitting
          thread, skipping the mailbox and the worker domain. It is safe
          from any domain — the probe touches only the volatile Rcache,
@@ -674,17 +730,10 @@ let create ?(batch_cap = 32) ?(adaptive = true) ?(autostart = true)
       promotions = Atomic.make 0;
       mig_mu = Mutex.create ();
       slot_ops = Array.init (Shard.nslots store) (fun _ -> Atomic.make 0);
-      live_ops = Array.init n (fun _ -> Atomic.make 0);
-      live_busy = Array.init n (fun _ -> Atomic.make 0.);
       migrations = Atomic.make 0;
       forwarded = Atomic.make 0;
       keys_moved = Atomic.make 0;
       workers = [||];
-      results =
-        Array.init n (fun i ->
-          { ss_shard = i; ss_ops = 0; ss_batches = 0; ss_max_batch = 0;
-            ss_failed = 0; ss_busy = 0.;
-            ss_hist = Spp_benchlib.Histogram.create () });
       stopped = false }
   in
   if autostart then start t;
@@ -782,8 +831,8 @@ let forwarded t = Atomic.get t.forwarded
 let keys_moved t = Atomic.get t.keys_moved
 
 let slot_op_counts t = Array.map Atomic.get t.slot_ops
-let ops_counts t = Array.map Atomic.get t.live_ops
-let busy_times t = Array.map Atomic.get t.live_busy
+let ops_counts t = Array.map (fun b -> Atomic.get b.ops) t.boxes
+let busy_times t = Array.map (fun b -> Atomic.get b.busy) t.boxes
 
 let queue_depths t =
   Array.map
@@ -875,7 +924,13 @@ let stop t =
 
 let stats t =
   if not t.stopped then invalid_arg "Serve.stats: stop the pipeline first";
-  Array.copy t.results
+  Array.mapi
+    (fun i b ->
+      { ss_shard = i; ss_ops = Atomic.get b.ops; ss_batches = b.batches;
+        ss_max_batch = b.max_batch; ss_failed = b.nfailed;
+        ss_busy = Atomic.get b.busy;
+        ss_hist = b.hist })
+    t.boxes
 
 let merged_hist t =
   Array.fold_left

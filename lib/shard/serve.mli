@@ -1,14 +1,27 @@
 (** Asynchronous batched serving pipeline over the shard stack.
 
-    One MPSC submission queue (Mutex/Condition mailbox) per shard, one
-    worker Domain per shard. Workers drain the queue in adaptive batches
-    — the drain size grows under queue pressure up to [batch_cap] and
-    shrinks when a drain empties the queue — and execute each drain
-    through [Cmap.run_batch], so the drained ops share one
-    group-committed redo log and one fence schedule ([Redo.batch]).
-    Requests resolve through promise-like tickets fulfilled after the
-    batch commit returns; submission-to-fulfilment latency is recorded
-    per request in a shard-local {!Spp_benchlib.Histogram}.
+    One MPSC submission queue (Mutex/Condition mailbox) and one worker
+    Domain per shard. A shard is held by one domain at a time, and only
+    the holder runs ops on it. The worker holds it to drain the queue in
+    adaptive batches — the drain size grows under queue pressure up to
+    [batch_cap] and shrinks when a drain empties the queue — and
+    executes each drain through [Engine.run_batch], so the drained ops
+    share one group-committed redo log and one fence schedule
+    ([Redo.batch]). Requests resolve through promise-like tickets
+    fulfilled after the batch commit returns; submission-to-fulfilment
+    latency is recorded per request in the shard's
+    {!Spp_benchlib.Histogram}.
+
+    {b Inline execution.} A routed {!submit} that finds its shard
+    unheld with nothing queued takes the shard and runs the op itself,
+    as a one-op batch through the same drain code, so the ticket is
+    fulfilled when [submit] returns and no other domain is woken. This
+    needs an adaptive pipeline that has started, a shard that has not
+    failed with no promotion or migration pending, and acks that wait on
+    no other domain — threaded replicas under semi-sync or sync keep
+    every op on the worker. Batches still form when requests queue
+    behind a held shard; a lone submitter pipelining to an idle shard
+    commits op by op.
 
     Crash atomicity is per operation (recovery lands on a prefix of
     whole ops of an interrupted batch); a fulfilled ticket additionally
@@ -23,9 +36,9 @@
     submission time, before it becomes visible in the mailbox, so a
     client that pipelines a put and then a get of the same key can
     never be answered from ahead of its own write. Deterministic mode
-    ([adaptive = false]) disables the bypass: batch boundaries stay a
-    pure function of the submitted streams and the bit-identical
-    async-vs-sequential differential still holds.
+    ([adaptive = false]) disables the bypass and inline execution:
+    batch boundaries stay a pure function of the submitted streams and
+    the bit-identical async-vs-sequential differential still holds.
 
     {b Failure and failover.} A ticket always resolves — with [Failed]
     rather than hanging when its op cannot be acked. An op that raises
@@ -49,7 +62,7 @@
     queued request on the slot at the target, whose ticket an awaiter
     transparently chases — and finally deletes the moved keys from
     itself in group-committed remove batches. Submitters re-check the
-    table under the mailbox lock and workers double-check drained ops
+    table under the mailbox lock and every batch double-checks its ops
     against it, so replies are identical to a no-migration run. One
     migration runs at a time; {!scan} serializes against it, so a
     whole-store scan always reports every key exactly once. *)
@@ -108,9 +121,9 @@ type shard_stats = {
   ss_max_batch : int;
   ss_failed : int;                      (** tickets resolved [Failed] *)
   ss_busy : float;
-      (** seconds this worker spent inside [run_batch] — the per-shard
-          critical-path cost, meaningful even when the host has fewer
-          cores than shards *)
+      (** seconds spent inside [run_batch] on this shard by whichever
+          domain held it — the per-shard critical-path cost, meaningful
+          even when the host has fewer cores than shards *)
   ss_hist : Spp_benchlib.Histogram.t;   (** latency, ns *)
 }
 
@@ -134,26 +147,28 @@ val start : t -> unit
 
 val submit : ?notify:(reply -> unit) -> t -> request -> ticket
 (** Route by key to the owning shard's mailbox — or, for a cache-hit
-    [Get] on an adaptive cached pipeline, answer it inline and return a
-    pre-fulfilled ticket. Mutations invalidate their key in the shard's
-    read cache before enqueueing. Callable from any domain. Raises once
-    {!stop} has begun (a bypassed get may still succeed: it is
-    read-only and touches no queue), and on [Scan] (no routing key —
-    use {!scan} or {!submit_to}).
+    [Get] on an adaptive cached pipeline, answer it from the cache, and
+    on an idle shard run the op on the calling domain (see {e Inline
+    execution} above); both return a fulfilled ticket. Mutations
+    invalidate their key in the shard's read cache before enqueueing.
+    Callable from any domain. Raises once {!stop} has begun (a bypassed
+    get may still succeed: it is read-only and touches no queue), and
+    on [Scan] (no routing key — use {!scan} or {!submit_to}).
 
-    [notify] gets the reply once: before [submit] returns for a
-    pre-fulfilled ticket, else on the resolving worker after it releases
-    the mailbox lock. Its exceptions are ignored. *)
+    [notify] gets the reply once: before [submit] returns for a cache
+    hit or an op run inline, else on the domain that resolved the
+    ticket, outside the mailbox lock. Its exceptions are ignored. *)
 
 val submit_to : t -> int -> request -> ticket
 (** [submit_to t i req] bypasses the router and enqueues on shard [i] —
-    how a [Scan] targets one shard's slice, and how the differential
-    tests drive predetermined per-shard streams. Same cache discipline
-    as {!submit}. *)
+    how a [Scan] targets one shard's slice, how a migration copies into
+    its target, and how the differential tests drive predetermined
+    per-shard streams. It always queues, never running inline; same
+    cache discipline as {!submit}. *)
 
 val await : t -> ticket -> reply
 (** Block until the ticket's batch has committed (immediate for a
-    bypassed get). *)
+    bypassed get or an op run inline). *)
 
 val peek : ticket -> reply option
 
@@ -182,20 +197,20 @@ exception Migration_failed of { slot : int; reason : string }
 val migrate_slot : t -> slot:int -> dst:int -> migration_report
 (** [migrate_slot t ~slot ~dst] asks the slot's current owner to move
     it to shard [dst] (copy → flip → delete, on the owner's worker
-    domain, between drains) and blocks until done. Serialized: one
-    migration at a time, mutually exclusive with whole-store {!scan}s.
-    A no-op report if [dst] already owns the slot. Requests queued or
-    submitted during the migration are answered exactly as without it —
-    queued slot traffic is re-pointed at the flip, and awaiters chase
-    their tickets. Raises {!Migration_failed} if the copy aborted (the
-    slot then still routes to the source). *)
+    domain holding the shard, between drains) and blocks until done.
+    Serialized: one migration at a time, mutually exclusive with
+    whole-store {!scan}s. A no-op report if [dst] already owns the slot.
+    Requests queued or submitted during the migration are answered
+    exactly as without it — queued slot traffic is re-pointed at the
+    flip, and awaiters chase their tickets. Raises {!Migration_failed}
+    if the copy aborted (the slot then still routes to the source). *)
 
 val migrations : t -> int
 (** Completed migrations. *)
 
 val forwarded : t -> int
 (** Requests re-pointed to another shard's mailbox — at a flip, or by a
-    worker's drain-time ownership double-check. *)
+    batch's ownership double-check. *)
 
 val keys_moved : t -> int
 (** Entries copied (and deleted from their source) across migrations. *)
@@ -209,7 +224,7 @@ val queue_depths : t -> int array
 
 val ops_counts : t -> int array
 (** Per-shard executed-op counts, readable while the pipeline runs
-    (monotone snapshot, published after each drain). *)
+    (monotone snapshot, updated after each batch). *)
 
 val busy_times : t -> float array
 (** Per-shard seconds spent inside [run_batch] so far — the live
@@ -227,8 +242,8 @@ val shard_failed : t -> int -> bool
     requests are resolving [Failed Failed_over]. *)
 
 val promote : ?cache_cap:int -> t -> int -> Replica.promoted
-(** [promote t i] asks shard [i]'s worker — the only domain allowed
-    inside the old stack — to seal its replication group, promote the
+(** [promote t i] asks shard [i]'s worker — the domain holding the
+    shard — to seal its replication group, promote the
     best replica ({!Replica.promote}), and repoint the router
     ([Shard.set_shard]); blocks until the swap is done. The promoted
     stack starts with a cold read cache of [cache_cap] entries (default

@@ -310,6 +310,34 @@ let test_bmap_attach_after_churn () =
       "scan survives reopen in order" (sorted_bindings model)
       (Spp_pmemkv.Bmap.scan kv' ~lo:"" ~hi:"~" ~limit:1000)
 
+(* Ascending keys keep the rightmost path full, so every few puts a
+   split cascades from the leaf to the root. Each put is its own batch,
+   so each cascade's staged words must fit the redo log on their own;
+   40 000 keys take the tree to the depth where a cascade used to
+   overflow it. *)
+let test_bmap_ascending_puts () =
+  let a = mk ~pool_size:(1 lsl 26) Spp_access.Spp in
+  let kv = Spp_pmemkv.Bmap.create a in
+  let n = 40_000 in
+  let failed = ref 0 and first = ref (-1) in
+  for i = 0 to n - 1 do
+    let key = Spp_pmemkv.Db_bench.key_of_int i in
+    match
+      Spp_pmemkv.Bmap.run_batch kv
+        [| Spp_pmemkv.Engine.B_put { key; value = "v" } |]
+    with
+    | _ -> ()
+    | exception Redo.Redo_full ->
+      if !first < 0 then first := i;
+      incr failed
+  done;
+  check_int
+    (Printf.sprintf "puts raising Redo_full (first at key %d)" !first)
+    0 !failed;
+  check_int "every key stored" n (Spp_pmemkv.Bmap.count_all kv);
+  Alcotest.(check (option string)) "last key reads back" (Some "v")
+    (Spp_pmemkv.Bmap.get kv (Spp_pmemkv.Db_bench.key_of_int (n - 1)))
+
 (* Cmap's scan obeys the same Engine.S contract even though it sorts a
    hash walk; and the registry resolves both engines by name. *)
 let test_cmap_scan_and_registry () =
@@ -400,6 +428,8 @@ let () =
             test_bmap_batch_scan_visibility;
           Alcotest.test_case "attach after batched churn" `Quick
             test_bmap_attach_after_churn;
+          Alcotest.test_case "40k ascending single-op puts fit the log"
+            `Quick test_bmap_ascending_puts;
         ] );
       ( "engines",
         [

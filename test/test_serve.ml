@@ -398,6 +398,209 @@ let test_serve_adaptive_batching () =
   check_bool "cap respected" true (s.Serve.ss_max_batch <= 32);
   check_bool "fewer batches than ops" true (s.Serve.ss_batches < 500)
 
+(* --- Inline execution on an idle shard ---------------------------------- *)
+
+(* A notify that records the domain it ran on *)
+let recorder () =
+  let where = Atomic.make None in
+  (where, fun (_ : Serve.reply) -> Atomic.set where (Some (Domain.self ())))
+
+let shard_dev t i =
+  Spp_pmdk.Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool
+
+(* A put and a cache-miss get on an idle shard run on the submitting
+   domain: the ticket is resolved and [notify] has run when [submit]
+   returns. *)
+let test_inline_idle_shard () =
+  let t = build_serve_store ~nshards:2 ~cache_cap:64 () in
+  let serve = Serve.create ~batch_cap:8 t in
+  let me = Domain.self () in
+  let run req expect =
+    let where, notify = recorder () in
+    let tk = Serve.submit ~notify serve req in
+    check_bool "resolved when submit returns" true
+      (Serve.peek tk = Some expect);
+    check_bool "notify ran on the submitting domain" true
+      (Atomic.get where = Some me)
+  in
+  run (Serve.Put { key = "alpha"; value = "1" }) Serve.Done;
+  run (Serve.Get "absent") (Serve.Value None);
+  check_int "the get missed the cache" 0 (Serve.bypassed_gets serve);
+  Serve.stop serve;
+  let st = Serve.stats serve in
+  check_int "both ops executed" 2
+    (Array.fold_left (fun a s -> a + s.Serve.ss_ops) 0 st);
+  check_int "one batch each" 2 (Serve.total_batches serve);
+  check_int "latency recorded per op" 2
+    (Histogram.count (Serve.merged_hist serve))
+
+(* While a submitter holds the shard — stopped inside the first fence of
+   its inline op's commit — ops from another domain queue behind it and
+   do not run; after the release the worker answers them in submission
+   order. *)
+let test_inline_held_shard () =
+  let t = build_serve_store ~nshards:1 () in
+  let serve = Serve.create ~batch_cap:8 t in
+  let me = Domain.self () and k = 5 in
+  let order = ref [] and order_mu = Mutex.create () in
+  let note j (_ : Serve.reply) =
+    Mutex.protect order_mu (fun () -> order := (j, Domain.self ()) :: !order)
+  in
+  (* the injector only records: a check failing inside the commit would
+     surface as the op's own failure *)
+  let fenced_on = ref None and queued = ref [||] in
+  let depth_held = ref 0 and ran_held = ref true in
+  let dev = shard_dev t 0 in
+  Spp_sim.Memdev.set_injector dev
+    (Some (function
+       | Spp_sim.Memdev.Hk_fence ->
+         Spp_sim.Memdev.set_injector dev None;
+         fenced_on := Some (Domain.self ());
+         let sub =
+           Domain.spawn (fun () ->
+             Array.init k (fun j ->
+               Serve.submit ~notify:(note j) serve
+                 (Serve.Put { key = Printf.sprintf "q%d" j; value = "v" })))
+         in
+         while (Serve.queue_depths serve).(0) < k do Domain.cpu_relax () done;
+         queued := Domain.join sub;
+         (* give a wrongly woken worker time to take them *)
+         Unix.sleepf 0.02;
+         depth_held := (Serve.queue_depths serve).(0);
+         ran_held :=
+           Array.exists (fun tk -> Serve.peek tk <> None) !queued
+           || Mutex.protect order_mu (fun () -> !order <> [])
+       | _ -> ()));
+  let tk = Serve.submit serve (Serve.Put { key = "first"; value = "v" }) in
+  check_bool "the inline op's commit fenced on the submitter" true
+    (!fenced_on = Some me);
+  check_int "still queued behind the holder" k !depth_held;
+  check_bool "none ran before the release" false !ran_held;
+  check_bool "inline op resolved" true (Serve.peek tk = Some Serve.Done);
+  Array.iter
+    (fun tk ->
+      check_bool "queued op acked" true (Serve.await serve tk = Serve.Done))
+    !queued;
+  Serve.stop serve;
+  let order = List.rev !order in
+  Alcotest.(check (list int)) "answered in submission order"
+    (List.init k Fun.id) (List.map fst order);
+  check_bool "answered by the worker" true
+    (List.for_all (fun (_, d) -> d <> me) order);
+  check_int "every op executed" (k + 1) (Serve.stats serve).(0).Serve.ss_ops
+
+(* While another domain keeps taking the shard for its own puts, a
+   client whose put queued behind that hold submits gets of its key until
+   one is answered at once or the put is: none may overtake the put. The
+   window this probes (the shard unheld, the put still queued, the worker
+   not yet running) is short, so the rounds go on until 200 puts have
+   queued, or 20 000 rounds. *)
+let test_inline_no_overtaking () =
+  let t = build_serve_store ~nshards:1 () in
+  let serve = Serve.create ~batch_cap:8 t in
+  let stop = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+      while not (Atomic.get stop) do
+        ignore
+          (Serve.await serve
+             (Serve.submit serve (Serve.Put { key = "b"; value = "x" })))
+      done)
+  in
+  let stale = ref 0 and queued = ref 0 and round = ref 0 in
+  while !queued < 200 && !round < 20_000 do
+    incr round;
+    let v = string_of_int !round in
+    let put = Serve.submit serve (Serve.Put { key = "a"; value = v }) in
+    if Serve.peek put = None then incr queued;
+    let rec gets acc =
+      let tk = Serve.submit serve (Serve.Get "a") in
+      if Serve.peek tk = None && Serve.peek put = None then gets (tk :: acc)
+      else tk :: acc
+    in
+    List.iter
+      (fun tk ->
+        if Serve.await serve tk <> Serve.Value (Some v) then incr stale)
+      (gets [])
+  done;
+  Atomic.set stop true;
+  Domain.join other;
+  Serve.stop serve;
+  check_int "gets answered ahead of their client's put" 0 !stale
+
+(* Four domains race for two shards on disjoint keys: whoever holds a
+   shard, every reply matches its domain's model and the accounting
+   adds up to the ops submitted. *)
+let test_inline_contention () =
+  let t = build_serve_store ~nshards:2 () in
+  let serve = Serve.create ~batch_cap:8 t in
+  let ndoms = 4 and per = 1000 and window = 4 in
+  let doms =
+    Array.init ndoms (fun d ->
+      Domain.spawn (fun () ->
+        let model = Hashtbl.create 64 and bad = ref 0 in
+        let q = Queue.create () in
+        let check (tk, expect) =
+          if Serve.await serve tk <> expect then incr bad
+        in
+        for i = 0 to per - 1 do
+          let key = Printf.sprintf "d%d-k%d" d (i mod 40) in
+          let req, expect =
+            match i mod 3 with
+            | 0 ->
+              let value = Printf.sprintf "v%d-%d" d i in
+              Hashtbl.replace model key value;
+              (Serve.Put { key; value }, Serve.Done)
+            | 1 -> (Serve.Get key, Serve.Value (Hashtbl.find_opt model key))
+            | _ ->
+              let had = Hashtbl.mem model key in
+              Hashtbl.remove model key;
+              (Serve.Remove key, Serve.Removed had)
+          in
+          if Queue.length q >= window then check (Queue.pop q);
+          Queue.push (Serve.submit serve req, expect) q
+        done;
+        Queue.iter check q;
+        !bad))
+  in
+  let bad = Array.fold_left (fun a d -> a + Domain.join d) 0 doms in
+  Serve.stop serve;
+  check_int "replies matching each domain's model" 0 bad;
+  let total = ndoms * per in
+  check_int "every op counted" total
+    (Array.fold_left (fun a s -> a + s.Serve.ss_ops) 0 (Serve.stats serve));
+  check_int "every op's latency recorded" total
+    (Histogram.count (Serve.merged_hist serve));
+  check_int "no failures" 0 (Serve.total_failed serve)
+
+(* A threaded replica acks from its applier domain, so under semi-sync an
+   op keeps the worker path rather than block its submitter; an inline
+   (unthreaded) replica does not stop an op running on the submitter. *)
+let test_inline_replication () =
+  let me = Domain.self () in
+  let ran_on threaded =
+    let t =
+      Shard.create ~nbuckets:32 ~pool_size:(1 lsl 20) ~nshards:1
+        Spp_access.Spp
+    in
+    let cfg =
+      { Replica.default_config with
+        replicas = 1; policy = Replica.Semi_sync; threaded }
+    in
+    let serve = Serve.create ~replication:cfg t in
+    let where, notify = recorder () in
+    let tk =
+      Serve.submit ~notify serve (Serve.Put { key = "k"; value = "v" })
+    in
+    check_bool "acked" true (Serve.await serve tk = Serve.Done);
+    Serve.stop serve;
+    Option.get (Atomic.get where)
+  in
+  check_bool "threaded semi-sync: notify on another domain" true
+    (ran_on true <> me);
+  check_bool "unthreaded semi-sync: notify on the submitter" true
+    (ran_on false = me)
+
 (* --- Read cache ------------------------------------------------------- *)
 
 (* Get-heavy streams over a small hot set, with removes mixed in so the
@@ -1275,6 +1478,19 @@ let () =
             test_serve_differential;
           Alcotest.test_case "adaptive batch sizing" `Quick
             test_serve_adaptive_batching;
+        ] );
+      ( "inline",
+        [
+          Alcotest.test_case "idle shard: op runs on the submitter" `Quick
+            test_inline_idle_shard;
+          Alcotest.test_case "held shard: others queue, worker keeps order"
+            `Quick test_inline_held_shard;
+          Alcotest.test_case "a queued put is never overtaken" `Quick
+            test_inline_no_overtaking;
+          Alcotest.test_case "4 domains on 2 shards match their models"
+            `Quick test_inline_contention;
+          Alcotest.test_case "threaded semi-sync keeps the worker path"
+            `Quick test_inline_replication;
         ] );
       ( "read cache",
         [
