@@ -849,20 +849,22 @@ let pipeline () =
     [ "cmap"; "btree" ]
 
 (* ------------------------------------------------------------------ *)
-(* Scaleout (ours): domain-parallel sharded serving vs logical shards   *)
+(* Scaleout (ours): one submitting domain per shard vs one for all      *)
 (* ------------------------------------------------------------------ *)
 
-(* Fig. 5's thread model runs logical shards sequentially; this
-   experiment runs the same per-shard streams with one Domain per shard
-   (shard-per-pool, see lib/shard) and reports the throughput ladder,
+(* Fig. 5's thread model runs logical shards on one thread; this
+   experiment drives the same per-shard streams through [Serve], once
+   from one submitting domain and once from one domain per shard
+   (shard-per-pool, see lib/shard), and reports the throughput ladder,
    the parallel-vs-sequential speedup, and uniform-vs-Zipfian skew.
-   Every point first proves the two modes bit-identical on the same
-   seed — a wrong-by-construction parallel path must not produce a
-   throughput number. *)
+   Every point first proves the two sides bit-identical on the same
+   seed (per-shard replies, merged Space stats, merged Memdev counters)
+   and checks that every op ran inline on its shard: no queueing, one
+   batch per op. A wrong path must not produce a throughput number. *)
 
 let scaleout () =
   let open Spp_shard in
-  print_title "Scaleout: domain-parallel sharded KV (shard-per-pool)";
+  print_title "Scaleout: domain-parallel sharded KV through Serve";
   let domain_counts =
     let all = [ 1; 2; 4; 8 ] in
     match domains_cap with
@@ -872,65 +874,93 @@ let scaleout () =
   let preload_keys = sc 2_000 and total_ops = sc 24_000 in
   let seed = 42 in
   Printf.printf
-    "(cmap engine under SPP, %d preloaded keys, %d routed ops, update-heavy; \
-     %d core(s) recommended by the runtime)\n"
+    "(cmap engine under SPP, %d preloaded keys, %d routed ops, update-heavy, \
+     one op in flight per submitter; %d core(s) recommended by the runtime)\n"
     preload_keys total_ops
     (Domain.recommended_domain_count ());
-  let build nshards =
+  (* One side: a fresh store behind a fresh [Serve], the per-shard
+     streams run by [exec], timed from first submission to last reply. *)
+  let side nshards exec =
     let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 23) ~nshards
         Spp_access.Spp in
     Shard_bench.preload t ~keys:preload_keys;
     Shard.reset_stats t;
-    t
+    let sv = Serve.create t in
+    (* drain the GC before timing so a pending major collection from
+       preload does not land inside the measured window *)
+    Gc.full_major ();
+    let wall, replies = time (fun () -> exec sv) in
+    Serve.stop sv;
+    let inline =
+      Array.for_all (( = ) 0) (Serve.peak_queue_depths sv)
+      && Serve.total_batches sv = total_ops
+    in
+    (t, replies, inline, float_of_int total_ops /. Float.max wall 1e-9)
   in
   let run_pair ~nshards ~dist workload =
-    (* two identically constructed stores: an update-heavy stream
-       mutates the store, so sequential and parallel must not share one *)
-    let ops =
-      Shard_bench.gen_ops ~seed ~ops:total_ops ~universe:preload_keys ~dist
-        workload
+    let streams =
+      Shard_bench.partition ~nshards
+        (Shard_bench.gen_ops ~seed ~ops:total_ops ~universe:preload_keys
+           ~dist workload)
     in
-    let streams = Shard_bench.partition ~nshards ops in
-    let t_seq = build nshards and t_par = build nshards in
-    let rs = Shard_bench.run t_seq ~mode:Shard_bench.Sequential streams in
-    let rp = Shard_bench.run t_par ~mode:Shard_bench.Parallel streams in
+    let ts, rs, inline_s, tput_s =
+      side nshards (fun sv -> Array.mapi (Shard_bench.drive sv) streams)
+    in
+    let tp, rp, inline_p, tput_p =
+      side nshards (fun sv ->
+        Array.mapi
+          (fun i ops -> Domain.spawn (fun () -> Shard_bench.drive sv i ops))
+          streams
+        |> Array.map Domain.join)
+    in
+    (* both sides reply once per op of the same streams *)
+    let rec first_diff i j =
+      if i = nshards then None
+      else if j = Array.length streams.(i) then first_diff (i + 1) 0
+      else if rs.(i).(j) <> rp.(i).(j) then
+        Some
+          (Format.asprintf "shard %d, reply %d to %a: %a vs %a" i j
+             Serve.pp_request streams.(i).(j) Serve.pp_reply rs.(i).(j)
+             Serve.pp_reply rp.(i).(j))
+      else first_diff i (j + 1)
+    in
     let diverged =
-      match Shard_bench.explain_divergence rs rp with
-      | Some _ as why -> why
-      | None ->
-        if Shard.merged_stats t_seq <> Shard.merged_stats t_par then
-          Some "op results agree but merged Space stats differ"
-        else None
+      match first_diff 0 0 with
+      | Some d -> Some ("first differing reply at " ^ d)
+      | None when Shard.merged_stats ts <> Shard.merged_stats tp ->
+        Some "replies agree but merged Space stats differ"
+      | None when Shard.merged_counters ts <> Shard.merged_counters tp ->
+        Some "replies and Space stats agree but merged Memdev counters differ"
+      | None -> None
     in
     Option.iter (Printf.printf "   %s\n") diverged;
-    gate ~experiment:"scaleout"
-      ~name:
-        (Printf.sprintf "differential/%s/%d" (Shard_bench.dist_name dist)
-           nshards)
+    let point = Printf.sprintf "%s/%d" (Shard_bench.dist_name dist) nshards in
+    gate ~experiment:"scaleout" ~name:("differential/" ^ point)
       (diverged = None);
-    (rs, rp, diverged = None)
+    let inline = inline_s && inline_p in
+    if not inline then
+      Printf.printf "   an op queued, or a batch held more than one op\n";
+    gate ~experiment:"scaleout" ~name:("inline/" ^ point) inline;
+    (tput_s, tput_p, diverged = None && inline)
   in
   print_row ~w:12
     [ "domains"; "seq op/s"; "par op/s"; "speedup"; "identical" ];
   List.iter
     (fun nd ->
       Gc.compact ();
-      let rs, rp, agree =
+      let seq, par, agree =
         run_pair ~nshards:nd ~dist:Shard_bench.Uniform
           Spp_pmemkv.Db_bench.Update_heavy
       in
-      let speedup = rs.Shard_bench.r_wall /. Float.max rp.Shard_bench.r_wall 1e-9 in
+      let speedup = par /. Float.max seq 1e-9 in
       print_row ~w:12
-        [ string_of_int nd;
-          fmt_ops rs.Shard_bench.r_throughput;
-          fmt_ops rp.Shard_bench.r_throughput;
-          fmt_slowdown speedup;
+        [ string_of_int nd; fmt_ops seq; fmt_ops par; fmt_slowdown speedup;
           (if agree then "yes" else "NO") ];
       let nm mode = Printf.sprintf "update_heavy/uniform/%d/%s" nd mode in
       jemit ~experiment:"scaleout" ~name:(nm "sequential") ~metric:"ops_per_s"
-        ~unit_:"op/s" rs.Shard_bench.r_throughput;
+        ~unit_:"op/s" seq;
       jemit ~experiment:"scaleout" ~name:(nm "parallel") ~metric:"ops_per_s"
-        ~unit_:"op/s" rp.Shard_bench.r_throughput;
+        ~unit_:"op/s" par;
       jemit ~experiment:"scaleout"
         ~name:(Printf.sprintf "update_heavy/uniform/%d" nd) ~metric:"speedup"
         speedup;
@@ -950,18 +980,17 @@ let scaleout () =
   print_row ~w:16 [ "distribution"; "par op/s"; "identical" ];
   List.iter
     (fun dist ->
-      let _, rp, agree =
+      let _, par, agree =
         run_pair ~nshards:nd ~dist Spp_pmemkv.Db_bench.Update_heavy
       in
       print_row ~w:16
-        [ Shard_bench.dist_name dist;
-          fmt_ops rp.Shard_bench.r_throughput;
+        [ Shard_bench.dist_name dist; fmt_ops par;
           (if agree then "yes" else "NO") ];
       jemit ~experiment:"scaleout"
         ~name:
           (Printf.sprintf "update_heavy/%s/%d/parallel"
              (Shard_bench.dist_name dist) nd)
-        ~metric:"ops_per_s" ~unit_:"op/s" rp.Shard_bench.r_throughput)
+        ~metric:"ops_per_s" ~unit_:"op/s" par)
     [ Shard_bench.Uniform; Shard_bench.Zipfian 0.99 ]
 
 (* ------------------------------------------------------------------ *)

@@ -53,6 +53,23 @@ let engine_arg =
   Arg.(value & opt engine_conv Spp_pmemkv.Engines.cmap
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
+let shards_arg ~doc =
+  Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
+
+let ack_policy_arg =
+  let doc =
+    "Replication ack policy: async (acknowledge immediately), \
+     semi-sync (wait for one replica to apply), or sync (wait for \
+     every live replica)."
+  in
+  let policies =
+    Spp_shard.Replica.
+      [ ("async", Async); ("semi-sync", Semi_sync); ("semi_sync", Semi_sync);
+        ("semisync", Semi_sync); ("sync", Sync) ]
+  in
+  Arg.(value & opt (enum policies) Spp_shard.Replica.Semi_sync
+       & info [ "ack-policy" ] ~absent:"semi-sync" ~docv:"POLICY" ~doc)
+
 (* info *)
 
 let info_cmd =
@@ -360,10 +377,6 @@ let torture_cmd =
 (* serve *)
 
 let serve_cmd =
-  let shards_arg =
-    let doc = "Number of shards (one worker domain each)." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let batch_cap_arg =
     let doc = "Maximum requests drained into one group-committed batch." in
     Arg.(value & opt int 32 & info [ "batch-cap" ] ~docv:"N" ~doc)
@@ -399,15 +412,6 @@ let serve_cmd =
        batch's tickets are acknowledged per --ack-policy."
     in
     Arg.(value & opt int 0 & info [ "replicas" ] ~docv:"N" ~doc)
-  in
-  let ack_policy_arg =
-    let doc =
-      "Replication ack policy: async (acknowledge immediately), \
-       semi-sync (wait for one replica to apply), or sync (wait for \
-       every live replica)."
-    in
-    Arg.(value & opt string "semi-sync"
-         & info [ "ack-policy" ] ~docv:"POLICY" ~doc)
   in
   let slots_arg =
     let doc =
@@ -451,20 +455,11 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
   let run variant engine nshards batch_cap ops window cache_cap no_cache
-      replicas ack_policy slots rebalance zipf stats_table listen =
+      replicas policy slots rebalance zipf stats_table listen =
     let open Spp_shard in
     let open Spp_benchlib in
     let nshards = max 1 nshards and window = max 1 window in
     let cache_cap = if no_cache then 0 else max 0 cache_cap in
-    let policy =
-      match Replica.ack_policy_of_string ack_policy with
-      | Some p -> p
-      | None ->
-        prerr_endline
-          ("unknown ack policy " ^ ack_policy
-           ^ " (expected async | semi-sync | sync)");
-        exit 2
-    in
     let replication =
       if replicas <= 0 then None
       else Some { Replica.default_config with replicas; policy }
@@ -641,7 +636,9 @@ let serve_cmd =
           every op on the shard's worker). Keys route \
           through a versioned slot table (--slots); --rebalance \
           live-migrates hot slots between shards while serving")
-    Term.(const run $ variant_arg $ engine_arg $ shards_arg $ batch_cap_arg
+    Term.(const run $ variant_arg $ engine_arg
+          $ shards_arg ~doc:"Number of shards (one worker domain each)."
+          $ batch_cap_arg
           $ serve_ops_arg $ window_arg $ cache_cap_arg $ no_cache_arg
           $ replicas_arg $ ack_policy_arg $ slots_arg $ rebalance_arg
           $ zipf_arg $ stats_table_arg $ listen_arg)
@@ -649,18 +646,9 @@ let serve_cmd =
 (* failover *)
 
 let failover_cmd =
-  let shards_arg =
-    let doc = "Number of shards (one worker domain each)." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let replicas_arg =
     let doc = "Warm replica stacks per shard." in
     Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"N" ~doc)
-  in
-  let ack_policy_arg =
-    let doc = "Replication ack policy: async, semi-sync or sync." in
-    Arg.(value & opt string "semi-sync"
-         & info [ "ack-policy" ] ~docv:"POLICY" ~doc)
   in
   let fo_ops_arg =
     let doc = "Synthetic requests to submit (3:1 put:get over 512 keys)." in
@@ -670,19 +658,10 @@ let failover_cmd =
     let doc = "Replication channel loss rate in [0, 1) (seeded, reproducible)." in
     Arg.(value & opt float 0. & info [ "drop-rate" ] ~docv:"RATE" ~doc)
   in
-  let run variant engine nshards replicas ack_policy ops drop_rate =
+  let run variant engine nshards replicas policy ops drop_rate =
     let open Spp_shard in
     let open Spp_benchlib in
     let nshards = max 1 nshards in
-    let policy =
-      match Replica.ack_policy_of_string ack_policy with
-      | Some p -> p
-      | None ->
-        prerr_endline
-          ("unknown ack policy " ^ ack_policy
-           ^ " (expected async | semi-sync | sync)");
-        exit 2
-    in
     let cfg =
       { Replica.default_config with
         replicas = max 1 replicas; policy; drop_rate }
@@ -769,7 +748,9 @@ let failover_cmd =
           mid-run, show in-flight tickets failing with a typed \
           Failed_over, promote the shard's warm replica and finish the \
           run on the new primary")
-    Term.(const run $ variant_arg $ engine_arg $ shards_arg $ replicas_arg
+    Term.(const run $ variant_arg $ engine_arg
+          $ shards_arg ~doc:"Number of shards (one worker domain each)."
+          $ replicas_arg
           $ ack_policy_arg $ fo_ops_arg $ drop_rate_arg)
 
 (* netbench *)
@@ -778,10 +759,6 @@ let netbench_cmd =
   let open Spp_shard in
   let open Spp_benchlib in
   let open Spp_net in
-  let shards_arg =
-    let doc = "Shards of the self-hosted server (ignored with --connect)." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let letter_arg =
     let doc =
       "YCSB workload letter: a (50/50 read/update), b (95/5), c (read \
@@ -947,7 +924,10 @@ let netbench_cmd =
           coordinated omission would hide), or --closed for a \
           throughput ceiling. Self-hosts a server on a unix socket \
           unless --connect points at a running `sppctl serve --listen'")
-    Term.(const run $ variant_arg $ engine_arg $ shards_arg $ letter_arg
+    Term.(const run $ variant_arg $ engine_arg
+          $ shards_arg
+              ~doc:"Shards of the self-hosted server (ignored with --connect)."
+          $ letter_arg
           $ rate_arg $ closed_arg $ nb_ops_arg $ conns_arg $ nb_window_arg
           $ universe_arg $ value_size_arg $ connect_arg)
 

@@ -495,6 +495,11 @@ let run_guarded (f : unit -> unit) =
   | () -> Ok_completed
   | exception Fault.Fault (k, addr) ->
     Prevented (Printf.sprintf "%s at 0x%x" (Fault.kind_to_string k) addr)
+  | exception Space.Lease_out_of_window { addr; window; off; len } ->
+    Prevented
+      (Printf.sprintf
+         "window fault: access (+%d, %d bytes) outside [0x%x, +%d)" off len
+         addr window)
   | exception Spp_safepm.Violation { addr; len; kind } ->
     Prevented (Printf.sprintf "SafePM %s (%d bytes at 0x%x)" kind len addr)
   | exception Spp_memcheck.Violation { addr; len } ->

@@ -111,5 +111,6 @@ type outcome =
   | Prevented of string
 
 val run_guarded : (unit -> unit) -> outcome
-(** Run a workload, mapping simulated faults and checker violations to
-    {!Prevented}. *)
+(** Run a workload, mapping simulated faults, accesses outside a
+    validated window ({!Space.Lease_out_of_window}, how SPP's hoisted
+    check stops an overrun) and checker violations to {!Prevented}. *)

@@ -50,12 +50,6 @@ let ack_policy_to_string = function
   | Semi_sync -> "semi-sync"
   | Sync -> "sync"
 
-let ack_policy_of_string = function
-  | "async" -> Some Async
-  | "semi-sync" | "semi_sync" | "semisync" -> Some Semi_sync
-  | "sync" -> Some Sync
-  | _ -> None
-
 exception Promotion_failed of { shard : int; reason : string }
 
 let () =

@@ -31,7 +31,6 @@
 type ack_policy = Async | Semi_sync | Sync
 
 val ack_policy_to_string : ack_policy -> string
-val ack_policy_of_string : string -> ack_policy option
 
 exception Promotion_failed of { shard : int; reason : string }
 (** Promotion could not produce a serving stack (double promotion, bad

@@ -1016,9 +1016,8 @@ let run_sequential ?(use_cache = true) store ~batch_cap streams =
       out)
     streams
 
-(* Order-sensitive digest of a reply stream, same spirit as
-   [Shard_bench.signature]: two executions agree only if every reply
-   matched in order and shape. *)
+(* Order-sensitive digest of a reply stream: two executions agree only
+   if every reply matched in order and shape. *)
 let digest_replies replies =
   let d = ref 0x1505 in
   let mix v = d := (!d * 0x01000193) lxor v in

@@ -173,26 +173,6 @@ let count_all t =
     (fun acc s -> acc + Spp_pmemkv.Engine.count_all s.kv)
     0 t.shards
 
-(* Scatter-gather ordered scan: the hash router spreads any key range
-   over every shard, so each shard scans its slice (bounded by the same
-   limit) and the sorted slices are merged and clipped. Each slice is
-   ownership-filtered against one table snapshot: a key answered from a
-   shard that no longer owns its slot (a leftover copy from an aborted
-   or in-flight migration) is dropped, so every key appears exactly
-   once — from its owner. *)
-let scan t ~lo ~hi ~limit =
-  if limit <= 0 || hi < lo then []
-  else
-    let assign = (Atomic.get t.table).st_assign in
-    Spp_pmemkv.Engine.merge_scans ~limit
-      (Array.to_list
-         (Array.map
-            (fun s ->
-              List.filter
-                (fun (k, _) -> assign.(slot_of t k) = s.index)
-                (Spp_pmemkv.Engine.scan s.kv ~lo ~hi ~limit))
-            t.shards))
-
 (* Merged accounting. Reading a shard's stats is only race-free once the
    domain driving it has joined; callers sequence that, we just sum. *)
 

@@ -107,13 +107,6 @@ val get : t -> string -> string option
 val remove : t -> string -> bool
 val count_all : t -> int
 
-val scan : t -> lo:string -> hi:string -> limit:int -> (string * string) list
-(** Ordered range scan across the whole store: every shard scans its
-    hash-partitioned slice and the sorted slices are merged and clipped
-    to [limit]. Each slice is ownership-filtered against one slot-table
-    snapshot, so leftover copies on a slot's previous owner are never
-    double-reported. Cache-bypassing, like the per-engine scans. *)
-
 (** {1 Merged accounting}
 
     Only meaningful once the domains driving the shards have joined —

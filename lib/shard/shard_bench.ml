@@ -1,12 +1,14 @@
-(* True-parallel db_bench over the sharded router.
+(* db_bench streams over the sharded serving pipeline.
 
-   The operation stream is generated once on the main domain, routed
-   into per-shard streams, and then driven either sequentially (the
-   logical-shard model fig5 uses — the differential baseline) or with
-   one [Domain] per shard. Both modes execute the identical per-shard
-   streams against identically constructed stores, so the per-shard op
-   results — op/hit/put counts and an order-sensitive digest of every
-   get — must match bit for bit; only the wall clock may differ. *)
+   The operation stream is generated once on the main domain as
+   [Serve.request]s and routed into per-shard streams. [drive] submits
+   one shard's stream through a [Serve] one op at a time; a caller runs
+   every stream from one domain ([Array.mapi] over [drive]) or gives
+   each its own domain. With one submitter per shard every routed op
+   finds its shard idle and runs inline on the submitting domain as a
+   one-op batch, so both ways execute the identical per-shard batches:
+   replies, Space stats and Memdev counters must match bit for bit, and
+   only the wall clock may differ. *)
 
 open Spp_benchlib
 
@@ -24,23 +26,15 @@ let dist_name = function
   | Rotating { theta; period } ->
     Printf.sprintf "rotating%.2f-%d" theta period
 
-type op_kind =
-  | O_get
-  | O_put
-  | O_scan of { span : int; limit : int }
-      (* ordered range of [span] consecutive keys upward from o_key *)
-
-type op = {
-  o_key : string;
-  o_kind : op_kind;
-}
-
 let write_pct (w : Spp_pmemkv.Db_bench.workload) =
   match w with
   | Spp_pmemkv.Db_bench.Update_heavy -> 50
   | Spp_pmemkv.Db_bench.Read_heavy -> 5
   | Spp_pmemkv.Db_bench.Random_reads | Spp_pmemkv.Db_bench.Seq_reads -> 0
 
+(* A scan covers [scan_span] consecutive keys upward from its key: the
+   key encoding is zero-padded, so lexicographic equals numeric order
+   and [hi] is the key [scan_span - 1] indices further on. *)
 let gen_ops ?(scan_pct = 0) ?(scan_span = 16) ?(scan_limit = 16) ~seed ~ops
     ~universe ~dist workload =
   let pct = write_pct workload in
@@ -60,25 +54,30 @@ let gen_ops ?(scan_pct = 0) ?(scan_span = 16) ?(scan_limit = 16) ~seed ~ops
       | Spp_pmemkv.Db_bench.Seq_reads -> (seed + i) mod universe
       | _ -> Keygen.next gen
     in
+    let key = Spp_pmemkv.Db_bench.key_of_int idx in
     (* one coin draw per op whatever the kind, so adding scans to a mix
        leaves the put/get decisions of the remaining ops untouched *)
     let roll = Random.State.int coin 100 in
-    let kind =
-      if roll < scan_pct then O_scan { span = scan_span; limit = scan_limit }
-      else if pct > 0 && roll - scan_pct < pct then O_put
-      else O_get
-    in
-    { o_key = Spp_pmemkv.Db_bench.key_of_int idx; o_kind = kind })
+    if roll < scan_pct then
+      Serve.Scan
+        { lo = key; hi = Spp_pmemkv.Db_bench.key_of_int (idx + scan_span - 1);
+          limit = scan_limit }
+    else if pct > 0 && roll - scan_pct < pct then
+      Serve.Put { key; value = Spp_pmemkv.Db_bench.value_block }
+    else Serve.Get key)
 
 (* Route a global stream into per-shard streams, preserving program
-   order within each shard. Partitioning depends only on the shard
-   count, so a sequential and a parallel store of equal [nshards] see
-   identical streams. *)
+   order within each shard; a scan goes to the shard owning its [lo].
+   Partitioning depends only on the shard count, so every store of equal
+   [nshards] sees identical streams. *)
 let partition ~nshards ops =
   let buckets = Array.make nshards [] in
   Array.iter
     (fun op ->
-      let s = Shard.shard_of_key ~nshards op.o_key in
+      let key =
+        match op with Serve.Scan { lo; _ } -> lo | r -> Serve.request_key r
+      in
+      let s = Shard.shard_of_key ~nshards key in
       buckets.(s) <- op :: buckets.(s))
     ops;
   Array.map (fun l -> Array.of_list (List.rev l)) buckets
@@ -89,181 +88,17 @@ let preload t ~keys =
       ~value:Spp_pmemkv.Db_bench.value_block
   done
 
-(* Per-shard execution result. [sr_digest] folds every get outcome in
-   op order, so two runs agree only if they saw the same hit/miss
-   sequence with the same value shapes. [sr_elapsed] is measurement,
-   not result — [signature] deliberately excludes it. *)
-type shard_result = {
-  sr_shard : int;
-  sr_ops : int;
-  sr_hits : int;
-  sr_puts : int;
-  sr_scans : int;
-  sr_scan_entries : int;       (* pairs returned across all scans *)
-  sr_scan_digests : int array; (* one digest per scan, in op order *)
-  sr_digest : int;
-  sr_elapsed : float;
-}
-
-let signature r =
-  ( r.sr_shard, r.sr_ops, r.sr_hits, r.sr_puts, r.sr_scans,
-    r.sr_scan_entries, r.sr_scan_digests, r.sr_digest )
-
-(* A scan op covers [o_key, o_key + span) in key-of-int order — the
-   string encoding is zero-padded, so lexicographic equals numeric
-   order and the upper bound is the key one past the span. *)
-let scan_hi_of ~key ~span =
-  let n = String.length "key" in
-  let idx = int_of_string (String.sub key n (String.length key - n)) in
-  Spp_pmemkv.Db_bench.key_of_int (idx + span - 1)
-
-let exec_shard (s : Shard.shard) ops =
-  let kv = Shard.shard_kv s in
-  let digest = ref 0x1505 in
-  let mix v = digest := (!digest * 0x01000193) lxor v in
-  let hits = ref 0 and puts = ref 0 in
-  let scans = ref 0 and scan_entries = ref 0 in
-  let scan_digests = ref [] in
-  let t0 = Bench_util.now_mono () in
-  Array.iter
-    (fun op ->
-      match op.o_kind with
-      | O_put ->
-        Spp_pmemkv.Engine.put kv ~key:op.o_key
-          ~value:Spp_pmemkv.Db_bench.value_block;
-        incr puts;
-        mix 1
-      | O_get ->
-        (match Spp_pmemkv.Engine.get kv op.o_key with
-         | Some v ->
-           incr hits;
-           mix (String.length v + Char.code v.[0])
-         | None -> mix 0x7F)
-      | O_scan { span; limit } ->
-        let hi = scan_hi_of ~key:op.o_key ~span in
-        let kvs = Spp_pmemkv.Engine.scan kv ~lo:op.o_key ~hi ~limit in
-        incr scans;
-        (* per-scan digest so a divergence report can name the exact
-           scan reply that differed, not just "some scan" *)
-        let sd = ref 0x1505 in
-        let smix v = sd := (!sd * 0x01000193) lxor v in
-        List.iter
-          (fun (k, v) ->
-            incr scan_entries;
-            smix (String.length k + Char.code k.[0]);
-            smix (String.length v + Char.code v.[0]))
-          kvs;
-        scan_digests := (!sd land max_int) :: !scan_digests;
-        mix !sd)
-    ops;
-  let elapsed = Bench_util.now_mono () -. t0 in
-  { sr_shard = Shard.shard_index s; sr_ops = Array.length ops;
-    sr_hits = !hits; sr_puts = !puts; sr_scans = !scans;
-    sr_scan_entries = !scan_entries;
-    sr_scan_digests = Array.of_list (List.rev !scan_digests);
-    sr_digest = !digest land max_int;
-    sr_elapsed = elapsed }
-
-type mode =
-  | Sequential   (* logical shards, one domain — the fig5 baseline *)
-  | Parallel     (* one Domain per shard *)
-
-let mode_name = function Sequential -> "sequential" | Parallel -> "parallel"
-
-type run_result = {
-  r_mode : mode;
-  r_shards : shard_result array;
-  r_wall : float;        (* whole-run wall clock, spawn to join *)
-  r_total_ops : int;
-  r_throughput : float;  (* total ops / wall *)
-}
-
-let run t ~mode per_shard_ops =
-  if Array.length per_shard_ops <> Shard.nshards t then
-    invalid_arg "Shard_bench.run: stream count <> shard count";
-  (* drain the GC before timing so a pending major collection from
-     preload does not land inside the measured window *)
-  Gc.full_major ();
-  let t0 = Bench_util.now_mono () in
-  let r_shards =
-    match mode with
-    | Sequential ->
-      Array.mapi (fun i ops -> exec_shard (Shard.shard t i) ops) per_shard_ops
-    | Parallel ->
-      let domains =
-        Array.mapi
-          (fun i ops ->
-            let s = Shard.shard t i in
-            Domain.spawn (fun () -> exec_shard s ops))
-          per_shard_ops
+(* Submit shard [i]'s stream one op at a time, awaiting each reply
+   before the next submission. Keyed ops go through the router, which
+   sends them to shard [i] on a store whose slot table is the static
+   one; a scan has no routing key and is pinned with [submit_to]. *)
+let drive sv i stream =
+  Array.map
+    (fun req ->
+      let tk =
+        match req with
+        | Serve.Scan _ -> Serve.submit_to sv i req
+        | _ -> Serve.submit sv req
       in
-      Array.map Domain.join domains
-  in
-  let r_wall = Bench_util.now_mono () -. t0 in
-  let r_total_ops = Array.fold_left (fun a r -> a + r.sr_ops) 0 r_shards in
-  { r_mode = mode; r_shards; r_wall; r_total_ops;
-    r_throughput = float_of_int r_total_ops /. Float.max r_wall 1e-9 }
-
-let results_agree a b =
-  Array.length a.r_shards = Array.length b.r_shards
-  && Array.for_all2
-       (fun x y -> signature x = signature y)
-       a.r_shards b.r_shards
-
-(* Diagnostic differential: [None] when the runs agree, otherwise the
-   first diverging shard index and the first diverging signature field —
-   a bare "signatures differ" is useless when 8 shards each fold 3000
-   ops into one digest. *)
-let explain_divergence a b =
-  let na = Array.length a.r_shards and nb = Array.length b.r_shards in
-  if na <> nb then
-    Some (Printf.sprintf "shard count differs: %d (%s) vs %d (%s)" na
-            (mode_name a.r_mode) nb (mode_name b.r_mode))
-  else begin
-    let explain_shard i =
-      let x = a.r_shards.(i) and y = b.r_shards.(i) in
-      if signature x = signature y then None
-      else
-        let first_scan_diff () =
-          let n = min (Array.length x.sr_scan_digests)
-                    (Array.length y.sr_scan_digests) in
-          let rec go j =
-            if j >= n then None
-            else if x.sr_scan_digests.(j) <> y.sr_scan_digests.(j) then Some j
-            else go (j + 1)
-          in
-          go 0
-        in
-        let field =
-          if x.sr_shard <> y.sr_shard then
-            Printf.sprintf "sr_shard %d vs %d" x.sr_shard y.sr_shard
-          else if x.sr_ops <> y.sr_ops then
-            Printf.sprintf "sr_ops %d vs %d" x.sr_ops y.sr_ops
-          else if x.sr_puts <> y.sr_puts then
-            Printf.sprintf "sr_puts %d vs %d" x.sr_puts y.sr_puts
-          else if x.sr_hits <> y.sr_hits then
-            Printf.sprintf "sr_hits %d vs %d" x.sr_hits y.sr_hits
-          else if x.sr_scans <> y.sr_scans then
-            Printf.sprintf "sr_scans %d vs %d" x.sr_scans y.sr_scans
-          else if x.sr_scan_entries <> y.sr_scan_entries then
-            Printf.sprintf "sr_scan_entries %d vs %d" x.sr_scan_entries
-              y.sr_scan_entries
-          else
-            match first_scan_diff () with
-            | Some j ->
-              Printf.sprintf
-                "scan reply %d (of %d) digest 0x%x vs 0x%x" j x.sr_scans
-                x.sr_scan_digests.(j) y.sr_scan_digests.(j)
-            | None ->
-              Printf.sprintf "sr_digest 0x%x vs 0x%x" x.sr_digest y.sr_digest
-        in
-        Some
-          (Printf.sprintf "first divergence at shard %d: %s (%s vs %s)" i
-             field (mode_name a.r_mode) (mode_name b.r_mode))
-    in
-    let rec go i =
-      if i >= na then None
-      else match explain_shard i with Some _ as s -> s | None -> go (i + 1)
-    in
-    go 0
-  end
+      Serve.await sv tk)
+    stream

@@ -28,6 +28,46 @@ let test_put_get_all_variants () =
       check_int "count" 1 (Spp_pmemkv.Cmap.count_all kv))
     Spp_access.all_variants
 
+(* A corrupt entry: the value-length word of a cmap entry overwritten
+   with 4000 sends a get far past the 74-byte entry. SPP's window over
+   the entry (sized by the oid), SafePM and memcheck each stop the read,
+   and [run_guarded] reports it as prevented; native PMDK returns the
+   neighbouring PM. *)
+let test_corrupt_vlen_guarded () =
+  List.iter
+    (fun v ->
+      let a = mk v in
+      let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+      let key = Spp_pmemkv.Db_bench.key_of_int 7 in
+      Spp_pmemkv.Cmap.put kv ~key ~value:(String.make 10 'v');
+      Spp_pmemkv.Cmap.put kv ~key:"other" ~value:(String.make 64 'o');
+      (* entry layout: [next oid | klen | vlen | key | value] *)
+      let open Spp_access in
+      let rec find oid =
+        let p = a.direct oid in
+        let klen = a.load_word (a.gep p a.oid_size) in
+        if a.read_sub (a.gep p (a.oid_size + 16)) klen = key then p
+        else find (a.load_oid_at p)
+      in
+      let bucket = a.direct (Spp_pmemkv.Cmap.buckets_oid kv) in
+      let p = find (a.load_oid_at bucket) in
+      a.store_word (a.gep p (a.oid_size + 8)) 4000;
+      let name = variant_name v in
+      let get () = ignore (Spp_pmemkv.Cmap.get kv key) in
+      match (v, run_guarded get) with
+      | Pmdk, Ok_completed -> ()
+      | Pmdk, Prevented m -> Alcotest.failf "%s: prevented (%s)" name m
+      | _, Ok_completed -> Alcotest.failf "%s: corrupt read completed" name
+      | Spp, Prevented m ->
+        let needle = "4000 bytes" in
+        let n = String.length needle in
+        let rec has i =
+          i + n <= String.length m && (String.sub m i n = needle || has (i + 1))
+        in
+        check_bool ("spp names the access: " ^ m) true (has 0)
+      | _, Prevented _ -> ())
+    Spp_access.all_variants
+
 let test_overwrite_same_and_different_size () =
   let a = mk Spp_access.Spp in
   let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
@@ -417,6 +457,8 @@ let () =
           Alcotest.test_case "attach after remove-heavy churn" `Quick
             test_attach_after_remove_churn;
           Alcotest.test_case "1 KiB values" `Quick test_large_values;
+          Alcotest.test_case "corrupt vlen prevented on checked variants"
+            `Quick test_corrupt_vlen_guarded;
         ] );
       ( "bmap",
         [

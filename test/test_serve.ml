@@ -1,7 +1,7 @@
 (* Tests for the group-commit stack and the asynchronous batched serving
    pipeline: histogram unit tests, Cmap.run_batch vs a model oracle and
-   vs the synchronous path, the fences/op amortization bar, the
-   async-pipeline differential, and the shard divergence diagnostics. *)
+   vs the synchronous path, the fences/op amortization bar, and the
+   async-pipeline differential. *)
 
 open Spp_benchlib
 open Spp_shard
@@ -770,7 +770,8 @@ let test_cache_deterministic_mode () =
 (* Client-facing scans: scatter per shard through the worker batches,
    gather into one globally ordered limit-clipped window; a scan queued
    behind an un-awaited put of an in-range key must observe it
-   (same-shard FIFO), and the result is identical on both engines. *)
+   (same-shard FIFO), a window past every key is empty, and the result
+   is identical on both engines. *)
 let test_serve_scan_api () =
   List.iter
     (fun engine ->
@@ -813,8 +814,27 @@ let test_serve_scan_api () =
        | Ok _ -> Alcotest.fail "wrong scan width"
        | Error _ -> Alcotest.fail "scan failed");
       ignore (Serve.await serve tk);
+      (match Serve.scan serve ~lo:"zzz" ~hi:"zzzz" ~limit:10 with
+       | Ok kvs -> check_int "empty window" 0 (List.length kvs)
+       | Error _ -> Alcotest.fail "scan failed");
       Serve.stop serve)
-    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
+    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ];
+  (* the divergence-report printers render scans *)
+  let has msg needle =
+    let nl = String.length needle and ml = String.length msg in
+    let rec go i =
+      i + nl <= ml && (String.sub msg i nl = needle || go (i + 1))
+    in
+    go 0
+  in
+  let pp pp_v v = Format.asprintf "%a" pp_v v in
+  check_bool "pp_request renders Scan" true
+    (has
+       (pp Serve.pp_request (Serve.Scan { lo = "a"; hi = "z"; limit = 9 }))
+       "Scan");
+  check_bool "pp_reply renders Scanned" true
+    (has (pp Serve.pp_reply (Serve.Scanned [ ("a", "1"); ("b", "2") ]))
+       "Scanned")
 
 (* --- Live slot migration ---------------------------------------------- *)
 
@@ -1075,109 +1095,6 @@ let test_reply_bytes_unchanged () =
        limited
    | _ -> Alcotest.fail "scan reply shape");
   Serve.stop serve
-
-(* --- Divergence diagnostics ------------------------------------------- *)
-
-let test_explain_divergence () =
-  let ops =
-    Shard_bench.gen_ops ~seed:3 ~ops:400 ~universe:100 ~dist:Shard_bench.Uniform
-      Spp_pmemkv.Db_bench.Update_heavy
-  in
-  let streams = Shard_bench.partition ~nshards:2 ops in
-  let build () =
-    let t = Shard.create ~nbuckets:32 ~pool_size:(1 lsl 21) ~nshards:2
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:50;
-    t
-  in
-  let r1 = Shard_bench.run (build ()) ~mode:Shard_bench.Sequential streams in
-  let r2 = Shard_bench.run (build ()) ~mode:Shard_bench.Parallel streams in
-  check_bool "agreement explains as None" true
-    (Shard_bench.explain_divergence r1 r2 = None);
-  (* doctor a divergence and check the report names shard and field *)
-  let broken =
-    { r2 with
-      Shard_bench.r_shards =
-        Array.mapi
-          (fun i s ->
-            if i = 1 then { s with Shard_bench.sr_hits = s.Shard_bench.sr_hits + 7 }
-            else s)
-          r2.Shard_bench.r_shards }
-  in
-  (match Shard_bench.explain_divergence r1 broken with
-   | None -> Alcotest.fail "divergence not detected"
-   | Some msg ->
-     let has needle =
-       let nl = String.length needle and ml = String.length msg in
-       let rec go i =
-         i + nl <= ml && (String.sub msg i nl = needle || go (i + 1))
-       in
-       go 0
-     in
-     check_bool (Printf.sprintf "names the shard: %s" msg) true
-       (has "shard 1");
-     check_bool (Printf.sprintf "names the field: %s" msg) true
-       (has "sr_hits"));
-  (* shard-count mismatch reported too *)
-  let truncated =
-    { r2 with Shard_bench.r_shards = [| r2.Shard_bench.r_shards.(0) |] }
-  in
-  check_bool "count mismatch detected" true
-    (Shard_bench.explain_divergence r1 truncated <> None)
-
-(* Scan-bearing streams: a doctored scan-reply digest must be named by
-   index in the divergence report, and the request/reply printers must
-   render Scan/Scanned. *)
-let test_explain_divergence_scan () =
-  let ops =
-    Shard_bench.gen_ops ~scan_pct:25 ~seed:3 ~ops:400 ~universe:100
-      ~dist:Shard_bench.Uniform Spp_pmemkv.Db_bench.Update_heavy
-  in
-  let streams = Shard_bench.partition ~nshards:2 ops in
-  let build () =
-    let t = Shard.create ~nbuckets:32 ~pool_size:(1 lsl 21) ~nshards:2
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:50;
-    t
-  in
-  let r1 = Shard_bench.run (build ()) ~mode:Shard_bench.Sequential streams in
-  let r2 = Shard_bench.run (build ()) ~mode:Shard_bench.Parallel streams in
-  check_bool "scan-bearing runs agree" true
-    (Shard_bench.explain_divergence r1 r2 = None);
-  check_bool "scans ran" true
-    (Array.exists (fun sr -> sr.Shard_bench.sr_scans > 2)
-       r1.Shard_bench.r_shards);
-  let has msg needle =
-    let nl = String.length needle and ml = String.length msg in
-    let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let broken =
-    { r2 with
-      Shard_bench.r_shards =
-        Array.map
-          (fun sr ->
-            if sr.Shard_bench.sr_shard = 0 then begin
-              let d = Array.copy sr.Shard_bench.sr_scan_digests in
-              d.(2) <- d.(2) lxor 0xBEEF;
-              { sr with Shard_bench.sr_scan_digests = d }
-            end
-            else sr)
-          r2.Shard_bench.r_shards }
-  in
-  (match Shard_bench.explain_divergence r1 broken with
-   | None -> Alcotest.fail "scan divergence not detected"
-   | Some msg ->
-     check_bool (Printf.sprintf "names the scan reply: %s" msg) true
-       (has msg "scan reply 2"));
-  let pp pp_v v = Format.asprintf "%a" pp_v v in
-  check_bool "pp_request renders Scan" true
-    (has
-       (pp Serve.pp_request (Serve.Scan { lo = "a"; hi = "z"; limit = 9 }))
-       "Scan");
-  check_bool "pp_reply renders Scanned" true
-    (has (pp Serve.pp_reply (Serve.Scanned [ ("a", "1"); ("b", "2") ]))
-       "Scanned")
 
 (* --- Histogram properties (QCheck) ----------------------------------- *)
 
@@ -1533,12 +1450,5 @@ let () =
             `Quick test_serve_kill_promote;
           Alcotest.test_case "threaded semi-sync + planned switchover"
             `Quick test_serve_threaded_replication;
-        ] );
-      ( "diagnostics",
-        [
-          Alcotest.test_case "explain_divergence names scan replies" `Quick
-            test_explain_divergence_scan;
-          Alcotest.test_case "explain_divergence" `Quick
-            test_explain_divergence;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the domain-parallel sharded serving path and the benchlib
    generators feeding it: Zipfian determinism/range/skew, router
    consistency, routed-operation correctness against an oracle, and the
-   parallel-vs-sequential differential on a fixed seed. *)
+   parallel-vs-sequential differential through [Serve] on a fixed seed. *)
 
 open Spp_benchlib
 open Spp_shard
@@ -188,13 +188,18 @@ let test_slot_map () =
   (* ownership filter: the key's value lives only on src's engine (we
      reassigned without copying), so a store scan must not serve it —
      the slot's owner is dst and dst has no copy *)
-  let window = Shard.scan t ~lo:key ~hi:key ~limit:10 in
+  let sv = Serve.create t in
+  let scan () =
+    match Serve.scan sv ~lo:key ~hi:key ~limit:10 with
+    | Ok kvs -> kvs
+    | Error _ -> Alcotest.fail "scan failed"
+  in
   check_int "reassigned slot not served from old owner" 0
-    (List.length window);
+    (List.length (scan ()));
   Shard.set_slot_owner t ~slot ~shard:src;
   Alcotest.(check (list (pair string string)))
-    "restored owner serves it again" [ (key, "v0") ]
-    (Shard.scan t ~lo:key ~hi:key ~limit:10);
+    "restored owner serves it again" [ (key, "v0") ] (scan ());
+  Serve.stop sv;
   check_bool "invalid slot rejected" true
     (try ignore (Shard.set_slot_owner t ~slot:nslots ~shard:0); false
      with Invalid_argument _ -> true);
@@ -211,10 +216,18 @@ let build_store ?engine nshards =
   Shard.reset_stats t;
   t
 
+(* One submitting domain per shard stream. *)
+let drive_parallel sv streams =
+  Array.mapi
+    (fun i ops -> Domain.spawn (fun () -> Shard_bench.drive sv i ops))
+    streams
+  |> Array.map Domain.join
+
 (* The parallel = sequential differential over both engines, with range
-   scans mixed into the streams: per-shard signatures (including every
-   individual scan-reply digest), merged Space stats and merged Memdev
-   counters must all be bit-identical. *)
+   scans mixed into the streams: the same per-shard streams driven
+   through [Serve] from one domain and from one domain per shard must
+   give bit-identical replies (every scan reply included), merged Space
+   stats and merged Memdev counters. *)
 let test_parallel_sequential_differential () =
   List.iter
     (fun (engine, dist, workload) ->
@@ -228,22 +241,31 @@ let test_parallel_sequential_differential () =
         (Array.fold_left (fun a s -> a + Array.length s) 0 streams);
       let t_seq = build_store ~engine nshards
       and t_par = build_store ~engine nshards in
-      let rs = Shard_bench.run t_seq ~mode:Shard_bench.Sequential streams in
-      let rp = Shard_bench.run t_par ~mode:Shard_bench.Parallel streams in
+      let sv_seq = Serve.create t_seq and sv_par = Serve.create t_par in
+      let rs = Array.mapi (Shard_bench.drive sv_seq) streams in
+      let rp = drive_parallel sv_par streams in
+      Serve.stop sv_seq;
+      Serve.stop sv_par;
       check_bool
         (Spp_pmemkv.Engine.spec_name engine
-         ^ ": per-shard results bit-identical")
-        true
-        (Shard_bench.results_agree rs rp);
+         ^ ": per-shard replies bit-identical")
+        true (rs = rp);
       check_bool "some scans actually ran" true
-        (Array.exists (fun sr -> sr.Shard_bench.sr_scans > 0) rs.Shard_bench.r_shards);
+        (Array.exists
+           (Array.exists (function
+              | Serve.Scanned (_ :: _) -> true
+              | _ -> false))
+           rs);
       check_bool "merged Space stats identical" true
         (Shard.merged_stats t_seq = Shard.merged_stats t_par);
       check_bool "merged Memdev counters identical" true
         (Shard.merged_counters t_seq = Shard.merged_counters t_par);
       check_int "same surviving entries" (Shard.count_all t_seq)
         (Shard.count_all t_par);
-      check_int "all ops executed" 2_000 rs.Shard_bench.r_total_ops)
+      check_int "all ops executed" 2_000
+        (Array.fold_left (fun a s -> a + s.Serve.ss_ops) 0
+           (Serve.stats sv_seq));
+      check_int "no op failed" 0 (Serve.total_failed sv_seq))
     [ (Spp_pmemkv.Engines.cmap, Shard_bench.Uniform,
        Spp_pmemkv.Db_bench.Update_heavy);
       (Spp_pmemkv.Engines.cmap, Shard_bench.Zipfian 0.99,
@@ -252,40 +274,6 @@ let test_parallel_sequential_differential () =
        Spp_pmemkv.Db_bench.Update_heavy);
       (Spp_pmemkv.Engines.btree, Shard_bench.Zipfian 0.99,
        Spp_pmemkv.Db_bench.Read_heavy) ]
-
-(* Scatter-gather scans through the store facade: per-shard slices must
-   merge into one globally ordered, limit-clipped window, identically on
-   the hash engine (sorting bucket walks) and the B-tree (native
-   in-order traversal). *)
-let test_store_scan_scatter_gather () =
-  List.iter
-    (fun engine ->
-      let nshards = 3 in
-      let t = Shard.create ~nbuckets:32 ~pool_size:(1 lsl 21) ~engine
-          ~nshards Spp_access.Spp in
-      for i = 0 to 199 do
-        Shard.put t ~key:(Spp_pmemkv.Db_bench.key_of_int i)
-          ~value:(Printf.sprintf "v%03d" i)
-      done;
-      let lo = Spp_pmemkv.Db_bench.key_of_int 20
-      and hi = Spp_pmemkv.Db_bench.key_of_int 119 in
-      let got = Shard.scan t ~lo ~hi ~limit:1000 in
-      let expect =
-        List.init 100 (fun i ->
-          (Spp_pmemkv.Db_bench.key_of_int (20 + i),
-           Printf.sprintf "v%03d" (20 + i)))
-      in
-      Alcotest.(check (list (pair string string)))
-        (Spp_pmemkv.Engine.spec_name engine ^ ": merged window ordered")
-        expect got;
-      Alcotest.(check (list (pair string string)))
-        (Spp_pmemkv.Engine.spec_name engine ^ ": limit clips globally")
-        (List.filteri (fun i _ -> i < 7) expect)
-        (Shard.scan t ~lo ~hi ~limit:7);
-      check_int "empty window" 0
-        (List.length
-           (Shard.scan t ~lo:"zzz" ~hi:"zzzz" ~limit:10)))
-    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
 
 (* A second run over the same parallel store must also be deterministic:
    shard state after run 1 is a pure function of the stream. *)
@@ -296,14 +284,16 @@ let test_parallel_rerun_deterministic () =
       ~dist:Shard_bench.Uniform Spp_pmemkv.Db_bench.Update_heavy
   in
   let streams = Shard_bench.partition ~nshards ops in
-  let t1 = build_store nshards and t2 = build_store nshards in
-  let a1 = Shard_bench.run t1 ~mode:Shard_bench.Parallel streams in
-  let a2 = Shard_bench.run t2 ~mode:Shard_bench.Parallel streams in
-  check_bool "independent parallel runs agree" true
-    (Shard_bench.results_agree a1 a2);
-  let b1 = Shard_bench.run t1 ~mode:Shard_bench.Parallel streams in
-  let b2 = Shard_bench.run t2 ~mode:Shard_bench.Parallel streams in
-  check_bool "second round agrees too" true (Shard_bench.results_agree b1 b2)
+  let sv1 = Serve.create (build_store nshards)
+  and sv2 = Serve.create (build_store nshards) in
+  let a1 = drive_parallel sv1 streams in
+  let a2 = drive_parallel sv2 streams in
+  check_bool "independent parallel runs agree" true (a1 = a2);
+  let b1 = drive_parallel sv1 streams in
+  let b2 = drive_parallel sv2 streams in
+  check_bool "second round agrees too" true (b1 = b2);
+  Serve.stop sv1;
+  Serve.stop sv2
 
 let () =
   Alcotest.run "spp_shard"
@@ -331,8 +321,6 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "store scan scatter-gather (both engines)"
-            `Quick test_store_scan_scatter_gather;
           Alcotest.test_case "parallel = sequential (fixed seed)" `Quick
             test_parallel_sequential_differential;
           Alcotest.test_case "parallel reruns deterministic" `Quick
