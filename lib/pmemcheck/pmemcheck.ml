@@ -70,13 +70,18 @@ let analyze events =
     redundant_flushes = !redundant;
   }
 
-(* Run [f] under tracking on the pool's device and analyze its trace. *)
+(* Run [f] under tracking on the pool's device and analyze its trace,
+   then hand the device back in the tracking state it came in: left
+   tracked, it would keep a second full image and a trace that never
+   stops growing. *)
 let check_run (pool : Spp_pmdk.Pool.t) f =
   let dev = Spp_pmdk.Pool.dev pool in
-  let was_tracking_off = not (Memdev.is_persistent dev) in
-  if was_tracking_off then invalid_arg "Pmemcheck.check_run: volatile device";
+  if not (Memdev.is_persistent dev) then
+    invalid_arg "Pmemcheck.check_run: volatile device";
+  let was_tracking = Memdev.tracking dev in
   Memdev.set_tracking dev true;
   Memdev.clear_trace dev;
-  let result = f () in
-  let report = analyze (Memdev.trace dev) in
-  (result, report)
+  Fun.protect ~finally:(fun () -> Memdev.set_tracking dev was_tracking)
+    (fun () ->
+      let result = f () in
+      (result, analyze (Memdev.trace dev)))

@@ -22,4 +22,7 @@ val is_clean : report -> bool
 val analyze : Spp_sim.Memdev.event list -> report
 
 val check_run : Spp_pmdk.Pool.t -> (unit -> 'a) -> 'a * report
-(** Enable tracking, clear the trace, run the workload, analyze. *)
+(** Enable tracking, clear the trace, run the workload, analyze. The
+    device's prior tracking state is restored on return or raise; an
+    untracked device comes back untracked, its view — stores still
+    pending included — durable again. *)

@@ -47,7 +47,12 @@ let explore ?(subset_limit = 5) ?(max_states = 4096)
     ~(pool : Spp_pmdk.Pool.t) ~(workload : unit -> unit)
     ~(consistent : Spp_pmdk.Pool.t -> bool) () =
   let dev = Spp_pmdk.Pool.dev pool in
+  let was_tracking = Memdev.tracking dev in
   Memdev.set_tracking dev true;
+  (* Hand the device back as it came: left tracked, it would keep a
+     second image and a trace that never stops growing. *)
+  Fun.protect ~finally:(fun () -> Memdev.set_tracking dev was_tracking)
+  @@ fun () ->
   let base_img = Memdev.durable_snapshot dev in
   Memdev.clear_trace dev;
   workload ();

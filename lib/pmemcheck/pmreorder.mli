@@ -27,4 +27,6 @@ val explore :
     each candidate durable image; it must not touch the live pool.
     [subset_limit] (default 5) bounds exhaustive subset enumeration;
     larger pending sets fall back to program-order prefixes plus
-    singletons. [max_states] (default 4096) caps the exploration. *)
+    singletons. [max_states] (default 4096) caps the exploration. The
+    live pool's device is traced during [workload] and handed back in
+    its prior tracking state on return or raise. *)

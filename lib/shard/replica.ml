@@ -1,9 +1,9 @@
 (* Batch replication and failover for the shard stack.
 
    Each primary shard (Memdev/Space/Pool/engine) gains replica stacks
-   built from the primary's durable image ([Memdev.durable_snapshot] +
-   [Memdev.of_image] + [Pool.open_dev]): same uuid, same base, byte-
-   identical starting state. The primary's pool carries a batch
+   built from the primary's durable image (one [Memdev.durable_snapshot]
+   adopted by [Memdev.of_image], then [Pool.open_dev]): same uuid, same
+   base, byte-identical starting state. The primary's pool carries a batch
    observer ([Pool.set_batch_observer]) that fires once per committed
    redo sub-batch with the commit's payload — staged entries plus the
    direct-write blobs that bypassed the log — strictly after the commit
@@ -36,9 +36,9 @@
    stop after the op in flight; queued-but-unapplied payloads — never
    acked to any client — are discarded), picks the live replica with
    the highest applied sequence number, and cold-restarts its stack
-   from its durable image per the attach contract: fresh Space, fresh
-   access layer, map re-attached through the pool root, read cache
-   starting cold. *)
+   in place per the attach contract: its own device power-cycled, fresh
+   Space, fresh access layer, map re-attached through the pool root,
+   read cache starting cold. *)
 
 open Spp_sim
 open Spp_pmdk
@@ -76,7 +76,6 @@ let default_config =
 
 type link = {
   l_replica : int;
-  l_space : Space.t;
   l_pool : Pool.t;
   l_mu : Mutex.t;
   l_cond : Condition.t;   (* signaled on delivery, apply, death, stop *)
@@ -194,9 +193,10 @@ let create ?(cfg = default_config) ?(engine = Spp_pmemkv.Engines.cmap) ~shard
   let links =
     Array.init cfg.replicas (fun i ->
       (* Bit-identical starting image: snapshot the primary's durable
-         state (the group must be created at a quiesced point) and open
-         it like a restarted process would. Replicas run untracked —
-         they are not the device under fault injection. *)
+         state (the group must be created at a quiesced point), adopt
+         the snapshot as the replica's only image and open it like a
+         restarted process would. Replicas run untracked — they are not
+         the device under fault injection. *)
       let img = Memdev.durable_snapshot (Pool.dev primary) in
       let name = Printf.sprintf "%s-r%d" (Memdev.name (Pool.dev primary)) i in
       let dev = Memdev.of_image ~name img in
@@ -207,7 +207,7 @@ let create ?(cfg = default_config) ?(engine = Spp_pmemkv.Engines.cmap) ~shard
           ("Replica.create: replica image rejected: "
            ^ Pool.pool_error_to_string e)
       | Ok (pool, _report) ->
-        { l_replica = i; l_space = space; l_pool = pool;
+        { l_replica = i; l_pool = pool;
           l_mu = Mutex.create (); l_cond = Condition.create ();
           l_q = Queue.create ();
           l_applied_seq = 0; l_applied_ops = 0;
@@ -230,11 +230,6 @@ let create ?(cfg = default_config) ?(engine = Spp_pmemkv.Engines.cmap) ~shard
   Pool.set_batch_observer primary (Some (fun p -> on_commit g p));
   g
 
-let shard t = t.g_shard
-let config t = t.g_cfg
-let seq t = t.g_seq
-let shipped_ops t = t.g_ops
-
 (* --- failure detector ------------------------------------------------- *)
 
 (* One heartbeat round over the same lossy channel as the data path: a
@@ -251,9 +246,6 @@ let heartbeat g =
         end
       end)
     g.g_links
-
-let live_replicas g =
-  Array.fold_left (fun n l -> if l.l_alive then n + 1 else n) 0 g.g_links
 
 (* --- ack policies ----------------------------------------------------- *)
 
@@ -390,15 +382,15 @@ let promote ?(cache_cap = 0) ?replica g =
           if better then l else best)
         g.g_links.(0) g.g_links
   in
-  (* Cold restart per the attach contract: reopen the replica's durable
-     image in a fresh Space, rebuild the access layer, re-attach the
-     map through the pool root. No volatile state survives — exactly
-     what a cold [Pool.open_dev] recovery of the replica would see. *)
-  let img = Memdev.durable_snapshot (Pool.dev pick.l_pool) in
-  let dev =
-    Memdev.of_image
-      ~name:(Memdev.name (Pool.dev pick.l_pool) ^ "-promoted") img
-  in
+  (* Cold restart per the attach contract, in place: power-cycle the
+     replica's own device (unfenced stores lost on a tracked device,
+     nothing to drop on an untracked one), reopen it in a fresh Space,
+     rebuild the access layer, re-attach the map through the pool root.
+     No volatile state survives and no image is copied — exactly what a
+     cold [Pool.open_dev] recovery of the replica would see. The sealed
+     group never touches the old stack again. *)
+  let dev = Pool.dev pick.l_pool in
+  Memdev.crash dev;
   let space = Space.create () in
   match Pool.open_dev space ~base:(Pool.base pick.l_pool) dev with
   | Error e ->
@@ -421,11 +413,3 @@ let promote ?(cache_cap = 0) ?replica g =
     { pr_shard = g.g_shard; pr_replica = pick.l_replica;
       pr_seq = pick.l_applied_seq; pr_ops = pick.l_applied_ops;
       pr_access = access; pr_kv = kv }
-
-(* Direct, pre-promotion view of a replica's stack — the torture oracle
-   reads both this and the promoted stack. *)
-let replica_pool g i = g.g_links.(i).l_pool
-let replica_applied_seq g i = g.g_links.(i).l_applied_seq
-let replica_applied_ops g i = g.g_links.(i).l_applied_ops
-let replica_alive g i = g.g_links.(i).l_alive
-let net g = g.g_net

@@ -2,7 +2,7 @@
 
     A replication group attaches replica stacks to a primary shard's
     pool. Each replica is a full Memdev/Space/Pool stack opened from
-    the primary's durable image; the primary's
+    one snapshot of the primary's durable image; the primary's
     {!Spp_pmdk.Pool.set_batch_observer} hook ships every committed redo
     sub-batch — staged entries plus the direct-write blobs that
     bypassed the log — as a sequence-numbered payload over a lossy
@@ -69,15 +69,6 @@ val create :
     engine-agnostic (payloads are redo entries plus raw bytes), so it
     must simply match what the primary runs. *)
 
-val shard : t -> int
-val config : t -> config
-
-val seq : t -> int
-(** Commits shipped so far; the sequence number of the newest payload. *)
-
-val shipped_ops : t -> int
-(** Whole operations covered by the shipped commits. *)
-
 (** {1 Failure detection and acks} *)
 
 val heartbeat : t -> unit
@@ -85,8 +76,6 @@ val heartbeat : t -> unit
     the data path. [hb_timeout] consecutive losses mark the replica
     down. Call from the domain that owns the primary (the serve worker,
     between drains). *)
-
-val live_replicas : t -> int
 
 val wait_acks : t -> unit
 (** Block per the ack policy until the required replicas have applied
@@ -120,10 +109,11 @@ val promote : ?cache_cap:int -> ?replica:int -> t -> promoted
     (never acked to any client) are discarded, so the sealed prefix is
     exactly the fully-applied one. [replica] picks a specific stack;
     the default prefers live replicas, then the longest applied prefix.
-    The chosen image is reopened cold — fresh Space, fresh access
-    layer, map re-attached via the pool root, read cache (capacity
-    [cache_cap], default none) starting empty — per the attach
-    contract. Raises {!Promotion_failed} on a second call. *)
+    The chosen replica is restarted cold in place — its own device
+    power-cycled ({!Spp_sim.Memdev.crash}, no image copied), fresh
+    Space, fresh access layer, map re-attached via the pool root, read
+    cache (capacity [cache_cap], default none) starting empty — per the
+    attach contract. Raises {!Promotion_failed} on a second call. *)
 
 (** {1 Stats} *)
 
@@ -145,11 +135,3 @@ val stats : t -> stats
 
 val lag_hist : t -> Spp_benchlib.Histogram.t
 (** Merged commit-to-apply lag across replicas, nanoseconds. *)
-
-(** {1 Introspection for tests and the torture oracle} *)
-
-val replica_pool : t -> int -> Spp_pmdk.Pool.t
-val replica_applied_seq : t -> int -> int
-val replica_applied_ops : t -> int -> int
-val replica_alive : t -> int -> bool
-val net : t -> Spp_sim.Netfault.t

@@ -1,16 +1,17 @@
 (* Byte-addressable memory device with an explicit durability model.
 
-   A device has a [view] (what CPU loads and stores observe, i.e. caches
-   included) and, for persistent devices, a [durable] image (what survives a
-   crash). Three durability regimes:
+   A device holds one byte image, its [view]: what CPU loads and stores
+   observe, caches included. On an untracked persistent device the view
+   is also what survives a crash — every store is immediately durable
+   (the fast path every served number runs on), and a crash leaves the
+   bytes as they are. A volatile device loses its view on a crash.
 
-   - volatile device: no durable image at all;
-   - persistent, tracking off: stores are applied to both buffers at once
-     (the fast path used by benchmarks);
-   - persistent, tracking on: stores are buffered as pending records and
-     only reach the durable image once they have been flushed (CLWB) and a
-     fence (SFENCE) has drained them — the regime used by the crash
-     simulator and the pmemcheck-style trace checker.
+   Only while store tracking is on does a persistent device keep a
+   second image, [durable], split off the view by [set_tracking true]
+   and dropped again by [set_tracking false]. Stores then stay pending
+   and reach [durable] only once they have been flushed (CLWB) and a
+   fence (SFENCE) has drained them — the regime used by the crash
+   simulator and the pmemcheck-style trace checker.
 
    Pending records are indexed by cacheline (a dirty table), so a flush
    touches only the buckets of the lines it covers and a fence drains an
@@ -46,8 +47,8 @@ type t = {
   name : string;
   size : int;
   view : Bytes.t;
-  durable : Bytes.t option;
-  mutable tracking : bool;
+  persistent : bool;
+  mutable durable : Bytes.t option;   (* [Some] exactly while tracking *)
   mutable next_seq : int;
   (* All pending records live in [p_journal] in program order;
      [line_tbl] indexes the not-yet-flushed ones by cacheline;
@@ -69,9 +70,9 @@ type t = {
   mutable powered_off : bool;
 }
 
-let create ~name ~durable size =
-  { name; size; view = Bytes.make size '\000'; durable;
-    tracking = false; next_seq = 0;
+let make ~name ~persistent view =
+  { name; size = Bytes.length view; view; persistent; durable = None;
+    next_seq = 0;
     p_journal = Journal.create (); p_live = 0;
     line_tbl = Hashtbl.create 64; flushed_q = Journal.create ();
     trace_j = Journal.create ();
@@ -79,14 +80,18 @@ let create ~name ~durable size =
     n_batched_ops = 0; n_fences_saved = 0;
     injector = None; bad_blocks = []; powered_off = false }
 
-let create_volatile ~name size = create ~name ~durable:None size
+let create_volatile ~name size =
+  make ~name ~persistent:false (Bytes.make size '\000')
 
 let create_persistent ~name size =
-  create ~name ~durable:(Some (Bytes.make size '\000')) size
+  make ~name ~persistent:true (Bytes.make size '\000')
+
+let of_image ~name img = make ~name ~persistent:true img
 
 let name t = t.name
 let size t = t.size
-let is_persistent t = t.durable <> None
+let is_persistent t = t.persistent
+let tracking t = Option.is_some t.durable
 
 let clear_pending t =
   Journal.clear t.p_journal;
@@ -95,17 +100,27 @@ let clear_pending t =
   Journal.clear t.flushed_q
 
 let set_tracking t on =
-  if on && not (is_persistent t) then
-    invalid_arg "Memdev.set_tracking: device is volatile";
-  t.tracking <- on;
-  if not on then begin
-    (* Leaving tracking mode: make the view durable so the regimes agree. *)
-    (match t.durable with
-     | Some d -> Bytes.blit t.view 0 d 0 t.size
-     | None -> ());
+  if on then begin
+    if not t.persistent then
+      invalid_arg "Memdev.set_tracking: device is volatile";
+    (* Untracked, the view is the durable image, so it splits off as a
+       copy. An already tracked device keeps its image: re-copying the
+       view would make its pending stores durable. *)
+    if not (tracking t) then t.durable <- Some (Bytes.copy t.view)
+  end
+  else begin
+    (* Leaving tracking mode: the view becomes the durable image again,
+       pending stores included, so the regimes agree. *)
+    t.durable <- None;
     clear_pending t;
     Journal.clear t.trace_j
   end
+
+(* What survives a crash: the split-off image while tracking, else the
+   view itself. *)
+let image t fn =
+  if not t.persistent then invalid_arg ("Memdev." ^ fn ^ ": volatile device");
+  match t.durable with Some d -> d | None -> t.view
 
 let check_range t off len =
   if off < 0 || len < 0 || off + len > t.size then
@@ -168,7 +183,6 @@ let load_into t ~off ~len ~dst ~dst_off =
   Bytes.blit t.view off dst dst_off len
 
 let unsafe_view t = t.view
-let unsafe_durable t = t.durable
 
 (* Stores. *)
 
@@ -194,17 +208,19 @@ let record_store t off len =
   add_to_line_tbl t r;
   Journal.push t.trace_j (Ev_store { off; len; data })
 
+(* The tail every store path shares once its bytes are in the view:
+   count it, keep it pending while tracking (untracked, the view is
+   already the durable image), and fire the injector. *)
+let stored t off len =
+  t.n_stores <- t.n_stores + 1;
+  if tracking t then record_store t off len;
+  inject t (Hk_store { off; len })
+
 let store_bytes t ~off src ~src_off ~len =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.blit src src_off t.view off len;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.blit src src_off d off len);
-    inject t (Hk_store { off; len })
+    stored t off len
   end
 
 let store_string t ~off s =
@@ -212,16 +228,10 @@ let store_string t ~off s =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.blit_string s 0 t.view off len;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.blit_string s 0 d off len);
-    inject t (Hk_store { off; len })
+    stored t off len
   end
 
-(* Device-level copy: both buffers are touched in place, so Space-level
+(* Device-level copy: view to view in place, so Space-level
    memcpy/memmove/blit stop double-copying through an intermediate
    [Bytes.t]. [Bytes.blit] is memmove-safe, and with tracking on the
    pending record snapshots the destination view after the copy — the
@@ -234,13 +244,7 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     check_load src ~off:src_off ~len;
     if not dst.powered_off then begin
       Bytes.blit src.view src_off dst.view dst_off len;
-      dst.n_stores <- dst.n_stores + 1;
-      (match dst.durable with
-       | None -> ()
-       | Some d ->
-         if dst.tracking then record_store dst dst_off len
-         else Bytes.blit dst.view dst_off d dst_off len);
-      inject dst (Hk_store { off = dst_off; len })
+      stored dst dst_off len
     end
   end
 
@@ -251,65 +255,36 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
 let store_u8 t ~off v =
   check_range t off 1;
   if not t.powered_off then begin
-    let c = Char.unsafe_chr (v land 0xFF) in
-    Bytes.set t.view off c;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d -> if t.tracking then record_store t off 1 else Bytes.set d off c);
-    inject t (Hk_store { off; len = 1 })
+    Bytes.set t.view off (Char.unsafe_chr (v land 0xFF));
+    stored t off 1
   end
 
 let store_u16 t ~off v =
   check_range t off 2;
   if not t.powered_off then begin
     Bytes.set_uint16_le t.view off (v land 0xFFFF);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 2
-       else Bytes.set_uint16_le d off (v land 0xFFFF));
-    inject t (Hk_store { off; len = 2 })
+    stored t off 2
   end
 
 let store_u32 t ~off v =
   check_range t off 4;
   if not t.powered_off then begin
     Bytes.set_int32_le t.view off (Int32.of_int v);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 4
-       else Bytes.set_int32_le d off (Int32.of_int v));
-    inject t (Hk_store { off; len = 4 })
+    stored t off 4
   end
 
 let store_word t ~off v =
   check_range t off 8;
   if not t.powered_off then begin
     Bytes.set_int64_le t.view off (Int64.of_int v);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 8
-       else Bytes.set_int64_le d off (Int64.of_int v));
-    inject t (Hk_store { off; len = 8 })
+    stored t off 8
   end
 
 let fill t ~off ~len c =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.fill t.view off len c;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.fill d off len c);
-    inject t (Hk_store { off; len })
+    stored t off len
   end
 
 (* Flush and fence. *)
@@ -338,19 +313,16 @@ let flush t ~off ~len =
   if t.powered_off then ()
   else begin
   t.n_flushes <- t.n_flushes + 1;
-  if t.tracking then begin
+  if tracking t then begin
     flush_indexed t off len;
     Journal.push t.trace_j (Ev_flush { off; len })
   end;
   inject t (Hk_flush { off; len })
   end
 
-let apply_to_durable t r =
-  match t.durable with
-  | None -> ()
-  | Some d -> Bytes.blit r.data 0 d r.s_off r.s_len
+let apply_to d r = Bytes.blit r.data 0 d r.s_off r.s_len
 
-let fence_indexed t =
+let fence_indexed t d =
   (* The queue holds exactly the flushed-unfenced records; sorting the
      drained set by sequence restores program order for overlapping
      stores whose lines were flushed out of order. The whole operation
@@ -361,7 +333,7 @@ let fence_indexed t =
     Array.sort (fun a b -> compare a.seq b.seq) drained;
     Array.iter
       (fun r ->
-        apply_to_durable t r;
+        apply_to d r;
         r.fenced <- true)
       drained;
     t.p_live <- t.p_live - Array.length drained;
@@ -376,10 +348,11 @@ let fence t =
   if t.powered_off then ()
   else begin
   t.n_fences <- t.n_fences + 1;
-  if t.tracking then begin
-    fence_indexed t;
-    Journal.push t.trace_j Ev_fence
-  end;
+  (match t.durable with
+   | Some d ->
+     fence_indexed t d;
+     Journal.push t.trace_j Ev_fence
+   | None -> ());
   inject t Hk_fence
   end
 
@@ -391,8 +364,10 @@ let persist t ~off ~len =
 
 let crash t =
   (match t.durable with
-   | None -> Bytes.fill t.view 0 t.size '\000'
-   | Some d -> Bytes.blit d 0 t.view 0 t.size);
+   | Some d -> Bytes.blit d 0 t.view 0 t.size
+   | None ->
+     (* untracked persistent: the view is the image and survives *)
+     if not t.persistent then Bytes.fill t.view 0 t.size '\000');
   clear_pending t;
   Journal.clear t.trace_j;
   t.powered_off <- false       (* restart: power is back *)
@@ -405,11 +380,8 @@ let crash_applying t recs =
      happened to reach the media before power loss. Used by the
      pmreorder-style state-space explorer. The subset is replayed in
      program order on the durable image before discarding the rest. *)
-  (match t.durable with
-   | None -> invalid_arg "Memdev.crash_applying: volatile device"
-   | Some d ->
-     let sorted = List.sort (fun a b -> compare a.seq b.seq) recs in
-     List.iter (fun r -> Bytes.blit r.data 0 d r.s_off r.s_len) sorted);
+  let d = image t "crash_applying" in
+  List.iter (apply_to d) (List.sort (fun a b -> compare a.seq b.seq) recs);
   crash t
 
 let trace t = Journal.to_list t.trace_j
@@ -457,35 +429,22 @@ let reset_counters t =
    pools behave like files under /mnt/pmem as in the paper. *)
 
 let save_durable t path =
-  match t.durable with
-  | None -> invalid_arg "Memdev.save_durable: volatile device"
-  | Some d ->
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out oc)
-      (fun () -> output_bytes oc d)
+  let d = image t "save_durable" in
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc d)
 
-let of_image ~name img =
-  let size = Bytes.length img in
-  let t = create_persistent ~name size in
-  (match t.durable with Some d -> Bytes.blit img 0 d 0 size | None -> ());
-  Bytes.blit img 0 t.view 0 size;
-  t
-
-let durable_snapshot t =
-  match t.durable with
-  | None -> invalid_arg "Memdev.durable_snapshot: volatile device"
-  | Some d -> Bytes.copy d
+let durable_snapshot t = Bytes.copy (image t "durable_snapshot")
 
 let corrupt_durable t ~off ~bit =
-  match t.durable with
-  | None -> invalid_arg "Memdev.corrupt_durable: volatile device"
-  | Some d ->
-    check_range t off 1;
-    let c = Char.code (Bytes.get d off) lxor (1 lsl (bit land 7)) in
-    Bytes.set d off (Char.chr c);
-    (* The view mirrors the media after the next restart; keep them in
-       sync so a flip applied post-crash is observable immediately. *)
-    Bytes.set t.view off (Char.chr c)
+  let d = image t "corrupt_durable" in
+  check_range t off 1;
+  let c = Char.chr (Char.code (Bytes.get d off) lxor (1 lsl (bit land 7))) in
+  Bytes.set d off c;
+  (* The view mirrors the media after the next restart; keep them in
+     sync so a flip applied post-crash is observable immediately. Setting
+     (not flipping) the view keeps an untracked device, whose [d] is the
+     view, at exactly one flip. *)
+  Bytes.set t.view off c
 
 let load_durable ~name ?(min_size = 16) ?magic path =
   let ic = open_in_bin path in
@@ -510,7 +469,4 @@ let load_durable ~name ?(min_size = 16) ?magic path =
                 "Memdev.load_durable(%s): bad magic 0x%x (expected 0x%x) — \
                  not a pool image for this toolchain"
                 path got m));
-      let t = create_persistent ~name size in
-      (match t.durable with Some dd -> Bytes.blit d 0 dd 0 size | None -> ());
-      Bytes.blit d 0 t.view 0 size;
-      t)
+      of_image ~name d)

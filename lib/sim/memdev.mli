@@ -1,14 +1,15 @@
 (** Byte-addressable memory device with an explicit durability model.
 
-    A device has a {e view} (what loads and stores observe — i.e. including
-    CPU caches) and, for persistent devices, a {e durable image} (what
-    survives a crash). With store tracking enabled, a store only reaches the
-    durable image after it has been flushed ([CLWB]) and drained by a fence
-    ([SFENCE]) — the regime used by crash simulation and the
-    pmemcheck-style checker. Pending stores are indexed by cacheline, so a
-    flush costs O(lines covered) and a fence O(f log f) in the stores it
-    drains. With tracking disabled (the benchmark fast path) stores are
-    considered immediately durable. *)
+    A device holds one byte image, its {e view} (what loads and stores
+    observe — i.e. including CPU caches). With tracking disabled (the
+    benchmark fast path) the view of a persistent device is also its
+    {e durable image} (what survives a crash): stores are immediately
+    durable. Only while store tracking is enabled does the device keep a
+    second, separate durable image, which a store reaches only after it
+    has been flushed ([CLWB]) and drained by a fence ([SFENCE]) — the
+    regime used by crash simulation and the pmemcheck-style checker.
+    Pending stores are indexed by cacheline, so a flush costs O(lines
+    covered) and a fence O(f log f) in the stores it drains. *)
 
 type t
 
@@ -21,16 +22,28 @@ val create_volatile : name:string -> int -> t
 (** [create_volatile ~name size] — DRAM-like device, no durable image. *)
 
 val create_persistent : name:string -> int -> t
-(** [create_persistent ~name size] — PM-like device with a durable image. *)
+(** [create_persistent ~name size] — PM-like device; untracked, its view
+    is its durable image and survives a crash (see {!set_tracking}). *)
+
+val of_image : name:string -> Bytes.t -> t
+(** Persistent, untracked device that adopts the given bytes as its view
+    and durable image — no copy; the caller must not touch them again.
+    Used to reopen snapshots ({!durable_snapshot}) in a fresh stack. *)
 
 val name : t -> string
 val size : t -> int
 val is_persistent : t -> bool
 
 val set_tracking : t -> bool -> unit
-(** Enable/disable store tracking. Disabling synchronizes the durable image
-    with the view and clears pending stores and the trace. Raises
+(** Enable/disable store tracking. Enabling splits a separate durable
+    image off the view (a no-op on an already tracked device). Disabling
+    drops it, so the view — pending stores included — is the durable
+    image again, and clears pending stores and the trace. Raises
     [Invalid_argument] when enabling on a volatile device. *)
+
+val tracking : t -> bool
+(** Whether store tracking is on, i.e. the device keeps a separate
+    durable image. *)
 
 (** {1 Loads and stores}
 
@@ -60,8 +73,6 @@ val store_word : t -> off:int -> int -> unit
 val unsafe_view : t -> Bytes.t
 (** Direct access to the view buffer, for fast typed accessors in {!Space}.
     Mutations through it bypass durability tracking. *)
-
-val unsafe_durable : t -> Bytes.t option
 
 (** {1 Durability} *)
 
@@ -108,7 +119,8 @@ val check_load : t -> off:int -> len:int -> unit
 
 val corrupt_durable : t -> off:int -> bit:int -> unit
 (** Flip bit [bit land 7] of the durable byte at [off] (and its view
-    mirror) — a seeded-bit-rot primitive for media-fault torture. *)
+    mirror; once when they are one image) — a seeded-bit-rot primitive
+    for media-fault torture. *)
 
 val power_off : t -> unit
 (** Freeze the device at the instant of a simulated power failure: every
@@ -124,8 +136,9 @@ val is_powered_off : t -> bool
 type store_rec
 
 val crash : t -> unit
-(** Power failure: the view is reset to the durable image; pending stores
-    are lost. A volatile device is zeroed. *)
+(** Power failure: pending stores are lost and the view is reset to the
+    durable image — which leaves an untracked persistent device as it
+    is. A volatile device is zeroed. *)
 
 val pending_stores : t -> store_rec list
 (** Stores not yet drained to the durable image, in program order. *)
@@ -166,10 +179,6 @@ val note_batch : t -> ops:int -> fences_saved:int -> unit
 
 val merge_counters : counters list -> counters
 (** Fieldwise sum over a set of per-shard devices. *)
-
-val of_image : name:string -> Bytes.t -> t
-(** Device whose durable image and view both start as a copy of the given
-    bytes — used by the pmreorder-style crash-state explorer. *)
 
 val durable_snapshot : t -> Bytes.t
 (** Copy of the current durable image. *)

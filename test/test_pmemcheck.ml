@@ -76,6 +76,41 @@ let test_redundant_flush_flagged () =
   check_bool "redundant flush reported" true
     (report.Pmemcheck.redundant_flushes >= 1)
 
+(* Both checkers hand the device back in the tracking state it came
+   in, on return and on raise: left tracked, a pool keeps a second full
+   image and every later store grows a trace nobody reads. *)
+
+let untracked_after what p =
+  let dev = Pool.dev p in
+  check_bool (what ^ ": device untracked again") false (Memdev.tracking dev);
+  Pool.store_word p ~off:(Pool.root p ~size:64).Oid.off 42;
+  check_int (what ^ ": later stores leave no trace") 0
+    (List.length (Memdev.trace dev))
+
+let test_checkers_restore_tracking () =
+  let p = mk_pool () in
+  let oid = Pool.alloc ~zero:true p ~size:64 in
+  let (), _ =
+    Pmemcheck.check_run p (fun () -> Pool.store_word p ~off:oid.Oid.off 1)
+  in
+  untracked_after "check_run" p;
+  (match Pmemcheck.check_run p (fun () -> failwith "workload died") with
+   | _ -> Alcotest.fail "expected the workload's exception"
+   | exception Failure _ -> ());
+  untracked_after "check_run raising" p;
+  ignore
+    (Pmreorder.explore ~pool:p
+       ~workload:(fun () -> Pool.persist p ~off:oid.Oid.off ~len:8)
+       ~consistent:(fun _ -> true) ());
+  untracked_after "explore" p;
+  (* a device traced by its caller stays traced *)
+  Memdev.set_tracking (Pool.dev p) true;
+  let (), _ =
+    Pmemcheck.check_run p (fun () -> Pool.store_word p ~off:oid.Oid.off 2)
+  in
+  check_bool "tracked device stays tracked" true
+    (Memdev.tracking (Pool.dev p))
+
 (* pmreorder *)
 
 let test_pmreorder_tx_is_crash_consistent () =
@@ -190,6 +225,8 @@ let () =
             test_flush_without_fence_flagged;
           Alcotest.test_case "redundant flush flagged" `Quick
             test_redundant_flush_flagged;
+          Alcotest.test_case "checkers restore tracking state" `Quick
+            test_checkers_restore_tracking;
         ] );
       ( "pmreorder",
         [

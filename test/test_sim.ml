@@ -33,6 +33,8 @@ let test_tracking_unfenced_lost () =
   Memdev.persist d ~off:0 ~len:4;
   Memdev.set_tracking d true;
   Memdev.store_string d ~off:0 "BBBB";
+  (* re-enabling tracking must not make the pending store durable *)
+  Memdev.set_tracking d true;
   (* no flush/fence: store must not survive the crash *)
   Memdev.crash d;
   Alcotest.(check string) "unfenced store lost" "AAAA"
@@ -222,6 +224,60 @@ let test_memdev_blit () =
   Alcotest.(check string) "memmove-safe overlap" "123412345678"
     (Bytes.to_string (Memdev.load_bytes d ~off:200 ~len:12))
 
+(* One image per device: an untracked persistent device retains only
+   its view, tracking splits off exactly one durable image, and leaving
+   tracking drops it again. The slack covers the record, its empty
+   journals and the 64-bucket dirty-line table. *)
+
+let test_one_image_footprint () =
+  let n = 1 lsl 20 in
+  let words = n / 8 and slack = 1024 in
+  let d = Memdev.create_persistent ~name:"t" n in
+  let reachable () = Obj.reachable_words (Obj.repr d) in
+  let untracked = reachable () in
+  check_bool
+    (Printf.sprintf "untracked: %d words <= one image + %d" untracked slack)
+    true
+    (untracked <= words + slack);
+  (* n bytes plus padding, the headers and the option box *)
+  let one_image what =
+    let delta = reachable () - untracked in
+    check_bool
+      (Printf.sprintf "%s: +%d words is one image" what delta)
+      true
+      (delta >= words && delta <= words + 8)
+  in
+  Memdev.set_tracking d true;
+  check_bool "tracking" true (Memdev.tracking d);
+  one_image "tracking";
+  Memdev.set_tracking d true;
+  one_image "re-enabling";
+  Memdev.set_tracking d false;
+  check_bool "untracked again" false (Memdev.tracking d);
+  check_int "leaving tracking drops it" untracked (reachable ())
+
+let test_of_image_adopts () =
+  let img = Bytes.make 4096 'x' in
+  let d = Memdev.of_image ~name:"adopt" img in
+  check_bool "the view is the given buffer" true (Memdev.unsafe_view d == img);
+  Memdev.store_string d ~off:10 "ab";
+  Alcotest.(check string) "stores land in it" "xab"
+    (Bytes.sub_string img 9 3);
+  Alcotest.(check string) "and are durable" "xab"
+    (Bytes.sub_string (Memdev.durable_snapshot d) 9 3)
+
+let test_untracked_crash_keeps_view () =
+  let d = Memdev.create_persistent ~name:"t" 4096 in
+  Memdev.store_string d ~off:0 "kept";
+  Memdev.crash d;
+  Alcotest.(check string) "persistent view survives" "kept"
+    (Bytes.to_string (Memdev.load_bytes d ~off:0 ~len:4));
+  let v = Memdev.create_volatile ~name:"v" 4096 in
+  Memdev.store_string v ~off:0 "lost";
+  Memdev.crash v;
+  Alcotest.(check string) "volatile view zeroed" (String.make 4 '\000')
+    (Bytes.to_string (Memdev.load_bytes v ~off:0 ~len:4))
+
 (* Tracked durability against an independent model: pending stores in
    program order, each with a flushed flag. A flush marks every pending
    store meeting the cacheline-expanded range, a fence applies the
@@ -292,26 +348,65 @@ let prop_tracking_matches_model =
 
 let bytes8 v = Bytes.make 8 (Char.chr v)
 
+let bits_differing a b =
+  let n = ref 0 in
+  Bytes.iteri
+    (fun i c ->
+      let x = ref (Char.code c lxor Char.code (Bytes.get b i)) in
+      while !x <> 0 do
+        incr n;
+        x := !x land (!x - 1)
+      done)
+    a;
+  !n
+
+(* Steps are stores, crashes and bit flips; the tracked run makes
+   everything durable before each crash and flip. Untracked, the view
+   is the durable image after every step, and one flip flips one bit in
+   either regime. *)
 let prop_tracked_full_flush_equals_untracked =
   QCheck.Test.make
     ~name:"tracking-on + full flush/fence = tracking-off durable image"
     ~count:150
     QCheck.(
-      list_of_size (Gen.int_range 1 40) (pair (int_bound 440) (int_bound 255)))
-    (fun writes ->
+      list_of_size (Gen.int_range 1 40)
+        (triple (int_bound 5) (int_bound 440) (int_bound 255)))
+    (fun steps ->
       let run tracking =
         let d = Memdev.create_persistent ~name:"p" 512 in
         Memdev.set_tracking d tracking;
+        let persist_all () =
+          if tracking then begin
+            Memdev.flush d ~off:0 ~len:512;
+            Memdev.fence d
+          end
+        in
+        let ok = ref true in
         List.iter
-          (fun (off, v) -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8)
-          writes;
-        if tracking then begin
-          Memdev.flush d ~off:0 ~len:512;
-          Memdev.fence d
-        end;
-        Memdev.durable_snapshot d
+          (fun (kind, off, v) ->
+            (match kind with
+             | 0 ->
+               persist_all ();
+               Memdev.crash d
+             | 1 ->
+               persist_all ();
+               let before = Memdev.durable_snapshot d in
+               Memdev.corrupt_durable d ~off ~bit:v;
+               ok :=
+                 !ok && bits_differing before (Memdev.durable_snapshot d) = 1
+             | _ ->
+               Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8);
+            if not tracking then
+              ok :=
+                !ok
+                && Bytes.equal (Memdev.durable_snapshot d)
+                     (Memdev.load_bytes d ~off:0 ~len:512))
+          steps;
+        persist_all ();
+        (!ok, Memdev.durable_snapshot d)
       in
-      Bytes.equal (run true) (run false))
+      let ok_t, img_t = run true and ok_u, img_u = run false in
+      ok_t && ok_u && Bytes.equal img_t img_u)
 
 (* Space *)
 
@@ -767,6 +862,12 @@ let () =
           Alcotest.test_case "load_durable validates size and magic" `Quick
             test_load_durable_validation;
           Alcotest.test_case "device-level blit" `Quick test_memdev_blit;
+          Alcotest.test_case "one image unless tracking" `Quick
+            test_one_image_footprint;
+          Alcotest.test_case "of_image adopts its buffer" `Quick
+            test_of_image_adopts;
+          Alcotest.test_case "untracked crash keeps the view" `Quick
+            test_untracked_crash_keeps_view;
         ] );
       ( "space",
         [
