@@ -108,9 +108,12 @@ let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
    not be handed out again: such blocks are pinned, and the freelist
    walk pops the first unpinned block (unlinking from the middle is
    fine: the predecessor's link is just another staged word). Second,
-   the virgin-carve header write is a plain store + flush with no fence;
-   the commit's first persist supplies the drain, and until the staged
-   bump advance commits the block is unreachable anyway. *)
+   a virgin carve composes its header in DRAM and stores it with one
+   [Redo.batch_write] plus a flush, with no fence: the commit's first
+   persist supplies the drain, and until the staged bump advance
+   commits the block is unreachable anyway. The header goes out
+   unpublished; the staged state word publishes it at commit, on the
+   primary and, after the header's blob, on every replica. *)
 
 let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
   if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
@@ -136,12 +139,12 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
       let new_bump = data_off + Rep.class_size ci in
       if new_bump > t.Rep.psize then raise Out_of_pm;
       let hoff = Rep.header_off ~data_off in
-      Rep.store t hoff size;
-      Rep.store t (hoff + 8)
+      let hdr = t.Rep.header_image in
+      Rep.put_word hdr ~pos:0 size;
+      Rep.put_word hdr ~pos:8
         (Rep.st_allocated lor (ci lsl Rep.st_class_shift));
+      Redo.batch_write b ~off:hoff hdr ~pos:0 ~len:Rep.block_header_size;
       Spp_sim.Space.flush t.Rep.space (Rep.a t hoff) Rep.block_header_size;
-      (* direct header write: must travel in the replication payload *)
-      Redo.batch_note_write b ~off:hoff ~len:Rep.block_header_size;
       stage Rep.off_heap_bump new_bump;
       stage (hoff + 8) (publish_state ci);
       data_off

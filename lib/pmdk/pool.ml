@@ -50,7 +50,9 @@ let make_rep space dev ~base ~size ~mode ~uuid =
     lock = Mutex.create ();
     tx_lock = Mutex.create ();
     tx_ranges = []; tx_deferred_free = []; tx_depth = 0;
-    batch_observer = None }
+    batch_observer = None;
+    compose = Bytes.empty;
+    header_image = Bytes.create Rep.block_header_size }
 
 let create space ~base ~size ~mode ~name =
   check_span ~base ~size mode;
@@ -369,7 +371,11 @@ let batch_stage_oid (t : Rep.t) b ~off ~(prev : Oid.t) (oid : Oid.t) =
     field (off + 8) oid.Oid.uuid prev.Oid.uuid;
     field (off + 16) oid.Oid.off prev.Oid.off
 
-let batch_note_write (_ : Rep.t) b ~off ~len = Redo.batch_note_write b ~off ~len
+let batch_buffer (_ : Rep.t) b len = Redo.batch_buffer b len
+let batch_write (_ : Rep.t) b ~off buf ~pos ~len =
+  Redo.batch_write b ~off buf ~pos ~len
+let put_word = Rep.put_word
+let put_oid = Rep.put_oid
 
 let batch_alloc (t : Rep.t) b ~size = Heap.alloc_batched t b ~size
 

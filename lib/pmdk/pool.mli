@@ -158,11 +158,22 @@ val batch_alloc : t -> Redo.batch -> size:int -> Oid.t
 
 val batch_free : t -> Redo.batch -> Oid.t -> unit
 
-val batch_note_write : t -> Redo.batch -> off:int -> len:int -> unit
-(** Record a direct store the open batch op made past the log (a fresh
-    entry body written while unreachable): the range's committed bytes
-    join the op's commit in its replication payload
-    ({!Redo.batch_note_write}). *)
+val batch_buffer : t -> Redo.batch -> int -> Bytes.t
+(** The pool's reusable DRAM buffer of at least [len] bytes in which an
+    op composes a fresh block ({!Redo.batch_buffer}); it is the caller's
+    until the next call. {!batch_alloc} never touches it. *)
+
+val batch_write :
+  t -> Redo.batch -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** Store one contiguous range of a fresh block, composed in [buf] from
+    [pos], at pool offset [off] with a single store past the log
+    ({!Redo.batch_write}). A replicated pool also keeps the bytes for
+    the op's commit payload; the caller flushes the block once. *)
+
+val put_word : Bytes.t -> pos:int -> int -> unit
+val put_oid : t -> Bytes.t -> pos:int -> Oid.t -> unit
+(** Compose a word or a mode-aware oid slot into a DRAM buffer, in the
+    byte layout {!store_word}/{!store_oid} give it in PM. *)
 
 (** {1 PMEMoid slots and raw words (pool offsets)} *)
 
@@ -197,9 +208,10 @@ val heap_stats : t -> Heap.stats
 
     Group-committed batches can be replicated: an observer installed on
     the primary fires once per committed sub-batch with a
-    {!batch_payload} — the commit's redo entries plus the direct-write
-    blobs that bypassed the log — strictly after the commit is durable,
-    so a payload never describes state a crash could take back.
+    {!batch_payload} — the commit's redo entries plus the fresh-block
+    bytes {!batch_write} stored past the log — strictly after the
+    commit is durable, so a payload never describes state a crash
+    could take back.
     Applying the payload stream in order onto a pool opened from the
     primary's durable image ({!Spp_sim.Memdev.of_image} +
     {!open_dev}) keeps the replica bit-identical to the primary after

@@ -62,6 +62,12 @@ let run (t : Rep.t) entries =
    complete operations are committed first (a sub-batch) and staging
    continues; each sub-batch is still all-or-nothing.
 
+   Fresh blocks bypass the log altogether: nothing reaches them until a
+   staged word publishes them, so an op composes each one in DRAM and
+   [batch_write] stores it straight to PM, one store per contiguous
+   range. The commit ships those same bytes to replicas without reading
+   them back.
+
    [batch_pin]/[batch_pinned] are a small escape hatch for the heap: a
    block freed inside the batch keeps its durable pre-state live until
    the free commits, so the allocator must not hand it out again within
@@ -82,8 +88,9 @@ type batch = {
   mutable b_finished : bool;
   mutable b_commits : int;                (* sub-batch commits issued *)
   mutable b_ops : int;                    (* entry-bearing ops, batch total *)
-  mutable b_writes_acc : (int * int) list; (* direct ranges (off, len), newest first *)
-  mutable b_writes_op : (int * int) list;  (* open op's direct ranges *)
+  mutable b_writes_acc : (int * Bytes.t) list;
+    (* fresh-block blobs (off, bytes), newest first; replicated pools only *)
+  mutable b_writes_op : (int * Bytes.t) list;  (* open op's blobs *)
 }
 
 let batch_begin (t : Rep.t) =
@@ -112,16 +119,23 @@ let batch_stage b ~off ~v =
   b.b_op_n <- b.b_op_n + 1;
   Hashtbl.replace b.b_overlay off v
 
-(* Record a direct store that bypassed the log (a fresh entry body, a
-   virgin block header): the range joins the op's write set and ships
-   with the commit's replication payload. The media effect already
-   happened — this is bookkeeping only, so an unreplicated pool pays one
-   list cons per range. *)
-let batch_note_write b ~off ~len =
+(* An op composes a fresh block in the pool's buffer and stores each
+   contiguous range of it with one [batch_write]. Only a replicated
+   pool keeps a copy of the stored bytes, for the commit's blob. *)
+let batch_buffer b len =
+  let t = b.b_rep in
+  if Bytes.length t.Rep.compose < len then
+    t.Rep.compose <- Bytes.create (max len (2 * Bytes.length t.Rep.compose));
+  t.Rep.compose
+
+let batch_write b ~off buf ~pos ~len =
   check_open b;
   if not b.b_in_op then
-    invalid_arg "Redo.batch_note_write: writes must belong to an operation";
-  b.b_writes_op <- (off, len) :: b.b_writes_op
+    invalid_arg "Redo.batch_write: writes must belong to an operation";
+  let t = b.b_rep in
+  Space.write_sub t.Rep.space (Rep.a t off) buf ~pos ~len;
+  if len > 0 && Option.is_some t.Rep.batch_observer then
+    b.b_writes_op <- (off, Bytes.sub buf pos len) :: b.b_writes_op
 
 let batch_pin b off =
   check_open b;
@@ -139,7 +153,7 @@ let commit_acc b =
     let t = b.b_rep in
     let k = b.b_acc_ops in
     let entries = List.rev b.b_acc in
-    let writes = List.rev b.b_writes_acc in
+    let p_writes = List.rev b.b_writes_acc in
     let f0 = (Memdev.counters t.Rep.dev).Memdev.fences in
     run t entries;
     let spent = (Memdev.counters t.Rep.dev).Memdev.fences - f0 in
@@ -153,11 +167,12 @@ let commit_acc b =
     Hashtbl.reset b.b_pins_acc;
     (* Ship the commit to the replication layer, if any. The payload is
        built only past the commit point — everything in it is durable on
-       the primary — and the write blobs are materialized from the view
-       after the entries applied, so overlapping staged words are
-       captured at their committed values. A crash between the commit
-       and this ship leaves replicas exactly one commit behind, which is
-       the lag the failover oracle bounds. *)
+       the primary. Its blobs are the bytes [batch_write] kept when the
+       ops stored them, so nothing is read back from PM; a staged word
+       inside a blob was staged after the blob, and the replica applies
+       entries after blobs. A crash between the commit and this ship
+       leaves replicas exactly one commit behind, which is the lag the
+       failover oracle bounds. *)
     match t.Rep.batch_observer with
     | None -> ()
     | Some _ when Memdev.is_powered_off t.Rep.dev ->
@@ -165,14 +180,7 @@ let commit_acc b =
          discarded by the dead device, so shipping it would let a
          replica lead what recovery of the primary can produce. *)
       ()
-    | Some notify ->
-      let p_writes =
-        List.map
-          (fun (off, len) ->
-            (off, Space.read_bytes t.Rep.space (Rep.a t off) len))
-          writes
-      in
-      notify { Rep.p_entries = entries; p_ops = k; p_writes }
+    | Some notify -> notify { Rep.p_entries = entries; p_ops = k; p_writes }
   end
 
 let batch_op_begin b =
@@ -214,8 +222,8 @@ let batch_op_end b =
     b.b_ops <- b.b_ops + 1;
     b.b_op <- [];
     b.b_op_n <- 0;
-    (* the op's direct writes ship with the commit its entries join —
-       never with an earlier overflow commit *)
+    (* the op's blobs ship with the commit its entries join — never
+       with an earlier overflow commit *)
     b.b_writes_acc <- b.b_writes_op @ b.b_writes_acc;
     b.b_writes_op <- [];
     Hashtbl.iter (fun off () -> Hashtbl.replace b.b_pins_acc off ())
@@ -232,12 +240,14 @@ let batch_finish b =
 let batch_commits b = b.b_commits
 let batch_ops b = b.b_ops
 
-(* Import side of replication: land the direct-write blobs first (the
+(* Import side of replication: land the fresh-block blobs first (the
    ranges are unreachable on the replica until the entries publish
    them, mirroring the primary's ordering), then run the entries
    through the standard redo protocol — the replica's own log area
    carries the commit, so a replica that later becomes primary recovers
-   exactly like one. *)
+   exactly like one. The order also matters inside a blob: a virgin
+   header's state word, or a fresh entry's [next] restaged by a later
+   op, is an entry whose value must overwrite the blob's. *)
 let apply_payload (t : Rep.t) (p : Rep.batch_payload) =
   List.iter
     (fun (off, data) ->

@@ -48,12 +48,22 @@ val batch_op_end : batch -> unit
     atomic unit within the batch. [batch_op_end] may sub-commit the
     previously accumulated ops to make room. *)
 
-val batch_note_write : batch -> off:int -> len:int -> unit
-(** Record a direct store the open operation made past the log (fresh
-    entry bodies, virgin block headers — unreachable until a staged
-    word publishes them). The range's committed bytes join the
-    operation's commit in its replication payload. Bookkeeping only;
-    raises [Invalid_argument] outside an operation. *)
+val batch_buffer : batch -> int -> Bytes.t
+(** The pool's compose buffer, at least [len] bytes long: the DRAM
+    image in which an op builds a fresh block before {!batch_write}
+    stores it. One buffer per pool, reused by every batch; its contents
+    are the caller's until the next [batch_buffer] call. *)
+
+val batch_write : batch -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** [batch_write b ~off buf ~pos ~len] stores [len] bytes of [buf] from
+    [pos] at pool offset [off] with one store, past the log: the open
+    operation's fresh blocks (entry bodies, nodes, items, virgin block
+    headers) are unreachable until a staged word publishes them. The
+    caller flushes the block; the commit's first fence drains it. When
+    the pool has a batch observer the bytes are also kept, and they
+    join the operation's commit in its replication payload, so a
+    commit never reads PM to replicate. Raises [Invalid_argument]
+    outside an operation. *)
 
 val batch_pin : batch -> int -> unit
 (** Mark a pool offset (a freed block) as not reusable until the next
@@ -73,14 +83,14 @@ val batch_ops : batch -> int
 (** {1 Replication}
 
     Each committed sub-batch can be exported as a {!Rep.batch_payload}
-    — its redo entries plus the direct-write blobs that bypassed the
+    — its redo entries plus the bytes {!batch_write} stored past the
     log — through the pool's batch observer ([Rep.batch_observer], set
     via [Pool.set_batch_observer]). The observer fires strictly after
     the commit is durable on the primary, so a payload never describes
     state the primary could lose. *)
 
 val apply_payload : Rep.t -> Rep.batch_payload -> unit
-(** Apply a shipped commit to a replica pool: direct-write blobs first,
+(** Apply a shipped commit to a replica pool: fresh-block blobs first,
     then the entries through the full redo protocol (the replica's own
     log carries the commit). Applying the payload stream in sequence
     order onto a pool that started from the primary's durable image

@@ -96,12 +96,14 @@ let st_published = 2
 let st_class_shift = 8
 
 (* A committed redo sub-batch exported for replication: the staged
-   entries plus the direct-write ranges (entry bodies, virgin block
-   headers) that bypass the log. Applying [p_writes] then [p_entries]
-   on a pool whose durable image matched the primary's pre-commit state
-   reproduces the primary's post-commit state byte for byte — the
-   entries are idempotent and the write blobs are captured from the
-   view after the commit applied. *)
+   entries plus the fresh-block ranges (entry bodies, nodes, items,
+   virgin block headers) stored past the log. Each blob carries the
+   bytes its op stored, kept from the DRAM image the op composed, so
+   the primary never reads PM to replicate. A staged word that falls
+   inside a blob range is always staged after the blob was stored (the
+   block is fresh), so applying [p_writes] then [p_entries] on a pool
+   whose durable image matched the primary's pre-commit state
+   reproduces the primary's post-commit state byte for byte. *)
 type batch_payload = {
   p_entries : (int * int) list;    (* redo entries, application order *)
   p_ops : int;                     (* whole operations this commit covers *)
@@ -125,6 +127,12 @@ type t = {
   mutable batch_observer : (batch_payload -> unit) option;
     (* called by [Redo.commit_acc] after each committed sub-batch; the
        replication layer ships the payload to replica stacks from here *)
+  mutable compose : Bytes.t;
+    (* DRAM image of the fresh block a batch op is composing
+       ([Redo.batch_buffer]); grown on demand, reused by every batch *)
+  header_image : Bytes.t;
+    (* the virgin block header [Heap.alloc_batched] composes, apart
+       from [compose] so an allocation never clobbers an op's block *)
 }
 
 let min_pool_size = 1 lsl 16
@@ -141,6 +149,20 @@ let heap_base_for ~ulog_cap =
 (* Address helpers: [a t off] converts a pool offset into a simulated
    address. *)
 let a t off = t.base + off
+
+(* Words and oid slots composed into a DRAM buffer, in the same byte
+   layout [store]/[store_oid] give them in PM. *)
+let put_word buf ~pos v = Bytes.set_int64_le buf pos (Int64.of_int v)
+
+let put_oid t buf ~pos (oid : Oid.t) =
+  match t.mode with
+  | Mode.Native ->
+    put_word buf ~pos oid.Oid.uuid;
+    put_word buf ~pos:(pos + 8) oid.Oid.off
+  | Mode.Spp _ ->
+    put_word buf ~pos oid.Oid.size;
+    put_word buf ~pos:(pos + 8) oid.Oid.uuid;
+    put_word buf ~pos:(pos + 16) oid.Oid.off
 
 let load t off = Space.load_word t.space (a t off)
 let store t off v = Space.store_word t.space (a t off) v

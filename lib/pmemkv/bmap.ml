@@ -12,17 +12,18 @@
 
    Durability discipline: every mutation is copy-on-write through the
    PR-4 redo batch API. An op allocates fresh nodes for the root-to-leaf
-   path it changes ([Pool.batch_alloc]), writes them directly while they
-   are unreachable (one flush per node, [Pool.batch_note_write] so the
-   bytes ride the replication payload), and stages exactly one word —
-   the root slot oid — via [Pool.batch_stage_oid]. Replaced nodes and
-   items are [Pool.batch_free]d (pinned until the commit is durable, so
-   a crash mid-batch still finds the old tree intact under the old
-   root). Each op is therefore atomic by construction and recovery
-   lands on a whole-op prefix, exactly the contract [Cmap.run_batch]
-   provides. Unlike Cmap there is no undo-transaction path at all:
-   synchronous [put]/[remove] run as single-op batches, so every bmap
-   mutation is group-committable and replicable.
+   path it changes ([Pool.batch_alloc]), composes each in DRAM and
+   stores it while it is unreachable ([Pool.batch_write], one store per
+   contiguous range and one flush per block; a replicated pool ships
+   the same bytes without reading them back), and stages exactly one
+   word — the root slot oid — via [Pool.batch_stage_oid]. Replaced
+   nodes and items are [Pool.batch_free]d (pinned until the commit is
+   durable, so a crash mid-batch still finds the old tree intact under
+   the old root). Each op is therefore atomic by construction and
+   recovery lands on a whole-op prefix, exactly the contract
+   [Cmap.run_batch] provides. Unlike Cmap there is no undo-transaction
+   path at all: synchronous [put]/[remove] run as single-op batches, so
+   every bmap mutation is group-committable and replicable.
 
    Like the batched half of Cmap, all node/item IO is engine-internal
    code on pool offsets (the paper instruments application code, not
@@ -157,7 +158,7 @@ type desc = {
 
 (* Plain (non-overlay) reads are correct mid-batch by the COW
    invariant: committed nodes are never modified in place and fresh
-   nodes are direct-written before they become reachable; the only
+   nodes are stored whole before they become reachable; the only
    staged word is the root slot, which callers read through
    [Pool.batch_load_oid]. *)
 let load_desc t (oid : Oid.t) =
@@ -181,26 +182,31 @@ let load_desc t (oid : Oid.t) =
          Array.init (n + 1) (fun i ->
            Pool.view_load_oid p v ~off:(children_off + (i * osz)))) }
 
-(* Materialize a desc as a fresh node: batch-allocate, write fields
-   directly while unreachable, flush once, note the write for
-   replication, then free the node it replaces. *)
+(* Materialize a desc as a fresh node: batch-allocate, compose the live
+   fields in DRAM at their node offsets, store them while unreachable —
+   the header with the live children, then the live items, so the dead
+   slots between them are never written — flush once, then free the
+   node it replaces. *)
 let b_materialize t bt d =
   let p = pool t in
   let size = node_size t.a in
   let oid = Pool.batch_alloc p bt ~size in
   let off = oid.Oid.off in
   let osz = oid_size t in
-  let n = Array.length d.d_items in
-  Pool.store_word p ~off n;
-  Pool.store_word p ~off:(off + 8) (if d.d_leaf then 1 else 0);
-  Array.iteri
-    (fun i c -> Pool.store_oid p ~off:(off + children_off + (i * osz)) c)
-    d.d_children;
-  Array.iteri
-    (fun i it -> Pool.store_oid p ~off:(off + items_off t.a + (i * osz)) it)
-    d.d_items;
+  let n = Array.length d.d_items and nc = Array.length d.d_children in
+  let buf = Pool.batch_buffer p bt size in
+  Pool.put_word buf ~pos:0 n;
+  Pool.put_word buf ~pos:8 (if d.d_leaf then 1 else 0);
+  for i = 0 to nc - 1 do
+    Pool.put_oid p buf ~pos:(children_off + (i * osz)) d.d_children.(i)
+  done;
+  for i = 0 to n - 1 do
+    Pool.put_oid p buf ~pos:(items_off t.a + (i * osz)) d.d_items.(i)
+  done;
+  Pool.batch_write p bt ~off buf ~pos:0 ~len:(children_off + (nc * osz));
+  Pool.batch_write p bt ~off:(off + items_off t.a) buf ~pos:(items_off t.a)
+    ~len:(n * osz);
   Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p off) size;
-  Pool.batch_note_write p bt ~off ~len:size;
   if not (Oid.is_null d.src) then Pool.batch_free p bt d.src;
   oid
 
@@ -209,14 +215,13 @@ let b_mk_item t bt ~key ~value =
   let klen = String.length key and vlen = String.length value in
   let size = 16 + klen + vlen in
   let oid = Pool.batch_alloc p bt ~size in
-  let off = oid.Oid.off in
-  Pool.store_word p ~off klen;
-  Pool.store_word p ~off:(off + 8) vlen;
-  let sp = Pool.space p in
-  Spp_sim.Space.write_string sp (Pool.addr_of_off p (off + 16)) key;
-  Spp_sim.Space.write_string sp (Pool.addr_of_off p (off + 16 + klen)) value;
-  Spp_sim.Space.flush sp (Pool.addr_of_off p off) size;
-  Pool.batch_note_write p bt ~off ~len:size;
+  let buf = Pool.batch_buffer p bt size in
+  Pool.put_word buf ~pos:0 klen;
+  Pool.put_word buf ~pos:8 vlen;
+  Bytes.blit_string key 0 buf 16 klen;
+  Bytes.blit_string value 0 buf (16 + klen) vlen;
+  Pool.batch_write p bt ~off:oid.Oid.off buf ~pos:0 ~len:size;
+  Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p oid.Oid.off) size;
   oid
 
 (* First index whose item key is >= [key] (= item count if none). *)

@@ -315,7 +315,9 @@ let scan t ~lo ~hi ~limit =
    both forced by deferred application: a put always replaces the entry
    out of place (an in-place value overwrite would tear the durable
    pre-state before the batch commits), and reads of chain metadata go
-   through the batch overlay so later ops observe earlier ones.
+   through the batch overlay so later ops observe earlier ones. The
+   fresh entry itself skips the log: it is composed in DRAM and stored
+   with one store, and only the slot oid that publishes it is staged.
 
    The caller must hold the map exclusively for the duration — stripe
    locks are useless here because the commit applies staged words after
@@ -337,7 +339,7 @@ type batch_reply = Engine.batch_reply =
 let batch_key_of = Engine.batch_key_of
 
 (* Entry field reads through the overlay. Key/value bytes are never
-   staged (fresh entries write them directly while unreachable), so byte
+   staged (fresh entries are stored whole while unreachable), so byte
    reads go straight to the space — single-copy [Space.read_sub], with
    the key compared against the device view instead of materialized. *)
 
@@ -373,26 +375,25 @@ let b_find_slot t bt slot_off key =
 
 let bucket_slot_off t b = t.buckets.Oid.off + (b * t.a.oid_size)
 
-(* Fresh entry: allocate through the batch, then write the fields
-   directly — the block is unreachable until the staged slot oid
-   commits — and flush the whole entry once; the commit's first fence
-   drains it before the log becomes valid. *)
+(* Fresh entry: allocate through the batch, compose the whole entry in
+   the pool's DRAM buffer and store it with one [Pool.batch_write] —
+   the block is unreachable until the staged slot oid commits, and a
+   replicated pool ships these bytes without reading them back — then
+   flush it once; the commit's first fence drains it before the log
+   becomes valid. *)
 let b_mk_entry t bt ~key ~value ~next =
   let p = t.a.pool in
   let klen = String.length key and vlen = String.length value in
   let size = entry_size t.a ~klen ~vlen in
   let oid = Pool.batch_alloc p bt ~size in
-  let eoff = oid.Oid.off in
-  Pool.store_oid p ~off:(eoff + f_next) next;
-  Pool.store_word p ~off:(eoff + f_klen t.a) klen;
-  Pool.store_word p ~off:(eoff + f_vlen t.a) vlen;
-  let space = Pool.space p in
-  Spp_sim.Space.write_string space (Pool.addr_of_off p (eoff + f_key t.a)) key;
-  Spp_sim.Space.write_string space
-    (Pool.addr_of_off p (eoff + f_value t.a klen)) value;
-  Spp_sim.Space.flush space (Pool.addr_of_off p eoff) size;
-  (* the entry bytes bypassed the log: ship them with the commit *)
-  Pool.batch_note_write p bt ~off:eoff ~len:size;
+  let buf = Pool.batch_buffer p bt size in
+  Pool.put_oid p buf ~pos:f_next next;
+  Pool.put_word buf ~pos:(f_klen t.a) klen;
+  Pool.put_word buf ~pos:(f_vlen t.a) vlen;
+  Bytes.blit_string key 0 buf (f_key t.a) klen;
+  Bytes.blit_string value 0 buf (f_value t.a klen) vlen;
+  Pool.batch_write p bt ~off:oid.Oid.off buf ~pos:0 ~len:size;
+  Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p oid.Oid.off) size;
   oid
 
 let b_put t bt ~key ~value =

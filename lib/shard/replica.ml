@@ -6,12 +6,14 @@
    base, byte-identical starting state. The primary's pool carries a batch
    observer ([Pool.set_batch_observer]) that fires once per committed
    redo sub-batch with the commit's payload — staged entries plus the
-   direct-write blobs that bypassed the log — strictly after the commit
-   is durable. The group stamps each payload with a sequence number and
-   ships it over a lossy in-process channel ([Netfault]) with bounded
-   retry and exponential backoff; a replica applies payloads in
-   sequence order through [Pool.apply_batch_payload], which re-runs the
-   standard redo protocol on the replica's own log. Identical payloads
+   fresh-block bytes its ops stored past the log, copied from the DRAM
+   images they were composed in, so shipping reads no PM on the
+   primary — strictly after the commit is durable. The group stamps
+   each payload with a sequence number and ships it over a lossy
+   in-process channel ([Netfault]) with bounded retry and exponential
+   backoff; a replica applies payloads in sequence order through
+   [Pool.apply_batch_payload], which re-runs the standard redo
+   protocol on the replica's own log. Identical payloads
    through identical code keep every replica bit-identical to the
    primary's post-commit state at each sequence number.
 

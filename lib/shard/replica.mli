@@ -4,8 +4,8 @@
     pool. Each replica is a full Memdev/Space/Pool stack opened from
     one snapshot of the primary's durable image; the primary's
     {!Spp_pmdk.Pool.set_batch_observer} hook ships every committed redo
-    sub-batch — staged entries plus the direct-write blobs that
-    bypassed the log — as a sequence-numbered payload over a lossy
+    sub-batch — staged entries plus the fresh-block bytes its ops
+    stored past the log — as a sequence-numbered payload over a lossy
     in-process channel ({!Spp_sim.Netfault}) with bounded retry and
     exponential backoff. Replicas apply payloads in order through
     {!Spp_pmdk.Pool.apply_batch_payload}, staying bit-identical to the

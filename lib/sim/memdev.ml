@@ -135,11 +135,6 @@ let check_range t off len =
 
 let set_injector t inj = t.injector <- inj
 
-let inject t ev =
-  match t.injector with
-  | None -> ()
-  | Some f -> f ev
-
 (* Power failure freeze. Between the instant the power dies and the
    restart, stores, flushes and fences from the dying process are
    discarded — without this, an exception-driven "crash" would let
@@ -210,11 +205,13 @@ let record_store t off len =
 
 (* The tail every store path shares once its bytes are in the view:
    count it, keep it pending while tracking (untracked, the view is
-   already the durable image), and fire the injector. *)
+   already the durable image), and fire the injector. The hook event is
+   built only for an armed injector, so an untracked store allocates
+   nothing. *)
 let stored t off len =
   t.n_stores <- t.n_stores + 1;
   if tracking t then record_store t off len;
-  inject t (Hk_store { off; len })
+  match t.injector with None -> () | Some f -> f (Hk_store { off; len })
 
 let store_bytes t ~off src ~src_off ~len =
   check_range t off len;
@@ -317,7 +314,7 @@ let flush t ~off ~len =
     flush_indexed t off len;
     Journal.push t.trace_j (Ev_flush { off; len })
   end;
-  inject t (Hk_flush { off; len })
+  match t.injector with None -> () | Some f -> f (Hk_flush { off; len })
   end
 
 let apply_to d r = Bytes.blit r.data 0 d r.s_off r.s_len
@@ -353,7 +350,7 @@ let fence t =
      fence_indexed t d;
      Journal.push t.trace_j Ev_fence
    | None -> ());
-  inject t Hk_fence
+  match t.injector with None -> () | Some f -> f Hk_fence
   end
 
 let persist t ~off ~len =

@@ -175,12 +175,17 @@ let find_region t addr =
     | None -> find_region_slow t addr page slot
   else find_region_slow t addr page slot
 
-(* Translate an access of [len] bytes at [addr]; the whole access must lie
-   within one region, otherwise it faults at the first uncovered byte. *)
-let translate t addr len =
+(* Translate an access of [len] bytes at [addr]: the region holding it,
+   at device offset [dev_offset r addr]. The whole access must lie within
+   one region, otherwise it faults at the first uncovered byte. The two
+   halves stay separate calls because returning them as a pair would
+   allocate on every typed access. *)
+let region_for t addr len =
   let r = find_region t addr in
   if addr + len > r.base + r.rsize then Fault.segfault (r.base + r.rsize);
-  (r, r.dev_off + (addr - r.base))
+  r
+
+let dev_offset r addr = r.dev_off + (addr - r.base)
 
 let count_load t r len = match r.kind with
   | Persistent ->
@@ -201,48 +206,52 @@ let count_store t r len = match r.kind with
    touching the view; [Memdev.check_load] is a no-op on healthy devices. *)
 
 let load_u8 t addr =
-  let r, off = translate t addr 1 in
+  let r = region_for t addr 1 in
+  let off = dev_offset r addr in
   count_load t r 1;
   Memdev.check_load r.dev ~off ~len:1;
   Char.code (Bytes.get (Memdev.unsafe_view r.dev) off)
 
 let load_u16 t addr =
-  let r, off = translate t addr 2 in
+  let r = region_for t addr 2 in
+  let off = dev_offset r addr in
   count_load t r 2;
   Memdev.check_load r.dev ~off ~len:2;
   Bytes.get_uint16_le (Memdev.unsafe_view r.dev) off
 
 let load_u32 t addr =
-  let r, off = translate t addr 4 in
+  let r = region_for t addr 4 in
+  let off = dev_offset r addr in
   count_load t r 4;
   Memdev.check_load r.dev ~off ~len:4;
   Int32.to_int (Bytes.get_int32_le (Memdev.unsafe_view r.dev) off) land 0xFFFFFFFF
 
 let load_word t addr =
-  let r, off = translate t addr 8 in
+  let r = region_for t addr 8 in
+  let off = dev_offset r addr in
   count_load t r 8;
   Memdev.check_load r.dev ~off ~len:8;
   Int64.to_int (Bytes.get_int64_le (Memdev.unsafe_view r.dev) off)
 
 let store_u8 t addr v =
-  let r, off = translate t addr 1 in
+  let r = region_for t addr 1 in
   count_store t r 1;
-  Memdev.store_u8 r.dev ~off v
+  Memdev.store_u8 r.dev ~off:(dev_offset r addr) v
 
 let store_u16 t addr v =
-  let r, off = translate t addr 2 in
+  let r = region_for t addr 2 in
   count_store t r 2;
-  Memdev.store_u16 r.dev ~off v
+  Memdev.store_u16 r.dev ~off:(dev_offset r addr) v
 
 let store_u32 t addr v =
-  let r, off = translate t addr 4 in
+  let r = region_for t addr 4 in
   count_store t r 4;
-  Memdev.store_u32 r.dev ~off v
+  Memdev.store_u32 r.dev ~off:(dev_offset r addr) v
 
 let store_word t addr v =
-  let r, off = translate t addr 8 in
+  let r = region_for t addr 8 in
   count_store t r 8;
-  Memdev.store_word r.dev ~off v
+  Memdev.store_word r.dev ~off:(dev_offset r addr) v
 
 (* Block operations. A block access counts one load/store event (stats
    skew otherwise: an N-byte memcpy is one instruction, not N), with the
@@ -251,9 +260,9 @@ let store_word t addr v =
 let read_bytes t addr len =
   if len = 0 then Bytes.create 0
   else begin
-    let r, off = translate t addr len in
+    let r = region_for t addr len in
     count_load t r len;
-    Memdev.load_bytes r.dev ~off ~len
+    Memdev.load_bytes r.dev ~off:(dev_offset r addr) ~len
   end
 
 (* Caller-buffer read: the region is resolved once and the device view
@@ -316,34 +325,37 @@ let read_sub t addr len =
     Bytes.unsafe_to_string b
   end
 
-let write_bytes t addr b =
-  let len = Bytes.length b in
+let write_sub t addr b ~pos ~len =
   if len > 0 then begin
-    let r, off = translate t addr len in
+    let r = region_for t addr len in
     count_store t r len;
-    Memdev.store_bytes r.dev ~off b ~src_off:0 ~len
+    Memdev.store_bytes r.dev ~off:(dev_offset r addr) b ~src_off:pos ~len
   end
+
+let write_bytes t addr b = write_sub t addr b ~pos:0 ~len:(Bytes.length b)
 
 let write_string t addr s =
   let len = String.length s in
   if len > 0 then begin
-    let r, off = translate t addr len in
+    let r = region_for t addr len in
     count_store t r len;
-    Memdev.store_string r.dev ~off s
+    Memdev.store_string r.dev ~off:(dev_offset r addr) s
   end
 
 let fill t addr len c =
   if len > 0 then begin
-    let r, off = translate t addr len in
+    let r = region_for t addr len in
     count_store t r len;
-    Memdev.fill r.dev ~off ~len c
+    Memdev.fill r.dev ~off:(dev_offset r addr) ~len c
   end
 
 let blit t ~src ~dst ~len =
   (* Device-level copy: no intermediate buffer, memmove-safe overlap. *)
   if len > 0 then begin
-    let rs, src_off = translate t src len in
-    let rd, dst_off = translate t dst len in
+    let rs = region_for t src len in
+    let src_off = dev_offset rs src in
+    let rd = region_for t dst len in
+    let dst_off = dev_offset rd dst in
     count_load t rs len;
     count_store t rd len;
     Memdev.blit ~src:rs.dev ~src_off ~dst:rd.dev ~dst_off ~len
@@ -354,8 +366,10 @@ let blit t ~src ~dst ~len =
 let memcmp t a b len =
   if len = 0 then 0
   else begin
-    let ra, off_a = translate t a len in
-    let rb, off_b = translate t b len in
+    let ra = region_for t a len in
+    let off_a = dev_offset ra a in
+    let rb = region_for t b len in
+    let off_b = dev_offset rb b in
     count_load t ra len;
     count_load t rb len;
     Memdev.check_load ra.dev ~off:off_a ~len;
@@ -402,7 +416,8 @@ let compare_string t addr ~len s =
     let view, off =
       if len = 0 then (Bytes.empty, 0)
       else begin
-        let r, off = translate t addr len in
+        let r = region_for t addr len in
+        let off = dev_offset r addr in
         count_load t r len;
         Memdev.check_load r.dev ~off ~len;
         (Memdev.unsafe_view r.dev, off)
@@ -476,8 +491,8 @@ let strcmp t a b =
 
 let flush t addr len =
   if len > 0 then begin
-    let r, off = translate t addr len in
-    Memdev.flush r.dev ~off ~len
+    let r = region_for t addr len in
+    Memdev.flush r.dev ~off:(dev_offset r addr) ~len
   end
 
 let fence_at t addr =
@@ -487,15 +502,16 @@ let fence_at t addr =
 let persist t addr len =
   (* one translation for both halves of the CLWB+SFENCE pair *)
   if len > 0 then begin
-    let r, off = translate t addr len in
-    Memdev.flush r.dev ~off ~len;
+    let r = region_for t addr len in
+    Memdev.flush r.dev ~off:(dev_offset r addr) ~len;
     Memdev.fence r.dev
   end
 
 let store_word_persist t addr v =
   (* Fused store+persist for the pmdk metadata paths (store_p): one
      translation instead of three. *)
-  let r, off = translate t addr 8 in
+  let r = region_for t addr 8 in
+  let off = dev_offset r addr in
   count_store t r 8;
   Memdev.store_word r.dev ~off v;
   Memdev.flush r.dev ~off ~len:8;
@@ -567,7 +583,8 @@ let () =
 
 let lease t addr len =
   if len <= 0 then invalid_arg "Space.lease: window must be non-empty";
-  let r, off = translate t addr len in
+  let r = region_for t addr len in
+  let off = dev_offset r addr in
   { l_space = t; l_reg = r; l_addr = addr; l_len = len; l_off = off;
     l_epoch = t.epoch }
 
@@ -667,11 +684,8 @@ let lease_view l ~off ~len =
    pool-offset IO that has no lease to scope it (bmap's node reads). *)
 let read_view t addr len =
   if len <= 0 then invalid_arg "Space.read_view: window must be non-empty";
-  (* [translate] inlined to skip its result pair — this is the hot
-     acquisition of every engine read window *)
-  let r = find_region t addr in
-  if addr + len > r.base + r.rsize then Fault.segfault (r.base + r.rsize);
-  let off = r.dev_off + (addr - r.base) in
+  let r = region_for t addr len in
+  let off = dev_offset r addr in
   count_load t r len;
   Memdev.check_load r.dev ~off ~len;
   { v_bytes = Memdev.unsafe_view r.dev; v_base = off; v_addr = addr;

@@ -77,6 +77,12 @@ val read_sub : t -> int -> int -> string
     no intermediate [read_bytes] + [Bytes.to_string] double copy. *)
 
 val write_bytes : t -> int -> Bytes.t -> unit
+
+val write_sub : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [write_sub t addr b ~pos ~len] stores the [len] bytes of [b] from
+    [pos] at [addr]: one store event, like {!write_bytes} of that
+    sub-buffer, without copying it out first. *)
+
 val write_string : t -> int -> string -> unit
 val fill : t -> int -> int -> char -> unit
 

@@ -1298,6 +1298,75 @@ let test_serve_kill_promote () =
   Serve.stop serve;
   check_bool "failed tickets counted" true (Serve.total_failed serve >= 2)
 
+(* Replication must not read the primary's PM. One seeded stream of
+   batches runs on a replicated and on an unreplicated single-shard
+   store: fresh puts (virgin carves on a new pool), overwrites of the
+   same and of another size class (freelist reuse), removes and gets.
+   The primary's PM loads must be equal on both. The promoted replica
+   must then hold the primary's image byte for byte, which also checks
+   that staged words inside a fresh block's blob land after it. *)
+let replicated_stream engine ~replicated =
+  let t =
+    Shard.create ~engine ~nbuckets:16 ~pool_size:(1 lsl 20) ~nshards:1
+      Spp_access.Spp
+  in
+  let s = Shard.shard t 0 in
+  let pool = (Shard.shard_access s).Spp_access.pool in
+  let group =
+    if replicated then
+      Some
+        (Replica.create
+           ~cfg:
+             { Replica.default_config with
+               policy = Replica.Sync; threaded = false }
+           ~engine ~shard:0 pool)
+    else None
+  in
+  let used () = (Spp_pmdk.Pool.heap_stats pool).Spp_pmdk.Heap.heap_used in
+  let used0 = used () in
+  Shard.reset_stats t;
+  let st = Random.State.make [| 0x5EED |] in
+  for _ = 1 to 200 do
+    let ops =
+      Array.init (1 + Random.State.int st 6) (fun _ ->
+        let key = Printf.sprintf "key-%02d" (Random.State.int st 48) in
+        match Random.State.int st 8 with
+        | 0 | 1 | 2 | 3 ->
+          let value = String.make (8 + (60 * Random.State.int st 3)) 'v' in
+          Engine.B_put { key; value }
+        | 4 | 5 -> Engine.B_remove key
+        | _ -> Engine.B_get key)
+    in
+    ignore (Engine.run_batch (Shard.shard_kv s) ops)
+  done;
+  check_bool "the stream carved virgin blocks" true (used () > used0);
+  ((Shard.merged_stats t).Spp_sim.Space.pm_bytes_loaded, pool, group)
+
+let test_replication_reads_no_pm () =
+  List.iter
+    (fun engine ->
+      let name = Engine.spec_name engine in
+      let plain, _, _ = replicated_stream engine ~replicated:false in
+      let loaded, primary, group = replicated_stream engine ~replicated:true in
+      check_int (name ^ ": primary PM bytes loaded, replicated = unreplicated")
+        plain loaded;
+      let p = Replica.promote (Option.get group) in
+      let image pool =
+        Spp_sim.Memdev.durable_snapshot (Spp_pmdk.Pool.dev pool)
+      in
+      let a = image primary and b = image p.Replica.pr_access.Spp_access.pool in
+      let first_diff =
+        let rec go i =
+          if i >= Bytes.length a then -1
+          else if Bytes.get a i <> Bytes.get b i then i
+          else go (i + 1)
+        in
+        go 0
+      in
+      check_int (name ^ ": first byte where the promoted replica differs")
+        (-1) first_diff)
+    [ Engines.cmap; Engines.btree ]
+
 (* Threaded appliers + semi-sync acks under concurrent submitters, with
    a planned (no-kill) switchover at the end: the promoted stack must
    hold every acked key. *)
@@ -1450,5 +1519,7 @@ let () =
             `Quick test_serve_kill_promote;
           Alcotest.test_case "threaded semi-sync + planned switchover"
             `Quick test_serve_threaded_replication;
+          Alcotest.test_case "replication reads no PM, replica identical"
+            `Quick test_replication_reads_no_pm;
         ] );
     ]

@@ -697,6 +697,37 @@ let test_lease_bad_block_still_faults () =
    | exception Fault.Fault (Fault.Bus_error, off) ->
      check_int "exact bad device byte" 32 off)
 
+(* The typed accessors are the inner loop of every served op: on an
+   untracked device with no injector none of them may allocate. The
+   smallest heap block is two words, so any allocation per call shows
+   as at least 2 minor words per call; the two boxed floats of the
+   measurement itself vanish in the division. *)
+let test_space_typed_no_alloc () =
+  let s = mk_space () in
+  let a = 8192 and str = "8 bytes!" in
+  let per_call name f =
+    f ();
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    let w = Gc.minor_words () -. w0 in
+    check_int (name ^ ": minor words per call") 0
+      (int_of_float (w /. float_of_int n))
+  in
+  per_call "load_u8" (fun () -> ignore (Space.load_u8 s a));
+  per_call "load_u16" (fun () -> ignore (Space.load_u16 s a));
+  per_call "load_u32" (fun () -> ignore (Space.load_u32 s a));
+  per_call "load_word" (fun () -> ignore (Space.load_word s a));
+  per_call "store_u8" (fun () -> Space.store_u8 s a 1);
+  per_call "store_u16" (fun () -> Space.store_u16 s a 1);
+  per_call "store_u32" (fun () -> Space.store_u32 s a 1);
+  per_call "store_word" (fun () -> Space.store_word s a 1);
+  per_call "write_string" (fun () -> Space.write_string s a str);
+  per_call "flush" (fun () -> Space.flush s a 64);
+  per_call "fence_at" (fun () -> Space.fence_at s a);
+  per_call "persist" (fun () -> Space.persist s a 64);
+  per_call "store_word_persist" (fun () -> Space.store_word_persist s a 1)
+
 let prop_tlb_never_stale =
   QCheck.Test.make
     ~name:"tlb never serves a stale translation across map/unmap" ~count:300
@@ -907,6 +938,8 @@ let () =
             test_lease_stale_after_remap;
           Alcotest.test_case "lease bad block still faults" `Quick
             test_lease_bad_block_still_faults;
+          Alcotest.test_case "typed accesses allocate nothing" `Quick
+            test_space_typed_no_alloc;
         ] );
       ( "vheap",
         [
