@@ -511,10 +511,13 @@ let crashcheck () =
                 ignore (ix.Spp_indices.Indices.remove k)
               done)
           in
+          let clean = Spp_pmemcheck.Pmemcheck.is_clean report in
           Printf.printf "pmemcheck %-6s %-12s %s [%s]\n" mode_name index_name
             (Format.asprintf "%a" Spp_pmemcheck.Pmemcheck.pp_report report)
-            (if Spp_pmemcheck.Pmemcheck.is_clean report then "CLEAN"
-             else "VIOLATIONS"))
+            (if clean then "CLEAN" else "VIOLATIONS");
+          gate ~experiment:"crashcheck"
+            ~name:(Printf.sprintf "pmemcheck/%s/%s" mode_name index_name)
+            clean)
         [ "ctree"; "rbtree"; "hashmap_tx" ])
     [ ("pmdk", Spp_access.Pmdk); ("spp", Spp_access.Spp) ];
   (* pmreorder over transactional index updates *)
@@ -532,10 +535,11 @@ let crashcheck () =
       ~consistent:(hashmap_consistent ~map_off)
       ()
   in
+  let clean = result.Spp_pmemcheck.Pmreorder.failures = 0 in
   Printf.printf "pmreorder  spp    hashmap_tx   %s [%s]\n"
     (Format.asprintf "%a" Spp_pmemcheck.Pmreorder.pp_result result)
-    (if result.Spp_pmemcheck.Pmreorder.failures = 0 then "CLEAN"
-     else "VIOLATIONS")
+    (if clean then "CLEAN" else "VIOLATIONS");
+  gate ~experiment:"crashcheck" ~name:"pmreorder/spp/hashmap_tx" clean
 
 (* ------------------------------------------------------------------ *)
 (* Access amplification (ours): timing-free overhead evidence          *)

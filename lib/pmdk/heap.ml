@@ -1,14 +1,19 @@
 (* Crash-consistent size-class heap allocator.
 
-   A block is [header 16 B][data]; header word 0 holds the requested size
-   while allocated and the freelist link while free, header word 1 holds
-   the state (allocated/published flags + size class). All state
-   transitions that must be atomic — freelist pop/push, bump advance,
-   header rewrite, destination oid publication — travel in a single redo
-   batch, so a crash either keeps the old heap state or lands on the new
-   one; there is no window where a live block or a freelist link is
-   partially overwritten. The destination oid [size] entry precedes the
-   [off] entry in the batch (paper §IV-F). *)
+   A block is [header 16 B][data]; header word 0 holds the requested
+   size, header word 1 the state (allocated/published flags + size
+   class). The free lists live in DRAM, as in PMDK: one stack of free
+   block offsets per class ([Rep.free_stacks]), empty after create and
+   rebuilt lazily, by one walk of the carved blocks up to the durable
+   bump, at the first allocation after open, recovery or a batch that
+   raised. A block joins its stack only once its free is durable.
+
+   So an allocation stages the block's state word (plus its requested
+   size when that changes, and the bump advance when it carves virgin
+   space) and a free stages the state word alone. They travel in a
+   single redo batch with the destination oid, so a crash either keeps
+   the old heap state or lands on the new one. The destination oid
+   [size] entry precedes the [off] entry in the batch (paper §IV-F). *)
 
 exception Out_of_pm
 
@@ -16,15 +21,42 @@ type dest =
   | No_dest           (* caller keeps the oid in volatile memory *)
   | Pm_slot of int    (* pool offset of a PM oid slot, published atomically *)
 
-let link_off ~data_off = Rep.header_off ~data_off
-
 (* Prepared allocation: everything needed to publish, with no media
-   mutation yet except on virgin (bump-carved) space. *)
+   mutation yet except on virgin (bump-carved) space. A reused block
+   stays on its stack until [publish_alloc] has made it durable. *)
 type prepared = {
   p_data_off : int;
   p_ci : int;
   p_entries : (int * int) list;   (* allocator update + header writes *)
 }
+
+(* One walk of the carved blocks, in address order up to the durable
+   bump. A header whose class is out of range ends the walk, since the
+   next header's position depends on it; its data offset is returned
+   with the result. *)
+let fold_blocks (t : Rep.t) init f =
+  let limit = min (Rep.load t Rep.off_heap_bump) t.Rep.psize in
+  let rec go off acc =
+    if off + Rep.block_header_size > limit then (acc, None)
+    else begin
+      let data_off = off + Rep.block_header_size in
+      let state = Rep.block_state t ~data_off in
+      let ci = Rep.state_class state in
+      if ci >= Rep.n_classes then (acc, Some data_off)
+      else go (data_off + Rep.class_size ci) (f acc ~data_off ~state)
+    end
+  in
+  go t.Rep.heap_base init
+
+let ensure_free_lists (t : Rep.t) =
+  if not t.Rep.free_built then begin
+    Array.fill t.Rep.free_tops 0 Rep.n_classes 0;
+    t.Rep.free_built <- true;
+    ignore
+      (fold_blocks t () (fun () ~data_off ~state ->
+         if not (Rep.state_is_allocated state) then
+           Rep.free_push t (Rep.state_class state) data_off))
+  end
 
 let check_spp_size (t : Rep.t) size =
   match t.Rep.mode with
@@ -41,17 +73,17 @@ let stage_alloc (t : Rep.t) ~size =
   if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
   check_spp_size t size;
   let ci = Rep.class_of_size size in
-  let head = Rep.load t (Rep.freelist_off ci) in
+  ensure_free_lists t;
+  let head = Rep.free_peek t ci in
   if head <> 0 then begin
-    (* Pop the freelist head. The block is not touched before publish:
-       its link (header word 0) must stay valid in case of a crash. *)
-    let next = Rep.load t (link_off ~data_off:head) in
+    (* A reused block keeps its requested-size word when the new size
+       matches it, which an overwrite of same-sized values always does. *)
+    let hoff = Rep.header_off ~data_off:head in
+    let publish = [ (hoff + 8, publish_state ci) ] in
     { p_data_off = head;
       p_ci = ci;
       p_entries =
-        [ (Rep.freelist_off ci, next);
-          (Rep.header_off ~data_off:head, size);
-          (Rep.header_off ~data_off:head + 8, publish_state ci) ] }
+        (if Rep.load t hoff = size then publish else (hoff, size) :: publish) }
   end else begin
     (* Carve virgin space past the bump pointer; the header can be staged
        directly since the block is unreachable until the bump advances. *)
@@ -78,9 +110,16 @@ let dest_entries (t : Rep.t) dest (oid : Oid.t) =
        (* size strictly before off in application order *)
        [ (doff, oid.Oid.size); (doff + 8, oid.Oid.uuid); (doff + 16, oid.Oid.off) ])
 
+(* A reused block leaves its stack only once the allocation is durable:
+   [Tx.alloc] may raise between staging and publication. A virgin block
+   lies past the bump, on no stack. *)
+let unstack (t : Rep.t) p =
+  if Rep.free_peek t p.p_ci = p.p_data_off then Rep.free_pop t p.p_ci
+
 let publish_alloc (t : Rep.t) prepared ~size ~dest =
   let oid = { Oid.uuid = t.Rep.uuid; off = prepared.p_data_off; size } in
   Redo.run t (prepared.p_entries @ dest_entries t dest oid);
+  unstack t prepared;
   oid
 
 let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
@@ -96,18 +135,17 @@ let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
 (* Group-commit variants: allocator staging inside a Redo.batch         *)
 (* ------------------------------------------------------------------ *)
 
-(* Same transitions as [stage_alloc]/[free_entries], but all allocator
-   metadata is read through the batch overlay (so an op sees the bumps,
-   pops and pushes of earlier ops in the batch) and the update entries
-   are staged into the open batch op instead of forming a private redo
-   run.
+(* Same transitions as [stage_alloc]/[free], but the metadata
+   words are read through the batch overlay (so an op sees the bumps,
+   allocations and frees of earlier ops in the batch) and the update
+   entries are staged into the open batch op instead of forming a
+   private redo run.
 
    Two deviations from the synchronous paths, both forced by deferred
-   application. First, a block freed earlier in the batch still carries
-   its durable pre-state — the free only lands at commit — so it must
-   not be handed out again: such blocks are pinned, and the freelist
-   walk pops the first unpinned block (unlinking from the middle is
-   fine: the predecessor's link is just another staged word). Second,
+   application. First, a batch takes a reused block off its stack at
+   once, and a block it frees joins its stack only when the commit that
+   carries the free is durable ([Redo.batch_defer_free]); a batch that
+   raises leaves the stacks to be rebuilt ([Pool.with_batch]). Second,
    a virgin carve composes its header in DRAM and stores it with one
    [Redo.batch_write] plus a flush, with no fence: the commit's first
    persist supplies the drain, and until the staged bump advance
@@ -119,21 +157,17 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
   if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
   check_spp_size t size;
   let ci = Rep.class_of_size size in
-  let stage off v = Redo.batch_stage b ~off ~v in
-  let rec pop prev_off cand =
-    if cand = 0 then None
-    else if Redo.batch_pinned b cand then
-      pop (link_off ~data_off:cand) (Redo.batch_load b (link_off ~data_off:cand))
-    else Some (prev_off, cand)
-  in
+  ensure_free_lists t;
+  let head = Rep.free_peek t ci in
   let data_off =
-    match pop (Rep.freelist_off ci) (Redo.batch_load b (Rep.freelist_off ci)) with
-    | Some (prev_off, head) ->
-      stage prev_off (Redo.batch_load b (link_off ~data_off:head));
-      stage (Rep.header_off ~data_off:head) size;
-      stage (Rep.header_off ~data_off:head + 8) (publish_state ci);
+    if head <> 0 then begin
+      Rep.free_pop t ci;
+      let hoff = Rep.header_off ~data_off:head in
+      if Redo.batch_load b hoff <> size then
+        Redo.batch_stage b ~off:hoff ~v:size;
+      Redo.batch_stage b ~off:(hoff + 8) ~v:(publish_state ci);
       head
-    | None ->
+    end else begin
       let bump = Redo.batch_load b Rep.off_heap_bump in
       let data_off = bump + Rep.block_header_size in
       let new_bump = data_off + Rep.class_size ci in
@@ -145,49 +179,45 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
         (Rep.st_allocated lor (ci lsl Rep.st_class_shift));
       Redo.batch_write b ~off:hoff hdr ~pos:0 ~len:Rep.block_header_size;
       Spp_sim.Space.flush t.Rep.space (Rep.a t hoff) Rep.block_header_size;
-      stage Rep.off_heap_bump new_bump;
-      stage (hoff + 8) (publish_state ci);
+      Redo.batch_stage b ~off:Rep.off_heap_bump ~v:new_bump;
+      Redo.batch_stage b ~off:(hoff + 8) ~v:(publish_state ci);
       data_off
+    end
   in
   { Oid.uuid = t.Rep.uuid; off = data_off; size }
 
 let free_batched (_ : Rep.t) (b : Redo.batch) ~data_off =
-  let st = Redo.batch_load b (Rep.header_off ~data_off + 8) in
+  let soff = Rep.header_off ~data_off + 8 in
+  let st = Redo.batch_load b soff in
   if not (Rep.state_is_allocated st && Rep.state_is_published st) then
     invalid_arg "Pmdk free: block is not allocated (double free?)";
   let ci = Rep.state_class st in
-  let head = Redo.batch_load b (Rep.freelist_off ci) in
-  Redo.batch_pin b data_off;
-  Redo.batch_stage b ~off:(link_off ~data_off) ~v:head;
-  Redo.batch_stage b ~off:(Rep.freelist_off ci) ~v:data_off;
-  Redo.batch_stage b ~off:(Rep.header_off ~data_off + 8)
-    ~v:(ci lsl Rep.st_class_shift)
+  Redo.batch_stage b ~off:soff ~v:(ci lsl Rep.st_class_shift);
+  Redo.batch_defer_free b ~ci ~data_off
 
-(* Free. Entirely inside the redo batch: link write, freelist push and
-   header demotion are atomic together. Idempotent via the published
-   flag, which is what recovery needs when it re-runs a finished free. *)
+(* Free: the state word, demoted in one redo batch with the caller's
+   extra entries; then the block joins its stack. [false] on a block
+   that is not allocated+published, which makes the free idempotent, as
+   recovery needs when it re-runs a finished free. *)
 
-let free_entries (t : Rep.t) ~data_off =
+let free_live (t : Rep.t) ~data_off ~extra_entries =
   let st = Rep.block_state t ~data_off in
-  if not (Rep.state_is_allocated st && Rep.state_is_published st) then None
-  else begin
+  let live = Rep.state_is_allocated st && Rep.state_is_published st in
+  if live then begin
     let ci = Rep.state_class st in
-    let head = Rep.load t (Rep.freelist_off ci) in
-    Some
-      [ (link_off ~data_off, head);
-        (Rep.freelist_off ci, data_off);
-        (Rep.header_off ~data_off + 8, ci lsl Rep.st_class_shift) ]
-  end
+    Redo.run t
+      ((Rep.header_off ~data_off + 8, ci lsl Rep.st_class_shift)
+       :: extra_entries);
+    Rep.free_push t ci data_off
+  end;
+  live
 
 let free (t : Rep.t) ~data_off ~extra_entries =
-  match free_entries t ~data_off with
-  | None -> invalid_arg "Pmdk free: block is not allocated (double free?)"
-  | Some entries -> Redo.run t (entries @ extra_entries)
+  if not (free_live t ~data_off ~extra_entries) then
+    invalid_arg "Pmdk free: block is not allocated (double free?)"
 
 let free_idempotent (t : Rep.t) ~data_off =
-  match free_entries t ~data_off with
-  | None -> ()
-  | Some entries -> Redo.run t entries
+  ignore (free_live t ~data_off ~extra_entries:[])
 
 (* Realloc: same class is a pure metadata update; a class change
    allocates, copies, and frees the old block, all in one redo batch. *)
@@ -217,16 +247,16 @@ let realloc (t : Rep.t) (oid : Oid.t) ~new_size ~dest =
       Rep.persist t p.p_data_off (min old_size new_size);
       let oid' = { Oid.uuid = t.Rep.uuid; off = p.p_data_off; size = new_size } in
       let free_old =
-        match free_entries t ~data_off with
-        | Some e -> e
-        | None -> assert false
+        (Rep.header_off ~data_off + 8, ci_old lsl Rep.st_class_shift)
       in
-      Redo.run t (p.p_entries @ free_old @ dest_entries t dest oid');
+      Redo.run t (p.p_entries @ (free_old :: dest_entries t dest oid'));
+      unstack t p;
+      Rep.free_push t ci_old data_off;
       oid'
     end
   end
 
-(* Heap accounting: walk the carved blocks. Used for Table III. *)
+(* Heap accounting over the walk. Used for Table III. *)
 
 type stats = {
   allocated_blocks : int;
@@ -237,26 +267,19 @@ type stats = {
 }
 
 let stats (t : Rep.t) =
-  let bump = Rep.load t Rep.off_heap_bump in
-  let rec go off acc =
-    if off >= bump then acc
-    else begin
-      let data_off = off + Rep.block_header_size in
-      let st = Rep.block_state t ~data_off in
-      let ci = Rep.state_class st in
-      let blk = Rep.block_header_size + Rep.class_size ci in
-      let acc =
-        if Rep.state_is_allocated st then
-          { acc with
-            allocated_blocks = acc.allocated_blocks + 1;
-            allocated_bytes = acc.allocated_bytes + blk;
-            requested_bytes =
-              acc.requested_bytes + Rep.block_req_size t ~data_off }
-        else { acc with free_blocks = acc.free_blocks + 1 }
-      in
-      go (off + blk) acc
-    end
-  in
-  go t.Rep.heap_base
+  let empty =
     { allocated_blocks = 0; allocated_bytes = 0; requested_bytes = 0;
-      free_blocks = 0; heap_used = bump - t.Rep.heap_base }
+      free_blocks = 0;
+      heap_used = Rep.load t Rep.off_heap_bump - t.Rep.heap_base }
+  in
+  fst
+    (fold_blocks t empty (fun acc ~data_off ~state ->
+       if Rep.state_is_allocated state then
+         { acc with
+           allocated_blocks = acc.allocated_blocks + 1;
+           allocated_bytes =
+             acc.allocated_bytes + Rep.block_header_size
+             + Rep.class_size (Rep.state_class state);
+           requested_bytes =
+             acc.requested_bytes + Rep.block_req_size t ~data_off }
+       else { acc with free_blocks = acc.free_blocks + 1 }))

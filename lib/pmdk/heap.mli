@@ -1,11 +1,16 @@
 (** Crash-consistent size-class heap allocator (internal to the pool
     facade; use {!Pool} from application code).
 
-    All state transitions that must be atomic — freelist pop/push, bump
-    advance, header rewrite, destination oid publication — travel in a
-    single redo batch, so a crash either keeps the old heap state or
-    lands on the new one. The destination oid's size entry precedes its
-    offset entry (paper §IV-F). *)
+    A block's header holds its requested size (word 0) and its state
+    word (word 1). The free lists are volatile, as in PMDK: one stack of
+    free blocks per size class, rebuilt lazily from the state words by
+    one walk of the carved blocks at the first allocation after open,
+    recovery or a batch that raised. An allocation makes the state word
+    durable (plus the requested size when it changes, and the bump
+    advance on virgin space), a free the state word; each travels in a
+    single redo batch with the destination oid, so a crash either keeps
+    the old heap state or lands on the new one. The destination oid's
+    size entry precedes its offset entry (paper §IV-F). *)
 
 exception Out_of_pm
 
@@ -20,8 +25,9 @@ type prepared = {
 }
 
 val stage_alloc : Rep.t -> size:int -> prepared
-(** Pick a block (freelist or bump) without publishing; {!Tx.alloc}
-    interposes its undo record between staging and publication. *)
+(** Pick a block (free stack or bump) without publishing; {!Tx.alloc}
+    interposes its undo record between staging and publication. A
+    reused block leaves its stack only in {!publish_alloc}. *)
 
 val publish_alloc :
   Rep.t -> prepared -> size:int -> dest:dest -> Oid.t
@@ -37,14 +43,18 @@ val realloc : Rep.t -> Oid.t -> new_size:int -> dest:dest -> Oid.t
 val alloc_batched : Rep.t -> Redo.batch -> size:int -> Oid.t
 (** Allocation staged into the open op of a group-commit batch: metadata
     reads go through the batch overlay, update entries join the batch,
-    and nothing is published until the batch commits. Blocks freed
-    earlier in the batch are skipped (their durable pre-state is live
-    until the commit lands). *)
+    and nothing is published until the batch commits. *)
 
 val free_batched : Rep.t -> Redo.batch -> data_off:int -> unit
-(** Free staged into the open batch op; pins the block against reuse
-    until the next sub-commit. Raises [Invalid_argument] on a block the
-    batch does not see as allocated+published. *)
+(** Free staged into the open batch op; the block joins its stack once
+    the commit carrying the free is durable. Raises [Invalid_argument]
+    on a block the batch does not see as allocated+published. *)
+
+val fold_blocks :
+  Rep.t -> 'a -> ('a -> data_off:int -> state:int -> 'a) -> 'a * int option
+(** [fold_blocks t init f] folds [f] over the carved blocks in address
+    order, up to the durable bump. A header whose size class is out of
+    range ends the walk; its data offset is returned as [Some]. *)
 
 type stats = {
   allocated_blocks : int;
@@ -55,4 +65,4 @@ type stats = {
 }
 
 val stats : Rep.t -> stats
-(** Walk of all carved blocks — the measurement behind Table III. *)
+(** {!fold_blocks} over the heap — the measurement behind Table III. *)

@@ -1,15 +1,17 @@
 (* Pool inspection and integrity checking — the pmempool info / pmempool
    check analogue.
 
-   [info] summarizes the header, logs and heap; [check] walks every heap
-   structure and validates the invariants the crash-consistency protocol
-   is supposed to maintain:
+   [info] summarizes the header, logs and heap; [check] walks the
+   durable heap state and validates the invariants the crash-consistency
+   protocol is supposed to maintain. The free lists are volatile (the
+   allocator rebuilds them from the state words), so what is checked is
+   what stays durable:
 
-     - the bump pointer stays within the pool and on a block boundary;
-     - every carved block has a sane class and state word;
-     - freelists are acyclic, stay within the carved area, and only link
-       blocks whose headers say free;
-     - no block is simultaneously free-listed and allocated;
+     - the bump pointer stays within the pool;
+     - every carved block has a size class in range and a state word
+       that is either free or allocated and published;
+     - every carved block's requested size lies in (0, class size],
+       which [Pool.alloc_size] and the engines' attach paths trust;
      - the root oid (when set) points at a live block of this pool;
      - redo log and transaction lane are quiescent (after recovery). *)
 
@@ -17,9 +19,7 @@ type issue =
   | Bad_magic
   | Bump_out_of_range of int
   | Bad_block_header of { data_off : int; state : int }
-  | Freelist_cycle of { class_index : int }
-  | Freelist_bad_link of { class_index : int; link : int }
-  | Freelist_wrong_state of { class_index : int; data_off : int }
+  | Bad_requested_size of { data_off : int; size : int; class_size : int }
   | Root_invalid of Oid.t
   | Redo_log_active
   | Tx_lane_active
@@ -29,14 +29,9 @@ let issue_to_string = function
   | Bump_out_of_range b -> Printf.sprintf "heap bump 0x%x out of range" b
   | Bad_block_header { data_off; state } ->
     Printf.sprintf "bad block header at 0x%x (state 0x%x)" data_off state
-  | Freelist_cycle { class_index } ->
-    Printf.sprintf "freelist cycle in class %d" class_index
-  | Freelist_bad_link { class_index; link } ->
-    Printf.sprintf "freelist of class %d links outside the heap (0x%x)"
-      class_index link
-  | Freelist_wrong_state { class_index; data_off } ->
-    Printf.sprintf "freelist of class %d holds a non-free block at 0x%x"
-      class_index data_off
+  | Bad_requested_size { data_off; size; class_size } ->
+    Printf.sprintf "block at 0x%x requests %d B, outside (0, %d]" data_off
+      size class_size
   | Root_invalid oid ->
     Format.asprintf "root oid %a does not name a live block" Oid.pp oid
   | Redo_log_active -> "redo log valid flag still set"
@@ -54,13 +49,14 @@ type info = {
 }
 
 let info (t : Pool.t) =
+  let stats = Pool.heap_stats t in
   {
     i_uuid = Pool.uuid t;
     i_mode = Mode.to_string (Pool.mode t);
     i_pool_size = Pool.size t;
     i_heap_base = Pool.heap_base t;
-    i_heap_used = (Pool.heap_stats t).Heap.heap_used;
-    i_stats = Pool.heap_stats t;
+    i_heap_used = stats.Heap.heap_used;
+    i_stats = stats;
     i_tx_state = Pool.load_word t ~off:Rep.off_tx_state;
     i_redo_valid = Pool.load_word t ~off:Rep.off_redo_valid <> 0;
   }
@@ -75,63 +71,35 @@ let pp_info ppf i =
     (if i.i_tx_state = 0 then "idle" else "ACTIVE")
     (if i.i_redo_valid then "VALID (unreplayed)" else "clear")
 
-(* Walk all carved blocks, building data_off -> state. *)
-let walk_blocks (t : Pool.t) =
-  let bump = Pool.load_word t ~off:Rep.off_heap_bump in
-  let blocks = Hashtbl.create 256 in
-  let issues = ref [] in
-  let rec go off =
-    if off < bump then begin
-      let data_off = off + Rep.block_header_size in
-      let state = Pool.load_word t ~off:(off + 8) in
-      let ci = Rep.state_class state in
-      if ci < 0 || ci >= Rep.n_classes then
-        issues := Bad_block_header { data_off; state } :: !issues
-      else begin
-        Hashtbl.replace blocks data_off state;
-        go (off + Rep.block_header_size + Rep.class_size ci)
-      end
-    end
-  in
-  go (Pool.heap_base t);
-  (blocks, bump, !issues)
+let flags_live = Rep.st_allocated lor Rep.st_published
 
 let check (t : Pool.t) =
   let issues = ref [] in
   let add i = issues := i :: !issues in
   if Pool.load_word t ~off:Rep.off_magic <> Rep.magic then add Bad_magic;
-  let blocks, bump, block_issues = walk_blocks t in
-  issues := block_issues @ !issues;
+  let bump = Pool.load_word t ~off:Rep.off_heap_bump in
   if bump < Pool.heap_base t || bump > Pool.size t then
     add (Bump_out_of_range bump);
-  (* freelists *)
-  for ci = 0 to Rep.n_classes - 1 do
-    let seen = Hashtbl.create 16 in
-    let rec follow link =
-      if link <> 0 then begin
-        if Hashtbl.mem seen link then add (Freelist_cycle { class_index = ci })
-        else begin
-          Hashtbl.replace seen link ();
-          match Hashtbl.find_opt blocks link with
-          | None -> add (Freelist_bad_link { class_index = ci; link })
-          | Some state ->
-            if Rep.state_is_allocated state then
-              add (Freelist_wrong_state { class_index = ci; data_off = link })
-            else
-              follow (Pool.load_word t ~off:(link - Rep.block_header_size))
-        end
-      end
-    in
-    follow (Pool.load_word t ~off:(Rep.freelist_off ci))
-  done;
-  (* root *)
   let root = Pool.root_oid t in
-  if not (Oid.is_null root) then begin
-    match Hashtbl.find_opt blocks root.Oid.off with
-    | Some state
-      when Rep.state_is_allocated state && root.Oid.uuid = Pool.uuid t -> ()
-    | Some _ | None -> add (Root_invalid root)
-  end;
+  let root_live = ref (Oid.is_null root) in
+  let (), bad =
+    Pool.fold_blocks t () (fun () ~data_off ~state ->
+      if data_off = root.Oid.off && Rep.state_is_allocated state then
+        root_live := root.Oid.uuid = Pool.uuid t;
+      let flags = state land ((1 lsl Rep.st_class_shift) - 1) in
+      if flags <> 0 && flags <> flags_live then
+        add (Bad_block_header { data_off; state });
+      let size = Pool.load_word t ~off:(data_off - Rep.block_header_size) in
+      let class_size = Rep.class_size (Rep.state_class state) in
+      if size <= 0 || size > class_size then
+        add (Bad_requested_size { data_off; size; class_size }))
+  in
+  Option.iter
+    (fun data_off ->
+      let state = Pool.load_word t ~off:(data_off - 8) in
+      add (Bad_block_header { data_off; state }))
+    bad;
+  if not !root_live then add (Root_invalid root);
   (* logs must be quiescent after recovery *)
   if Pool.load_word t ~off:Rep.off_redo_valid <> 0 then add Redo_log_active;
   if Pool.load_word t ~off:Rep.off_tx_state <> Rep.tx_idle then

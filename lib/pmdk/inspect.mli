@@ -1,18 +1,17 @@
 (** Pool inspection and integrity checking — the [pmempool info] /
     [pmempool check] analogue.
 
-    {!check} walks every heap structure and validates the invariants the
-    crash-consistency protocol maintains: block headers, freelist
-    well-formedness, root validity, quiescent logs. Used by tests and the
+    {!check} walks the durable heap state and validates the invariants
+    the crash-consistency protocol maintains: block headers (size class,
+    state word, requested size), root validity, quiescent logs. The
+    free lists are volatile and not checked. Used by tests and the
     crash-state explorer as a whole-pool consistency predicate. *)
 
 type issue =
   | Bad_magic
   | Bump_out_of_range of int
   | Bad_block_header of { data_off : int; state : int }
-  | Freelist_cycle of { class_index : int }
-  | Freelist_bad_link of { class_index : int; link : int }
-  | Freelist_wrong_state of { class_index : int; data_off : int }
+  | Bad_requested_size of { data_off : int; size : int; class_size : int }
   | Root_invalid of Oid.t
   | Redo_log_active
   | Tx_lane_active

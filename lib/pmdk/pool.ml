@@ -52,7 +52,11 @@ let make_rep space dev ~base ~size ~mode ~uuid =
     tx_ranges = []; tx_deferred_free = []; tx_depth = 0;
     batch_observer = None;
     compose = Bytes.empty;
-    header_image = Bytes.create Rep.block_header_size }
+    header_image = Bytes.create Rep.block_header_size;
+    overlay = Hashtbl.create 64;
+    free_stacks = Array.make Rep.n_classes [||];
+    free_tops = Array.make Rep.n_classes 0;
+    free_built = false }
 
 let create space ~base ~size ~mode ~name =
   check_span ~base ~size mode;
@@ -75,13 +79,12 @@ let create space ~base ~size ~mode ~name =
     (Rep.header_checksum ~uuid ~psize:size ~mode_word ~tag_bits);
   Rep.store t Rep.off_heap_bump t.Rep.heap_base;
   Rep.store_oid t Rep.off_root Oid.null;
-  for ci = 0 to Rep.n_classes - 1 do
-    Rep.store t (Rep.freelist_off ci) 0
-  done;
   Rep.store t Rep.off_redo_valid 0;
   Rep.store t Rep.off_tx_state Rep.tx_idle;
   Rep.store t Rep.off_ulog_used 0;
   Rep.persist t 0 t.Rep.heap_base;
+  (* nothing is carved yet: the empty stacks match the media *)
+  t.Rep.free_built <- true;
   t
 
 type recovery_report = {
@@ -93,6 +96,10 @@ let recover (t : Rep.t) =
   t.Rep.tx_depth <- 0;
   t.Rep.tx_ranges <- [];
   t.Rep.tx_deferred_free <- [];
+  (* The stacks may name blocks whose frees a crash discarded (a
+     powered-off device drops a commit the process went on to push):
+     rebuild them from the media at the next allocation. *)
+  t.Rep.free_built <- false;
   let redo_replayed = Redo.recover t in
   let tx_outcome = Tx.recover t in
   { redo_replayed; tx_outcome }
@@ -329,7 +336,8 @@ let in_tx (t : Rep.t) = Tx.in_tx t
    since batched ops read and stage heap metadata directly. If [f]
    raises, everything staged since the last sub-commit is discarded: the
    durable state then holds a prefix of whole operations, never a torn
-   one (the same guarantee a crash gets). *)
+   one (the same guarantee a crash gets). The free stacks lost the
+   blocks the discarded ops took, so they are rebuilt from the media. *)
 
 let with_batch (t : Rep.t) f =
   Mutex.lock t.Rep.tx_lock;
@@ -338,9 +346,11 @@ let with_batch (t : Rep.t) f =
     (fun () ->
       with_lock t (fun () ->
         let b = Redo.batch_begin t in
-        let r = f b in
-        Redo.batch_finish b;
-        r))
+        match f b with
+        | r -> Redo.batch_finish b; r
+        | exception e ->
+          t.Rep.free_built <- false;
+          Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())))
 
 let batch_load_word (_ : Rep.t) b ~off = Redo.batch_load b off
 let batch_stage_word (_ : Rep.t) b ~off v = Redo.batch_stage b ~off ~v
@@ -423,6 +433,7 @@ let addr_of_off (t : Rep.t) off = t.Rep.base + off
 let off_of_addr (t : Rep.t) addr = addr - t.Rep.base
 
 let heap_stats (t : Rep.t) = Heap.stats t
+let fold_blocks (t : Rep.t) init f = Heap.fold_blocks t init f
 
 (* Replication hooks: export committed sub-batches, import them on a
    replica. See [Redo.apply_payload]. *)

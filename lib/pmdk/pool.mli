@@ -204,6 +204,10 @@ val off_of_addr : t -> int -> int
 
 val heap_stats : t -> Heap.stats
 
+val fold_blocks :
+  t -> 'a -> ('a -> data_off:int -> state:int -> 'a) -> 'a * int option
+(** The heap walk behind {!heap_stats} ({!Heap.fold_blocks}). *)
+
 (** {1 Replication}
 
     Group-committed batches can be replicated: an observer installed on

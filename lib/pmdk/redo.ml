@@ -68,17 +68,18 @@ let run (t : Rep.t) entries =
    range. The commit ships those same bytes to replicas without reading
    them back.
 
-   [batch_pin]/[batch_pinned] are a small escape hatch for the heap: a
-   block freed inside the batch keeps its durable pre-state live until
-   the free commits, so the allocator must not hand it out again within
-   the same sub-batch. Pins are dropped once a commit makes the frees
+   A block freed inside the batch keeps its durable pre-state live until
+   the free commits, so it must not be handed out again before then:
+   [batch_defer_free] holds it back, and the commit that carries its
+   free pushes it onto its class's free stack once that commit is
    durable. *)
 
 type batch = {
   b_rep : Rep.t;
   b_overlay : (int, int) Hashtbl.t;       (* pool off -> staged word *)
-  b_pins_acc : (int, unit) Hashtbl.t;     (* frees staged, not yet committed *)
-  b_pins_op : (int, unit) Hashtbl.t;      (* frees staged by the open op *)
+  mutable b_frees_acc : (int * int) list;
+    (* (class, block) freed by the accumulated ops, not yet committed *)
+  mutable b_frees_op : (int * int) list;  (* freed by the open op *)
   mutable b_acc : (int * int) list;       (* complete-op entries, newest first *)
   mutable b_acc_n : int;
   mutable b_acc_ops : int;                (* entry-bearing ops accumulated *)
@@ -93,11 +94,14 @@ type batch = {
   mutable b_writes_op : (int * Bytes.t) list;  (* open op's blobs *)
 }
 
+(* The overlay is the pool's own table: [Hashtbl.reset] empties it and
+   shrinks a table a large batch grew back to its initial size. *)
 let batch_begin (t : Rep.t) =
+  Hashtbl.reset t.Rep.overlay;
   { b_rep = t;
-    b_overlay = Hashtbl.create 64;
-    b_pins_acc = Hashtbl.create 8;
-    b_pins_op = Hashtbl.create 8;
+    b_overlay = t.Rep.overlay;
+    b_frees_acc = [];
+    b_frees_op = [];
     b_acc = []; b_acc_n = 0; b_acc_ops = 0;
     b_op = []; b_op_n = 0; b_in_op = false;
     b_finished = false; b_commits = 0; b_ops = 0;
@@ -137,12 +141,9 @@ let batch_write b ~off buf ~pos ~len =
   if len > 0 && Option.is_some t.Rep.batch_observer then
     b.b_writes_op <- (off, Bytes.sub buf pos len) :: b.b_writes_op
 
-let batch_pin b off =
+let batch_defer_free b ~ci ~data_off =
   check_open b;
-  Hashtbl.replace b.b_pins_op off ()
-
-let batch_pinned b off =
-  Hashtbl.mem b.b_pins_op off || Hashtbl.mem b.b_pins_acc off
+  b.b_frees_op <- (ci, data_off) :: b.b_frees_op
 
 (* Commit the accumulated complete operations as one redo log. The
    fences actually spent are measured around the commit; a
@@ -164,7 +165,8 @@ let commit_acc b =
     b.b_acc_ops <- 0;
     b.b_writes_acc <- [];
     (* the staged frees are durable now; their blocks are reusable *)
-    Hashtbl.reset b.b_pins_acc;
+    List.iter (fun (ci, off) -> Rep.free_push t ci off) b.b_frees_acc;
+    b.b_frees_acc <- [];
     (* Ship the commit to the replication layer, if any. The payload is
        built only past the commit point — everything in it is durable on
        the primary. Its blobs are the bytes [batch_write] kept when the
@@ -189,10 +191,9 @@ let batch_op_begin b =
   b.b_in_op <- true
 
 (* The op's entries with only the newest one per offset, still newest
-   first, and their count. An op may stage a word twice — the freelist
-   head by an allocation's pop and again by a free's push, a pinned
-   block's link by its free and again by the next pop — and only the
-   last value matters once the log is applied. An op stages a few dozen
+   first, and their count. An op may stage a word twice — the bump
+   pointer by each virgin carve of a path copy — and only the last
+   value matters once the log is applied. An op stages a few dozen
    words at most, so the quadratic scan beats a table. *)
 let newest_per_offset entries =
   let rec staged off = function
@@ -226,9 +227,9 @@ let batch_op_end b =
        with an earlier overflow commit *)
     b.b_writes_acc <- b.b_writes_op @ b.b_writes_acc;
     b.b_writes_op <- [];
-    Hashtbl.iter (fun off () -> Hashtbl.replace b.b_pins_acc off ())
-      b.b_pins_op;
-    Hashtbl.reset b.b_pins_op
+    (* and so do its frees *)
+    b.b_frees_acc <- b.b_frees_op @ b.b_frees_acc;
+    b.b_frees_op <- []
   end
 
 let batch_finish b =

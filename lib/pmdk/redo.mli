@@ -26,13 +26,16 @@ val recover : Rep.t -> bool
     would overflow the log area the accumulated complete ops are
     committed early (a sub-batch, still all-or-nothing); {!batch_finish}
     commits whatever remains. Fence savings are credited to the pool's
-    device via {!Memdev.note_batch}. *)
+    device via {!Memdev.note_batch}. A block an op frees joins the
+    allocator's DRAM free stack only once the commit carrying that op
+    is durable ({!batch_defer_free}). *)
 
 type batch
 
 val batch_begin : Rep.t -> batch
 (** Callers serialize batches against transactions themselves — see
-    [Pool.with_batch]. *)
+    [Pool.with_batch]. The overlay is the pool's own table, emptied
+    here, so one batch per pool may be open at a time. *)
 
 val batch_load : batch -> int -> int
 (** Word at a pool offset as the batch sees it: the staged overlay
@@ -65,11 +68,10 @@ val batch_write : batch -> off:int -> Bytes.t -> pos:int -> len:int -> unit
     commit never reads PM to replicate. Raises [Invalid_argument]
     outside an operation. *)
 
-val batch_pin : batch -> int -> unit
-(** Mark a pool offset (a freed block) as not reusable until the next
-    commit makes its free durable. *)
-
-val batch_pinned : batch -> int -> bool
+val batch_defer_free : batch -> ci:int -> data_off:int -> unit
+(** Hold back a block the open operation freed: it joins the free stack
+    of size class [ci] once the commit carrying the operation's entries
+    is durable, never at an earlier overflow commit. *)
 
 val batch_finish : batch -> unit
 (** Commit the remaining accumulated ops and seal the batch. *)

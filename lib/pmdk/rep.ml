@@ -10,14 +10,18 @@
      0x028  heap bump pointer (next never-carved offset)
      0x030  root oid slot (24 B reserved)
      0x048  header checksum (over the immutable identity fields)
-     0x080  freelist heads, one word per size class
-     0x200  redo log   : valid, nentries, entries (off/val pairs)
-     0x800  tx lane    : tx_state, ulog_used, ulog data area
+     0x080  reserved, unused (keeps the log offsets below)
+     0x380  redo log   : valid, nentries, entries (off/val pairs)
+     0x780  tx lane    : tx_state, ulog_used, ulog data area
      heap_base (4 KiB aligned): object blocks
 
    Every object block is [header 16 B][data class_size B]; an oid's [off]
-   points at the data. The header holds the requested size and a state
-   word (allocated flag, published flag, size-class index). *)
+   points at the data. Header word 0 holds the requested size, word 1 a
+   state word (allocated flag, published flag, size-class index). The
+   free lists are not durable: each pool keeps one stack of free block
+   offsets per size class in DRAM, rebuilt from the state words by one
+   walk of the carved blocks, as PMDK v1.9 refills its buckets from the
+   run bitmaps. *)
 
 open Spp_sim
 
@@ -32,7 +36,6 @@ let off_tag_bits = 0x020
 let off_heap_bump = 0x028
 let off_root = 0x030
 let off_hdr_csum = 0x048
-let off_freelists = 0x080             (* room for 96 classes until 0x380 *)
 
 (* Redo log. *)
 let off_redo_valid = 0x380
@@ -65,8 +68,6 @@ let class_sizes =
 let n_classes = Array.length class_sizes
 let class_size ci = class_sizes.(ci)
 let block_header_size = 16
-
-let () = assert (off_freelists + (8 * n_classes) <= 0x380)
 
 let class_of_size size =
   if size > class_sizes.(n_classes - 1) then
@@ -133,6 +134,17 @@ type t = {
   header_image : Bytes.t;
     (* the virgin block header [Heap.alloc_batched] composes, apart
        from [compose] so an allocation never clobbers an op's block *)
+  overlay : (int, int) Hashtbl.t;
+    (* the staged words of the open batch ([Redo.batch_load]); one table
+       per pool, reset by every [Redo.batch_begin], since a batch holds
+       the pool's lane for its whole lifetime *)
+  free_stacks : int array array;
+    (* per size class, the data offsets of free blocks, top at
+       [free_tops.(ci) - 1]; grown on demand *)
+  free_tops : int array;
+  mutable free_built : bool;
+    (* false until the stacks match the media: after open, recovery or
+       a batch that raised; [Heap] rebuilds them at the next allocation *)
 }
 
 let min_pool_size = 1 lsl 16
@@ -212,4 +224,24 @@ let state_class st = st lsr st_class_shift
 let state_is_allocated st = st land st_allocated <> 0
 let state_is_published st = st land st_published <> 0
 
-let freelist_off ci = off_freelists + (8 * ci)
+(* Free stacks. A block joins its class's stack only once its free is
+   durable, and leaves it when an allocation takes it; while the stacks
+   are unbuilt a push is dropped, since the rebuild finds the block on
+   the media. *)
+
+let free_push t ci data_off =
+  if t.free_built then begin
+    let n = t.free_tops.(ci) in
+    if n = Array.length t.free_stacks.(ci) then
+      t.free_stacks.(ci) <-
+        Array.append t.free_stacks.(ci) (Array.make (max 16 n) 0);
+    t.free_stacks.(ci).(n) <- data_off;
+    t.free_tops.(ci) <- n + 1
+  end
+
+(* The block an allocation of class [ci] would take, 0 when none. *)
+let free_peek t ci =
+  let n = t.free_tops.(ci) in
+  if n = 0 then 0 else t.free_stacks.(ci).(n - 1)
+
+let free_pop t ci = t.free_tops.(ci) <- t.free_tops.(ci) - 1

@@ -17,13 +17,14 @@
    contiguous range and one flush per block; a replicated pool ships
    the same bytes without reading them back), and stages exactly one
    word — the root slot oid — via [Pool.batch_stage_oid]. Replaced
-   nodes and items are [Pool.batch_free]d (pinned until the commit is
-   durable, so a crash mid-batch still finds the old tree intact under
-   the old root). Each op is therefore atomic by construction and
-   recovery lands on a whole-op prefix, exactly the contract
-   [Cmap.run_batch] provides. Unlike Cmap there is no undo-transaction
-   path at all: synchronous [put]/[remove] run as single-op batches, so
-   every bmap mutation is group-committable and replicable.
+   nodes and items are [Pool.batch_free]d (kept off the free stacks
+   until the commit is durable, so a crash mid-batch still finds the
+   old tree intact under the old root). Each op is therefore atomic by
+   construction and recovery lands on a whole-op prefix, exactly the
+   contract [Cmap.run_batch] provides. Unlike Cmap there is no
+   undo-transaction path at all: synchronous [put]/[remove] run as
+   single-op batches, so every bmap mutation is group-committable and
+   replicable.
 
    Like the batched half of Cmap, all node/item IO is engine-internal
    code on pool offsets (the paper instruments application code, not

@@ -30,13 +30,45 @@ let test_busy_pool_consistent () =
   Alcotest.(check (list string)) "no issues" []
     (List.map Inspect.issue_to_string issues)
 
-let test_detects_corrupted_freelist () =
+(* Header word 0 holds the requested size of every carved block, live
+   or free; [Pool.alloc_size] and the engines' attach paths trust it. *)
+let test_detects_corrupted_req_size () =
+  let p = mk_pool () in
+  let a = Pool.alloc p ~size:64 and b = Pool.alloc p ~size:64 in
+  Pool.free_ p a;
+  check_bool "clean before" true (Inspect.is_consistent p);
+  let smash oid v =
+    Pool.store_word p ~off:(oid.Oid.off - Rep.block_header_size) v
+  in
+  let req_size_issues () =
+    List.filter
+      (function Inspect.Bad_requested_size _ -> true | _ -> false)
+      (Inspect.check p)
+  in
+  smash a 0x31337;  (* free block: beyond its 128 B class *)
+  smash b 0;        (* live block: not a requested size *)
+  check_int "both blocks flagged" 2 (List.length (req_size_issues ()))
+
+(* A flipped bit in a state word's class field: the walk cannot know
+   where the next block starts. [info] must still return (the walk
+   stops there) and [check] must name the header, as [sppctl pool-open]
+   prints it. *)
+let test_flipped_state_word () =
   let p = mk_pool () in
   let a = Pool.alloc p ~size:64 in
-  Pool.free_ p a;
-  (* corrupt the freelist link to point into nowhere *)
-  Pool.store_word p ~off:(a.Oid.off - Rep.block_header_size) 0x31337;
-  check_bool "corruption detected" false (Inspect.is_consistent p)
+  ignore (Pool.alloc p ~size:300);
+  let soff = a.Oid.off - 8 in
+  let state = Pool.load_word p ~off:soff in
+  Pool.store_word p ~off:soff (state lxor (1 lsl 40));
+  let i = Inspect.info p in
+  check_int "walk stops at the bad header" 0
+    i.Inspect.i_stats.Heap.allocated_blocks;
+  match Inspect.check p with
+  | [ Inspect.Bad_block_header { data_off; _ } ] ->
+    check_int "names the flipped block" a.Oid.off data_off
+  | issues ->
+    Alcotest.failf "expected one bad header, got [%s]"
+      (String.concat "; " (List.map Inspect.issue_to_string issues))
 
 let test_detects_corrupted_root () =
   let p = mk_pool () in
@@ -107,8 +139,10 @@ let () =
             test_fresh_pool_consistent;
           Alcotest.test_case "busy pool consistent" `Quick
             test_busy_pool_consistent;
-          Alcotest.test_case "corrupted freelist detected" `Quick
-            test_detects_corrupted_freelist;
+          Alcotest.test_case "corrupted req size detected" `Quick
+            test_detects_corrupted_req_size;
+          Alcotest.test_case "flipped state word reported, not raised"
+            `Quick test_flipped_state_word;
           Alcotest.test_case "corrupted root detected" `Quick
             test_detects_corrupted_root;
           Alcotest.test_case "active lane flagged" `Quick

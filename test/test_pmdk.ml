@@ -399,6 +399,38 @@ let test_reopen_from_saved_file () =
            (Space.read_bytes space2
               (Spp_core.Encoding.clean_tag spp_cfg ptr) 8)))
 
+(* A block freed in a batch is handed out again only after the commit
+   that carries its free: not by a later op of the same sub-batch, and
+   not after an earlier overflow commit that the freeing op did not
+   join (its durable pre-state is still live then). *)
+let test_batch_free_waits_for_its_commit () =
+  let p = mk_pool () in
+  let scratch = Pool.alloc p ~size:1024 in
+  let x = Pool.alloc p ~size:100 in
+  let stage_words b n =
+    for i = 0 to n - 1 do
+      Pool.batch_stage_word p b ~off:(scratch.Oid.off + (8 * i)) i
+    done
+  in
+  let op b f =
+    Redo.batch_op_begin b;
+    let r = f () in
+    Redo.batch_op_end b;
+    r
+  in
+  Pool.with_batch p (fun b ->
+    op b (fun () -> stage_words b 40);
+    (* 40 + 31 words overflow the log: the first op commits alone *)
+    op b (fun () -> Pool.batch_free p b x; stage_words b 30);
+    check_int "overflow commit issued" 1 (Redo.batch_commits b);
+    let y = op b (fun () -> Pool.batch_alloc p b ~size:100) in
+    check_bool "freed block not reused before its commit" true
+      (y.Oid.off <> x.Oid.off));
+  let z =
+    Pool.with_batch p (fun b -> op b (fun () -> Pool.batch_alloc p b ~size:100))
+  in
+  check_int "reused once its free is durable" x.Oid.off z.Oid.off
+
 (* Property tests *)
 
 let prop_alloc_free_consistency =
@@ -449,6 +481,184 @@ let prop_tx_atomicity_under_crash =
       done;
       !ok)
 
+(* The free stacks are volatile: an allocation or free makes only the
+   state word durable, and the stacks are rebuilt from the media after
+   recovery, a reopen or a batch that raised. Random mixed-class
+   allocations and frees through the atomic API, transactions and
+   group-commit batches, interleaved with those events; after every
+   step no two live blocks overlap, every free block is reused before
+   the bump moves, and the checker is clean. *)
+
+type alloc_step =
+  | A_alloc of int
+  | A_free of int                 (* index into the live blocks *)
+  | A_tx of { sizes : int list; frees : int list; abort : bool }
+  | A_tx_full of int              (* tx_alloc on a full undo log *)
+  | A_batch of { ops : (bool * int) list; raise_after : int option }
+      (* (true, size) allocates, (false, i) frees a live block *)
+  | A_crash
+  | A_reopen
+  | A_power_off of int list       (* frees in a batch whose commit dies *)
+
+let pp_alloc_step = function
+  | A_alloc n -> Printf.sprintf "alloc %d" n
+  | A_free i -> Printf.sprintf "free #%d" i
+  | A_tx { sizes; frees; abort } ->
+    Printf.sprintf "tx%s(alloc %d, free %d)" (if abort then "-abort" else "")
+      (List.length sizes) (List.length frees)
+  | A_batch { ops; raise_after } ->
+    Printf.sprintf "batch(%d ops%s)" (List.length ops)
+      (match raise_after with
+       | Some k -> Printf.sprintf ", raise after %d" k
+       | None -> "")
+  | A_tx_full n -> Printf.sprintf "tx_alloc %d on a full log" n
+  | A_crash -> "crash"
+  | A_reopen -> "reopen"
+  | A_power_off l ->
+    Printf.sprintf "power-off commit (%d frees)" (List.length l)
+
+let gen_alloc_step =
+  let open QCheck.Gen in
+  let size = int_range 1 2000 and idx = int_bound 1000 in
+  frequency
+    [ (4, map (fun n -> A_alloc n) size);
+      (3, map (fun i -> A_free i) idx);
+      (2, map3 (fun sizes frees abort -> A_tx { sizes; frees; abort })
+            (list_size (int_bound 3) size) (list_size (int_bound 3) idx) bool);
+      (1, map (fun n -> A_tx_full n) size);
+      (2, map (fun ops -> A_batch { ops; raise_after = None })
+            (list_size (int_range 1 40) (pair bool (int_bound 2000))));
+      (1, map2 (fun ops k -> A_batch { ops; raise_after = Some k })
+            (list_size (int_range 1 8) (pair bool (int_bound 2000)))
+            (int_bound 8));
+      (1, return A_crash);
+      (1, return A_reopen);
+      (1, map (fun l -> A_power_off l) (list_size (int_range 1 4) idx)) ]
+
+let check_free_stacks p live =
+  (* no two live blocks overlap, and the heap counts exactly them *)
+  let extents =
+    List.sort compare
+      (List.map
+         (fun o ->
+           (o.Oid.off - Rep.block_header_size,
+            o.Oid.off + Pool.usable_size p o))
+         live)
+  in
+  let rec disjoint = function
+    | (_, e1) :: (((s2, _) :: _) as tl) -> e1 <= s2 && disjoint tl
+    | _ -> true
+  in
+  let st = Pool.heap_stats p in
+  (* free blocks are reused before the bump moves *)
+  let per_class = Array.make Rep.n_classes 0 in
+  let (), _ =
+    Pool.fold_blocks p () (fun () ~data_off:_ ~state ->
+      if not (Rep.state_is_allocated state) then
+        let ci = Rep.state_class state in
+        per_class.(ci) <- per_class.(ci) + 1)
+  in
+  let taken = ref [] in
+  Array.iteri
+    (fun ci n ->
+      for _ = 1 to n do
+        taken := Pool.alloc p ~size:(Rep.class_size ci) :: !taken
+      done)
+    per_class;
+  let reused = (Pool.heap_stats p).Heap.heap_used = st.Heap.heap_used in
+  List.iter (Pool.free_ p) !taken;
+  disjoint extents
+  && st.Heap.allocated_blocks = List.length live
+  && reused
+  && Inspect.check p = []
+
+let prop_free_stacks_recover =
+  QCheck.Test.make
+    ~name:"free stacks survive crashes, reopens and failed batches" ~count:80
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map pp_alloc_step l))
+       QCheck.Gen.(list_size (int_range 1 30) gen_alloc_step))
+    (fun steps ->
+      let p = ref (mk_tracked_pool ~size:(1 lsl 21) ()) in
+      let live = ref [] in
+      (* [free]s the [i]th of the live blocks [l] (modulo their count) *)
+      let free_nth free i l =
+        if l = [] then l
+        else begin
+          let o = List.nth l (i mod List.length l) in
+          free o;
+          List.filter (fun o' -> o'.Oid.off <> o.Oid.off) l
+        end
+      in
+      let batch_op b l (is_alloc, n) =
+        Redo.batch_op_begin b;
+        let l =
+          if is_alloc then Pool.batch_alloc !p b ~size:(1 + n) :: l
+          else free_nth (Pool.batch_free !p b) n l
+        in
+        Redo.batch_op_end b;
+        l
+      in
+      let step = function
+        | A_alloc n -> live := Pool.alloc !p ~size:n :: !live
+        | A_free i -> live := free_nth (Pool.free_ !p) i !live
+        | A_tx { sizes; frees; abort } ->
+          (match
+             Pool.with_tx !p (fun () ->
+               let fresh = List.map (fun n -> Pool.tx_alloc !p ~size:n) sizes in
+               let l =
+                 List.fold_left
+                   (fun l i -> free_nth (Pool.tx_free !p) i l)
+                   (fresh @ !live) frees
+               in
+               if abort then raise Exit;
+               l)
+           with
+           | l -> live := l
+           | exception Exit -> ())
+        | A_tx_full n ->
+          (* a snapshot leaves 8 B of the undo log: the allocation's
+             record does not fit, after the block was staged *)
+          let len = Rep.ulog_cap_for_pool_size (Pool.size !p) - 32 in
+          (match
+             Pool.with_tx !p (fun () ->
+               Pool.tx_add_range !p ~off:(Pool.heap_base !p) ~len;
+               Pool.tx_alloc !p ~size:n)
+           with
+           | _ -> failwith "undo log did not fill"
+           | exception Tx.Tx_log_full -> ())
+        | A_batch { ops; raise_after } ->
+          (match
+             Pool.with_batch !p (fun b ->
+               List.fold_left
+                 (fun (k, l) op ->
+                   if Some k = raise_after then raise Exit;
+                   (k + 1, batch_op b l op))
+                 (0, !live) ops)
+           with
+           | _, l -> live := l
+           | exception Exit -> ())
+        | A_crash -> ignore (Pool.crash_and_recover !p)
+        | A_reopen ->
+          let dev = Pool.dev !p in
+          Memdev.crash dev;
+          (match Pool.open_dev (Space.create ()) ~base:4096 dev with
+           | Ok (p', _) -> p := p'
+           | Error e -> failwith (Pool.pool_error_to_string e))
+        | A_power_off frees ->
+          Pool.with_batch !p (fun b ->
+            ignore
+              (List.fold_left (fun l i -> batch_op b l (false, i)) !live frees);
+            Memdev.power_off (Pool.dev !p));
+          ignore (Pool.crash_and_recover !p)
+      in
+      List.for_all
+        (fun s ->
+          step s;
+          check_free_stacks !p !live
+          || QCheck.Test.fail_reportf "after %s" (pp_alloc_step s))
+        steps)
+
 let prop_spp_size_always_tagged_correctly =
   QCheck.Test.make
     ~name:"direct() tag always encodes the allocated size" ~count:200
@@ -481,6 +691,8 @@ let () =
             test_realloc_grow_preserves;
           Alcotest.test_case "realloc same class" `Quick test_realloc_same_class;
           Alcotest.test_case "root idempotent" `Quick test_root_idempotent;
+          Alcotest.test_case "batch free waits for its commit" `Quick
+            test_batch_free_waits_for_its_commit;
         ] );
       ( "spp-mode",
         [
@@ -530,6 +742,7 @@ let () =
         ] );
       ( "properties",
         [
+          qt prop_free_stacks_recover;
           qt prop_alloc_free_consistency;
           qt prop_tx_atomicity_under_crash;
           qt prop_spp_size_always_tagged_correctly;

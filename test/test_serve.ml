@@ -215,13 +215,8 @@ let test_run_batch_crash_between_batches () =
 
 let value_256 = String.make 256 'v'
 
-let serve_streams ~nshards ~ops =
-  let reqs =
-    Array.init ops (fun i ->
-      let key = Spp_pmemkv.Db_bench.key_of_int (i mod 64) in
-      if i mod 4 = 3 then Serve.Get key
-      else Serve.Put { key; value = value_256 })
-  in
+(* Requests split into per-shard streams, in order. *)
+let by_shard ~nshards reqs =
   let streams = Array.make nshards [] in
   Array.iter
     (fun r ->
@@ -229,6 +224,15 @@ let serve_streams ~nshards ~ops =
       streams.(s) <- r :: streams.(s))
     reqs;
   Array.map (fun l -> Array.of_list (List.rev l)) streams
+
+let serve_streams ~nshards ~ops =
+  let reqs =
+    Array.init ops (fun i ->
+      let key = Spp_pmemkv.Db_bench.key_of_int (i mod 64) in
+      if i mod 4 = 3 then Serve.Get key
+      else Serve.Put { key; value = value_256 })
+  in
+  by_shard ~nshards reqs
 
 let build_serve_store ?(nshards = 2) ?(tracking = false) ?(cache_cap = 0)
     ?engine () =
@@ -265,6 +269,92 @@ let test_fence_amortization () =
     (c32.Spp_sim.Memdev.fences_saved > 0);
   check_int "cap-1 batches save nothing" 0 c1.Spp_sim.Memdev.fences_saved;
   check_bool "batched_ops recorded" true (c32.Spp_sim.Memdev.batched_ops > 0)
+
+(* --- PM traffic budgets ------------------------------------------------ *)
+
+(* PM bytes stored and fences are pure functions of the op stream, the
+   same on every host and compiler, so they are gated exactly. Minor
+   words are not: they move with the OCaml version. *)
+
+(* One cmap overwrite in a one-op batch, SPP mode, 16 B key and 256 B
+   value, once its class has a free block: the 312 B entry, then three
+   staged words (the reused block's state, the slot oid's offset field,
+   the old entry's state) at 16 B of log and 8 B of apply each, and
+   24 B of commit words (count, valid flag set and cleared). *)
+let test_overwrite_traffic () =
+  let a =
+    Spp_access.create ~pool_size:(1 lsl 21) ~name:"traffic" Spp_access.Spp
+  in
+  let kv = Cmap.create ~nbuckets:32 a in
+  let pool = a.Spp_access.pool in
+  let key = Spp_pmemkv.Db_bench.key_of_int 7 in
+  let put c =
+    ignore
+      (Cmap.run_batch kv [| Cmap.B_put { key; value = String.make 256 c } |])
+  in
+  put 'a';
+  put 'b';   (* frees the first entry: its class now has a free block *)
+  let sp = Spp_pmdk.Pool.space pool in
+  Spp_sim.Space.reset_stats sp;
+  put 'c';
+  check_int "PM bytes stored by the overwrite" 408
+    (Spp_sim.Space.stats sp).Spp_sim.Space.pm_bytes_stored;
+  check_int "redo words staged" 3
+    (Spp_pmdk.Pool.load_word pool ~off:Spp_pmdk.Rep.off_redo_n);
+  Alcotest.(check (option string)) "value" (Some (String.make 256 'c'))
+    (Cmap.get kv key)
+
+(* A seeded YCSB-A stream (50% gets, 50% overwrites of 256 B values,
+   zipfian over a preloaded key set) on 2 shards through the pure PM
+   path, at the served path's batch size and at cap 32. *)
+let ycsb_a_streams ~nshards ~keys ~ops =
+  let y = Ycsb.create ~letter:Ycsb.A ~seed:1 ~universe:keys () in
+  let key = Spp_pmemkv.Db_bench.key_of_int in
+  let reqs =
+    Array.init ops (fun i ->
+      match Ycsb.next y with
+      | Ycsb.Read k -> Serve.Get (key k)
+      | Ycsb.Update k ->
+        let value = String.make 256 (Char.chr (97 + (i mod 26))) in
+        Serve.Put { key = key k; value }
+      | _ -> assert false)
+  in
+  by_shard ~nshards reqs
+
+let stream_traffic engine ~batch_cap =
+  let nshards = 2 and keys = 2_000 and ops = 4_000 in
+  let t = build_serve_store ~nshards ~engine () in
+  let put k =
+    Serve.Put { key = Spp_pmemkv.Db_bench.key_of_int k; value = value_256 }
+  in
+  let preload = by_shard ~nshards (Array.init keys put) in
+  ignore (Serve.run_sequential ~use_cache:false t ~batch_cap:32 preload);
+  Shard.reset_stats t;
+  ignore
+    (Serve.run_sequential ~use_cache:false t ~batch_cap
+       (ycsb_a_streams ~nshards ~keys ~ops));
+  let per_op v = float_of_int v /. float_of_int ops in
+  ( per_op (Shard.merged_stats t).Spp_sim.Space.pm_bytes_stored,
+    per_op (Shard.merged_counters t).Spp_sim.Memdev.fences )
+
+(* Budgets: the counts of this allocator, rounded up. A change that
+   stores more PM bytes or issues more fences per op fails here. *)
+let test_stream_traffic_budgets () =
+  List.iter
+    (fun (name, engine, batch_cap, bytes_budget, fences_budget) ->
+      let bytes, fences = stream_traffic engine ~batch_cap in
+      check_bool
+        (Printf.sprintf "%s cap %d: %.3f PM bytes stored/op <= %.1f" name
+           batch_cap bytes bytes_budget)
+        true (bytes <= bytes_budget);
+      check_bool
+        (Printf.sprintf "%s cap %d: %.4f fences/op <= %.3f" name batch_cap
+           fences fences_budget)
+        true (fences <= fences_budget))
+    [ ("cmap", Spp_pmemkv.Engines.cmap, 1, 197.0, 1.931);
+      ("cmap", Spp_pmemkv.Engines.cmap, 32, 186.6, 0.132);
+      ("btree", Spp_pmemkv.Engines.btree, 1, 665.7, 1.931);
+      ("btree", Spp_pmemkv.Engines.btree, 32, 657.2, 0.501) ]
 
 (* --- Async pipeline --------------------------------------------------- *)
 
@@ -619,13 +709,7 @@ let cache_streams ~nshards ~ops =
       | 1 when i mod 40 = 33 -> Serve.Remove key
       | _ -> Serve.Get key)
   in
-  let streams = Array.make nshards [] in
-  Array.iter
-    (fun r ->
-      let s = Shard.shard_of_key ~nshards (Serve.request_key r) in
-      streams.(s) <- r :: streams.(s))
-    reqs;
-  Array.map (fun l -> Array.of_list (List.rev l)) streams
+  by_shard ~nshards reqs
 
 (* The tentpole's safety property: a cached sequential run must be
    bit-identical to a cache-off run of the same streams — every reply,
@@ -1521,5 +1605,12 @@ let () =
             `Quick test_serve_threaded_replication;
           Alcotest.test_case "replication reads no PM, replica identical"
             `Quick test_replication_reads_no_pm;
+        ] );
+      ( "pm traffic budget",
+        [
+          Alcotest.test_case "cmap overwrite: 408 B, 3 redo words" `Quick
+            test_overwrite_traffic;
+          Alcotest.test_case "YCSB-A stream within PM budgets" `Quick
+            test_stream_traffic_budgets;
         ] );
     ]
