@@ -53,6 +53,33 @@ let gate ~experiment ~name ?extra ok =
     failed_gates := (experiment ^ "/" ^ name) :: !failed_gates
   end
 
+(* The domain or shard counts of [all] that --domains allows. *)
+let capped all =
+  match domains_cap with
+  | None -> all
+  | Some cap -> List.filter (fun d -> d <= max 1 cap) all
+
+(* The serving experiments' store: an SPP shard store with [keys] keys
+   preloaded and its stats zeroed. [tracking] gives every shard device a
+   durable image first, for the experiments that recover or count
+   fences. *)
+let preloaded_store ?(pool_size = 1 lsl 24) ?engine ?cache_cap
+    ?(tracking = false) ~nshards ~keys () =
+  let open Spp_shard in
+  let t =
+    Shard.create ~nbuckets:512 ~pool_size ?engine ?cache_cap ~nshards
+      Spp_access.Spp
+  in
+  if tracking then
+    for i = 0 to nshards - 1 do
+      Spp_sim.Memdev.set_tracking
+        (Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool)
+        true
+    done;
+  Shard_bench.preload t ~keys;
+  Shard.reset_stats t;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: persistent indices — insert/get/remove slowdowns            *)
 (* ------------------------------------------------------------------ *)
@@ -763,10 +790,11 @@ let pipeline () =
   jemit ~experiment:"pipeline" ~name:"flush_fence/line_indexed"
     ~metric:"ns_per_op" ~unit_:"ns" ns_indexed;
   (* -- hot path: uncached engine gets and scans. Reads hoist the
-        pointer check and region resolution into lease acquisition and
-        copy each value once; pm_bytes_loaded per get counts the leased
-        windows. Every reply is checked against the preloaded contents
-        before numbers are reported. -- *)
+        pointer check and region resolution into view acquisition and
+        copy each value once; pm_bytes_loaded per get counts the
+        opened windows. Every reply is checked against the preloaded
+        contents before numbers are reported. The records keep their
+        "lease" names for continuity with earlier snapshots. -- *)
   print_subtitle "hot path: uncached gets and scans";
   let universe = sc 4_000 in
   let ngets = sc 40_000 in
@@ -869,12 +897,7 @@ let pipeline () =
 let scaleout () =
   let open Spp_shard in
   print_title "Scaleout: domain-parallel sharded KV through Serve";
-  let domain_counts =
-    let all = [ 1; 2; 4; 8 ] in
-    match domains_cap with
-    | None -> all
-    | Some cap -> List.filter (fun d -> d <= max 1 cap) all
-  in
+  let domain_counts = capped [ 1; 2; 4; 8 ] in
   let preload_keys = sc 2_000 and total_ops = sc 24_000 in
   let seed = 42 in
   Printf.printf
@@ -885,10 +908,9 @@ let scaleout () =
   (* One side: a fresh store behind a fresh [Serve], the per-shard
      streams run by [exec], timed from first submission to last reply. *)
   let side nshards exec =
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 23) ~nshards
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:preload_keys;
-    Shard.reset_stats t;
+    let t =
+      preloaded_store ~pool_size:(1 lsl 23) ~nshards ~keys:preload_keys ()
+    in
     let sv = Serve.create t in
     (* drain the GC before timing so a pending major collection from
        preload does not land inside the measured window *)
@@ -1015,12 +1037,7 @@ let serve () =
   let open Spp_shard in
   let open Spp_benchlib in
   print_title "Serve: asynchronous batched pipeline (group-committed redo)";
-  let shard_counts =
-    let all = [ 1; 2; 4 ] in
-    match domains_cap with
-    | None -> all
-    | Some cap -> List.filter (fun d -> d <= max 1 cap) all
-  in
+  let shard_counts = capped [ 1; 2; 4 ] in
   let caps = [ 1; 8; 32 ] in
   let windows = [ 1; 64 ] in
   let universe = sc 2_000 in
@@ -1037,33 +1054,16 @@ let serve () =
       if Random.State.int st 4 = 3 then Serve.Get key
       else Serve.Put { key; value })
   in
-  let partition ~nshards reqs =
-    let buckets = Array.make nshards [] in
-    Array.iter
-      (fun r ->
-        let s = Shard.shard_of_key ~nshards (Serve.request_key r) in
-        buckets.(s) <- r :: buckets.(s))
-      reqs;
-    Array.map (fun l -> Array.of_list (List.rev l)) buckets
-  in
-  let build ?(tracking = false) nshards =
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~nshards
-        Spp_access.Spp in
-    if tracking then
-      for i = 0 to nshards - 1 do
-        Spp_sim.Memdev.set_tracking
-          (Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool)
-          true
-      done;
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
+  let build ?tracking nshards =
+    preloaded_store ?tracking ~nshards ~keys:universe ()
   in
   (* -- part 1: fence amortization -- *)
   print_subtitle "group-commit fence amortization (sequential path, 2 shards)";
   print_row ~w:14
     (List.map (fun c -> Printf.sprintf "cap %d" c) caps @ [ "ratio 32/1" ]);
-  let streams2 = partition ~nshards:2 (gen_requests ~seed:7 total_ops) in
+  let streams2 =
+    Shard_bench.partition ~nshards:2 (gen_requests ~seed:7 total_ops)
+  in
   let fences_per_op cap =
     let t = build ~tracking:true 2 in
     ignore (Serve.run_sequential t ~batch_cap:cap streams2);
@@ -1092,7 +1092,9 @@ let serve () =
   (* -- part 2: async pipeline == sequential baseline, bit for bit -- *)
   let nd_max = List.fold_left max 1 shard_counts in
   let diff_cap = 16 in
-  let streams = partition ~nshards:nd_max (gen_requests ~seed:7 total_ops) in
+  let streams =
+    Shard_bench.partition ~nshards:nd_max (gen_requests ~seed:7 total_ops)
+  in
   let t_seq = build nd_max and t_par = build nd_max in
   let seq_replies = Serve.run_sequential t_seq ~batch_cap:diff_cap streams in
   let sv = Serve.create ~batch_cap:diff_cap ~adaptive:false ~autostart:false
@@ -1230,12 +1232,7 @@ let cache () =
   let open Spp_shard in
   let open Spp_benchlib in
   print_title "Read cache: volatile DRAM read cache over the serving stack";
-  let shard_counts =
-    let all = [ 1; 2 ] in
-    match domains_cap with
-    | None -> all
-    | Some cap -> List.filter (fun d -> d <= max 1 cap) all
-  in
+  let shard_counts = capped [ 1; 2 ] in
   let universe = sc 2_000 in
   let total_ops = sc 24_000 in
   let value = String.make 256 'v' in
@@ -1259,34 +1256,13 @@ let cache () =
       if Random.State.int st 16 = 0 then Serve.Put { key; value }
       else Serve.Get key)
   in
-  let partition ~nshards reqs =
-    let buckets = Array.make nshards [] in
-    Array.iter
-      (fun r ->
-        let s = Shard.shard_of_key ~nshards (Serve.request_key r) in
-        buckets.(s) <- r :: buckets.(s))
-      reqs;
-    Array.map (fun l -> Array.of_list (List.rev l)) buckets
-  in
-  let build ?(tracking = false) ~cache_cap nshards =
-    let t =
-      Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~cache_cap ~nshards
-        Spp_access.Spp
-    in
-    if tracking then
-      for i = 0 to nshards - 1 do
-        Spp_sim.Memdev.set_tracking
-          (Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool)
-          true
-      done;
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
+  let build ?tracking ~cache_cap nshards =
+    preloaded_store ?tracking ~cache_cap ~nshards ~keys:universe ()
   in
   (* -- part 1: cache-on == cache-off, bit for bit -- *)
   let nd_diff = List.fold_left max 1 shard_counts in
   let streams =
-    partition ~nshards:nd_diff
+    Shard_bench.partition ~nshards:nd_diff
       (gen_requests ~seed:11 ~dist:`Zipfian total_ops)
   in
   let t_on = build ~tracking:true ~cache_cap:4096 nd_diff in
@@ -1513,15 +1489,7 @@ let failover () =
       if Random.State.int st 4 = 0 then Serve.Put { key; value }
       else Serve.Get key)
   in
-  let build () =
-    let t =
-      Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~nshards
-        Spp_access.Spp
-    in
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
-  in
+  let build () = preloaded_store ~nshards ~keys:universe () in
   let drive sv reqs lo hi =
     let q = Queue.create () in
     for i = lo to hi - 1 do
@@ -1675,13 +1643,7 @@ let scan_bench () =
   let engines =
     [ ("cmap", Spp_pmemkv.Engines.cmap); ("btree", Spp_pmemkv.Engines.btree) ]
   in
-  let build engine =
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~engine ~nshards
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
-  in
+  let build engine = preloaded_store ~engine ~nshards ~keys:universe () in
   (* -- gate: async = sequential over scan-bearing streams -- *)
   let async_matches_sequential engine =
     let ops = sc 4_000 in
@@ -1863,13 +1825,7 @@ let reshard () =
   let universe = 256 in
   let key_of = Spp_pmemkv.Db_bench.key_of_int in
   let value = String.make 256 'v' in
-  let build () =
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~nshards
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
-  in
+  let build () = preloaded_store ~nshards ~keys:universe () in
   (* -- part 1: migration differential gate -- *)
   let gate_ops = sc 6_000 in
   let gen_gate () =
@@ -1945,10 +1901,7 @@ let reshard () =
     total_ops nwindows theta storm_universe period;
   let run_storm ~nshards ~rebalance =
     Gc.compact ();
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~nshards
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:storm_universe;
-    Shard.reset_stats t;
+    let t = preloaded_store ~nshards ~keys:storm_universe () in
     let sv = Serve.create ~batch_cap:32 t in
     let rb =
       if rebalance then
@@ -2101,13 +2054,7 @@ let net () =
   let engines =
     [ ("cmap", Spp_pmemkv.Engines.cmap); ("btree", Spp_pmemkv.Engines.btree) ]
   in
-  let build engine =
-    let t = Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~engine ~nshards
-        Spp_access.Spp in
-    Shard_bench.preload t ~keys:universe;
-    Shard.reset_stats t;
-    t
-  in
+  let build engine = preloaded_store ~engine ~nshards ~keys:universe () in
   let with_wire ~tag engine f =
     let t = build engine in
     let sv = Serve.create ~batch_cap:32 t in

@@ -59,11 +59,9 @@ type t = {
   read_sub : int -> int -> string;
   write_bytes : int -> Bytes.t -> unit;
   write_string : int -> string -> unit;
-  (* hoisted-check read windows: the variant's whole-range check runs
-     once at acquisition, reads through the lease skip it *)
-  lease : int -> int -> Space.lease;
-  (* one-shot view: the variant check, translation and media check all
-     paid at acquisition; reads through the view are raw *)
+  (* hoisted-check read window: the variant's whole-range check, the
+     translation and the media check all paid at acquisition; reads
+     through the view are raw *)
   view : int -> int -> Space.view;
   (* interposed intrinsics *)
   memcpy : dst:int -> src:int -> len:int -> unit;
@@ -111,7 +109,6 @@ let make_pmdk ~space ~pool ~vheap ~name =
     read_sub = Space.read_sub space;
     write_bytes = Space.write_bytes space;
     write_string = Space.write_string space;
-    lease = Space.lease space;
     view = Space.read_view space;
     memcpy = (fun ~dst ~src ~len -> Space.blit space ~src ~dst ~len);
     memmove = (fun ~dst ~src ~len -> Space.blit space ~src ~dst ~len);
@@ -181,18 +178,13 @@ let make_spp ?(variant = Spp) ?tag_volatile ~space ~pool ~cfg ~name () =
       (fun p b -> Space.write_bytes space (block_ptr p (Bytes.length b)) b);
     write_string =
       (fun p s -> Space.write_string space (block_ptr p (String.length s)) s);
-    lease =
+    view =
       (fun p len ->
         (* The SPP bound check hoisted to acquisition: one
            [spp_memintr_check] masks the tag and validates the furthest
            byte of the window — jhc-style single-mask dispatch — and the
-           lease hands back an untagged window, so reads through it never
-           decode the tag again. *)
-        Space.lease space (block_ptr p len) len);
-    view =
-      (fun p len ->
-        (* same hoist, fused: the masked-tag check covers the window and
-           the view is opened on the untagged address in one step *)
+           view is opened on the untagged address, so reads through it
+           never decode the tag again. *)
         Space.read_view space (block_ptr p len) len);
     memcpy = (fun ~dst ~src ~len -> Wrappers.wrap_memcpy cfg space ~dst ~src ~len);
     memmove =
@@ -249,7 +241,6 @@ let make_safepm ~space ~pool ~shadow ~vheap ~name =
       (fun p s ->
         ck p (String.length s) (fun () -> Space.write_string space p s));
     (* one shadow lookup at acquisition covers the whole window *)
-    lease = (fun p len -> ck p len (fun () -> Space.lease space p len));
     view = (fun p len -> ck p len (fun () -> Space.read_view space p len));
     memcpy =
       (fun ~dst ~src ~len ->
@@ -349,7 +340,6 @@ let make_memcheck ~space ~pool ~table ~vheap ~name =
       (fun p s ->
         ck p (String.length s) (fun () -> Space.write_string space p s));
     (* one interval lookup at acquisition covers the whole window *)
-    lease = (fun p len -> ck p len (fun () -> Space.lease space p len));
     view = (fun p len -> ck p len (fun () -> Space.read_view space p len));
     memcpy =
       (fun ~dst ~src ~len ->
@@ -424,46 +414,37 @@ let make_memcheck ~space ~pool ~table ~vheap ~name =
 
 let default_pool_base = 4096
 
-let create ?(tag_bits = 26) ?(pool_base = default_pool_base)
-    ?(vheap_size = 1 lsl 20) ~pool_size ~name variant =
+let vheap_size = 1 lsl 20
+
+let create ?(tag_bits = 26) ~pool_size ~name variant =
   let space = Space.create () in
+  let pool mode =
+    Pool.create space ~base:default_pool_base ~size:pool_size ~mode ~name
+  in
   match variant with
   | Pmdk ->
-    let pool =
-      Pool.create space ~base:pool_base ~size:pool_size ~mode:Mode.Native ~name
-    in
+    let pool = pool Mode.Native in
     let vheap = Vheap.create space vheap_size in
     make_pmdk ~space ~pool ~vheap ~name
   | Spp ->
     let cfg = Config.make ~tag_bits in
-    let pool =
-      Pool.create space ~base:pool_base ~size:pool_size ~mode:(Mode.Spp cfg)
-        ~name
-    in
-    make_spp ~space ~pool ~cfg ~name ()
+    make_spp ~space ~pool:(pool (Mode.Spp cfg)) ~cfg ~name ()
   | Spp_all ->
     let cfg = Config.make ~tag_bits in
-    let pool =
-      Pool.create space ~base:pool_base ~size:pool_size ~mode:(Mode.Spp cfg)
-        ~name
-    in
+    let pool = pool (Mode.Spp cfg) in
     (* the volatile heap must live inside the taggable address span *)
-    let vbase = pool_base + pool_size + 4096 in
+    let vbase = default_pool_base + pool_size + 4096 in
     if vbase + vheap_size > Config.max_pool_span cfg then
       invalid_arg "Spp_access.create: volatile heap exceeds the tag span";
     let vheap = Vheap.create ~base:vbase space vheap_size in
     make_spp ~variant:Spp_all ~tag_volatile:vheap ~space ~pool ~cfg ~name ()
   | Safepm ->
-    let pool =
-      Pool.create space ~base:pool_base ~size:pool_size ~mode:Mode.Native ~name
-    in
+    let pool = pool Mode.Native in
     let shadow = Spp_safepm.attach_fresh pool in
     let vheap = Vheap.create space vheap_size in
     make_safepm ~space ~pool ~shadow ~vheap ~name
   | Memcheck ->
-    let pool =
-      Pool.create space ~base:pool_base ~size:pool_size ~mode:Mode.Native ~name
-    in
+    let pool = pool Mode.Native in
     let table = Spp_memcheck.create () in
     let vheap = Vheap.create space vheap_size in
     make_memcheck ~space ~pool ~table ~vheap ~name
@@ -476,13 +457,13 @@ let create ?(tag_bits = 26) ?(pool_base = default_pool_base)
    checker variants (Safepm/Memcheck) rebuild their volatile side tables
    from scratch elsewhere and are not reattachable here. *)
 
-let attach ?(name = "reattached") space pool =
+let attach space pool =
+  let name = "reattached" in
   match Pool.mode pool with
   | Mode.Spp cfg -> make_spp ~space ~pool ~cfg ~name ()
   | Mode.Native ->
     (* a fresh volatile heap, mapped high where pools never live *)
-    let vheap = Vheap.create space (1 lsl 16) in
-    make_pmdk ~space ~pool ~vheap ~name
+    make_pmdk ~space ~pool ~vheap:(Vheap.create space (1 lsl 16)) ~name
 
 (* --- Violation handling --------------------------------------------------- *)
 
@@ -495,7 +476,7 @@ let run_guarded (f : unit -> unit) =
   | () -> Ok_completed
   | exception Fault.Fault (k, addr) ->
     Prevented (Printf.sprintf "%s at 0x%x" (Fault.kind_to_string k) addr)
-  | exception Space.Lease_out_of_window { addr; window; off; len } ->
+  | exception Space.Out_of_window { addr; window; off; len } ->
     Prevented
       (Printf.sprintf
          "window fault: access (+%d, %d bytes) outside [0x%x, +%d)" off len

@@ -53,19 +53,13 @@ type t = {
   read_sub : int -> int -> string;   (** single-copy substring read *)
   write_bytes : int -> Bytes.t -> unit;
   write_string : int -> string -> unit;
-  lease : int -> int -> Space.lease;
-  (** Validated read window with the variant's pointer/bounds check
-      hoisted to acquisition: one check and one translation for the
-      whole window, then {!Space.lease_load_word}-style reads skip both.
-      Under {!Spp} this is a single [spp_memintr_check] — one masked tag
-      decode — instead of one hook per access. *)
-
   view : int -> int -> Space.view;
-  (** One-shot read window: the variant's check, the translation {e and}
-      the media check are all paid at acquisition, and
-      {!Space.view_word}-style reads through it are raw. The fused form
-      of [lease]+{!Space.lease_view} for hot paths that read a window
-      exactly once. *)
+  (** Read window with the variant's pointer/bounds check hoisted to
+      acquisition: the check, the translation and the media check are
+      paid once for the whole window, and {!Space.view_word}-style reads
+      through it are raw. Under {!Spp} this is a single
+      [spp_memintr_check] — one masked tag decode — instead of one hook
+      per access. *)
   (* interposed intrinsics *)
   memcpy : dst:int -> src:int -> len:int -> unit;
   memmove : dst:int -> src:int -> len:int -> unit;
@@ -91,13 +85,12 @@ type t = {
 
 val default_pool_base : int
 
-val create :
-  ?tag_bits:int -> ?pool_base:int -> ?vheap_size:int -> pool_size:int ->
-  name:string -> variant -> t
-(** Build a fresh machine (address space + pool + checker state) for the
-    variant. [tag_bits] only affects {!Spp} (default 26). *)
+val create : ?tag_bits:int -> pool_size:int -> name:string -> variant -> t
+(** Build a fresh machine (address space + pool at {!default_pool_base} +
+    checker state) for the variant. [tag_bits] only affects {!Spp}
+    (default 26). *)
 
-val attach : ?name:string -> Space.t -> Pool.t -> t
+val attach : Space.t -> Pool.t -> t
 (** Rebuild the access layer over an already-open pool (after
     [Pool.open_dev] on a reopened image): SPP pools come back with
     tagged, checked accesses; native pools with raw PMDK semantics. The
@@ -112,5 +105,5 @@ type outcome =
 
 val run_guarded : (unit -> unit) -> outcome
 (** Run a workload, mapping simulated faults, accesses outside a
-    validated window ({!Space.Lease_out_of_window}, how SPP's hoisted
-    check stops an overrun) and checker violations to {!Prevented}. *)
+    validated window ({!Space.Out_of_window}, how SPP's hoisted check
+    stops an overrun) and checker violations to {!Prevented}. *)

@@ -22,11 +22,6 @@ let wrap_memset cfg space ~dst ~c ~len =
   let dst' = Runtime.spp_memintr_check cfg dst len in
   Space.fill space dst' len c
 
-let wrap_memcmp cfg space ~a ~b ~len =
-  let a' = Runtime.spp_memintr_check cfg a len in
-  let b' = Runtime.spp_memintr_check cfg b len in
-  Space.memcmp space a' b' len
-
 (* String functions. The wrapper first masks the argument (so an already
    overflown pointer faults on the scan), measures the string, then
    re-checks the full range it is about to read or write. *)

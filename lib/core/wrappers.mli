@@ -11,7 +11,6 @@ open Spp_sim
 val wrap_memcpy : Config.t -> Space.t -> dst:int -> src:int -> len:int -> unit
 val wrap_memmove : Config.t -> Space.t -> dst:int -> src:int -> len:int -> unit
 val wrap_memset : Config.t -> Space.t -> dst:int -> c:char -> len:int -> unit
-val wrap_memcmp : Config.t -> Space.t -> a:int -> b:int -> len:int -> int
 
 val wrap_strlen : Config.t -> Space.t -> int -> int
 val wrap_strcpy : Config.t -> Space.t -> dst:int -> src:int -> unit

@@ -43,10 +43,10 @@ let create ?(buggy = false) a =
   in
   { a; map_oid; buggy }
 
-let attach ?(buggy = false) a ~root =
+let attach a ~root =
   if Pool.alloc_size a.Spp_access.pool root < a.Spp_access.oid_size then
     invalid_arg "Btree_map.attach: root slot too small";
-  { a; map_oid = root; buggy }
+  { a; map_oid = root; buggy = false }
 
 let map_oid t = t.map_oid
 

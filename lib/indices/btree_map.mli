@@ -14,10 +14,11 @@ val name : string
 val create : ?buggy:bool -> Spp_access.t -> t
 (** [buggy] defaults to [false] (the fixed code). *)
 
-val attach : ?buggy:bool -> Spp_access.t -> root:Spp_pmdk.Oid.t -> t
+val attach : Spp_access.t -> root:Spp_pmdk.Oid.t -> t
 (** Re-attach to an existing tree after a pool reopen, given the
-    root-slot oid ({!map_oid} of the original). Raises [Invalid_argument]
-    if the slot's durable allocation cannot hold an oid. *)
+    root-slot oid ({!map_oid} of the original), with the fixed remove
+    path. Raises [Invalid_argument] if the slot's durable allocation
+    cannot hold an oid. *)
 
 val map_oid : t -> Spp_pmdk.Oid.t
 (** The root-slot object's oid — the single durable handle; park it in

@@ -19,11 +19,11 @@ type machine = {
   mutable external_calls : int;
 }
 
-let make_machine ?(spp = true) ?(tag_bits = 26) ?(pool_size = 1 lsl 20) () =
+let make_machine ?(spp = true) ?(pool_size = 1 lsl 20) () =
   let space = Space.create () in
   let mode, cfg =
     if spp then begin
-      let c = Spp_core.Config.make ~tag_bits in
+      let c = Spp_core.Config.make ~tag_bits:26 in
       (Mode.Spp c, Some c)
     end
     else (Mode.Native, None)

@@ -18,9 +18,8 @@ type machine = {
   mutable external_calls : int;
 }
 
-val make_machine :
-  ?spp:bool -> ?tag_bits:int -> ?pool_size:int -> unit -> machine
-(** Default: an SPP-mode pool with 26 tag bits. *)
+val make_machine : ?spp:bool -> ?pool_size:int -> unit -> machine
+(** Default: an SPP-mode pool (26 tag bits). *)
 
 val run_program : machine -> Ir.program -> unit
 (** Executes [main]. Hook instructions on a non-SPP machine fail; an

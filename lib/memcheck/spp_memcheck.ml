@@ -92,5 +92,4 @@ let is_valid t addr len =
   | () -> true
   | exception Violation _ -> false
 
-let live_count t = t.n
 let checks_performed t = t.checks

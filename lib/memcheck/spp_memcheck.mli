@@ -23,5 +23,4 @@ val check : t -> int -> int -> unit
 (** Raises {!Violation} if any byte of the access is unaddressable. *)
 
 val is_valid : t -> int -> int -> bool
-val live_count : t -> int
 val checks_performed : t -> int

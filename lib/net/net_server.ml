@@ -295,7 +295,7 @@ let run t =
     Hashtbl.iter (fun fd _ -> close_quietly fd) conns;
     List.iter close_quietly [ t.ns_sock; wake_r; snd t.ns_wake ])
 
-let create ?(backlog = 64) serve addr =
+let create serve addr =
   unlink addr;   (* a stale Unix-domain path *)
   let sock =
     Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
@@ -311,7 +311,7 @@ let create ?(backlog = 64) serve addr =
      if Unix.domain_of_sockaddr addr <> Unix.PF_UNIX then
        Unix.setsockopt sock Unix.SO_REUSEADDR true;
      Unix.bind sock addr;
-     Unix.listen sock backlog
+     Unix.listen sock 64
    with e -> fail e);
   let t =
     { ns_serve = serve; ns_sock = sock; ns_addr = Unix.getsockname sock;

@@ -37,10 +37,10 @@ val parse_addr : string -> Unix.sockaddr
 
 val pp_addr : Format.formatter -> Unix.sockaddr -> unit
 
-val create : ?backlog:int -> Spp_shard.Serve.t -> Unix.sockaddr -> t
-(** Bind, listen and start the I/O domain. A Unix-domain path is
-    unlinked first if stale; TCP sockets set [SO_REUSEADDR] and accept
-    port 0 (see {!addr} for the bound port). [backlog] defaults to 64.
+val create : Spp_shard.Serve.t -> Unix.sockaddr -> t
+(** Bind, listen (backlog 64) and start the I/O domain. A Unix-domain
+    path is unlinked first if stale; TCP sockets set [SO_REUSEADDR] and
+    accept port 0 (see {!addr} for the bound port).
     Raises [Failure] if the listener or the self-pipe gets a descriptor
     [select] cannot watch. *)
 

@@ -19,9 +19,9 @@ type t = {
 
 let first_pool_base = 4096
 
-let create ?(vheap_size = 1 lsl 22) () =
+let create () =
   let space = Space.create () in
-  let vheap = Vheap.create space vheap_size in
+  let vheap = Vheap.create space (1 lsl 22) in
   { space; vheap; pools = []; next_base = first_pool_base }
 
 let space t = t.space
@@ -47,9 +47,6 @@ let open_pool t dev =
 
 let pool_of_uuid t uuid = List.assoc_opt uuid t.pools
 
-let pool_of_oid t (oid : Oid.t) =
-  if Oid.is_null oid then None else pool_of_uuid t oid.Oid.uuid
-
 (* pmemobj_direct over every mapped pool: dispatch on the oid's uuid. *)
 let direct t (oid : Oid.t) =
   if Oid.is_null oid then 0
@@ -57,7 +54,3 @@ let direct t (oid : Oid.t) =
     match pool_of_uuid t oid.Oid.uuid with
     | Some pool -> Pool.direct pool oid
     | None -> raise (Pool.Wrong_pool oid)
-
-let close_pool t pool =
-  Pool.close pool;
-  t.pools <- List.filter (fun (u, _) -> u <> Pool.uuid pool) t.pools

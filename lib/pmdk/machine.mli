@@ -10,7 +10,9 @@ open Spp_sim
 
 type t
 
-val create : ?vheap_size:int -> unit -> t
+val create : unit -> t
+(** A fresh address space with a 4 MiB volatile heap and no pools. *)
+
 val space : t -> Space.t
 val vheap : t -> Vheap.t
 val pools : t -> Pool.t list
@@ -20,12 +22,9 @@ val open_pool : t -> Memdev.t -> Pool.t
 (** Map an existing pool device at the next free base and run recovery. *)
 
 val pool_of_uuid : t -> int -> Pool.t option
-val pool_of_oid : t -> Oid.t -> Pool.t option
 
 val direct : t -> Oid.t -> int
 (** [pmemobj_direct] across all mapped pools: dispatches on the oid's
     uuid; raises {!Pool.Wrong_pool} for an unknown pool. *)
-
-val close_pool : t -> Pool.t -> unit
 
 val first_pool_base : int

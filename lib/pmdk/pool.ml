@@ -200,9 +200,6 @@ let crash_and_recover (t : Rep.t) =
   Memdev.crash t.Rep.dev;
   recover t
 
-let close (t : Rep.t) =
-  Space.unmap t.Rep.space ~base:t.Rep.base
-
 (* Accessors. *)
 
 let space (t : Rep.t) = t.Rep.space
@@ -394,19 +391,6 @@ let batch_free (t : Rep.t) b (oid : Oid.t) =
   Heap.free_batched t b ~data_off:oid.Oid.off
 
 (* Oid slots in PM (pool offsets). *)
-
-let lease_load_oid (t : Rep.t) l ~off : Oid.t =
-  (* Decode a stored oid through a [Space.lease] window — the mode-aware
-     field layout (Rep.load_oid) read with pinned-translation loads, for
-     hot read paths that leased a whole object. *)
-  match t.Rep.mode with
-  | Mode.Native ->
-    { Oid.uuid = Space.lease_load_word l off;
-      off = Space.lease_load_word l (off + 8); size = 0 }
-  | Mode.Spp _ ->
-    { Oid.size = Space.lease_load_word l off;
-      uuid = Space.lease_load_word l (off + 8);
-      off = Space.lease_load_word l (off + 16) }
 
 let view_load_oid (t : Rep.t) v ~off : Oid.t =
   (* Same mode-aware layout, read raw through an opened [Space.view] —

@@ -62,8 +62,6 @@ val crash_and_recover : t -> recovery_report
 (** Simulated power failure (unfenced stores lost) followed by open-time
     recovery of the same pool. *)
 
-val close : t -> unit
-
 (** {1 Accessors} *)
 
 val space : t -> Space.t
@@ -182,12 +180,6 @@ val store_oid : t -> off:int -> Oid.t -> unit
 (** Mode-aware oid slot IO; in SPP mode the size field is written before
     the offset field. Inside a transaction the caller must have
     snapshotted the slot (as in PMDK). *)
-
-val lease_load_oid : t -> Space.lease -> off:int -> Oid.t
-(** Decode a stored oid through a {!Space.lease} window ([off] is the
-    offset within the window): the mode-aware layout of {!load_oid} read
-    with pinned-translation loads, for hot read paths that leased a
-    whole object. *)
 
 val view_load_oid : t -> Space.view -> off:int -> Oid.t
 (** Same layout, read raw through an opened {!Space.view}: the window's

@@ -88,7 +88,6 @@ type batch = {
   mutable b_in_op : bool;
   mutable b_finished : bool;
   mutable b_commits : int;                (* sub-batch commits issued *)
-  mutable b_ops : int;                    (* entry-bearing ops, batch total *)
   mutable b_writes_acc : (int * Bytes.t) list;
     (* fresh-block blobs (off, bytes), newest first; replicated pools only *)
   mutable b_writes_op : (int * Bytes.t) list;  (* open op's blobs *)
@@ -104,7 +103,7 @@ let batch_begin (t : Rep.t) =
     b_frees_op = [];
     b_acc = []; b_acc_n = 0; b_acc_ops = 0;
     b_op = []; b_op_n = 0; b_in_op = false;
-    b_finished = false; b_commits = 0; b_ops = 0;
+    b_finished = false; b_commits = 0;
     b_writes_acc = []; b_writes_op = [] }
 
 let check_open b =
@@ -220,7 +219,6 @@ let batch_op_end b =
     b.b_acc <- b.b_op @ b.b_acc;
     b.b_acc_n <- b.b_acc_n + b.b_op_n;
     b.b_acc_ops <- b.b_acc_ops + 1;
-    b.b_ops <- b.b_ops + 1;
     b.b_op <- [];
     b.b_op_n <- 0;
     (* the op's blobs ship with the commit its entries join — never
@@ -239,7 +237,6 @@ let batch_finish b =
   b.b_finished <- true
 
 let batch_commits b = b.b_commits
-let batch_ops b = b.b_ops
 
 (* Import side of replication: land the fresh-block blobs first (the
    ranges are unreachable on the replica until the entries publish

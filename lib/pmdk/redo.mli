@@ -79,9 +79,6 @@ val batch_finish : batch -> unit
 val batch_commits : batch -> int
 (** Sub-batch commits issued so far. *)
 
-val batch_ops : batch -> int
-(** Entry-bearing operations accumulated over the batch's lifetime. *)
-
 (** {1 Replication}
 
     Each committed sub-batch can be exported as a {!Rep.batch_payload}

@@ -43,9 +43,11 @@ let subsets_bounded items limit =
     prefixes @ singles
   end
 
-let explore ?(subset_limit = 5) ?(max_states = 4096)
-    ~(pool : Spp_pmdk.Pool.t) ~(workload : unit -> unit)
-    ~(consistent : Spp_pmdk.Pool.t -> bool) () =
+(* cap on the crash states one exploration checks *)
+let max_states = 4096
+
+let explore ?(subset_limit = 5) ~(pool : Spp_pmdk.Pool.t)
+    ~(workload : unit -> unit) ~(consistent : Spp_pmdk.Pool.t -> bool) () =
   let dev = Spp_pmdk.Pool.dev pool in
   let was_tracking = Memdev.tracking dev in
   Memdev.set_tracking dev true;

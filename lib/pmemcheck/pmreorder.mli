@@ -17,7 +17,6 @@ val pp_result : Format.formatter -> result -> unit
 
 val explore :
   ?subset_limit:int ->
-  ?max_states:int ->
   pool:Spp_pmdk.Pool.t ->
   workload:(unit -> unit) ->
   consistent:(Spp_pmdk.Pool.t -> bool) ->
@@ -27,6 +26,6 @@ val explore :
     each candidate durable image; it must not touch the live pool.
     [subset_limit] (default 5) bounds exhaustive subset enumeration;
     larger pending sets fall back to program-order prefixes plus
-    singletons. [max_states] (default 4096) caps the exploration. The
-    live pool's device is traced during [workload] and handed back in
-    its prior tracking state on return or raise. *)
+    singletons. At most 4096 crash states are checked. The live pool's
+    device is traced during [workload] and handed back in its prior
+    tracking state on return or raise. *)

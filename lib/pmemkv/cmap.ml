@@ -88,7 +88,7 @@ let bucket_slot_ptr t b =
   t.a.gep (t.a.direct t.buckets) (b * t.a.oid_size)
 
 (* Entry readers copy key or value bytes once ([read_sub]) and compare
-   keys against the device view through a leased window — one hoisted
+   keys against the device view through a view window — one hoisted
    check, no candidate key materialized on a chain walk. *)
 
 let entry_key t p =
@@ -121,13 +121,13 @@ let find_slot t slot key =
   in
   go slot
 
-(* The get walk: per entry one leased view over the header
-   (next oid + lengths, read raw after one hoisted check) and — only
-   when the key length matches — one leased view over key+value, which
-   serves both the device-side compare and the single-copy value read.
-   Under SPP that is two masked-tag checks per matching entry instead
-   of one hook per access, and within each window the reads are bare
-   offsets into the pinned device view. *)
+(* The get walk: per entry one view over the header (next oid +
+   lengths, read raw after one hoisted check) and — only when the key
+   length matches — one view over key+value, which serves both the
+   device-side compare and the single-copy value read. Under SPP that
+   is two masked-tag checks per matching entry instead of one hook per
+   access, and within each window the reads are bare offsets into the
+   device view. *)
 let find_value t slot key =
   let hdr_len = t.a.oid_size + 16 in
   let klen_q = String.length key in

@@ -9,8 +9,8 @@
    oid parked by the caller, e.g. in the pool root), and the volatile
    read-cache hooks the serve fast path relies on.
 
-   Engine reads are zero-copy: readers pin a Space lease or view window
-   (one hoisted pointer check per window), compare keys against the
+   Engine reads are zero-copy: readers open a Space view window (one
+   hoisted pointer check per window), compare keys against the
    device view without materializing candidates, and copy a value out
    exactly once ([read_sub] / [view_string]).
 

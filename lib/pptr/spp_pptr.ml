@@ -18,7 +18,6 @@ type 's ptr = { oid : Oid.t }
 let null = { oid = Oid.null }
 let is_null p = Oid.is_null p.oid
 let oid p = p.oid
-let of_oid oid = { oid }
 let equal a b = Oid.equal a.oid b.oid
 
 (* Field descriptors: an offset plus typed load/store against the access

@@ -15,7 +15,6 @@ type 's ptr
 val null : 's ptr
 val is_null : 's ptr -> bool
 val oid : 's ptr -> Oid.t
-val of_oid : Oid.t -> 's ptr
 val equal : 's ptr -> 's ptr -> bool
 
 (** {1 Layouts} *)

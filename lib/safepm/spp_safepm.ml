@@ -33,7 +33,6 @@ let shadow_scale = 8
 type t = {
   pool : Pool.t;
   shadow_off : int;       (* pool offset of the shadow block *)
-  shadow_size : int;
   mutable checks : int;   (* accesses validated *)
 }
 
@@ -91,18 +90,11 @@ let poison t ~off ~len =
   set_shadow t ~off ~len poisoned
 
 let attach_fresh pool =
-  let shadow_size = shadow_bytes_for_pool (Pool.size pool) in
-  let oid = Pool.alloc pool ~size:shadow_size in
-  let t = { pool; shadow_off = oid.Oid.off; shadow_size; checks = 0 } in
+  let oid = Pool.alloc pool ~size:(shadow_bytes_for_pool (Pool.size pool)) in
+  let t = { pool; shadow_off = oid.Oid.off; checks = 0 } in
   (* Everything starts poisoned; the allocator unpoisons user data. *)
   poison t ~off:0 ~len:(Pool.size pool);
   t
-
-let attach_existing pool =
-  (* Recompute the deterministic placement of the first allocation. *)
-  let shadow_size = shadow_bytes_for_pool (Pool.size pool) in
-  let shadow_off = Pool.heap_base pool + Rep.block_header_size in
-  { pool; shadow_off; shadow_size; checks = 0 }
 
 (* The access check: every granule the access touches must be
    addressable. This is the per-ld/st shadow lookup — an actual extra PM
@@ -191,5 +183,4 @@ let realloc t (oid : Oid.t) ~size =
   end
 
 let checks_performed t = t.checks
-let shadow_pm_bytes t = t.shadow_size
 let pool t = t.pool

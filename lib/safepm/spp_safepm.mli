@@ -21,10 +21,6 @@ val attach_fresh : Pool.t -> t
 (** Reserve and poison the shadow block (must be the pool's first
     allocation). *)
 
-val attach_existing : Pool.t -> t
-(** Recompute the shadow placement on a reopened pool; the durable shadow
-    contents are already in PM. *)
-
 val check : t -> int -> int -> unit
 (** [check t addr len] validates an access; raises {!Violation}. *)
 
@@ -46,5 +42,4 @@ val poison : t -> off:int -> len:int -> unit
 val unpoison : t -> off:int -> len:int -> unit
 
 val checks_performed : t -> int
-val shadow_pm_bytes : t -> int
 val pool : t -> Pool.t

@@ -34,13 +34,16 @@
    committing domain — fully deterministic, the torture-harness
    configuration. [threaded = true] gives each replica an applier
    Domain fed by a Mutex/Condition channel; ack waits block on the
-   replica's condition variable. Promotion seals the group (appliers
-   stop after the op in flight; queued-but-unapplied payloads — never
-   acked to any client — are discarded), picks the live replica with
-   the highest applied sequence number, and cold-restarts its stack
-   in place per the attach contract: its own device power-cycled, fresh
+   replica's condition variable. Promotion stops the group (appliers
+   stop after the op in flight, discard what is still queued — never
+   acked to any client — and park), picks the live replica with the
+   highest applied sequence number, and cold-restarts its stack in
+   place per the attach contract: its own device power-cycled, fresh
    Space, fresh access layer, map re-attached through the pool root,
-   read cache starting cold. *)
+   read cache starting cold. Promotion never joins an applier: OCaml's
+   domain termination stops the world, which would be nearly all of the
+   promotion stall. [seal] releases the parked appliers and joins them
+   when the serving layer shuts down. *)
 
 open Spp_sim
 open Spp_pmdk
@@ -87,6 +90,7 @@ type link = {
   mutable l_alive : bool;        (* failure-detector verdict *)
   mutable l_missed : int;        (* consecutive missed heartbeats *)
   mutable l_stop : bool;
+  mutable l_parked : bool;       (* applier discarded its queue, waits to exit *)
   mutable l_domain : unit Domain.t option;
   l_lag : Spp_benchlib.Histogram.t;   (* commit-to-apply lag, ns; under l_mu *)
 }
@@ -127,10 +131,14 @@ let applier_loop l =
       Condition.wait l.l_cond l.l_mu
     done;
     if l.l_stop then begin
-      (* Seal: anything still queued was delivered but never applied,
+      (* Stop: anything still queued was delivered but never applied,
          hence never acked to any client — discard, keeping the sealed
-         prefix exactly the fully-acked one. *)
+         prefix exactly the fully-acked one. Then park, touching the
+         replica stack no more, until [seal] lets the domain exit. *)
       Queue.clear l.l_q;
+      l.l_parked <- true;
+      Condition.broadcast l.l_cond;
+      while l.l_parked do Condition.wait l.l_cond l.l_mu done;
       Mutex.unlock l.l_mu;
       running := false
     end
@@ -213,7 +221,8 @@ let create ?(cfg = default_config) ?(engine = Spp_pmemkv.Engines.cmap) ~shard
           l_mu = Mutex.create (); l_cond = Condition.create ();
           l_q = Queue.create ();
           l_applied_seq = 0; l_applied_ops = 0;
-          l_alive = true; l_missed = 0; l_stop = false; l_domain = None;
+          l_alive = true; l_missed = 0; l_stop = false; l_parked = false;
+          l_domain = None;
           l_lag = Spp_benchlib.Histogram.create () })
   in
   let g =
@@ -339,50 +348,47 @@ type promoted = {
   pr_kv : Spp_pmemkv.Engine.packed;
 }
 
-let seal g =
-  if not g.g_sealed then begin
-    g.g_sealed <- true;
-    Array.iter
-      (fun l ->
-        Mutex.lock l.l_mu;
-        l.l_stop <- true;
-        Condition.broadcast l.l_cond;
-        Mutex.unlock l.l_mu)
-      g.g_links;
-    Array.iter
-      (fun l ->
-        match l.l_domain with
-        | Some d -> Domain.join d; l.l_domain <- None
-        | None -> ())
-      g.g_links
-  end
+(* Stop shipping and wait until every applier has discarded its queue
+   and parked; with [release], let each parked applier exit and join it. *)
+let stop g ~release =
+  g.g_sealed <- true;
+  Array.iter
+    (fun l ->
+      Mutex.lock l.l_mu;
+      l.l_stop <- true;
+      Condition.broadcast l.l_cond;
+      if l.l_domain <> None then begin
+        while not l.l_parked do Condition.wait l.l_cond l.l_mu done;
+        if release then begin
+          l.l_parked <- false;
+          Condition.broadcast l.l_cond
+        end
+      end;
+      Mutex.unlock l.l_mu;
+      if release then begin
+        Option.iter Domain.join l.l_domain;
+        l.l_domain <- None
+      end)
+    g.g_links
+
+let seal g = stop g ~release:true
 
 let sealed g = g.g_sealed
 
-let promote ?(cache_cap = 0) ?replica g =
+let promote ?(cache_cap = 0) g =
   if g.g_sealed then
     raise (Promotion_failed { shard = g.g_shard; reason = "already sealed" });
-  seal g;
+  stop g ~release:false;
   let pick =
-    match replica with
-    | Some i ->
-      if i < 0 || i >= Array.length g.g_links then
-        raise
-          (Promotion_failed
-             { shard = g.g_shard;
-               reason = Printf.sprintf "no replica %d" i });
-      g.g_links.(i)
-    | None ->
-      (* prefer live replicas; among equals, the longest applied prefix *)
-      Array.fold_left
-        (fun best l ->
-          let better =
-            (l.l_alive && not best.l_alive)
-            || (l.l_alive = best.l_alive
-                && l.l_applied_seq > best.l_applied_seq)
-          in
-          if better then l else best)
-        g.g_links.(0) g.g_links
+    (* prefer live replicas; among equals, the longest applied prefix *)
+    Array.fold_left
+      (fun best l ->
+        let better =
+          (l.l_alive && not best.l_alive)
+          || (l.l_alive = best.l_alive && l.l_applied_seq > best.l_applied_seq)
+        in
+        if better then l else best)
+      g.g_links.(0) g.g_links
   in
   (* Cold restart per the attach contract, in place: power-cycle the
      replica's own device (unfenced stores lost on a tracked device,

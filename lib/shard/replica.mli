@@ -87,12 +87,12 @@ val wait_acks : t -> unit
 (** {1 Promotion} *)
 
 val seal : t -> unit
-(** Stop shipping and join the applier domains without promoting:
+(** Stop shipping and join the applier domains, promoted or not:
     queued-but-unapplied payloads are discarded, applied prefixes and
-    lag histograms become race-free to read. Idempotent; implied by
-    {!promote}. *)
+    lag histograms become race-free to read. Idempotent. *)
 
 val sealed : t -> bool
+(** The group stopped shipping: {!promote} or {!seal} ran. *)
 
 type promoted = {
   pr_shard : int;
@@ -103,13 +103,14 @@ type promoted = {
   pr_kv : Spp_pmemkv.Engine.packed;
 }
 
-val promote : ?cache_cap:int -> ?replica:int -> t -> promoted
-(** Seal the group and promote a replica to a serving stack. Appliers
-    stop after the payload in flight; queued-but-unapplied payloads
-    (never acked to any client) are discarded, so the sealed prefix is
-    exactly the fully-applied one. [replica] picks a specific stack;
-    the default prefers live replicas, then the longest applied prefix.
-    The chosen replica is restarted cold in place — its own device
+val promote : ?cache_cap:int -> t -> promoted
+(** Stop shipping and promote a replica to a serving stack. Appliers
+    stop after the payload in flight, discard queued-but-unapplied
+    payloads (never acked to any client) and park, so the sealed prefix
+    is exactly the fully-applied one; no applier is joined here (a
+    domain's termination stops the world), {!seal} does that later.
+    Live replicas are preferred, then the longest applied prefix. The
+    chosen replica is restarted cold in place — its own device
     power-cycled ({!Spp_sim.Memdev.crash}, no image copied), fresh
     Space, fresh access layer, map re-attached via the pool root, read
     cache (capacity [cache_cap], default none) starting empty — per the

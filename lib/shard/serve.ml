@@ -913,12 +913,9 @@ let stop t =
         Mutex.unlock box.mu)
       t.boxes;
     Array.iter Domain.join t.workers;
-    (* join the applier domains too: lag histograms read race-free *)
-    Array.iter
-      (function
-        | Some g when not (Replica.sealed g) -> Replica.seal g
-        | _ -> ())
-      t.repl;
+    (* join the applier domains too, promoted groups' parked ones
+       included: lag histograms read race-free *)
+    Array.iter (Option.iter Replica.seal) t.repl;
     t.stopped <- true
   end
 

@@ -17,7 +17,6 @@
 open Spp_pmdk
 
 type shard = {
-  index : int;
   access : Spp_access.t;
   kv : Spp_pmemkv.Engine.packed;
 }
@@ -44,7 +43,6 @@ let variant t = t.variant
 let engine t = t.engine
 let engine_name t = Spp_pmemkv.Engine.spec_name t.engine
 let shard t i = t.shards.(i)
-let shard_index (s : shard) = s.index
 let shard_access (s : shard) = s.access
 let shard_kv (s : shard) = s.kv
 
@@ -138,7 +136,7 @@ let create ?(nbuckets = 1024) ?(pool_size = 1 lsl 23) ?(cache_cap = 0)
       if cache_cap > 0 then
         Spp_pmemkv.Engine.set_cache kv
           (Some (Spp_pmemkv.Rcache.create ~cap:cache_cap));
-      { index; access; kv })
+      { access; kv })
   in
   let assign = Array.init nslots (fun s -> s mod nshards) in
   {
@@ -157,7 +155,7 @@ let create ?(nbuckets = 1024) ?(pool_size = 1 lsl 23) ?(cache_cap = 0)
 let set_shard t i ~access ~kv =
   if i < 0 || i >= Array.length t.shards then
     invalid_arg "Shard.set_shard: index out of range";
-  t.shards.(i) <- { index = i; access; kv }
+  t.shards.(i) <- { access; kv }
 
 (* Routed single-key operations — the serving interface. *)
 

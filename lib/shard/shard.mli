@@ -45,7 +45,6 @@ val engine : t -> Spp_pmemkv.Engine.spec
 val engine_name : t -> string
 
 val shard : t -> int -> shard
-val shard_index : shard -> int
 val shard_access : shard -> Spp_access.t
 val shard_kv : shard -> Spp_pmemkv.Engine.packed
 

@@ -10,8 +10,6 @@ let kind_to_string = function
   | Segfault -> "SIGSEGV"
   | Bus_error -> "SIGBUS"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 let segfault addr = raise (Fault (Segfault, addr))
 let bus_error addr = raise (Fault (Bus_error, addr))
 

@@ -13,7 +13,6 @@ exception Fault of kind * int
 (** [Fault (kind, addr)] — the faulting simulated address is [addr]. *)
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 val segfault : int -> 'a
 (** [segfault addr] raises [Fault (Segfault, addr)]. *)

@@ -384,9 +384,6 @@ let crash_applying t recs =
 let trace t = Journal.to_list t.trace_j
 let clear_trace t = Journal.clear t.trace_j
 
-let unflushed_pending t =
-  List.filter (fun r -> not r.flushed) (pending_stores t)
-
 type counters = {
   stores : int;
   flushes : int;

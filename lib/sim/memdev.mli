@@ -147,8 +147,6 @@ val crash_applying : t -> store_rec list -> unit
 (** [crash_applying t subset] — crash where the chosen subset of pending
     stores happened to reach the media first (pmreorder exploration). *)
 
-val unflushed_pending : t -> store_rec list
-
 (** {1 Trace and accounting} *)
 
 type event =

@@ -19,7 +19,6 @@ type region = {
   base : int;
   rsize : int;
   dev : Memdev.t;
-  dev_off : int;
   kind : kind;
   rname : string;
 }
@@ -45,7 +44,6 @@ type t = {
   tlb_pages : int array;            (* page tag per slot; -1 = invalid *)
   tlb_regs : region option array;
   stats : stats;
-  mutable epoch : int;              (* bumped on map/unmap; stales leases *)
 }
 
 let create () =
@@ -54,8 +52,7 @@ let create () =
     tlb_regs = Array.make tlb_size None;
     stats = { pm_loads = 0; pm_stores = 0; vol_loads = 0; vol_stores = 0;
               pm_bytes_loaded = 0; pm_bytes_stored = 0;
-              tlb_hits = 0; tlb_misses = 0 };
-    epoch = 0 }
+              tlb_hits = 0; tlb_misses = 0 } }
 
 let stats t = t.stats
 
@@ -102,11 +99,10 @@ let tlb_invalidate t =
 let overlaps a b =
   a.base < b.base + b.rsize && b.base < a.base + a.rsize
 
-let map t ~base ~size ?(dev_off = 0) ~kind ~name dev =
+let map t ~base ~size ~kind ~name dev =
   if base < 0 || size <= 0 then invalid_arg "Space.map: bad range";
-  if dev_off < 0 || dev_off + size > Memdev.size dev then
-    invalid_arg "Space.map: range exceeds device";
-  let r = { base; rsize = size; dev; dev_off; kind; rname = name } in
+  if size > Memdev.size dev then invalid_arg "Space.map: range exceeds device";
+  let r = { base; rsize = size; dev; kind; rname = name } in
   Array.iter
     (fun r' ->
       if overlaps r r' then
@@ -116,12 +112,10 @@ let map t ~base ~size ?(dev_off = 0) ~kind ~name dev =
   let arr = Array.append t.regions [| r |] in
   Array.sort (fun a b -> compare a.base b.base) arr;
   t.regions <- arr;
-  tlb_invalidate t;
-  t.epoch <- t.epoch + 1
+  tlb_invalidate t
 
 let unmap t ~base =
   tlb_invalidate t;
-  t.epoch <- t.epoch + 1;
   let keep =
     Array.of_list
       (List.filter (fun r -> r.base <> base) (Array.to_list t.regions))
@@ -129,14 +123,6 @@ let unmap t ~base =
   if Array.length keep = Array.length t.regions then
     invalid_arg "Space.unmap: no region at this base";
   t.regions <- keep
-
-let regions t = Array.to_list t.regions
-
-let region_name r = r.rname
-let region_base r = r.base
-let region_size r = r.rsize
-let region_kind r = r.kind
-let region_dev r = r.dev
 
 (* Binary search for the region containing [addr]; fills the TLB slot
    when the page is wholly covered. *)
@@ -185,7 +171,7 @@ let region_for t addr len =
   if addr + len > r.base + r.rsize then Fault.segfault (r.base + r.rsize);
   r
 
-let dev_offset r addr = r.dev_off + (addr - r.base)
+let dev_offset r addr = addr - r.base
 
 let count_load t r len = match r.kind with
   | Persistent ->
@@ -302,7 +288,7 @@ let read_into t addr ~len ~dst ~dst_off =
       if copied < len then begin
         if a >= limit then Fault.segfault limit;
         let chunk = min read_chunk (min (len - copied) (limit - a)) in
-        let off = r.dev_off + (a - r.base) in
+        let off = dev_offset r a in
         let ok = clean_prefix r.dev ~off ~len:chunk in
         if ok > 0 then begin
           count copied ok;
@@ -446,7 +432,7 @@ let strlen t addr =
   let rec scan a =
     if a >= limit then Fault.segfault limit;
     let chunk = min strlen_chunk (limit - a) in
-    let off = r.dev_off + (a - r.base) in
+    let off = dev_offset r a in
     let nul = ref (-1) in
     let i = ref 0 in
     while !nul < 0 && !i < chunk do
@@ -472,8 +458,7 @@ let strcmp t a b =
   let rec go i =
     if a + i >= lim_a then Fault.segfault lim_a;
     if b + i >= lim_b then Fault.segfault lim_b;
-    let off_a = ra.dev_off + (a + i - ra.base) in
-    let off_b = rb.dev_off + (b + i - rb.base) in
+    let off_a = dev_offset ra (a + i) and off_b = dev_offset rb (b + i) in
     Memdev.check_load ra.dev ~off:off_a ~len:1;
     Memdev.check_load rb.dev ~off:off_b ~len:1;
     let ca = Char.code (Bytes.unsafe_get va off_a)
@@ -517,152 +502,23 @@ let store_word_persist t addr v =
   Memdev.flush r.dev ~off ~len:8;
   Memdev.fence r.dev
 
-let is_mapped t addr =
-  match find_region t addr with
-  | (_ : region) -> true
-  | exception Fault.Fault _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Leases — validated read windows                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A lease pins one region resolution (and with it one TLB translation)
-   over a byte window: acquisition walks the translation pipeline and
-   bounds-checks the whole window once, after which every read through
-   the lease is a bare offset into the pinned device view — no region
-   search, no TLB probe, no per-access pointer check. This is the
-   runtime half of the check-preemption story the [spp_instr] passes
-   prove on the miniature IR: hoist the check out of the loop, let the
-   body run unchecked.
-
-   Safety is preserved by two guards every access still pays:
-   - window bounds: an offset outside the leased window raises the
-     typed [Lease_out_of_window] (the misuse analogue of a hoisted
-     check being applied to the wrong pointer);
-   - staleness: [map]/[unmap] bump the space epoch (they already
-     invalidate the TLB — a lease is a pinned TLB entry, so the same
-     shootdown must kill it); a lease from an older epoch raises
-     [Stale_lease] instead of reading through a dead mapping.
-
-   Bad blocks stay exact: every lease read still runs
-   [Memdev.check_load] over exactly the accessed range. *)
-
-type lease = {
-  l_space : t;
-  l_reg : region;
-  l_addr : int;    (* window base (simulated address) *)
-  l_len : int;     (* window length, bytes *)
-  l_off : int;     (* device offset of the window base *)
-  l_epoch : int;   (* space epoch at acquisition *)
-}
-
-exception Stale_lease of { addr : int; len : int }
-
-exception Lease_out_of_window of {
-  addr : int;      (* window base *)
-  window : int;    (* window length *)
-  off : int;       (* offending access offset within the window *)
-  len : int;       (* offending access length *)
-}
-
-let () =
-  Printexc.register_printer (function
-    | Stale_lease { addr; len } ->
-      Some
-        (Printf.sprintf
-           "Space.Stale_lease: window [0x%x, +%d) acquired before a \
-            map/unmap invalidated the translation"
-           addr len)
-    | Lease_out_of_window { addr; window; off; len } ->
-      Some
-        (Printf.sprintf
-           "Space.Lease_out_of_window: access (+%d, %d bytes) outside \
-            window [0x%x, +%d)"
-           off len addr window)
-    | _ -> None)
-
-let lease t addr len =
-  if len <= 0 then invalid_arg "Space.lease: window must be non-empty";
-  let r = region_for t addr len in
-  let off = dev_offset r addr in
-  { l_space = t; l_reg = r; l_addr = addr; l_len = len; l_off = off;
-    l_epoch = t.epoch }
-
-let lease_addr l = l.l_addr
-let lease_len l = l.l_len
-let lease_valid l = l.l_epoch = l.l_space.epoch
-
-(* Every access: epoch then window, both typed. *)
-let lease_check l off len =
-  if l.l_epoch <> l.l_space.epoch then
-    raise (Stale_lease { addr = l.l_addr; len = l.l_len });
-  if off < 0 || len < 0 || off + len > l.l_len then
-    raise
-      (Lease_out_of_window { addr = l.l_addr; window = l.l_len; off; len })
-
-let lease_load_u8 l off =
-  lease_check l off 1;
-  let r = l.l_reg in
-  count_load l.l_space r 1;
-  Memdev.check_load r.dev ~off:(l.l_off + off) ~len:1;
-  Char.code (Bytes.get (Memdev.unsafe_view r.dev) (l.l_off + off))
-
-let lease_load_word l off =
-  lease_check l off 8;
-  let r = l.l_reg in
-  count_load l.l_space r 8;
-  Memdev.check_load r.dev ~off:(l.l_off + off) ~len:8;
-  Int64.to_int (Bytes.get_int64_le (Memdev.unsafe_view r.dev) (l.l_off + off))
-
-let lease_read_into l ~off ~len ~dst ~dst_off =
-  lease_check l off len;
-  if dst_off < 0 || dst_off + len > Bytes.length dst then
-    invalid_arg "Space.lease_read_into: bad destination range";
-  if len > 0 then begin
-    let r = l.l_reg in
-    count_load l.l_space r len;
-    Memdev.check_load r.dev ~off:(l.l_off + off) ~len;
-    Memdev.load_into r.dev ~off:(l.l_off + off) ~len ~dst ~dst_off
-  end
-
-let lease_string l ~off ~len =
-  (* single copy: fresh buffer filled in place, then frozen *)
-  if len = 0 then (lease_check l off 0; "")
-  else begin
-    let b = Bytes.create len in
-    lease_read_into l ~off ~len ~dst:b ~dst_off:0;
-    Bytes.unsafe_to_string b
-  end
-
-let lease_compare_string l ~off s =
-  (* [String.compare (lease_string l ~off ~len:|s|) s] without the copy *)
-  let slen = String.length s in
-  lease_check l off slen;
-  let r = l.l_reg in
-  if slen > 0 then begin
-    count_load l.l_space r slen;
-    Memdev.check_load r.dev ~off:(l.l_off + off) ~len:slen
-  end;
-  cmp_loop (Memdev.unsafe_view r.dev) (l.l_off + off) s 0 slen
-
-let lease_equal_string l ~off s = lease_compare_string l ~off s = 0
-
 (* ------------------------------------------------------------------ *)
 (* Views — a window opened for raw reads                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [lease_view] pays all three guards — staleness, window bounds, media
-   — ONCE for a sub-window; every read through the resulting view is a
-   bare access into the device backing store plus a window-bounds check:
-   no epoch probe, no stats update, no media re-check. That is the full
-   hoisting the SPP memintrinsic hook models (check the furthest byte
-   once, run the body unchecked), applied to the simulator's own read
-   pipeline. A view is transient by contract: it must not be held
-   across anything that could remap the space or poison the device —
-   acquire, read, drop (cmap holds one per entry visit, under the
-   bucket stripe). Accounting is block-op style: the window counts as
-   one load event for [len] bytes at acquisition, however many reads
-   follow — the same accounting a block read of the window would pay. *)
+(* [read_view] pays the translation, the region bounds and the media
+   check ONCE for a whole window; every read through the resulting view
+   is a bare access into the device backing store plus a window-bounds
+   check: no region search, no TLB probe, no stats update, no media
+   re-check. That is the full hoisting the SPP memintrinsic hook models
+   (check the furthest byte once, run the body unchecked), applied to
+   the simulator's own read pipeline. A view is transient by contract:
+   it must not be held across anything that could remap the space or
+   poison the device — acquire, read, drop (cmap holds one per entry
+   visit, under the bucket stripe). Accounting is block-op style: the
+   window counts as one load event for [len] bytes at acquisition,
+   however many reads follow — the same accounting a block read of the
+   window would pay. *)
 
 type view = {
   v_bytes : Bytes.t;   (* device backing store *)
@@ -671,17 +527,23 @@ type view = {
   v_len : int;         (* view length, bytes *)
 }
 
-let lease_view l ~off ~len =
-  if len <= 0 then invalid_arg "Space.lease_view: window must be non-empty";
-  lease_check l off len;
-  let r = l.l_reg in
-  count_load l.l_space r len;
-  Memdev.check_load r.dev ~off:(l.l_off + off) ~len;
-  { v_bytes = Memdev.unsafe_view r.dev; v_base = l.l_off + off;
-    v_addr = l.l_addr + off; v_len = len }
+exception Out_of_window of {
+  addr : int;      (* window base *)
+  window : int;    (* window length *)
+  off : int;       (* offending access offset within the window *)
+  len : int;       (* offending access length *)
+}
 
-(* A view straight off the translation pipeline — for engine-internal
-   pool-offset IO that has no lease to scope it (bmap's node reads). *)
+let () =
+  Printexc.register_printer (function
+    | Out_of_window { addr; window; off; len } ->
+      Some
+        (Printf.sprintf
+           "Space.Out_of_window: access (+%d, %d bytes) outside \
+            window [0x%x, +%d)"
+           off len addr window)
+    | _ -> None)
+
 let read_view t addr len =
   if len <= 0 then invalid_arg "Space.read_view: window must be non-empty";
   let r = region_for t addr len in
@@ -691,16 +553,9 @@ let read_view t addr len =
   { v_bytes = Memdev.unsafe_view r.dev; v_base = off; v_addr = addr;
     v_len = len }
 
-let view_len v = v.v_len
-
 let view_check v off len =
   if off < 0 || len < 0 || off + len > v.v_len then
-    raise
-      (Lease_out_of_window { addr = v.v_addr; window = v.v_len; off; len })
-
-let view_u8 v off =
-  view_check v off 1;
-  Char.code (Bytes.unsafe_get v.v_bytes (v.v_base + off))
+    raise (Out_of_window { addr = v.v_addr; window = v.v_len; off; len })
 
 let view_word v off =
   view_check v off 8;

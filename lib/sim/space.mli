@@ -23,20 +23,11 @@ val create : unit -> t
 (** {1 Mapping} *)
 
 val map :
-  t -> base:int -> size:int -> ?dev_off:int -> kind:kind -> name:string ->
-  Memdev.t -> unit
-(** Map [size] bytes of the device (from [dev_off]) at simulated address
+  t -> base:int -> size:int -> kind:kind -> name:string -> Memdev.t -> unit
+(** Map the first [size] bytes of the device at simulated address
     [base]. Raises [Invalid_argument] on overlap or out-of-device ranges. *)
 
 val unmap : t -> base:int -> unit
-val regions : t -> region list
-val is_mapped : t -> int -> bool
-
-val region_name : region -> string
-val region_base : region -> int
-val region_size : region -> int
-val region_kind : region -> kind
-val region_dev : region -> Memdev.t
 
 val find_region : t -> int -> region
 (** Region covering the address; raises {!Fault.Fault} otherwise. *)
@@ -159,89 +150,37 @@ val merge_stats : stats list -> stats
 
 val reset_stats : t -> unit
 
-(** {1 Leases — validated read windows}
+(** {1 Views — a window opened for raw reads}
 
-    A lease pins one region resolution + one TLB translation over a byte
-    window: acquisition bounds-checks and translates the whole window
-    once, after which reads through the lease are bare offsets into the
-    pinned device view — no region search, TLB probe, or per-access
-    pointer check. Two guards remain on every access: window bounds
-    (typed {!Lease_out_of_window}) and staleness — [map]/[unmap] bump an
-    internal epoch (the TLB-shootdown analogue), and a lease from an
-    older epoch raises {!Stale_lease} instead of reading through a dead
-    mapping. Bad blocks stay exact: every read still checks the accessed
-    range against poisoned media. *)
+    {!read_view} pays the translation, the region bounds and the media
+    check once for a whole window; every read through the resulting
+    view is a bare access into the device backing store plus a
+    window-bounds check (typed {!Out_of_window}). This is the full
+    hoisting the SPP memintrinsic hook models: check the furthest byte
+    once, run the body unchecked. A view is transient by contract —
+    acquire, read, drop — and must not be held across anything that
+    could remap the space or poison the device; the mapping and the
+    media are only checked as of acquisition time. Accounting is
+    block-op style: the window counts as one load event for its full
+    length at acquisition. *)
 
-type lease
+type view
 
-exception Stale_lease of { addr : int; len : int }
-(** The space was remapped ([map]/[unmap]) after this lease was
-    acquired; the pinned translation is dead. *)
-
-exception Lease_out_of_window of {
+exception Out_of_window of {
   addr : int;      (** window base *)
   window : int;    (** window length *)
   off : int;       (** offending access offset within the window *)
   len : int;       (** offending access length *)
 }
-(** An access through the lease fell outside the window it validated. *)
-
-val lease : t -> int -> int -> lease
-(** [lease t addr len] — validate and pin the window [addr, addr+len).
-    Faults like {!read_bytes} would (unmapped / region-crossing);
-    [Invalid_argument] on an empty window. Acquisition itself counts no
-    load: it is the hoisted check, not an access. *)
-
-val lease_addr : lease -> int
-val lease_len : lease -> int
-
-val lease_valid : lease -> bool
-(** False once [map]/[unmap] ran after acquisition. *)
-
-val lease_load_u8 : lease -> int -> int
-val lease_load_word : lease -> int -> int
-(** Word/byte reads at an offset within the window. *)
-
-val lease_read_into :
-  lease -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
-
-val lease_string : lease -> off:int -> len:int -> string
-(** Single-copy string read of [off, off+len) within the window. *)
-
-val lease_compare_string : lease -> off:int -> string -> int
-(** [String.compare] of the window bytes at [off] against the string,
-    without materializing the device side. *)
-
-val lease_equal_string : lease -> off:int -> string -> bool
-
-(** {1 Views — a window opened for raw reads}
-
-    {!lease_view} pays all three lease guards — staleness, window
-    bounds, poisoned media — once for a sub-window; every read through
-    the resulting view is a bare access into the device backing store
-    plus a window-bounds check. This is the full hoisting the SPP
-    memintrinsic hook models: check the furthest byte once, run the
-    body unchecked. A view is transient by contract — acquire, read,
-    drop — and must not be held across anything that could remap the
-    space or poison the device; staleness and media are only guaranteed
-    as of acquisition time. Accounting is block-op style: the window
-    counts as one load event for its full length at acquisition. *)
-
-type view
-
-val lease_view : lease -> off:int -> len:int -> view
-(** Open [off, off+len) of the lease for raw reads. Raises the lease's
-    typed errors ({!Stale_lease} / {!Lease_out_of_window}) and checks
-    the whole window against bad blocks up front. *)
+(** A read through the view fell outside the window it validated. *)
 
 val read_view : t -> int -> int -> view
-(** [read_view t addr len] — a view straight off the translation
-    pipeline, for engine-internal pool-offset IO that has no lease to
-    scope it. Faults like {!read_bytes} would. *)
+(** [read_view t addr len] — open the window [addr, addr+len). Faults
+    like {!read_bytes} would (unmapped, region-crossing, bad block);
+    [Invalid_argument] on an empty window. *)
 
-val view_len : view -> int
-val view_u8 : view -> int -> int
 val view_word : view -> int -> int
+(** The word at an offset within the window. *)
 
 val view_string : view -> off:int -> len:int -> string
 (** Single-copy string read of [off, off+len) within the view. *)

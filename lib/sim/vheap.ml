@@ -13,28 +13,28 @@ type t = {
   hsize : int;
   mutable free_list : block list;       (* sorted by address *)
   live : (int, int) Hashtbl.t;          (* addr -> requested size *)
-  align : int;
 }
 
 let default_base = 1 lsl 45
 (* Volatile allocations live high in the simulated address space, far from
    PM pools which are mapped low (PMEM_MMAP_HINT = 0 in the paper). *)
 
-let create ?(base = default_base) ?(align = 16) space size =
+let create ?(base = default_base) space size =
   let dev = Memdev.create_volatile ~name:"vheap" size in
   Space.map space ~base ~size ~kind:Space.Volatile ~name:"vheap" dev;
   { space; base; hsize = size; free_list = [ { b_addr = base; b_size = size } ];
-    live = Hashtbl.create 1024; align }
+    live = Hashtbl.create 1024 }
 
 let space t = t.space
 let base t = t.base
 let size t = t.hsize
 
-let round_up v a = (v + a - 1) / a * a
+(* blocks are 16-byte aligned, as glibc malloc's are on 64-bit *)
+let round_up v = (v + 15) / 16 * 16
 
 let malloc t req =
   if req <= 0 then invalid_arg "Vheap.malloc: non-positive size";
-  let need = round_up req t.align in
+  let need = round_up req in
   let rec take acc = function
     | [] -> None
     | b :: rest ->
@@ -54,13 +54,6 @@ let malloc t req =
     Hashtbl.replace t.live addr req;
     addr
 
-let calloc t req =
-  let addr = malloc t req in
-  Space.fill t.space addr req '\000';
-  addr
-
-let live_size t addr = Hashtbl.find_opt t.live addr
-
 let coalesce blocks =
   let sorted = List.sort (fun a b -> compare a.b_addr b.b_addr) blocks in
   let rec go = function
@@ -76,7 +69,7 @@ let free t addr =
   | None -> invalid_arg "Vheap.free: not a live allocation"
   | Some req ->
     Hashtbl.remove t.live addr;
-    let sz = round_up req t.align in
+    let sz = round_up req in
     t.free_list <- coalesce ({ b_addr = addr; b_size = sz } :: t.free_list)
 
 let realloc t addr req =
@@ -93,4 +86,4 @@ let live_allocations t =
   |> List.sort compare
 
 let bytes_live t =
-  Hashtbl.fold (fun _ sz acc -> acc + round_up sz t.align) t.live 0
+  Hashtbl.fold (fun _ sz acc -> acc + round_up sz) t.live 0

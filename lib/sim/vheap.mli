@@ -12,9 +12,9 @@ val default_base : int
     ([1 lsl 45]); PM pools are mapped low, as with the paper's
     [PMEM_MMAP_HINT=0] configuration. *)
 
-val create : ?base:int -> ?align:int -> Space.t -> int -> t
+val create : ?base:int -> Space.t -> int -> t
 (** [create space size] maps a fresh volatile device of [size] bytes and
-    returns an allocator over it. *)
+    returns an allocator over it. Blocks are 16-byte aligned. *)
 
 val space : t -> Space.t
 val base : t -> int
@@ -24,16 +24,10 @@ val malloc : t -> int -> int
 (** Returns the simulated address of a fresh block. Raises [Out_of_memory]
     when the region is exhausted. *)
 
-val calloc : t -> int -> int
-(** [malloc] + zero fill. *)
-
 val free : t -> int -> unit
 (** Raises [Invalid_argument] if the address is not a live allocation. *)
 
 val realloc : t -> int -> int -> int
-
-val live_size : t -> int -> int option
-(** Requested size of a live allocation, if any. *)
 
 val live_allocations : t -> (int * int) list
 val bytes_live : t -> int

@@ -86,6 +86,30 @@ let test_memcheck_misses_slack_overflow () =
    | Spp_access.Prevented _ -> ()
    | Ok_completed -> Alcotest.fail "SPP must catch slack overflow")
 
+(* The hoisted window check: [a.view] checks the furthest byte of the
+   window once, at open. A 64-byte object lives in a 128-byte class. *)
+let test_view_window_overflow () =
+  let outcome v len =
+    let a = mk v in
+    let p = a.Spp_access.direct (a.Spp_access.palloc 64) in
+    ignore (a.Spp_access.view p 64);
+    Spp_access.run_guarded (fun () -> ignore (a.Spp_access.view p len))
+  in
+  let prevented what prefix = function
+    | Spp_access.Prevented r ->
+      check_bool (what ^ ": " ^ r) true (String.starts_with ~prefix r)
+    | Ok_completed -> Alcotest.failf "%s must be stopped" what
+  in
+  let opens what = function
+    | Spp_access.Ok_completed -> ()
+    | Prevented r -> Alcotest.failf "%s should open: %s" what r
+  in
+  prevented "spp, 65 B" "SIGSEGV" (outcome Spp_access.Spp 65);
+  prevented "safepm, 65 B" "SafePM poisoned" (outcome Spp_access.Safepm 65);
+  opens "pmdk, 65 B" (outcome Spp_access.Pmdk 65);
+  opens "memcheck, 65 B (class slack)" (outcome Spp_access.Memcheck 65);
+  prevented "memcheck, 129 B" "memcheck" (outcome Spp_access.Memcheck 129)
+
 let test_safepm_redzone_and_freed () =
   let a = mk Spp_access.Safepm in
   let oid = a.Spp_access.palloc 64 in
@@ -174,6 +198,8 @@ let () =
             test_contiguous_overflow_detection;
           Alcotest.test_case "memcheck misses slack overflow" `Quick
             test_memcheck_misses_slack_overflow;
+          Alcotest.test_case "view window overflow" `Quick
+            test_view_window_overflow;
           Alcotest.test_case "safepm redzone + UAF" `Quick
             test_safepm_redzone_and_freed;
           Alcotest.test_case "spp memcpy overflow" `Quick

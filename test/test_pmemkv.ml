@@ -405,7 +405,7 @@ let test_cmap_scan_and_registry () =
 
 (* Gets, removes and scans against a [Map] model, on both engines and
    every access variant (each variant hoists its own pointer check into
-   lease acquisition, so each opens its windows differently). *)
+   view acquisition, so each opens its windows differently). *)
 module Smap = Map.Make (String)
 
 let test_reads_match_model () =

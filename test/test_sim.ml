@@ -544,7 +544,7 @@ let test_tlb_unmap_remap_no_stale () =
   Space.map s ~base:4096 ~size:8192 ~kind:Space.Persistent ~name:"r2" d2;
   check_int "remap serves the new device" 2 (Space.load_u8 s 4096)
 
-(* Caller-buffer reads and leases — the zero-copy read path's substrate. *)
+(* Caller-buffer reads and views — the zero-copy read path's substrate. *)
 
 let test_read_into_roundtrip_and_counters () =
   let s = mk_space () in
@@ -613,87 +613,59 @@ let test_compare_string_device_side () =
   let st = Space.stats s in
   check_int "compare is one load event" 1 st.Space.pm_loads
 
-let test_lease_reads_and_stats () =
+let test_view_reads_and_stats () =
   let s = mk_space () in
   Space.write_string s 4200 "KKKKVVVVVV";
   Space.store_word s 4264 0xFEED;
-  let l = Space.lease s 4200 128 in
-  check_int "lease addr" 4200 (Space.lease_addr l);
-  check_int "lease len" 128 (Space.lease_len l);
-  check_bool "fresh lease valid" true (Space.lease_valid l);
-  check_int "word through lease" 0xFEED (Space.lease_load_word l 64);
-  check_int "u8 through lease" (Char.code 'K') (Space.lease_load_u8 l 0);
-  Alcotest.(check string) "string through lease" "VVVVVV"
-    (Space.lease_string l ~off:4 ~len:6);
-  check_bool "device compare through lease" true
-    (Space.lease_equal_string l ~off:0 "KKKK");
-  check_bool "compare mismatch" false
-    (Space.lease_equal_string l ~off:0 "KKKX");
-  (* lease reads still count: the hoisting removes translations, not
-     device accounting *)
   Space.reset_stats s;
-  ignore (Space.lease_string l ~off:0 ~len:10);
+  let v = Space.read_view s 4200 128 in
+  (* the open is the whole window's load: one event, all its bytes *)
   let st = Space.stats s in
-  check_int "lease read is one load event" 1 st.Space.pm_loads;
-  check_int "lease read bytes" 10 st.Space.pm_bytes_loaded
+  check_int "open is one load event" 1 st.Space.pm_loads;
+  check_int "open loads the window" 128 st.Space.pm_bytes_loaded;
+  check_int "word through view" 0xFEED (Space.view_word v 64);
+  Alcotest.(check string) "string through view" "VVVVVV"
+    (Space.view_string v ~off:4 ~len:6);
+  check_int "compare equal" 0 (Space.view_compare_string v ~off:0 ~len:4 "KKKK");
+  check_bool "compare lt" true
+    (Space.view_compare_string v ~off:0 ~len:4 "KKKKV" < 0);
+  check_bool "compare gt" true
+    (Space.view_compare_string v ~off:0 ~len:4 "KKKJ" > 0);
+  check_bool "equal" true (Space.view_equal_string v ~off:4 "VVVVVV");
+  check_bool "equal mismatch" false (Space.view_equal_string v ~off:0 "KKKX");
+  (* reads through an open view are raw: no further accounting *)
+  check_int "reads add no event" 1 st.Space.pm_loads;
+  check_int "reads add no bytes" 128 st.Space.pm_bytes_loaded
 
-let test_lease_misuse_typed () =
+let test_view_misuse_typed () =
   let s = mk_space () in
-  let l = Space.lease s 4200 64 in
+  let v = Space.read_view s 4200 64 in
   Alcotest.check_raises "empty window rejected"
-    (Invalid_argument "Space.lease: window must be non-empty")
-    (fun () -> ignore (Space.lease s 4200 0));
-  (match Space.lease_load_word l 60 with
-   | _ -> Alcotest.fail "expected Lease_out_of_window"
-   | exception Space.Lease_out_of_window { addr; window; off; len } ->
+    (Invalid_argument "Space.read_view: window must be non-empty")
+    (fun () -> ignore (Space.read_view s 4200 0));
+  (match Space.view_word v 60 with
+   | _ -> Alcotest.fail "expected Out_of_window"
+   | exception Space.Out_of_window { addr; window; off; len } ->
      check_int "window base" 4200 addr;
      check_int "window size" 64 window;
      check_int "bad offset" 60 off;
      check_int "bad len" 8 len);
-  (match Space.lease_string l ~off:(-1) ~len:4 with
-   | _ -> Alcotest.fail "expected Lease_out_of_window"
-   | exception Space.Lease_out_of_window _ -> ())
+  (match Space.view_string v ~off:(-1) ~len:4 with
+   | _ -> Alcotest.fail "expected Out_of_window"
+   | exception Space.Out_of_window _ -> ())
 
-let test_lease_stale_after_remap () =
-  let s = Space.create () in
-  let d1 = Memdev.create_persistent ~name:"d1" 8192 in
-  let d2 = Memdev.create_persistent ~name:"d2" 8192 in
-  Memdev.store_string d1 ~off:104 "old!";
-  Memdev.store_string d2 ~off:104 "new!";
-  Space.map s ~base:4096 ~size:8192 ~kind:Space.Persistent ~name:"r1" d1;
-  let l = Space.lease s 4200 16 in
-  Alcotest.(check string) "live lease reads d1" "old!"
-    (Space.lease_string l ~off:0 ~len:4);
-  Space.unmap s ~base:4096;
-  check_bool "stale after unmap" false (Space.lease_valid l);
-  (match Space.lease_load_u8 l 0 with
-   | _ -> Alcotest.fail "expected Stale_lease"
-   | exception Space.Stale_lease { addr; len } ->
-     check_int "stale addr" 4200 addr;
-     check_int "stale len" 16 len);
-  (* remapping the same range must NOT revive the old lease — it would
-     read through the dead device's translation *)
-  Space.map s ~base:4096 ~size:8192 ~kind:Space.Persistent ~name:"r2" d2;
-  (match Space.lease_string l ~off:0 ~len:4 with
-   | _ -> Alcotest.fail "expected Stale_lease after remap"
-   | exception Space.Stale_lease _ -> ());
-  let l2 = Space.lease s 4200 16 in
-  Alcotest.(check string) "fresh lease reads d2" "new!"
-    (Space.lease_string l2 ~off:0 ~len:4)
-
-let test_lease_bad_block_still_faults () =
-  (* The hoisted check covers mapping and bounds, never media health:
-     a bad block grown after acquisition must still SIGBUS exactly. *)
+let test_view_bad_block_faults () =
+  (* the media check is paid at open, over exactly the window *)
   let s = Space.create () in
   let d = Memdev.create_persistent ~name:"p" 8192 in
   Space.map s ~base:4096 ~size:8192 ~kind:Space.Persistent ~name:"p" d;
   Space.fill s 4096 64 'q';
-  let l = Space.lease s 4096 64 in
-  Alcotest.(check string) "healthy read" (String.make 8 'q')
-    (Space.lease_string l ~off:0 ~len:8);
   Memdev.add_bad_block d ~off:32 ~len:4;
-  (match Space.lease_string l ~off:0 ~len:64 with
-   | _ -> Alcotest.fail "expected SIGBUS through lease"
+  let v = Space.read_view s 4096 32 in
+  Alcotest.(check string) "window short of the block reads" (String.make 8 'q')
+    (Space.view_string v ~off:24 ~len:8);
+  (match Space.read_view s 4096 64 with
+   | _ -> Alcotest.fail "expected SIGBUS opening the view"
    | exception Fault.Fault (Fault.Bus_error, off) ->
      check_int "exact bad device byte" 32 off)
 
@@ -930,14 +902,12 @@ let () =
             test_read_into_bad_block_exact;
           Alcotest.test_case "device-side compare_string" `Quick
             test_compare_string_device_side;
-          Alcotest.test_case "lease reads and stats" `Quick
-            test_lease_reads_and_stats;
-          Alcotest.test_case "lease misuse typed errors" `Quick
-            test_lease_misuse_typed;
-          Alcotest.test_case "lease stale after unmap/remap" `Quick
-            test_lease_stale_after_remap;
-          Alcotest.test_case "lease bad block still faults" `Quick
-            test_lease_bad_block_still_faults;
+          Alcotest.test_case "view reads and stats" `Quick
+            test_view_reads_and_stats;
+          Alcotest.test_case "view misuse typed errors" `Quick
+            test_view_misuse_typed;
+          Alcotest.test_case "view bad block faults" `Quick
+            test_view_bad_block_faults;
           Alcotest.test_case "typed accesses allocate nothing" `Quick
             test_space_typed_no_alloc;
         ] );
