@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""List exported values that nothing uses.
+"""List exported values that nothing uses, or that only their own module uses.
 
 Usage: python3 bench/dead.py
 
 For every `val NAME` in an interface under lib/, count the mentions of
 NAME (as a whole OCaml identifier) in every .ml/.mli file under lib,
 bin, bench, perfbench, examples and test, leaving out that interface
-itself. A value whose only mention is its own definition is dead. The
-script prints `FILE: NAME` for each dead value and exits 1 if there is
-any, 0 otherwise. Tests count as users: a value only a test calls stays.
+itself. A value whose only mention is its own definition is dead; one
+that no file mentions but its own .ml and .mli is internal, and should
+leave the interface. The script prints `FILE: NAME` for each dead value
+and `FILE: NAME (internal)` for each internal one, and exits 1 if there
+is any, 0 otherwise. Tests count as users: a value only a test calls
+stays.
 
 Mentions are textual: a record field, a local binding or a comment that
 shares the name keeps the value alive, so the check can miss a dead
@@ -45,9 +48,12 @@ def main():
     total = sum(words.values(), Counter())
     dead = []
     for mli in sorted(p for p in texts if p.startswith("lib") and p.endswith(".mli")):
+        own = words[mli] + words.get(mli[:-1], Counter())
         for name in dict.fromkeys(VAL.findall(texts[mli])):
             if total[name] - words[mli][name] <= 1:
                 dead.append(f"{mli}: {name}")
+            elif total[name] == own[name]:
+                dead.append(f"{mli}: {name} (internal)")
     for line in dead:
         print(line)
     return 1 if dead else 0

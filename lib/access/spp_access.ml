@@ -13,7 +13,9 @@
      Memcheck  raw pointers + side-table interval lookup on every access.
 
    PM management always goes through the (mode-matched) mini-PMDK pool
-   underneath, so crash consistency is identical across variants. *)
+   underneath, so crash consistency is identical across variants; the
+   pool pads SafePM's allocations with redzones and reports every
+   block's lifetime to the checkers. *)
 
 open Spp_sim
 open Spp_core
@@ -210,125 +212,29 @@ let make_spp ?(variant = Spp) ?tag_volatile ~space ~pool ~cfg ~name () =
     oid_size = Pool.oid_stored_size pool;
   }
 
-(* --- SafePM ------------------------------------------------------------- *)
+(* --- SafePM and memcheck ------------------------------------------------ *)
 
-let make_safepm ~space ~pool ~shadow ~vheap ~name =
-  let ck p len f = Spp_safepm.check shadow p len; f () in
-  {
-    name;
-    variant = Safepm;
-    space;
-    pool;
-    valloc = (fun size -> Vheap.malloc vheap size);
-    vfree = (fun ptr -> Vheap.free vheap ptr);
-    direct = Pool.direct pool;
-    gep = ( + );
-    ptr_to_int = Fun.id;
-    for_external = Fun.id;
-    load_word = (fun p -> ck p 8 (fun () -> Space.load_word space p));
-    store_word = (fun p v -> ck p 8 (fun () -> Space.store_word space p v));
-    load_u8 = (fun p -> ck p 1 (fun () -> Space.load_u8 space p));
-    store_u8 = (fun p v -> ck p 1 (fun () -> Space.store_u8 space p v));
-    read_bytes = (fun p len -> ck p len (fun () -> Space.read_bytes space p len));
-    read_into =
-      (fun p ~len ~dst ~dst_off ->
-        ck p len (fun () -> Space.read_into space p ~len ~dst ~dst_off));
-    read_sub = (fun p len -> ck p len (fun () -> Space.read_sub space p len));
-    write_bytes =
-      (fun p b ->
-        ck p (Bytes.length b) (fun () -> Space.write_bytes space p b));
-    write_string =
-      (fun p s ->
-        ck p (String.length s) (fun () -> Space.write_string space p s));
-    (* one shadow lookup at acquisition covers the whole window *)
-    view = (fun p len -> ck p len (fun () -> Space.read_view space p len));
-    memcpy =
-      (fun ~dst ~src ~len ->
-        Spp_safepm.check shadow src len;
-        Spp_safepm.check shadow dst len;
-        Space.blit space ~src ~dst ~len);
-    memmove =
-      (fun ~dst ~src ~len ->
-        Spp_safepm.check shadow src len;
-        Spp_safepm.check shadow dst len;
-        Space.blit space ~src ~dst ~len);
-    memset =
-      (fun p c len -> ck p len (fun () -> Space.fill space p len c));
-    strcpy =
-      (fun ~dst ~src ->
-        let n = Space.strlen space src + 1 in
-        Spp_safepm.check shadow src n;
-        Spp_safepm.check shadow dst n;
-        Space.blit space ~src ~dst ~len:n);
-    strlen = Space.strlen space;
-    strcmp =
-      (fun a b ->
-        let rec go i =
-          let ca = ck (a + i) 1 (fun () -> Space.load_u8 space (a + i))
-          and cb = ck (b + i) 1 (fun () -> Space.load_u8 space (b + i)) in
-          if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
-        in
-        go 0);
-    palloc =
-      (fun ?zero ?dest size ->
-        let oid = Spp_safepm.alloc ?zero shadow ~size in
-        (match dest with
-         | None -> ()
-         | Some off -> Pool.store_oid pool ~off oid);
-        oid);
-    pfree =
-      (fun ?dest oid ->
-        Spp_safepm.free shadow oid;
-        match dest with
-        | None -> ()
-        | Some off -> Pool.store_oid pool ~off Oid.null);
-    prealloc = (fun oid size -> Spp_safepm.realloc shadow oid ~size);
-    tx_palloc = (fun ?zero size -> Spp_safepm.tx_alloc ?zero shadow ~size);
-    tx_pfree = (fun oid -> Spp_safepm.tx_free shadow oid);
-    root =
-      (fun size ->
-        let r = Pool.root pool ~size in
-        (* the root is not redzoned; just make it addressable *)
-        Spp_safepm.unpoison shadow ~off:r.Oid.off ~len:size;
-        r);
-    load_oid_at =
-      (fun ptr ->
-        Spp_safepm.check shadow ptr (Pool.oid_stored_size pool);
-        Pool.load_oid pool ~off:(Pool.off_of_addr pool ptr));
-    store_oid_at =
-      (fun ptr oid ->
-        Spp_safepm.check shadow ptr (Pool.oid_stored_size pool);
-        Pool.store_oid pool ~off:(Pool.off_of_addr pool ptr) oid);
-    oid_size = Pool.oid_stored_size pool;
-  }
-
-(* --- memcheck ------------------------------------------------------------ *)
-
-let make_memcheck ~space ~pool ~table ~vheap ~name =
-  let track_oid (oid : Oid.t) =
-    (* memcheck learns the usable (class-rounded) capacity, as PMDK's
-       Valgrind annotations report — overflow into the slack is missed. *)
-    Spp_memcheck.track table
-      ~addr:(Pool.addr_of_off pool oid.Oid.off)
-      ~len:(Pool.usable_size pool oid)
+(* Native PMDK with every access validated first by [check addr len]: a
+   shadow lookup (SafePM) or an interval lookup (memcheck). The pool
+   reports each block's lifetime to the checker, so PM management stays
+   PMDK's. *)
+let make_checked ~variant ~check (pmdk : t) =
+  let space = pmdk.space in
+  let ck p len f = check p len; f () in
+  let blit ~dst ~src ~len =
+    check src len;
+    check dst len;
+    Space.blit space ~src ~dst ~len
   in
-  let ck p len f = Spp_memcheck.check table p len; f () in
   {
-    name;
-    variant = Memcheck;
-    space;
-    pool;
-    valloc = (fun size -> Vheap.malloc vheap size);
-    vfree = (fun ptr -> Vheap.free vheap ptr);
-    direct = Pool.direct pool;
-    gep = ( + );
-    ptr_to_int = Fun.id;
-    for_external = Fun.id;
+    pmdk with
+    variant;
     load_word = (fun p -> ck p 8 (fun () -> Space.load_word space p));
     store_word = (fun p v -> ck p 8 (fun () -> Space.store_word space p v));
     load_u8 = (fun p -> ck p 1 (fun () -> Space.load_u8 space p));
     store_u8 = (fun p v -> ck p 1 (fun () -> Space.store_u8 space p v));
-    read_bytes = (fun p len -> ck p len (fun () -> Space.read_bytes space p len));
+    read_bytes =
+      (fun p len -> ck p len (fun () -> Space.read_bytes space p len));
     read_into =
       (fun p ~len ~dst ~dst_off ->
         ck p len (fun () -> Space.read_into space p ~len ~dst ~dst_off));
@@ -339,26 +245,13 @@ let make_memcheck ~space ~pool ~table ~vheap ~name =
     write_string =
       (fun p s ->
         ck p (String.length s) (fun () -> Space.write_string space p s));
-    (* one interval lookup at acquisition covers the whole window *)
+    (* one lookup at acquisition covers the whole window *)
     view = (fun p len -> ck p len (fun () -> Space.read_view space p len));
-    memcpy =
-      (fun ~dst ~src ~len ->
-        Spp_memcheck.check table src len;
-        Spp_memcheck.check table dst len;
-        Space.blit space ~src ~dst ~len);
-    memmove =
-      (fun ~dst ~src ~len ->
-        Spp_memcheck.check table src len;
-        Spp_memcheck.check table dst len;
-        Space.blit space ~src ~dst ~len);
+    memcpy = blit;
+    memmove = blit;
     memset = (fun p c len -> ck p len (fun () -> Space.fill space p len c));
     strcpy =
-      (fun ~dst ~src ->
-        let n = Space.strlen space src + 1 in
-        Spp_memcheck.check table src n;
-        Spp_memcheck.check table dst n;
-        Space.blit space ~src ~dst ~len:n);
-    strlen = Space.strlen space;
+      (fun ~dst ~src -> blit ~dst ~src ~len:(Space.strlen space src + 1));
     strcmp =
       (fun a b ->
         let rec go i =
@@ -367,47 +260,10 @@ let make_memcheck ~space ~pool ~table ~vheap ~name =
           if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
         in
         go 0);
-    palloc =
-      (fun ?zero ?dest size ->
-        let oid = Pool.alloc ?zero ?dest pool ~size in
-        track_oid oid;
-        oid);
-    pfree =
-      (fun ?dest oid ->
-        Spp_memcheck.untrack table ~addr:(Pool.addr_of_off pool oid.Oid.off);
-        Pool.free_ ?dest pool oid);
-    prealloc =
-      (fun oid size ->
-        if not (Oid.is_null oid) then
-          Spp_memcheck.untrack table ~addr:(Pool.addr_of_off pool oid.Oid.off);
-        let oid' = Pool.realloc pool oid ~size in
-        track_oid oid';
-        oid');
-    tx_palloc =
-      (fun ?zero size ->
-        let oid = Pool.tx_alloc ?zero pool ~size in
-        track_oid oid;
-        oid);
-    tx_pfree =
-      (fun oid ->
-        if not (Oid.is_null oid) then
-          Spp_memcheck.untrack table ~addr:(Pool.addr_of_off pool oid.Oid.off);
-        Pool.tx_free pool oid);
-    root =
-      (fun size ->
-        let r = Pool.root pool ~size in
-        if not (Spp_memcheck.is_valid table (Pool.addr_of_off pool r.Oid.off) 1)
-        then track_oid r;
-        r);
     load_oid_at =
-      (fun ptr ->
-        Spp_memcheck.check table ptr (Pool.oid_stored_size pool);
-        Pool.load_oid pool ~off:(Pool.off_of_addr pool ptr));
+      (fun ptr -> check ptr pmdk.oid_size; pmdk.load_oid_at ptr);
     store_oid_at =
-      (fun ptr oid ->
-        Spp_memcheck.check table ptr (Pool.oid_stored_size pool);
-        Pool.store_oid pool ~off:(Pool.off_of_addr pool ptr) oid);
-    oid_size = Pool.oid_stored_size pool;
+      (fun ptr oid -> check ptr pmdk.oid_size; pmdk.store_oid_at ptr oid);
   }
 
 (* --- Construction -------------------------------------------------------- *)
@@ -418,8 +274,9 @@ let vheap_size = 1 lsl 20
 
 let create ?(tag_bits = 26) ~pool_size ~name variant =
   let space = Space.create () in
-  let pool mode =
-    Pool.create space ~base:default_pool_base ~size:pool_size ~mode ~name
+  let pool ?redzone mode =
+    Pool.create ?redzone space ~base:default_pool_base ~size:pool_size ~mode
+      ~name
   in
   match variant with
   | Pmdk ->
@@ -439,23 +296,24 @@ let create ?(tag_bits = 26) ~pool_size ~name variant =
     let vheap = Vheap.create ~base:vbase space vheap_size in
     make_spp ~variant:Spp_all ~tag_volatile:vheap ~space ~pool ~cfg ~name ()
   | Safepm ->
-    let pool = pool Mode.Native in
+    let pool = pool ~redzone:Spp_safepm.redzone Mode.Native in
     let shadow = Spp_safepm.attach_fresh pool in
-    let vheap = Vheap.create space vheap_size in
-    make_safepm ~space ~pool ~shadow ~vheap ~name
+    make_checked ~variant ~check:(Spp_safepm.check shadow)
+      (make_pmdk ~space ~pool ~vheap:(Vheap.create space vheap_size) ~name)
   | Memcheck ->
     let pool = pool Mode.Native in
-    let table = Spp_memcheck.create () in
-    let vheap = Vheap.create space vheap_size in
-    make_memcheck ~space ~pool ~table ~vheap ~name
+    let table = Spp_memcheck.attach pool in
+    make_checked ~variant ~check:(Spp_memcheck.check table)
+      (make_pmdk ~space ~pool ~vheap:(Vheap.create space vheap_size) ~name)
 
 (* Re-attach to an already-open pool — the "process restart" half of the
    crash-recovery story: [Pool.open_dev] brings the pool back, [attach]
    rebuilds the compiled-binary view over it. The variant is derived from
    the pool's durable mode word: an SPP pool reopens with tagged pointers
-   and checked accesses, a native pool with raw PMDK semantics. The
-   checker variants (Safepm/Memcheck) rebuild their volatile side tables
-   from scratch elsewhere and are not reattachable here. *)
+   and checked accesses, a native pool with raw PMDK semantics. That
+   includes a SafePM or memcheck pool: its header's redzone still maps
+   every oid to its block, but the checkers' observers are volatile and
+   do not come back, so its accesses go unchecked. *)
 
 let attach space pool =
   let name = "reattached" in

@@ -13,7 +13,9 @@
     - {!Memcheck} — raw pointers plus a side-table interval lookup.
 
     PM management always goes through the mode-matched mini-PMDK pool, so
-    crash consistency is identical across variants. *)
+    crash consistency is identical across variants; the pool pads
+    SafePM's allocations with redzones and reports every block's
+    lifetime to the checkers. *)
 
 open Spp_sim
 open Spp_pmdk
@@ -93,9 +95,10 @@ val create : ?tag_bits:int -> pool_size:int -> name:string -> variant -> t
 val attach : Space.t -> Pool.t -> t
 (** Rebuild the access layer over an already-open pool (after
     [Pool.open_dev] on a reopened image): SPP pools come back with
-    tagged, checked accesses; native pools with raw PMDK semantics. The
-    checker variants (Safepm/Memcheck) keep volatile side tables and are
-    not reattachable through this path. *)
+    tagged, checked accesses; native pools with raw PMDK semantics. A
+    SafePM or memcheck pool comes back as a native one: its header's
+    redzone still maps every oid to its block, but the checkers'
+    observers are volatile, so its accesses go unchecked. *)
 
 (** {1 Violation handling} *)
 

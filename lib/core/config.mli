@@ -20,12 +20,6 @@ type t = private {
   max_pool_span : int;    (** [1 lsl addr_bits] *)
 }
 
-val ptr_size : int
-(** 63 — the simulated machine word width. *)
-
-val min_tag_bits : int
-val max_tag_bits : int
-
 val make : tag_bits:int -> t
 (** Raises [Invalid_argument] outside [\[min_tag_bits, max_tag_bits\]]. *)
 

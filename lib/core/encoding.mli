@@ -58,8 +58,6 @@ val address : Config.t -> int -> int
 val remaining : Config.t -> int -> int
 (** Bytes remaining before the object's upper bound (0 when overflown). *)
 
-val extract_delta : Config.t -> int -> int
-
 type decoded = {
   d_pm : bool;
   d_overflow : bool;

@@ -15,8 +15,4 @@ val create : string -> Spp_access.t -> instance
 (** Raises [Invalid_argument] on an unknown index name. The btree is
     created with the fixed (non-buggy) remove path. *)
 
-val of_ctree : Ctree.t -> instance
-val of_rbtree : Rbtree.t -> instance
-val of_rtree : Rtree.t -> instance
-val of_hashmap : Hashmap_tx.t -> instance
 val of_btree : Btree_map.t -> instance

@@ -48,12 +48,6 @@ let find_func p name =
   | Some f -> f
   | None -> invalid_arg ("Ir.find_func: no function " ^ name)
 
-let rec count_insts body =
-  List.fold_left
-    (fun acc i ->
-      acc + (match i with Loop { body; _ } -> 1 + count_insts body | _ -> 1))
-    0 body
-
 let rec count_hooks body =
   List.fold_left
     (fun acc i ->

@@ -43,6 +43,4 @@ type program = {
 }
 
 val find_func : program -> string -> func
-val count_insts : inst list -> int
-val count_hooks : inst list -> int
 val program_hooks : program -> int

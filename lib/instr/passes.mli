@@ -29,17 +29,6 @@ val transform :
   tracking:bool -> stats:stats -> ?param_origin:(string -> int -> origin) ->
   func -> func * origin array
 
-val mask_externals : tracking:bool -> stats:stats -> func -> origin array -> func
-
-val preempt_loops : stats:stats -> func -> func
-(** Rewrite instrumented monotonic constant-stride loops into a
-    pre-header scout check + a hook-free loop body (paper §V-C). *)
-
-val preempt_blocks : stats:stats -> func -> func
-(** Collapse straight-line runs of update/check/access groups on one
-    pointer into a single scout check (the paper's §IV-E basic-block
-    case). *)
-
 type options = {
   tracking : bool;
   preemption : bool;

@@ -11,7 +11,11 @@
      is why memcheck catches fewer RIPE attacks than SafePM or SPP.
 
    The table is a sorted dynamic array of [start, end) intervals with
-   binary search — a reasonable stand-in for Valgrind's VA bits. *)
+   binary search — a reasonable stand-in for Valgrind's VA bits. It
+   follows the pool's lifetime reports, as Valgrind follows PMDK's
+   allocator annotations, so every allocation path keeps it exact. *)
+
+open Spp_pmdk
 
 exception Violation of { addr : int; len : int }
 
@@ -26,11 +30,7 @@ type t = {
   mutable starts : int array;   (* sorted *)
   mutable ends : int array;     (* ends.(i) corresponds to starts.(i) *)
   mutable n : int;
-  mutable checks : int;
 }
-
-let create () =
-  { starts = Array.make 64 0; ends = Array.make 64 0; n = 0; checks = 0 }
 
 (* Index of the last interval with start <= addr, or -1. *)
 let locate t addr =
@@ -76,7 +76,6 @@ let untrack t ~addr =
    provenance is not tracked, so an overflow landing in another live
    allocation goes unnoticed. *)
 let check t addr len =
-  t.checks <- t.checks + 1;
   let limit = addr + len in
   let rec cover point =
     if point < limit then begin
@@ -87,9 +86,16 @@ let check t addr len =
   in
   cover addr
 
-let is_valid t addr len =
-  match check t addr len with
-  | () -> true
-  | exception Violation _ -> false
-
-let checks_performed t = t.checks
+(* A live block is tracked at its usable (class-rounded) capacity, as
+   PMDK's Valgrind annotations report it: an overflow into the slack is
+   missed. *)
+let attach pool =
+  let t = { starts = Array.make 64 0; ends = Array.make 64 0; n = 0 } in
+  Pool.set_lifetime_observer pool
+    (Some
+       (fun ev (oid : Oid.t) ->
+         let addr = Pool.addr_of_off pool oid.Oid.off in
+         match ev with
+         | Pool.Live -> track t ~addr ~len:(Pool.usable_size pool oid)
+         | Pool.Dead -> untrack t ~addr));
+  t

@@ -10,17 +10,10 @@ exception Violation of { addr : int; len : int }
 
 type t
 
-val create : unit -> t
-
-val track : t -> addr:int -> len:int -> unit
-(** Register a live allocation ([len] is typically the usable, class-
-    rounded capacity — what PMDK's annotations report). *)
-
-val untrack : t -> addr:int -> unit
-(** Raises [Invalid_argument] for an unknown address. *)
+val attach : Spp_pmdk.Pool.t -> t
+(** An empty table that follows the pool's lifetime reports: a live
+    block is tracked at its usable (class-rounded) capacity — what
+    PMDK's Valgrind annotations report — and a dead one untracked. *)
 
 val check : t -> int -> int -> unit
 (** Raises {!Violation} if any byte of the access is unaddressable. *)
-
-val is_valid : t -> int -> int -> bool
-val checks_performed : t -> int

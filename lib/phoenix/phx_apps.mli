@@ -4,20 +4,11 @@
     checksums, identical across variants for the same scale. *)
 
 val histogram : Spp_access.t -> scale:int -> int
-val kmeans : Spp_access.t -> scale:int -> int
-(** Iterates over the whole working set every round — the paper's SPP
-    overhead outlier. *)
-
-val linear_regression : Spp_access.t -> scale:int -> int
-val matrix_multiply : Spp_access.t -> scale:int -> int
-val pca : Spp_access.t -> scale:int -> int
 
 val string_match : ?buggy:bool -> Spp_access.t -> scale:int -> int
 (** With [~buggy:true], the word scan reads one byte past the input
     buffer when the last word abuts the end — the off-by-one the paper
     found and reported upstream (§VI-D, kozyraki/phoenix#9). *)
-
-val word_count : Spp_access.t -> scale:int -> int
 
 type app = {
   app_name : string;

@@ -2,11 +2,15 @@
 
    A block is [header 16 B][data]; header word 0 holds the requested
    size, header word 1 the state (allocated/published flags + size
-   class). The free lists live in DRAM, as in PMDK: one stack of free
-   block offsets per class ([Rep.free_stacks]), empty after create and
-   rebuilt lazily, by one walk of the carved blocks up to the durable
-   bump, at the first allocation after open, recovery or a batch that
-   raised. A block joins its stack only once its free is durable.
+   class). A request for [size] bytes takes a block of [size + 2 *
+   redzone] ([Rep.block_size]) and hands out the oid past its left
+   redzone ([Rep.user_oid]); the functions that take a block back take
+   its data offset. The free lists live in DRAM, as in PMDK: one stack
+   of free block offsets per class ([Rep.free_stacks]), empty after
+   create and rebuilt lazily, by one walk of the carved blocks up to
+   the durable bump, at the first allocation after open, recovery or a
+   batch that raised. A block joins its stack only once its free is
+   durable.
 
    So an allocation stages the block's state word (plus its requested
    size when that changes, and the bump advance when it carves virgin
@@ -72,7 +76,8 @@ let publish_state ci =
 let stage_alloc (t : Rep.t) ~size =
   if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
   check_spp_size t size;
-  let ci = Rep.class_of_size size in
+  let bsize = Rep.block_size t ~size in
+  let ci = Rep.class_of_size bsize in
   ensure_free_lists t;
   let head = Rep.free_peek t ci in
   if head <> 0 then begin
@@ -83,7 +88,8 @@ let stage_alloc (t : Rep.t) ~size =
     { p_data_off = head;
       p_ci = ci;
       p_entries =
-        (if Rep.load t hoff = size then publish else (hoff, size) :: publish) }
+        (if Rep.load t hoff = bsize then publish
+         else (hoff, bsize) :: publish) }
   end else begin
     (* Carve virgin space past the bump pointer; the header can be staged
        directly since the block is unreachable until the bump advances. *)
@@ -91,7 +97,7 @@ let stage_alloc (t : Rep.t) ~size =
     let data_off = bump + Rep.block_header_size in
     let new_bump = data_off + Rep.class_size ci in
     if new_bump > t.Rep.psize then raise Out_of_pm;
-    Rep.set_block_header t ~data_off ~req_size:size
+    Rep.set_block_header t ~data_off ~req_size:bsize
       ~state:(Rep.st_allocated lor (ci lsl Rep.st_class_shift));
     { p_data_off = data_off;
       p_ci = ci;
@@ -117,7 +123,7 @@ let unstack (t : Rep.t) p =
   if Rep.free_peek t p.p_ci = p.p_data_off then Rep.free_pop t p.p_ci
 
 let publish_alloc (t : Rep.t) prepared ~size ~dest =
-  let oid = { Oid.uuid = t.Rep.uuid; off = prepared.p_data_off; size } in
+  let oid = Rep.user_oid t ~data_off:prepared.p_data_off ~size in
   Redo.run t (prepared.p_entries @ dest_entries t dest oid);
   unstack t prepared;
   oid
@@ -156,15 +162,16 @@ let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
 let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
   if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
   check_spp_size t size;
-  let ci = Rep.class_of_size size in
+  let bsize = Rep.block_size t ~size in
+  let ci = Rep.class_of_size bsize in
   ensure_free_lists t;
   let head = Rep.free_peek t ci in
   let data_off =
     if head <> 0 then begin
       Rep.free_pop t ci;
       let hoff = Rep.header_off ~data_off:head in
-      if Redo.batch_load b hoff <> size then
-        Redo.batch_stage b ~off:hoff ~v:size;
+      if Redo.batch_load b hoff <> bsize then
+        Redo.batch_stage b ~off:hoff ~v:bsize;
       Redo.batch_stage b ~off:(hoff + 8) ~v:(publish_state ci);
       head
     end else begin
@@ -174,7 +181,7 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
       if new_bump > t.Rep.psize then raise Out_of_pm;
       let hoff = Rep.header_off ~data_off in
       let hdr = t.Rep.header_image in
-      Rep.put_word hdr ~pos:0 size;
+      Rep.put_word hdr ~pos:0 bsize;
       Rep.put_word hdr ~pos:8
         (Rep.st_allocated lor (ci lsl Rep.st_class_shift));
       Redo.batch_write b ~off:hoff hdr ~pos:0 ~len:Rep.block_header_size;
@@ -184,7 +191,7 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
       data_off
     end
   in
-  { Oid.uuid = t.Rep.uuid; off = data_off; size }
+  Rep.user_oid t ~data_off ~size
 
 let free_batched (_ : Rep.t) (b : Redo.batch) ~data_off =
   let soff = Rep.header_off ~data_off + 8 in
@@ -227,25 +234,25 @@ let realloc (t : Rep.t) (oid : Oid.t) ~new_size ~dest =
   else begin
     if new_size <= 0 then invalid_arg "Pmdk realloc: non-positive size";
     check_spp_size t new_size;
-    let data_off = oid.Oid.off in
+    let data_off = Rep.block_off t oid in
     let st = Rep.block_state t ~data_off in
     if not (Rep.state_is_allocated st) then
       invalid_arg "Pmdk realloc: block is not allocated";
     let ci_old = Rep.state_class st in
-    let ci_new = Rep.class_of_size new_size in
+    let bsize = Rep.block_size t ~size:new_size in
+    let ci_new = Rep.class_of_size bsize in
     if ci_old = ci_new then begin
       let oid' = { oid with Oid.size = new_size } in
       Redo.run t
-        ((Rep.header_off ~data_off, new_size) :: dest_entries t dest oid');
+        ((Rep.header_off ~data_off, bsize) :: dest_entries t dest oid');
       oid'
     end else begin
       let p = stage_alloc t ~size:new_size in
-      let old_size = Rep.block_req_size t ~data_off in
+      let len = min (Rep.user_size t ~data_off) new_size in
+      let oid' = Rep.user_oid t ~data_off:p.p_data_off ~size:new_size in
       Spp_sim.Space.blit t.Rep.space
-        ~src:(Rep.a t data_off) ~dst:(Rep.a t p.p_data_off)
-        ~len:(min old_size new_size);
-      Rep.persist t p.p_data_off (min old_size new_size);
-      let oid' = { Oid.uuid = t.Rep.uuid; off = p.p_data_off; size = new_size } in
+        ~src:(Rep.a t oid.Oid.off) ~dst:(Rep.a t oid'.Oid.off) ~len;
+      Rep.persist t oid'.Oid.off len;
       let free_old =
         (Rep.header_off ~data_off + 8, ci_old lsl Rep.st_class_shift)
       in

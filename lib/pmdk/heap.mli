@@ -2,15 +2,19 @@
     facade; use {!Pool} from application code).
 
     A block's header holds its requested size (word 0) and its state
-    word (word 1). The free lists are volatile, as in PMDK: one stack of
-    free blocks per size class, rebuilt lazily from the state words by
-    one walk of the carved blocks at the first allocation after open,
-    recovery or a batch that raised. An allocation makes the state word
-    durable (plus the requested size when it changes, and the bump
-    advance on virgin space), a free the state word; each travels in a
-    single redo batch with the destination oid, so a crash either keeps
-    the old heap state or lands on the new one. The destination oid's
-    size entry precedes its offset entry (paper §IV-F). *)
+    word (word 1). A request for [size] bytes takes a block of
+    [size + 2 * redzone] and hands out the oid past its left redzone
+    ({!Rep.user_oid}); {!free}, {!free_idempotent} and {!free_batched}
+    take the block's data offset. The free lists are volatile, as in
+    PMDK: one stack of free blocks per size class, rebuilt lazily from
+    the state words by one walk of the carved blocks at the first
+    allocation after open, recovery or a batch that raised. An
+    allocation makes the state word durable (plus the requested size
+    when it changes, and the bump advance on virgin space), a free the
+    state word; each travels in a single redo batch with the
+    destination oid, so a crash either keeps the old heap state or
+    lands on the new one. The destination oid's size entry precedes its
+    offset entry (paper §IV-F). *)
 
 exception Out_of_pm
 

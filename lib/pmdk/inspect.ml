@@ -81,10 +81,11 @@ let check (t : Pool.t) =
   if bump < Pool.heap_base t || bump > Pool.size t then
     add (Bump_out_of_range bump);
   let root = Pool.root_oid t in
+  let root_block = Pool.block_off t root in
   let root_live = ref (Oid.is_null root) in
   let (), bad =
     Pool.fold_blocks t () (fun () ~data_off ~state ->
-      if data_off = root.Oid.off && Rep.state_is_allocated state then
+      if data_off = root_block && Rep.state_is_allocated state then
         root_live := root.Oid.uuid = Pool.uuid t;
       let flags = state land ((1 lsl Rep.st_class_shift) - 1) in
       if flags <> 0 && flags <> flags_live then

@@ -21,10 +21,6 @@ val create_pool : t -> size:int -> mode:Mode.t -> name:string -> Pool.t
 val open_pool : t -> Memdev.t -> Pool.t
 (** Map an existing pool device at the next free base and run recovery. *)
 
-val pool_of_uuid : t -> int -> Pool.t option
-
 val direct : t -> Oid.t -> int
 (** [pmemobj_direct] across all mapped pools: dispatches on the oid's
     uuid; raises {!Pool.Wrong_pool} for an unknown pool. *)
-
-val first_pool_base : int

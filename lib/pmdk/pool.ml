@@ -43,13 +43,15 @@ let check_span ~base ~size mode =
             SPP tag configuration"
            base (base + size) (Spp_core.Config.addr_bits cfg))
 
-let make_rep space dev ~base ~size ~mode ~uuid =
+let make_rep space dev ~base ~size ~mode ~uuid ~redzone =
   let ulog_cap = Rep.ulog_cap_for_pool_size size in
   { Rep.space; dev; base; psize = size; mode; uuid; ulog_cap;
     heap_base = Rep.heap_base_for ~ulog_cap;
+    redzone;
     lock = Mutex.create ();
     tx_lock = Mutex.create ();
-    tx_ranges = []; tx_deferred_free = []; tx_depth = 0;
+    tx_ranges = []; tx_depth = 0; tx_lifetimes = [];
+    lifetime_observer = None; reports = [];
     batch_observer = None;
     compose = Bytes.empty;
     header_image = Bytes.create Rep.block_header_size;
@@ -58,12 +60,16 @@ let make_rep space dev ~base ~size ~mode ~uuid =
     free_tops = Array.make Rep.n_classes 0;
     free_built = false }
 
-let create space ~base ~size ~mode ~name =
+let valid_redzone rz = rz >= 0 && rz land 7 = 0
+
+let create ?(redzone = 0) space ~base ~size ~mode ~name =
   check_span ~base ~size mode;
+  if not (valid_redzone redzone) then
+    invalid_arg "Pool.create: redzone must be a non-negative multiple of 8";
   let dev = Memdev.create_persistent ~name size in
   Space.map space ~base ~size ~kind:Space.Persistent ~name dev;
   let uuid = next_uuid () in
-  let t = make_rep space dev ~base ~size ~mode ~uuid in
+  let t = make_rep space dev ~base ~size ~mode ~uuid ~redzone in
   Rep.store t Rep.off_magic Rep.magic;
   Rep.store t Rep.off_uuid uuid;
   Rep.store t Rep.off_pool_size size;
@@ -75,8 +81,9 @@ let create space ~base ~size ~mode ~name =
   in
   Rep.store t Rep.off_mode mode_word;
   Rep.store t Rep.off_tag_bits tag_bits;
+  if redzone <> 0 then Rep.store t Rep.off_redzone redzone;
   Rep.store t Rep.off_hdr_csum
-    (Rep.header_checksum ~uuid ~psize:size ~mode_word ~tag_bits);
+    (Rep.header_checksum ~uuid ~psize:size ~mode_word ~tag_bits ~redzone);
   Rep.store t Rep.off_heap_bump t.Rep.heap_base;
   Rep.store_oid t Rep.off_root Oid.null;
   Rep.store t Rep.off_redo_valid 0;
@@ -95,7 +102,7 @@ type recovery_report = {
 let recover (t : Rep.t) =
   t.Rep.tx_depth <- 0;
   t.Rep.tx_ranges <- [];
-  t.Rep.tx_deferred_free <- [];
+  t.Rep.tx_lifetimes <- [];
   (* The stacks may name blocks whose frees a crash discarded (a
      powered-off device drops a commit the process went on to push):
      rebuild them from the media at the next allocation. *)
@@ -139,7 +146,9 @@ let open_dev space ~base dev =
       ~name:(Memdev.name dev) dev;
     let bad e = raise (Open_error e) in
     match
-      let probe = make_rep space dev ~base ~size ~mode:Mode.Native ~uuid:0 in
+      let probe =
+        make_rep space dev ~base ~size ~mode:Mode.Native ~uuid:0 ~redzone:0
+      in
       let magic = Rep.load probe Rep.off_magic in
       if magic <> Rep.magic then
         bad (Bad_header
@@ -157,11 +166,17 @@ let open_dev space ~base dev =
         bad (Bad_header (Printf.sprintf "mode word %d not in {0, 1}" mode_word));
       let tag_bits = Rep.load probe Rep.off_tag_bits in
       let uuid = Rep.load probe Rep.off_uuid in
+      let redzone = Rep.load probe Rep.off_redzone in
       let stored = Rep.load probe Rep.off_hdr_csum in
       let computed =
         Rep.header_checksum ~uuid ~psize:stored_size ~mode_word ~tag_bits
+          ~redzone
       in
       if stored <> computed then bad (Bad_checksum { stored; computed });
+      if not (valid_redzone redzone) then
+        bad (Bad_header
+               (Printf.sprintf "redzone %d not a non-negative multiple of 8"
+                  redzone));
       let mode =
         if mode_word = 0 then Mode.Native
         else
@@ -172,7 +187,7 @@ let open_dev space ~base dev =
       (match check_span ~base ~size mode with
        | () -> ()
        | exception Invalid_argument msg -> bad (Bad_header msg));
-      let t = make_rep space dev ~base ~size ~mode ~uuid in
+      let t = make_rep space dev ~base ~size ~mode ~uuid ~redzone in
       (* Redo replay / tx rollback walk log areas whose contents a media
          fault may have scrambled; surface parse failures as typed
          corruption, not an escape. *)
@@ -211,22 +226,59 @@ let uuid (t : Rep.t) = t.Rep.uuid
 let oid_stored_size (t : Rep.t) = Rep.oid_stored_size t
 let heap_base (t : Rep.t) = t.Rep.heap_base
 
+let redzone (t : Rep.t) = t.Rep.redzone
+
+(* Lifetimes. The allocation paths queue their reports under the pool
+   lock ([Rep.report]) and [with_lock] hands them to the observer once
+   the lock is released: a checker's shadow write may snapshot through
+   [tx_add_range], which takes the lock again. *)
+
+type lifetime = Rep.lifetime = Live | Dead
+
+let set_lifetime_observer (t : Rep.t) obs = t.Rep.lifetime_observer <- obs
+
 let with_lock (t : Rep.t) f =
   Mutex.lock t.Rep.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.Rep.lock) f
+  let release () =
+    match t.Rep.reports with
+    | [] -> Mutex.unlock t.Rep.lock
+    | reports ->
+      t.Rep.reports <- [];
+      Mutex.unlock t.Rep.lock;
+      Option.iter
+        (fun obs -> List.iter (fun (ev, oid) -> obs ev oid) (List.rev reports))
+        t.Rep.lifetime_observer
+  in
+  match f () with
+  | v -> release (); v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release ();
+    Printexc.raise_with_backtrace e bt
+
+(* The [Dead] report for [oid], which the caller is about to free: its
+   requested size is read while the block still holds it, and only
+   under an observer. *)
+let dying (t : Rep.t) (oid : Oid.t) =
+  match t.Rep.lifetime_observer with
+  | Some _ when not (Oid.is_null oid) ->
+    Some { oid with Oid.size = Rep.user_size t ~data_off:(Rep.block_off t oid) }
+  | _ -> None
+
+let heap_dest = function None -> Heap.No_dest | Some off -> Heap.Pm_slot off
 
 (* Atomic object management (pmemobj_alloc / _zalloc / _free / _realloc). *)
 
 let alloc ?(zero = false) ?dest (t : Rep.t) ~size =
   with_lock t (fun () ->
-    let dest = match dest with
-      | None -> Heap.No_dest
-      | Some off -> Heap.Pm_slot off
-    in
-    Heap.alloc t ~zero ~size ~dest ())
+    let oid = Heap.alloc t ~zero ~size ~dest:(heap_dest dest) () in
+    Rep.report t Rep.Live oid;
+    oid)
 
 let check_owner (t : Rep.t) (oid : Oid.t) =
   if oid.Oid.uuid <> t.Rep.uuid then raise (Wrong_pool oid)
+
+let block_off (t : Rep.t) (oid : Oid.t) = Rep.block_off t oid
 
 let free_ ?dest (t : Rep.t) (oid : Oid.t) =
   check_owner t oid;
@@ -239,25 +291,29 @@ let free_ ?dest (t : Rep.t) (oid : Oid.t) =
          | Mode.Native -> [ (doff, 0); (doff + 8, 0) ]
          | Mode.Spp _ -> [ (doff, 0); (doff + 8, 0); (doff + 16, 0) ])
     in
-    Heap.free t ~data_off:oid.Oid.off ~extra_entries)
+    let dead = dying t oid in
+    Heap.free t ~data_off:(Rep.block_off t oid) ~extra_entries;
+    Option.iter (Rep.report t Rep.Dead) dead)
 
 let realloc ?dest (t : Rep.t) (oid : Oid.t) ~size =
   if not (Oid.is_null oid) then check_owner t oid;
   with_lock t (fun () ->
-    let dest = match dest with
-      | None -> Heap.No_dest
-      | Some off -> Heap.Pm_slot off
-    in
-    Heap.realloc t oid ~new_size:size ~dest)
+    let dead = dying t oid in
+    let oid' = Heap.realloc t oid ~new_size:size ~dest:(heap_dest dest) in
+    Option.iter (Rep.report t Rep.Dead) dead;
+    Rep.report t Rep.Live oid';
+    oid')
 
 let alloc_size (t : Rep.t) (oid : Oid.t) =
   check_owner t oid;
-  Rep.block_req_size t ~data_off:oid.Oid.off
+  Rep.user_size t ~data_off:(Rep.block_off t oid)
 
 let usable_size (t : Rep.t) (oid : Oid.t) =
-  (* Class-rounded block capacity — pmemobj_alloc_usable_size. *)
+  (* Class-rounded block capacity less the redzones —
+     pmemobj_alloc_usable_size. *)
   check_owner t oid;
-  Rep.class_size (Rep.state_class (Rep.block_state t ~data_off:oid.Oid.off))
+  let st = Rep.block_state t ~data_off:(Rep.block_off t oid) in
+  Rep.class_size (Rep.state_class st) - (2 * t.Rep.redzone)
 
 (* pmemobj_direct: oid -> native (possibly tagged) pointer (paper §IV-B). *)
 
@@ -276,8 +332,13 @@ let direct (t : Rep.t) (oid : Oid.t) =
 let root (t : Rep.t) ~size =
   with_lock t (fun () ->
     let existing = Rep.load_oid t Rep.off_root in
-    if Oid.is_null existing then
-      Heap.alloc t ~zero:true ~size ~dest:(Heap.Pm_slot Rep.off_root) ()
+    if Oid.is_null existing then begin
+      let oid =
+        Heap.alloc t ~zero:true ~size ~dest:(Heap.Pm_slot Rep.off_root) ()
+      in
+      Rep.report t Rep.Live oid;
+      oid
+    end
     else existing)
 
 let root_oid (t : Rep.t) = Rep.load_oid t Rep.off_root
@@ -286,7 +347,14 @@ let root_oid (t : Rep.t) = Rep.load_oid t Rep.off_root
 
 (* The pool has a single undo lane, so the outermost tx_begin holds the
    tx lock until commit or abort — concurrent transactions serialize,
-   like contending for a PMDK lane. *)
+   like contending for a PMDK lane. A transaction reports an allocation
+   once it is published and a free when it is called; an abort reports
+   the opposite of each, newest first. *)
+
+let tx_report (t : Rep.t) ev oid =
+  Rep.report t ev oid;
+  if Option.is_some t.Rep.lifetime_observer then
+    t.Rep.tx_lifetimes <- (ev, oid) :: t.Rep.tx_lifetimes
 
 let tx_begin (t : Rep.t) =
   if t.Rep.tx_depth = 0 then Mutex.lock t.Rep.tx_lock;
@@ -298,7 +366,13 @@ let tx_commit (t : Rep.t) =
   if outer then Mutex.unlock t.Rep.tx_lock
 
 let tx_abort (t : Rep.t) =
-  with_lock t (fun () -> Tx.tx_abort t);
+  with_lock t (fun () ->
+    let undone = t.Rep.tx_lifetimes in
+    Tx.tx_abort t;
+    List.iter
+      (fun (ev, oid) ->
+        Rep.report t (if ev = Rep.Live then Rep.Dead else Rep.Live) oid)
+      undone);
   Mutex.unlock t.Rep.tx_lock
 
 let tx_add_range (t : Rep.t) ~off ~len =
@@ -309,15 +383,26 @@ let tx_add_range_oid (t : Rep.t) oid =
   with_lock t (fun () -> Tx.add_range_oid t oid)
 
 let tx_alloc ?(zero = false) (t : Rep.t) ~size =
-  with_lock t (fun () -> Tx.alloc t ~zero ~size ())
+  with_lock t (fun () ->
+    let oid = Tx.alloc t ~zero ~size () in
+    tx_report t Rep.Live oid;
+    oid)
 
 let tx_realloc (t : Rep.t) oid ~size =
   if not (Oid.is_null oid) then check_owner t oid;
-  with_lock t (fun () -> Tx.realloc t oid ~size)
+  with_lock t (fun () ->
+    let dead = dying t oid in
+    let fresh = Tx.realloc t oid ~size in
+    tx_report t Rep.Live fresh;
+    Option.iter (tx_report t Rep.Dead) dead;
+    fresh)
 
 let tx_free (t : Rep.t) oid =
   if not (Oid.is_null oid) then check_owner t oid;
-  with_lock t (fun () -> Tx.free t oid)
+  with_lock t (fun () ->
+    let dead = dying t oid in
+    Tx.free t oid;
+    Option.iter (tx_report t Rep.Dead) dead)
 
 let with_tx (t : Rep.t) f =
   tx_begin t;
@@ -384,11 +469,23 @@ let batch_write (_ : Rep.t) b ~off buf ~pos ~len =
 let put_word = Rep.put_word
 let put_oid = Rep.put_oid
 
-let batch_alloc (t : Rep.t) b ~size = Heap.alloc_batched t b ~size
+let batch_alloc (t : Rep.t) b ~size =
+  let oid = Heap.alloc_batched t b ~size in
+  if Option.is_some t.Rep.lifetime_observer then
+    Redo.batch_note b Rep.Live oid;
+  oid
 
 let batch_free (t : Rep.t) b (oid : Oid.t) =
   check_owner t oid;
-  Heap.free_batched t b ~data_off:oid.Oid.off
+  let data_off = Rep.block_off t oid in
+  Heap.free_batched t b ~data_off;
+  if Option.is_some t.Rep.lifetime_observer then
+    (* the requested size as the batch sees it: an earlier op of the
+       batch may have allocated the block *)
+    Redo.batch_note b Rep.Dead
+      { oid with
+        Oid.size =
+          Redo.batch_load b (Rep.header_off ~data_off) - (2 * t.Rep.redzone) }
 
 (* Oid slots in PM (pool offsets). *)
 

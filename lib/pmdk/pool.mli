@@ -17,10 +17,14 @@ exception Wrong_pool of Oid.t
 (** {1 Lifecycle} *)
 
 val create :
+  ?redzone:int ->
   Space.t -> base:int -> size:int -> mode:Mode.t -> name:string -> t
 (** Create and format a pool mapped at [base]. In SPP mode the pool must
     fit below the tag configuration's address span ([Invalid_argument]
-    otherwise — the paper maps pools to the lower address space). *)
+    otherwise — the paper maps pools to the lower address space).
+    [redzone] (default 0, a multiple of 8) pads each side of every
+    allocation — SafePM's redzones. It is recorded in the header, so a
+    reopened pool or a replica maps oids to blocks as this one does. *)
 
 type recovery_report = {
   redo_replayed : bool;
@@ -75,13 +79,18 @@ val oid_stored_size : t -> int
 
 val heap_base : t -> int
 
+val redzone : t -> int
+(** Bytes padding each side of every user range; 0 unless given to
+    {!create}. *)
+
 (** {1 Atomic object management} *)
 
 val alloc : ?zero:bool -> ?dest:int -> t -> size:int -> Oid.t
 (** [pmemobj_alloc]/[_zalloc]. [dest] is the pool offset of a PM oid slot
     published atomically with the allocation; the oid's size entry is
-    ordered before its offset entry (paper §IV-F). Raises
-    [Heap.Out_of_pm] when the pool is full and
+    ordered before its offset entry (paper §IV-F). The block is
+    [size + 2 * redzone] bytes and the oid points past its left redzone.
+    Raises [Heap.Out_of_pm] when the pool is full and
     [Spp_core.Encoding.Object_too_large] when the object exceeds the tag
     limit in SPP mode. *)
 
@@ -89,10 +98,16 @@ val free_ : ?dest:int -> t -> Oid.t -> unit
 (** [pmemobj_free]; [dest] additionally clears the oid slot atomically. *)
 
 val realloc : ?dest:int -> t -> Oid.t -> size:int -> Oid.t
+
 val alloc_size : t -> Oid.t -> int
+(** The size the object was requested with. *)
 
 val usable_size : t -> Oid.t -> int
-(** Class-rounded block capacity ([pmemobj_alloc_usable_size]). *)
+(** Class-rounded block capacity less the redzones
+    ([pmemobj_alloc_usable_size]). *)
+
+val block_off : t -> Oid.t -> int
+(** Data offset of the block holding [oid]: [redzone] bytes before it. *)
 
 val direct : t -> Oid.t -> int
 (** [pmemobj_direct]: 0 for the null oid; otherwise the object's
@@ -101,8 +116,8 @@ val direct : t -> Oid.t -> int
 (** {1 Root object} *)
 
 val root : t -> size:int -> Oid.t
-(** [pmemobj_root]: allocated (zeroed) once, atomically, into the header's
-    root slot. *)
+(** [pmemobj_root]: allocated (zeroed, redzones included) once,
+    atomically, into the header's root slot. *)
 
 val root_oid : t -> Oid.t
 
@@ -199,6 +214,27 @@ val heap_stats : t -> Heap.stats
 val fold_blocks :
   t -> 'a -> ('a -> data_off:int -> state:int -> 'a) -> 'a * int option
 (** The heap walk behind {!heap_stats} ({!Heap.fold_blocks}). *)
+
+(** {1 Lifetimes}
+
+    One observer per pool hears every block the program sees become
+    live or dead, with the user oid and its requested size — what a
+    checker (SafePM's shadow, memcheck's table) needs to stay exact on
+    every allocation path:
+    - {!alloc}, {!free_}, {!realloc} and {!root}, once their redo run is
+      done; a realloc reports the old block dead, then the new one live;
+    - a transaction's allocation once it is published, its free when it
+      is called, and on abort the opposite of each, newest first;
+    - a batch's allocations and frees at the commit that carries them,
+      every [Live] of a commit before its [Dead]s, commits in order,
+      including the committed prefix of a batch whose later op raised.
+    Recovery reports nothing. The observer runs on the calling domain
+    after the pool lock is released, so it may call back into the pool
+    (a transactional shadow write snapshots through {!tx_add_range}). *)
+
+type lifetime = Rep.lifetime = Live | Dead
+
+val set_lifetime_observer : t -> (lifetime -> Oid.t -> unit) option -> unit
 
 (** {1 Replication}
 

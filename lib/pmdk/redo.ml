@@ -72,7 +72,11 @@ let run (t : Rep.t) entries =
    the free commits, so it must not be handed out again before then:
    [batch_defer_free] holds it back, and the commit that carries its
    free pushes it onto its class's free stack once that commit is
-   durable. *)
+   durable.
+
+   Under a lifetime observer, each op also notes the blocks it
+   allocates and frees ([batch_note]), and the commit that carries the
+   op reports them once it is durable. *)
 
 type batch = {
   b_rep : Rep.t;
@@ -91,6 +95,9 @@ type batch = {
   mutable b_writes_acc : (int * Bytes.t) list;
     (* fresh-block blobs (off, bytes), newest first; replicated pools only *)
   mutable b_writes_op : (int * Bytes.t) list;  (* open op's blobs *)
+  mutable b_lifetimes_acc : (Rep.lifetime * Oid.t) list;
+    (* allocations and frees of the accumulated ops, newest first *)
+  mutable b_lifetimes_op : (Rep.lifetime * Oid.t) list;  (* the open op's *)
 }
 
 (* The overlay is the pool's own table: [Hashtbl.reset] empties it and
@@ -104,7 +111,8 @@ let batch_begin (t : Rep.t) =
     b_acc = []; b_acc_n = 0; b_acc_ops = 0;
     b_op = []; b_op_n = 0; b_in_op = false;
     b_finished = false; b_commits = 0;
-    b_writes_acc = []; b_writes_op = [] }
+    b_writes_acc = []; b_writes_op = [];
+    b_lifetimes_acc = []; b_lifetimes_op = [] }
 
 let check_open b =
   if b.b_finished then invalid_arg "Redo.batch: already finished"
@@ -144,6 +152,8 @@ let batch_defer_free b ~ci ~data_off =
   check_open b;
   b.b_frees_op <- (ci, data_off) :: b.b_frees_op
 
+let batch_note b ev oid = b.b_lifetimes_op <- (ev, oid) :: b.b_lifetimes_op
+
 (* Commit the accumulated complete operations as one redo log. The
    fences actually spent are measured around the commit; a
    one-commit-per-op execution would have paid them once per op, which
@@ -166,6 +176,15 @@ let commit_acc b =
     (* the staged frees are durable now; their blocks are reusable *)
     List.iter (fun (ci, off) -> Rep.free_push t ci off) b.b_frees_acc;
     b.b_frees_acc <- [];
+    (* and so are its allocations and frees: report them, lives first,
+       since an op may free a block an earlier op of the commit took *)
+    (match b.b_lifetimes_acc with
+     | [] -> ()
+     | l ->
+       b.b_lifetimes_acc <- [];
+       let lives, deads = List.partition (fun (ev, _) -> ev = Rep.Live) l in
+       List.iter (fun (ev, oid) -> Rep.report t ev oid)
+         (List.rev_append lives (List.rev deads)));
     (* Ship the commit to the replication layer, if any. The payload is
        built only past the commit point — everything in it is durable on
        the primary. Its blobs are the bytes [batch_write] kept when the
@@ -227,7 +246,12 @@ let batch_op_end b =
     b.b_writes_op <- [];
     (* and so do its frees *)
     b.b_frees_acc <- b.b_frees_op @ b.b_frees_acc;
-    b.b_frees_op <- []
+    b.b_frees_op <- [];
+    match b.b_lifetimes_op with
+    | [] -> ()
+    | l ->
+      b.b_lifetimes_acc <- l @ b.b_lifetimes_acc;
+      b.b_lifetimes_op <- []
   end
 
 let batch_finish b =

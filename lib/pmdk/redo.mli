@@ -73,6 +73,13 @@ val batch_defer_free : batch -> ci:int -> data_off:int -> unit
     of size class [ci] once the commit carrying the operation's entries
     is durable, never at an earlier overflow commit. *)
 
+val batch_note : batch -> Rep.lifetime -> Oid.t -> unit
+(** Note a block the open operation allocated ([Live]) or freed
+    ([Dead]), under a lifetime observer: the commit that carries the
+    operation's entries reports its notes once it is durable, every
+    [Live] before any [Dead] ({!Rep.report}). Operations that never
+    commit report nothing. *)
+
 val batch_finish : batch -> unit
 (** Commit the remaining accumulated ops and seal the batch. *)
 

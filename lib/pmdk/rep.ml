@@ -10,18 +10,22 @@
      0x028  heap bump pointer (next never-carved offset)
      0x030  root oid slot (24 B reserved)
      0x048  header checksum (over the immutable identity fields)
+     0x050  redzone width (written only when non-zero: SafePM pools)
      0x080  reserved, unused (keeps the log offsets below)
      0x380  redo log   : valid, nentries, entries (off/val pairs)
      0x780  tx lane    : tx_state, ulog_used, ulog data area
      heap_base (4 KiB aligned): object blocks
 
-   Every object block is [header 16 B][data class_size B]; an oid's [off]
-   points at the data. Header word 0 holds the requested size, word 1 a
-   state word (allocated flag, published flag, size-class index). The
-   free lists are not durable: each pool keeps one stack of free block
-   offsets per size class in DRAM, rebuilt from the state words by one
-   walk of the carved blocks, as PMDK v1.9 refills its buckets from the
-   run bitmaps. *)
+   Every object block is [header 16 B][data class_size B]. The data
+   starts with [redzone] bytes, the user range follows, and [redzone]
+   more bytes pad it (SafePM's redzones; 0 in every other pool); an
+   oid's [off] points at the user range. Header word 0 holds the
+   requested size, padding included, word 1 a state word (allocated
+   flag, published flag, size-class index). The free lists are not
+   durable: each pool keeps one stack of free block offsets per size
+   class in DRAM, rebuilt from the state words by one walk of the
+   carved blocks, as PMDK v1.9 refills its buckets from the run
+   bitmaps. *)
 
 open Spp_sim
 
@@ -36,6 +40,7 @@ let off_tag_bits = 0x020
 let off_heap_bump = 0x028
 let off_root = 0x030
 let off_hdr_csum = 0x048
+let off_redzone = 0x050
 
 (* Redo log. *)
 let off_redo_valid = 0x380
@@ -79,17 +84,21 @@ let class_of_size size =
   done;
   !lo
 
-(* Header checksum over the identity fields. All five inputs are written
+(* Header checksum over the identity fields. All its inputs are written
    exactly once, at pool create, in the same initial persist as the sum
    itself, and no later code path rewrites any of them — which is what
-   makes the checksum crash-consistent for free. FNV-1a word mix, folded
-   to the 63-bit OCaml int like every other stored word. *)
+   makes the checksum crash-consistent for free. A zero redzone is
+   neither written nor summed, so a pool without one keeps the header it
+   had before the field existed, and a reader that does not know the
+   field refuses a pool with one. FNV-1a word mix, folded to the 63-bit
+   OCaml int like every other stored word. *)
 
-let header_checksum ~uuid ~psize ~mode_word ~tag_bits =
+let header_checksum ~uuid ~psize ~mode_word ~tag_bits ~redzone =
   List.fold_left
     (fun h v -> ((h lxor v) * 0x100000001b3) land max_int)
     0x3bf29ce484222325
-    [ magic; uuid; psize; mode_word; tag_bits ]
+    ([ magic; uuid; psize; mode_word; tag_bits ]
+     @ if redzone = 0 then [] else [ redzone ])
 
 (* Block header state word. *)
 let st_allocated = 1
@@ -111,6 +120,10 @@ type batch_payload = {
   p_writes : (int * Bytes.t) list; (* direct ranges (pool off, bytes) *)
 }
 
+(* What an allocation or a free does to a block, as its lifetime
+   observer hears it. *)
+type lifetime = Live | Dead
+
 type t = {
   space : Space.t;
   dev : Memdev.t;
@@ -120,11 +133,18 @@ type t = {
   uuid : int;
   ulog_cap : int;
   heap_base : int;
+  redzone : int;       (* bytes padding each side of every user range *)
   lock : Mutex.t;
   tx_lock : Mutex.t;   (* held from outer tx_begin to commit/abort: one lane *)
   mutable tx_ranges : (int * int) list;  (* volatile mirror: ranges to flush at commit *)
-  mutable tx_deferred_free : Oid.t list; (* volatile mirror of deferred frees *)
   mutable tx_depth : int;
+  mutable tx_lifetimes : (lifetime * Oid.t) list;
+    (* the open transaction's reports, newest first, which an abort
+       reverses; kept only under a lifetime observer *)
+  mutable lifetime_observer : (lifetime -> Oid.t -> unit) option;
+  mutable reports : (lifetime * Oid.t) list;
+    (* reports queued under [lock], newest first; [Pool] delivers them
+       to the observer once the lock is released *)
   mutable batch_observer : (batch_payload -> unit) option;
     (* called by [Redo.commit_acc] after each committed sub-batch; the
        replication layer ships the payload to replica stacks from here *)
@@ -208,12 +228,26 @@ let load_oid t off : Oid.t =
   | Mode.Spp _ ->
     { Oid.size = load t off; uuid = load t (off + 8); off = load t (off + 16) }
 
-(* Block headers. [data_off] is the oid offset (start of data). *)
+(* Block headers. [data_off] is the block's data offset, [redzone]
+   bytes before the oid's. *)
 
 let header_off ~data_off = data_off - block_header_size
 
 let block_req_size t ~data_off = load t (header_off ~data_off)
 let block_state t ~data_off = load t (header_off ~data_off + 8)
+
+(* Allocation geometry: the one place oids and blocks are mapped. *)
+let block_off t (oid : Oid.t) = oid.Oid.off - t.redzone
+let block_size t ~size = size + (2 * t.redzone)
+let user_oid t ~data_off ~size =
+  { Oid.uuid = t.uuid; off = data_off + t.redzone; size }
+let user_size t ~data_off = block_req_size t ~data_off - (2 * t.redzone)
+
+(* Queue a lifetime report; nothing happens without an observer. *)
+let report t ev oid =
+  match t.lifetime_observer with
+  | None -> ()
+  | Some _ -> t.reports <- (ev, oid) :: t.reports
 
 let set_block_header t ~data_off ~req_size ~state =
   store t (header_off ~data_off) req_size;

@@ -3,8 +3,8 @@
    The lane holds a state word and a log of records:
 
      snapshot  [kind=1][pool off][len][data, padded to 8 B]
-     alloc     [kind=2][data off]       (roll back on abort/crash)
-     free      [kind=3][data off]       (deferred; applied at commit)
+     alloc     [kind=2][block data off] (roll back on abort/crash)
+     free      [kind=3][block data off] (deferred; applied at commit)
 
    A record becomes valid only when [ulog_used] — persisted after the
    record body — covers it. Commit: flush all snapshotted ranges, move to
@@ -59,7 +59,7 @@ let tx_begin (t : Rep.t) =
     Rep.store_p t Rep.off_ulog_used 0;
     Rep.store_p t Rep.off_tx_state Rep.tx_active;
     t.Rep.tx_ranges <- [];
-    t.Rep.tx_deferred_free <- []
+    t.Rep.tx_lifetimes <- []
   end;
   t.Rep.tx_depth <- t.Rep.tx_depth + 1
 
@@ -76,7 +76,8 @@ let add_range (t : Rep.t) ~off ~len =
 let add_range_oid (t : Rep.t) (oid : Oid.t) =
   (* Snapshot a whole object — TX_ADD in PMDK. *)
   require_tx t;
-  add_range t ~off:oid.Oid.off ~len:(Rep.block_req_size t ~data_off:oid.Oid.off)
+  add_range t ~off:oid.Oid.off
+    ~len:(Rep.user_size t ~data_off:(Rep.block_off t oid))
 
 let alloc (t : Rep.t) ?(zero = false) ~size () =
   require_tx t;
@@ -97,10 +98,8 @@ let alloc (t : Rep.t) ?(zero = false) ~size () =
 
 let free (t : Rep.t) (oid : Oid.t) =
   require_tx t;
-  if not (Oid.is_null oid) then begin
-    append_record t [ kind_free; oid.Oid.off ] Bytes.empty;
-    t.Rep.tx_deferred_free <- oid :: t.Rep.tx_deferred_free
-  end
+  if not (Oid.is_null oid) then
+    append_record t [ kind_free; Rep.block_off t oid ] Bytes.empty
 
 let realloc (t : Rep.t) (oid : Oid.t) ~size =
   (* pmemobj_tx_realloc: new object in this tx, contents copied, old
@@ -109,7 +108,7 @@ let realloc (t : Rep.t) (oid : Oid.t) ~size =
   if Oid.is_null oid then alloc t ~size ()
   else begin
     let fresh = alloc t ~size () in
-    let old_size = Rep.block_req_size t ~data_off:oid.Oid.off in
+    let old_size = Rep.user_size t ~data_off:(Rep.block_off t oid) in
     Space.blit t.Rep.space
       ~src:(Rep.a t oid.Oid.off) ~dst:(Rep.a t fresh.Oid.off)
       ~len:(min old_size size);
@@ -151,7 +150,7 @@ let finish_lane (t : Rep.t) =
   Rep.store_p t Rep.off_ulog_used 0;
   Rep.store_p t Rep.off_tx_state Rep.tx_idle;
   t.Rep.tx_ranges <- [];
-  t.Rep.tx_deferred_free <- []
+  t.Rep.tx_lifetimes <- []
 
 (* Commit path. Deferred frees are replayed idempotently so a crash while
    COMMITTING can simply re-run them. *)

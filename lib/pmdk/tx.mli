@@ -25,12 +25,3 @@ val tx_abort : Rep.t -> unit
 val recover : Rep.t -> [ `Clean | `Rolled_back | `Completed_commit ]
 (** Open-time recovery, after {!Redo.recover}. *)
 
-(**/**)
-
-type record =
-  | Snapshot of { off : int; len : int; data : Bytes.t }
-  | Alloc_rec of { data_off : int }
-  | Free_rec of { data_off : int }
-
-val parse_log : Rep.t -> record list
-val rollback : Rep.t -> unit

@@ -19,8 +19,6 @@ val is_clean : report -> bool
 (** No unflushed and no unfenced stores ([redundant_flushes] is a
     performance smell, not a correctness violation). *)
 
-val analyze : Spp_sim.Memdev.event list -> report
-
 val check_run : Spp_pmdk.Pool.t -> (unit -> 'a) -> 'a * report
 (** Enable tracking, clear the trace, run the workload, analyze. The
     device's prior tracking state is restored on return or raise; an

@@ -35,8 +35,6 @@ type attack = { technique : technique; loc : target_loc }
 
 val all_attacks : attack list
 val attack_name : attack -> string
-val technique_name : technique -> string
-val loc_name : target_loc -> string
 
 type outcome =
   | Successful          (** the dispatch slot holds the attacker value *)
@@ -46,9 +44,6 @@ type outcome =
 val outcome_name : outcome -> string
 
 val run_attack : Spp_access.variant -> attack -> outcome
-val run_attack_volatile : attack -> outcome
-(** The same attack against libc-style volatile allocations (Table IV's
-    first row): nothing checks anything. *)
 
 type row = {
   row_name : string;
@@ -59,7 +54,6 @@ type row = {
 }
 
 val run_row : Spp_access.variant -> row
-val run_row_volatile : unit -> row
 val run_all : unit -> row list
 (** The five Table IV rows: volatile heap, PM pool heap, SafePM, SPP,
     memcheck. *)

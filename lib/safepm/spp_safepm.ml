@@ -6,6 +6,10 @@
    pool bytes), allocations are padded with poisoned redzones, and every
    load/store consults the shadow. The shadow lives in PM and is persisted
    with allocator operations, so memory-safety metadata survives crashes.
+   The pool pads every allocation (its [redzone] is this module's) and
+   reports each block's lifetime; the shadow follows those reports, so
+   every allocation path — atomic, transactional, group commit — keeps it
+   exact.
 
    The cost structure this reproduces: every application access performs
    at least one extra PM (shadow) load, and every allocation pays redzone
@@ -33,7 +37,6 @@ let shadow_scale = 8
 type t = {
   pool : Pool.t;
   shadow_off : int;       (* pool offset of the shadow block *)
-  mutable checks : int;   (* accesses validated *)
 }
 
 (* Shadow byte semantics (ASan): 0 = granule fully addressable,
@@ -89,11 +92,30 @@ let poison t ~off ~len =
   tx_guard_shadow t ~off ~len;
   set_shadow t ~off ~len poisoned
 
+(* The right redzone must start at a shadow-granule boundary, or its
+   poisoning would clobber the partial-granule byte that makes the tail
+   of an unaligned object addressable (ASan aligns redzones the same
+   way). *)
+let apply_zones t ~user_off ~size =
+  poison t ~off:(user_off - redzone) ~len:redzone;
+  unpoison t ~off:user_off ~len:size;
+  let right = (user_off + size + shadow_scale - 1) / shadow_scale * shadow_scale in
+  poison t ~off:right ~len:(user_off + size + redzone - right)
+
 let attach_fresh pool =
+  if Pool.redzone pool <> redzone then
+    invalid_arg "Spp_safepm.attach_fresh: pool redzone is not Spp_safepm's";
   let oid = Pool.alloc pool ~size:(shadow_bytes_for_pool (Pool.size pool)) in
-  let t = { pool; shadow_off = oid.Oid.off; checks = 0 } in
-  (* Everything starts poisoned; the allocator unpoisons user data. *)
+  let t = { pool; shadow_off = oid.Oid.off } in
+  (* Everything starts poisoned; live blocks are unpoisoned as the pool
+     reports them. *)
   poison t ~off:0 ~len:(Pool.size pool);
+  Pool.set_lifetime_observer pool
+    (Some
+       (fun ev (oid : Oid.t) ->
+         match ev with
+         | Pool.Live -> apply_zones t ~user_off:oid.Oid.off ~size:oid.Oid.size
+         | Pool.Dead -> poison t ~off:oid.Oid.off ~len:oid.Oid.size));
   t
 
 (* The access check: every granule the access touches must be
@@ -101,7 +123,6 @@ let attach_fresh pool =
    load in the simulator, reproducing SafePM's dominant runtime cost. *)
 
 let check t addr len =
-  t.checks <- t.checks + 1;
   let off = Pool.off_of_addr t.pool addr in
   if off < 0 || off + len > Pool.size t.pool then
     raise (Violation { addr; len; kind = "out-of-pool" });
@@ -120,67 +141,3 @@ let check t addr len =
         raise (Violation { addr; len; kind = "partial-granule overflow" })
     end
   done
-
-(* Allocator wrappers: pad with redzones, maintain the shadow. The oid
-   handed to the application points at the user range. *)
-
-(* The right redzone must start at a shadow-granule boundary, or its
-   poisoning would clobber the partial-granule byte that makes the tail
-   of an unaligned object addressable (ASan aligns redzones the same
-   way). *)
-let apply_zones t ~under_off ~user_off ~size =
-  poison t ~off:under_off ~len:redzone;
-  unpoison t ~off:user_off ~len:size;
-  let right = (user_off + size + shadow_scale - 1) / shadow_scale * shadow_scale in
-  poison t ~off:right ~len:(user_off + size + redzone - right)
-
-let alloc ?(zero = false) t ~size =
-  let under = Pool.alloc ~zero t.pool ~size:(size + (2 * redzone)) in
-  let user_off = under.Oid.off + redzone in
-  apply_zones t ~under_off:under.Oid.off ~user_off ~size;
-  { Oid.uuid = under.Oid.uuid; off = user_off; size }
-
-let underlying_oid t (oid : Oid.t) =
-  let under_off = oid.Oid.off - redzone in
-  let probe = { Oid.uuid = oid.Oid.uuid; off = under_off; size = 0 } in
-  { probe with Oid.size = Pool.alloc_size t.pool probe }
-
-let user_size t (oid : Oid.t) =
-  (underlying_oid t oid).Oid.size - (2 * redzone)
-
-let free t (oid : Oid.t) =
-  let under = underlying_oid t oid in
-  poison t ~off:oid.Oid.off ~len:(user_size t oid);
-  Pool.free_ t.pool { under with Oid.size = 0 }
-
-(* Transactional variants: same redzone/shadow discipline over the pool's
-   tx allocator. *)
-
-let tx_alloc ?(zero = false) t ~size =
-  let under = Pool.tx_alloc ~zero t.pool ~size:(size + (2 * redzone)) in
-  let user_off = under.Oid.off + redzone in
-  apply_zones t ~under_off:under.Oid.off ~user_off ~size;
-  { Oid.uuid = under.Oid.uuid; off = user_off; size }
-
-let tx_free t (oid : Oid.t) =
-  if not (Oid.is_null oid) then begin
-    let under = underlying_oid t oid in
-    poison t ~off:oid.Oid.off ~len:(user_size t oid);
-    Pool.tx_free t.pool { under with Oid.size = 0 }
-  end
-
-let realloc t (oid : Oid.t) ~size =
-  if Oid.is_null oid then alloc t ~size
-  else begin
-    let old_size = user_size t oid in
-    let fresh = alloc t ~size in
-    Space.blit (Pool.space t.pool)
-      ~src:(Pool.addr_of_off t.pool oid.Oid.off)
-      ~dst:(Pool.addr_of_off t.pool fresh.Oid.off)
-      ~len:(min old_size size);
-    free t oid;
-    fresh
-  end
-
-let checks_performed t = t.checks
-let pool t = t.pool

@@ -13,33 +13,18 @@ open Spp_pmdk
 exception Violation of { addr : int; len : int; kind : string }
 
 val redzone : int
-val shadow_scale : int
+(** Bytes of poison on each side of every allocation: the width
+    [Pool.create ~redzone] must be given for a SafePM pool. *)
 
 type t
 
 val attach_fresh : Pool.t -> t
 (** Reserve and poison the shadow block (must be the pool's first
-    allocation). *)
+    allocation), then follow the pool's lifetime reports: a live block's
+    user range is unpoisoned between poisoned redzones, a dead one's is
+    poisoned. Inside a transaction the shadow writes are snapshotted in
+    the undo log, so abort or crash rolls the safety metadata back too.
+    Raises [Invalid_argument] unless the pool's redzone is {!redzone}. *)
 
 val check : t -> int -> int -> unit
 (** [check t addr len] validates an access; raises {!Violation}. *)
-
-val alloc : ?zero:bool -> t -> size:int -> Oid.t
-(** Redzone-padded allocation; the returned oid points at the user
-    range. *)
-
-val free : t -> Oid.t -> unit
-val realloc : t -> Oid.t -> size:int -> Oid.t
-
-val tx_alloc : ?zero:bool -> t -> size:int -> Oid.t
-(** Transactional redzoned allocation; the shadow updates are snapshotted
-    in the undo log, so abort/crash rolls the safety metadata back too. *)
-
-val tx_free : t -> Oid.t -> unit
-val user_size : t -> Oid.t -> int
-
-val poison : t -> off:int -> len:int -> unit
-val unpoison : t -> off:int -> len:int -> unit
-
-val checks_performed : t -> int
-val pool : t -> Pool.t

@@ -215,6 +215,9 @@ let of_engine_reply = function
   | Spp_pmemkv.Engine.R_removed b -> Removed b
   | Spp_pmemkv.Engine.R_scan kvs -> Scanned kvs
 
+(* The answer to every request of a batch that raised. *)
+let op_raised e = Failed (Op_raised (Printexc.to_string e))
+
 (* Resolve a drain's tickets — the first [n] slots of the holder's
    scratch buffer. [Failed] still records latency — a failed op occupied
    the pipeline for that long. *)
@@ -368,7 +371,8 @@ let execute t i box n0 ~already_failed =
      | Error e ->
        (* the op's own failure: the abandoned batch staged only volatile
           state, so the shard keeps serving *)
-       resolve box n (fun _ -> Failed (Op_raised (Printexc.to_string e)))
+       let failed = op_raised e in
+       resolve box n (fun _ -> failed)
      | Ok replies ->
        (* gate the acks on the replication policy *)
        (match t.repl.(i) with
@@ -952,10 +956,16 @@ let store t = t.store
    group-commit path. Against a [create ~adaptive:false ~autostart:false]
    pipeline that was fully pre-enqueued before [start], batch boundaries
    match, so replies, Space stats and Memdev counters must all be
-   bit-identical. *)
+   bit-identical. A chunk whose batch raises answers each of its
+   requests as the pipeline answers a drain that raised. *)
 let run_sequential ?(use_cache = true) store ~batch_cap streams =
   if Array.length streams <> Shard.nshards store then
     invalid_arg "Serve.run_sequential: stream count <> shard count";
+  let run_chunk kv ops =
+    match Spp_pmemkv.Engine.run_batch kv ops with
+    | replies -> Array.map of_engine_reply replies
+    | exception e -> Array.make (Array.length ops) (op_raised e)
+  in
   Array.mapi
     (fun i reqs ->
       let kv = Shard.shard_kv (Shard.shard store i) in
@@ -975,8 +985,7 @@ let run_sequential ?(use_cache = true) store ~batch_cap streams =
           let chunk =
             Array.init len (fun j -> to_engine_op reqs.(!pos + j))
           in
-          let replies = Spp_pmemkv.Engine.run_batch kv chunk in
-          Array.iteri (fun j r -> out.(!pos + j) <- of_engine_reply r) replies
+          Array.blit (run_chunk kv chunk) 0 out !pos len
         end
         else begin
           (* Peel cache-hit gets in request order. A mutation must
@@ -1000,12 +1009,9 @@ let run_sequential ?(use_cache = true) store ~batch_cap streams =
           done;
           if !nkept > 0 then begin
             let kept = Array.of_list (List.rev !kept) in
-            let replies =
-              Spp_pmemkv.Engine.run_batch kv (Array.map snd kept)
-            in
             Array.iteri
-              (fun j r -> out.(fst kept.(j)) <- of_engine_reply r)
-              replies
+              (fun j r -> out.(fst kept.(j)) <- r)
+              (run_chunk kv (Array.map snd kept))
           end
         end;
         pos := !pos + len

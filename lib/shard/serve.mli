@@ -90,11 +90,6 @@ type reply =
       (** ascending by key, at most the clamped limit *)
   | Failed of failure
 
-val scan_limit_cap : int
-(** Every scan's limit is clamped to this many pairs (4096) on entry —
-    replies are materialized lists built while the worker holds the
-    shard. *)
-
 exception Not_replicated of int
 (** {!promote} on a shard created without a replication group.
     Registered with [Printexc]. *)
@@ -177,8 +172,10 @@ val scan :
   ((string * string) list, failure) result
 (** Whole-store ordered scan: submits one [Scan] per shard (each rides
     that shard's batch stream), awaits all slices and merges them into
-    one ascending list of at most [limit] (clamped) pairs. [Error] if
-    any shard failed over mid-scan. *)
+    one ascending list of at most [limit] pairs. [Error] if any shard
+    failed over mid-scan. Every scan's limit, here as in a submitted
+    [Scan], is clamped to 4096 pairs on entry: replies are materialized
+    lists built while the worker holds the shard. *)
 
 val bypassed_gets : t -> int
 (** Gets answered on the submitting thread without entering a mailbox. *)
@@ -287,7 +284,9 @@ val run_sequential :
     replies, the durable image and every Memdev counter are
     bit-identical to a cache-off run of the same streams — the
     cache-differential property the tests assert. [use_cache:false]
-    forces the pure PM path even on a cached store. *)
+    forces the pure PM path even on a cached store. A chunk whose batch
+    raises answers each request it carried [Failed (Op_raised _)], as
+    the pipeline answers a drain that raised. *)
 
 val digest_replies : reply array -> int
 (** Order-sensitive digest; two executions agree only if every reply

@@ -58,9 +58,6 @@ val shard_kv : shard -> Spp_pmemkv.Engine.packed
 val default_nslots : int
 (** Default slot-space size (1024). *)
 
-val route_hash : string -> int
-(** Stable non-negative key hash, decorrelated from cmap's bucket hash. *)
-
 val slot_of_key : nslots:int -> string -> int
 (** The slot in [\[0, nslots)] this key hashes to; [nslots] must be a
     power of two. A pure function of the key and the slot count. *)

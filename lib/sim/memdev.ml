@@ -153,8 +153,6 @@ let add_bad_block t ~off ~len =
 
 let clear_bad_blocks t = t.bad_blocks <- []
 
-let bad_blocks t = t.bad_blocks
-
 let check_load t ~off ~len =
   match t.bad_blocks with
   | [] -> ()

@@ -111,7 +111,6 @@ val add_bad_block : t -> off:int -> len:int -> unit
     writes to relocated bad blocks). *)
 
 val clear_bad_blocks : t -> unit
-val bad_blocks : t -> (int * int) list
 
 val check_load : t -> off:int -> len:int -> unit
 (** Raise [Bus_error] if the range intersects a bad block. Exposed for

@@ -3,14 +3,11 @@
    A channel is lossy in a seeded, reproducible way: every send attempt
    (data commit or heartbeat) asks for a verdict, and the verdict stream
    is a pure function of the seed and the attempt sequence — the same
-   property the torture harness relies on for crash points. [force_drops]
-   layers deterministic forced failures on top for targeted tests
-   (retry exhaustion, failure-detector timeouts). *)
+   property the torture harness relies on for crash points. *)
 
 type t = {
   rng : Random.State.t;
   drop_rate : float;
-  mutable forced : int;      (* drop the next N attempts, unconditionally *)
   mutable attempts : int;
   mutable dropped : int;
 }
@@ -24,21 +21,12 @@ let create ?(seed = 0) ?(drop_rate = 0.) () =
   if drop_rate < 0. || drop_rate >= 1. then
     invalid_arg "Netfault.create: drop_rate must be in [0, 1)";
   { rng = Random.State.make [| 0x4e46; seed |];
-    drop_rate; forced = 0; attempts = 0; dropped = 0 }
-
-let force_drops t n =
-  if n < 0 then invalid_arg "Netfault.force_drops: negative count";
-  t.forced <- t.forced + n
+    drop_rate; attempts = 0; dropped = 0 }
 
 let attempt t =
   t.attempts <- t.attempts + 1;
   let delivered =
-    if t.forced > 0 then begin
-      t.forced <- t.forced - 1;
-      false
-    end
-    else
-      t.drop_rate = 0. || Random.State.float t.rng 1. >= t.drop_rate
+    t.drop_rate = 0. || Random.State.float t.rng 1. >= t.drop_rate
   in
   if not delivered then t.dropped <- t.dropped + 1;
   delivered

@@ -18,10 +18,6 @@ val create : ?seed:int -> ?drop_rate:float -> unit -> t
 (** [drop_rate] (default 0) is the per-attempt loss probability, in
     [0, 1). Raises [Invalid_argument] outside that range. *)
 
-val force_drops : t -> int -> unit
-(** Drop the next [n] attempts unconditionally (before consulting the
-    seeded rate) — deterministic link-kill for targeted tests. *)
-
 val attempt : t -> bool
 (** Verdict for one send attempt: [true] = delivered. *)
 

@@ -16,8 +16,6 @@ type kind =
   | Volatile
   | Persistent
 
-type region
-
 val create : unit -> t
 
 (** {1 Mapping} *)
@@ -28,9 +26,6 @@ val map :
     [base]. Raises [Invalid_argument] on overlap or out-of-device ranges. *)
 
 val unmap : t -> base:int -> unit
-
-val find_region : t -> int -> region
-(** Region covering the address; raises {!Fault.Fault} otherwise. *)
 
 (** {1 Typed accessors}
 
@@ -140,9 +135,6 @@ val snapshot_stats : t -> stats
     keep across a [reset_stats] or to hand to {!merge_stats}. *)
 
 val zero_stats : unit -> stats
-
-val add_stats : into:stats -> stats -> unit
-(** Accumulate [s] into [into], fieldwise. *)
 
 val merge_stats : stats list -> stats
 (** Fieldwise sum — the aggregate view over a set of per-shard spaces

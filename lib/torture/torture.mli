@@ -52,8 +52,6 @@ type fault_plan = {
         not a failure. *)
 }
 
-val no_faults : fault_plan
-
 (** {1 Running} *)
 
 type report = {

@@ -126,6 +126,63 @@ let test_safepm_redzone_and_freed () =
   | Spp_access.Prevented _ -> ()
   | Ok_completed -> Alcotest.fail "SafePM must catch use-after-free"
 
+(* The checkers follow every allocation path the pool has. A one-bucket
+   cmap keeps its newest entry at the head of the chain. *)
+let head_entry a kv =
+  let open Spp_access in
+  a.direct (a.load_oid_at (a.direct (Spp_pmemkv.Cmap.buckets_oid kv)))
+
+let read_u8 a p =
+  Spp_access.run_guarded (fun () -> ignore (a.Spp_access.load_u8 p))
+
+let completes what = function
+  | Spp_access.Ok_completed -> ()
+  | Prevented r -> Alcotest.failf "%s should complete: %s" what r
+
+let stopped what = function
+  | Spp_access.Prevented _ -> ()
+  | Ok_completed -> Alcotest.failf "%s must be stopped" what
+
+let test_safepm_batch_entry_zones () =
+  let a = mk Spp_access.Safepm in
+  let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+  ignore
+    (Spp_pmemkv.Cmap.run_batch kv
+       [| Spp_pmemkv.Cmap.B_put { key = "k"; value = String.make 21 'v' } |]);
+  (* entry: [next oid | klen | vlen | key | value], 54 bytes *)
+  let size = a.Spp_access.oid_size + 16 + 1 + 21 in
+  let p = head_entry a kv in
+  completes "last byte of a batch-allocated entry" (read_u8 a (p + size - 1));
+  stopped "1-byte overflow past a batch-allocated entry" (read_u8 a (p + size))
+
+(* A free through the batch path, a transaction's allocation and its
+   free each take effect for the checker exactly when they do for the
+   program: at the commit, and undone on abort. *)
+let test_checkers_follow_batch_frees_and_aborts () =
+  List.iter
+    (fun v ->
+      let a = mk v in
+      let name what = Spp_access.variant_name v ^ ": " ^ what in
+      let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+      Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"v";
+      let p = head_entry a kv in
+      ignore (Spp_pmemkv.Cmap.run_batch kv [| Spp_pmemkv.Cmap.B_remove "k" |]);
+      stopped (name "read of a batch-freed, sync-allocated entry")
+        (read_u8 a p);
+      let abort f =
+        try Pool.with_tx a.Spp_access.pool (fun () -> f (); raise Exit)
+        with Exit -> ()
+      in
+      let fresh = ref 0 in
+      abort (fun () ->
+        fresh := a.Spp_access.direct (a.Spp_access.tx_palloc 64));
+      stopped (name "read of an aborted tx_palloc block") (read_u8 a !fresh);
+      let oid = a.Spp_access.palloc 64 in
+      abort (fun () -> a.Spp_access.tx_pfree oid);
+      completes (name "read after an aborted tx_pfree")
+        (read_u8 a (a.Spp_access.direct oid)))
+    [ Spp_access.Safepm; Spp_access.Memcheck ]
+
 let test_spp_memcpy_overflow_detected () =
   let a = mk Spp_access.Spp in
   let src = a.Spp_access.palloc 128 and dst = a.Spp_access.palloc 64 in
@@ -202,6 +259,10 @@ let () =
             test_view_window_overflow;
           Alcotest.test_case "safepm redzone + UAF" `Quick
             test_safepm_redzone_and_freed;
+          Alcotest.test_case "safepm zones a batch-allocated entry" `Quick
+            test_safepm_batch_entry_zones;
+          Alcotest.test_case "checkers follow batch frees and aborts" `Quick
+            test_checkers_follow_batch_frees_and_aborts;
           Alcotest.test_case "spp memcpy overflow" `Quick
             test_spp_memcpy_overflow_detected;
           Alcotest.test_case "spp external call unprotected" `Quick

@@ -99,6 +99,53 @@ let test_root_idempotent () =
   check_bool "same oid" true (Oid.equal r1 r2);
   check_bool "stored in header" true (Oid.equal r1 (Pool.root_oid p))
 
+(* A pool with a redzone pads every allocation path by it and records
+   the width in its header: a reopened image maps oids to blocks the
+   same way, and a width that is not a multiple of 8 is a typed header
+   error even under a matching checksum. *)
+let test_redzone_geometry () =
+  let p =
+    Pool.create ~redzone:32 (Space.create ()) ~base:4096 ~size:(1 lsl 20)
+      ~mode:Mode.Native ~name:"redzone"
+  in
+  let atomic = Pool.alloc p ~size:100 in
+  let tx = Pool.with_tx p (fun () -> Pool.tx_alloc p ~size:100) in
+  let batched =
+    Pool.with_batch p (fun b ->
+      Redo.batch_op_begin b;
+      let oid = Pool.batch_alloc p b ~size:100 in
+      Redo.batch_op_end b;
+      oid)
+  in
+  let reopen img =
+    Pool.open_dev (Space.create ()) ~base:4096 (Memdev.of_image ~name:"r" img)
+  in
+  match reopen (Memdev.durable_snapshot (Pool.dev p)) with
+  | Error e -> Alcotest.failf "reopen: %s" (Pool.pool_error_to_string e)
+  | Ok (p', _) ->
+    check_int "redzone read back" 32 (Pool.redzone p');
+    List.iter
+      (fun oid ->
+        check_int "oid past the left redzone" 32
+          (oid.Oid.off - Pool.block_off p' oid);
+        check_int "user size" 100 (Pool.alloc_size p' oid);
+        check_int "usable size" (Rep.class_size (Rep.class_of_size 164) - 64)
+          (Pool.usable_size p' oid);
+        Pool.free_ p' oid)
+      [ atomic; tx; batched ];
+    check_bool "consistent after the frees" true (Inspect.is_consistent p');
+    let img = Memdev.durable_snapshot (Pool.dev p') in
+    let word off = Int64.to_int (Bytes.get_int64_le img off) in
+    let set off v = Bytes.set_int64_le img off (Int64.of_int v) in
+    set Rep.off_redzone 12;
+    set Rep.off_hdr_csum
+      (Rep.header_checksum ~uuid:(word Rep.off_uuid) ~psize:(1 lsl 20)
+         ~mode_word:0 ~tag_bits:0 ~redzone:12);
+    match reopen img with
+    | Error (Pool.Bad_header _) -> ()
+    | Error e -> Alcotest.failf "12-byte redzone: %s" (Pool.pool_error_to_string e)
+    | Ok _ -> Alcotest.fail "a 12-byte redzone must be refused"
+
 (* SPP mode: tagged direct + durable size *)
 
 let test_spp_direct_is_tagged () =
@@ -691,6 +738,8 @@ let () =
             test_realloc_grow_preserves;
           Alcotest.test_case "realloc same class" `Quick test_realloc_same_class;
           Alcotest.test_case "root idempotent" `Quick test_root_idempotent;
+          Alcotest.test_case "redzone pads every path, survives reopen"
+            `Quick test_redzone_geometry;
           Alcotest.test_case "batch free waits for its commit" `Quick
             test_batch_free_waits_for_its_commit;
         ] );

@@ -405,7 +405,10 @@ let test_cmap_scan_and_registry () =
 
 (* Gets, removes and scans against a [Map] model, on both engines and
    every access variant (each variant hoists its own pointer check into
-   view acquisition, so each opens its windows differently). *)
+   view acquisition, so each opens its windows differently). Short
+   group-committed batches of puts, gets and removes interleave with the
+   synchronous ops, so a checker must follow blocks either path
+   allocated and freed. *)
 module Smap = Map.Make (String)
 
 let test_reads_match_model () =
@@ -418,9 +421,10 @@ let test_reads_match_model () =
           let kv = Spp_pmemkv.Engine.create ~nbuckets:32 spec (mk variant) in
           let st = Random.State.make [| 42 |] in
           let model = ref Smap.empty in
+          let key_of st = Printf.sprintf "key-%03d" (Random.State.int st 120) in
           for i = 1 to 600 do
-            let key = Printf.sprintf "key-%03d" (Random.State.int st 120) in
-            match Random.State.int st 4 with
+            let key = key_of st in
+            match Random.State.int st 5 with
             | 0 ->
               let value =
                 Printf.sprintf "val-%d-%d" i (Random.State.int st 1000)
@@ -434,13 +438,79 @@ let test_reads_match_model () =
               check_bool (name ^ " remove") (Smap.mem key !model)
                 (Spp_pmemkv.Engine.remove kv key);
               model := Smap.remove key !model
-            | _ ->
+            | 3 ->
               Alcotest.(check (list (pair string string))) (name ^ " scan")
                 (List.filteri (fun i _ -> i < 5)
                    (Smap.bindings (Smap.filter (fun k _ -> k >= key) !model)))
                 (Spp_pmemkv.Engine.scan kv ~lo:key ~hi:"~" ~limit:5)
+            | _ ->
+              let module E = Spp_pmemkv.Engine in
+              let ops =
+                Array.init (1 + Random.State.int st 4) (fun j ->
+                  let key = if j = 0 then key else key_of st in
+                  match Random.State.int st 3 with
+                  | 0 -> E.B_put { key; value = Printf.sprintf "b-%d-%d" i j }
+                  | 1 -> E.B_get key
+                  | _ -> E.B_remove key)
+              in
+              Array.iter2
+                (fun op reply ->
+                  match (op, reply) with
+                  | E.B_put { key; value }, E.R_put ->
+                    model := Smap.add key value !model
+                  | B_get key, R_get v ->
+                    Alcotest.(check (option string)) (name ^ " batch get")
+                      (Smap.find_opt key !model) v
+                  | B_remove key, R_removed r ->
+                    check_bool (name ^ " batch remove") (Smap.mem key !model) r;
+                    model := Smap.remove key !model
+                  | _ -> Alcotest.failf "%s: reply does not match its op" name)
+                ops (E.run_batch kv ops)
           done)
         Spp_access.all_variants)
+    [ "cmap"; "btree" ]
+
+(* A SafePM pool records its redzone in the header, so a reopened image
+   maps every oid back to its block: both engines attach from the
+   durable image and read back every key, whichever path wrote it. *)
+let test_safepm_reopen () =
+  List.iter
+    (fun engine_name ->
+      let spec = Option.get (Spp_pmemkv.Engines.of_name engine_name) in
+      let a = mk ~pool_size:(1 lsl 22) Spp_access.Safepm in
+      let kv = Spp_pmemkv.Engine.create ~nbuckets:16 spec a in
+      let key i = Printf.sprintf "key-%03d" i in
+      for i = 0 to 49 do
+        Spp_pmemkv.Engine.put kv ~key:(key i) ~value:(string_of_int i)
+      done;
+      ignore
+        (Spp_pmemkv.Engine.run_batch kv
+           (Array.init 50 (fun j ->
+              Spp_pmemkv.Engine.B_put
+                { key = key (50 + j); value = string_of_int (50 + j) })));
+      let image =
+        Spp_sim.Memdev.durable_snapshot (Pool.dev a.Spp_access.pool)
+      in
+      let space = Spp_sim.Space.create () in
+      match
+        Pool.open_dev space ~base:Spp_access.default_pool_base
+          (Spp_sim.Memdev.of_image ~name:"reopened" image)
+      with
+      | Error e ->
+        Alcotest.failf "%s: %s" engine_name (Pool.pool_error_to_string e)
+      | Ok (pool, _) ->
+        check_int (engine_name ^ " redzone") Spp_safepm.redzone
+          (Pool.redzone pool);
+        let kv' =
+          Spp_pmemkv.Engine.attach spec (Spp_access.attach space pool)
+            ~root:(Spp_pmemkv.Engine.root_oid kv)
+        in
+        for i = 0 to 99 do
+          Alcotest.(check (option string))
+            (engine_name ^ " " ^ key i)
+            (Some (string_of_int i))
+            (Spp_pmemkv.Engine.get kv' (key i))
+        done)
     [ "cmap"; "btree" ]
 
 let () =
@@ -479,6 +549,8 @@ let () =
             test_cmap_scan_and_registry;
           Alcotest.test_case "reads match a Map model on both engines" `Quick
             test_reads_match_model;
+          Alcotest.test_case "safepm pools reopen on both engines" `Quick
+            test_safepm_reopen;
         ] );
       ( "db_bench",
         [ Alcotest.test_case "all workloads run" `Quick test_db_bench_runs ] );

@@ -1306,6 +1306,72 @@ let test_worker_failure_propagation () =
   Serve.stop serve;
   check_bool "failed tickets counted" true (Serve.total_failed serve >= 1)
 
+(* A 256 KiB put cannot fit a 128 KiB pool: its batch raises. The
+   sequential baseline answers the raising chunk as the pipeline answers
+   the drain — every request [Failed] — instead of letting the
+   exception escape. *)
+let test_run_sequential_raising_chunk () =
+  let build () =
+    Shard.create ~nbuckets:16 ~pool_size:(1 lsl 17) ~nshards:1 Spp_access.Spp
+  in
+  let stream =
+    [| Serve.Put { key = "a"; value = "1" };
+       Serve.Put { key = "big"; value = String.make (1 lsl 18) 'x' };
+       Serve.Get "a" |]
+  in
+  let seq = (Serve.run_sequential (build ()) ~batch_cap:4 [| stream |]).(0) in
+  let serve =
+    Serve.create ~batch_cap:4 ~adaptive:false ~autostart:false (build ())
+  in
+  let tickets = Array.map (Serve.submit_to serve 0) stream in
+  Serve.start serve;
+  let par = Array.map (Serve.await serve) tickets in
+  Serve.stop serve;
+  Array.iter
+    (function
+      | Serve.Failed (Serve.Op_raised _) -> ()
+      | r -> Alcotest.failf "pipeline answered %a" Serve.pp_reply r)
+    par;
+  check_int "reply digest" (Serve.digest_replies par) (Serve.digest_replies seq)
+
+(* SafePM pads every block the pool hands out, on the synchronous path
+   [Shard_bench.preload] takes as on the batch path that overwrites: an
+   overwrite frees the preloaded entry by its oid, which must map back
+   to its block. *)
+let test_safepm_preloaded_overwrites () =
+  let keys = 200 in
+  let build () =
+    let t =
+      Shard.create ~nbuckets:64 ~pool_size:(1 lsl 22) ~nshards:1
+        Spp_access.Safepm
+    in
+    Shard_bench.preload t ~keys;
+    t
+  in
+  let overwrites =
+    Array.init keys (fun i ->
+      Serve.Put { key = Db_bench.key_of_int i; value = "overwritten" })
+  in
+  let all_done what =
+    Array.iteri (fun i r ->
+      if r <> Serve.Done then
+        Alcotest.failf "%s: overwrite %d answered %a" what i Serve.pp_reply r)
+  in
+  all_done "run_sequential"
+    (Serve.run_sequential (build ()) ~batch_cap:16 [| overwrites |]).(0);
+  let t = build () in
+  let serve = Serve.create ~batch_cap:16 t in
+  all_done "Serve"
+    (Array.map (fun req -> Serve.await serve (Serve.submit serve req))
+       overwrites);
+  Serve.stop serve;
+  Array.iter
+    (function
+      | Serve.Put { key; value } ->
+        Alcotest.(check (option string)) key (Some value) (Shard.get t key)
+      | _ -> ())
+    overwrites
+
 (* --- Failover: kill + promote ---------------------------------------- *)
 
 (* End-to-end: replicate through the pipeline, kill the primary's
@@ -1596,6 +1662,10 @@ let () =
             `Quick test_worker_failure_propagation;
           Alcotest.test_case "exception printers registered" `Quick
             test_replication_exn_printers;
+          Alcotest.test_case "run_sequential fails a raising chunk" `Quick
+            test_run_sequential_raising_chunk;
+          Alcotest.test_case "safepm: preloaded keys overwrite" `Quick
+            test_safepm_preloaded_overwrites;
         ] );
       ( "failover",
         [
