@@ -50,8 +50,6 @@ let make ~tag_bits =
 
 let default = make ~tag_bits:26
 
-let phoenix = make ~tag_bits:31
-(* The paper's Phoenix runs use 31 tag bits to accommodate large inputs. *)
 
 let tag_bits t = t.tag_bits
 let addr_bits t = t.addr_bits

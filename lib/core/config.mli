@@ -26,9 +26,6 @@ val make : tag_bits:int -> t
 val default : t
 (** 26 tag bits — the paper's evaluation default (§VI-A). *)
 
-val phoenix : t
-(** 31 tag bits — used for the Phoenix suite to fit large inputs (§VI-B). *)
-
 val tag_bits : t -> int
 val addr_bits : t -> int
 val max_object_size : t -> int

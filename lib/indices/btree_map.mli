@@ -31,6 +31,3 @@ val remove : t -> int -> int option
 val range : t -> lo:int -> hi:int -> (int * int) list
 (** All pairs with [lo <= key <= hi] in ascending key order — in-order
     traversal pruned at both bounds. *)
-
-val order : int
-(** Maximum children per node (8). *)

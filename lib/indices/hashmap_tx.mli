@@ -14,8 +14,6 @@ val insert : t -> key:int -> value:int -> unit
 val get : t -> int -> int option
 val remove : t -> int -> int option
 
-val count : t -> int
-val nbuckets : t -> int
 val map_oid_of : t -> Oid.t
 (** The map descriptor object — used by crash-state checkers to validate
     a recovered image without a live handle. *)

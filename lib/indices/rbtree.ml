@@ -92,11 +92,6 @@ let create a =
     a.Spp_access.store_oid_at (a.Spp_access.gep mp a.Spp_access.oid_size) nil;
     t)
 
-let attach a map_oid =
-  (* Reopen an existing tree: the nil oid is the map's first slot. *)
-  let mp = a.Spp_access.direct map_oid in
-  { a; map_oid; nil = a.Spp_access.load_oid_at mp }
-
 (* Rotation around [x] in direction [dir] (dir = 0 is a left-rotate). *)
 let rotate t x dir =
   let y = child t x (1 - dir) in

@@ -6,15 +6,10 @@
     atomic. {!check_invariants} verifies the red-black and BST properties
     and is exercised by the property-based tests. *)
 
-open Spp_pmdk
-
 type t
 
 val name : string
 val create : Spp_access.t -> t
-
-val attach : Spp_access.t -> Oid.t -> t
-(** Re-attach to an existing tree by its map object (after reopen). *)
 
 val insert : t -> key:int -> value:int -> unit
 val get : t -> int -> int option

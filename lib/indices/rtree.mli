@@ -12,7 +12,3 @@ val create : Spp_access.t -> t
 val insert : t -> key:int -> value:int -> unit
 val get : t -> int -> int option
 val remove : t -> int -> int option
-
-val fanout : int
-val node_size : Spp_access.t -> int
-(** Mode-dependent: 16 B + 256 oids (4112 B native, 6160 B SPP). *)

@@ -10,24 +10,12 @@ type origin =
   | Persistent
   | Unknown
 
-val merge : origin -> origin -> origin
-
 type stats = {
   mutable inserted : int;          (** hook instructions inserted *)
   mutable direct : int;            (** hooks using the _direct variant *)
   mutable pruned_volatile : int;   (** hook sites skipped: volatile ptr *)
   mutable preempted : int;         (** hook executions removed *)
 }
-
-val classify :
-  tracking:bool -> ?param_origin:(string -> int -> origin) -> func ->
-  origin array
-(** Per-register origins by forward dataflow; with [tracking:false]
-    everything is [Unknown] (instrument-everything mode). *)
-
-val transform :
-  tracking:bool -> stats:stats -> ?param_origin:(string -> int -> origin) ->
-  func -> func * origin array
 
 type options = {
   tracking : bool;

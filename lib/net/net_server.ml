@@ -326,7 +326,6 @@ let create serve addr =
   t
 
 let addr t = t.ns_addr
-let serve t = t.ns_serve
 
 let stats t =
   { sv_accepted = Atomic.get t.ns_accepted;

@@ -47,8 +47,6 @@ val create : Spp_shard.Serve.t -> Unix.sockaddr -> t
 val addr : t -> Unix.sockaddr
 (** The actually-bound address — the kernel-chosen port for TCP port 0. *)
 
-val serve : t -> Spp_shard.Serve.t
-
 val stats : t -> stats
 (** Live monotone snapshot. *)
 

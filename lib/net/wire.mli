@@ -24,11 +24,6 @@
     payload, trailing bytes — surfaces as [Corrupt], after which the
     connection must be dropped: framing cannot be resynchronized. *)
 
-val max_frame : int
-(** Hard upper bound on a frame payload (16 MiB). Lengths beyond it are
-    rejected as [Corrupt] before any allocation, so a hostile length
-    prefix cannot make the decoder allocate unboundedly. *)
-
 val max_key : int
 (** Keys (and scan bounds, and [Op_raised] messages) are length-prefixed
     with 16 bits: 65535 bytes. [encode_*] raises [Invalid_argument]

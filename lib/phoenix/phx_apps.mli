@@ -3,8 +3,6 @@
     each variant pays its own instrumentation cost. Results are
     checksums, identical across variants for the same scale. *)
 
-val histogram : Spp_access.t -> scale:int -> int
-
 val string_match : ?buggy:bool -> Spp_access.t -> scale:int -> int
 (** With [~buggy:true], the word scan reads one byte past the input
     buffer when the last word abuts the end — the off-by-one the paper

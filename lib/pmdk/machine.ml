@@ -26,7 +26,6 @@ let create () =
 
 let space t = t.space
 let vheap t = t.vheap
-let pools t = List.map snd t.pools
 
 let register t pool =
   t.pools <- (Pool.uuid pool, pool) :: t.pools

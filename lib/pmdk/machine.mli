@@ -15,7 +15,6 @@ val create : unit -> t
 
 val space : t -> Space.t
 val vheap : t -> Vheap.t
-val pools : t -> Pool.t list
 
 val create_pool : t -> size:int -> mode:Mode.t -> name:string -> Pool.t
 val open_pool : t -> Memdev.t -> Pool.t

@@ -18,11 +18,6 @@ let is_null t = t.off = 0
 
 let equal a b = a.uuid = b.uuid && a.off = b.off
 
-let compare a b =
-  match compare a.uuid b.uuid with
-  | 0 -> compare a.off b.off
-  | c -> c
-
 let pp ppf t =
   if is_null t then Format.pp_print_string ppf "OID_NULL"
   else Format.fprintf ppf "{uuid=%d; off=0x%x; size=%d}" t.uuid t.off t.size

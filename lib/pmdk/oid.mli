@@ -14,5 +14,4 @@ type t = {
 val null : t
 val is_null : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

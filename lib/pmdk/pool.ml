@@ -228,10 +228,12 @@ let heap_base (t : Rep.t) = t.Rep.heap_base
 
 let redzone (t : Rep.t) = t.Rep.redzone
 
-(* Lifetimes. The allocation paths queue their reports under the pool
-   lock ([Rep.report]) and [with_lock] hands them to the observer once
-   the lock is released: a checker's shadow write may snapshot through
-   [tx_add_range], which takes the lock again. *)
+(* Lifetimes. The atomic and transactional paths queue their reports
+   under the pool lock ([Rep.report]) and [with_lock] hands them to the
+   observer once the lock is released: a checker's shadow write may
+   snapshot through [tx_add_range], which takes the lock again. A batch
+   opens no transaction, so [Redo] delivers its reports under the lock,
+   when the program's view of the block changes ([Redo.batch_note]). *)
 
 type lifetime = Rep.lifetime = Live | Dead
 
@@ -419,7 +421,8 @@ let in_tx (t : Rep.t) = Tx.in_tx t
    raises, everything staged since the last sub-commit is discarded: the
    durable state then holds a prefix of whole operations, never a torn
    one (the same guarantee a crash gets). The free stacks lost the
-   blocks the discarded ops took, so they are rebuilt from the media. *)
+   blocks the discarded ops took, so they are rebuilt from the media,
+   and the observer hears those blocks die. *)
 
 let with_batch (t : Rep.t) f =
   Mutex.lock t.Rep.tx_lock;
@@ -428,13 +431,18 @@ let with_batch (t : Rep.t) f =
     (fun () ->
       with_lock t (fun () ->
         let b = Redo.batch_begin t in
-        match f b with
-        | r -> Redo.batch_finish b; r
+        match
+          let r = f b in
+          Redo.batch_finish b;
+          r
+        with
+        | r -> r
         | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
           t.Rep.free_built <- false;
-          Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())))
+          Redo.batch_abort b;
+          Printexc.raise_with_backtrace e bt))
 
-let batch_load_word (_ : Rep.t) b ~off = Redo.batch_load b off
 let batch_stage_word (_ : Rep.t) b ~off v = Redo.batch_stage b ~off ~v
 
 let batch_load_oid (t : Rep.t) b ~off : Oid.t =
@@ -526,6 +534,5 @@ type batch_payload = Rep.batch_payload = {
 }
 
 let set_batch_observer (t : Rep.t) obs = t.Rep.batch_observer <- obs
-let batch_observer (t : Rep.t) = t.Rep.batch_observer
 
 let apply_batch_payload (t : Rep.t) p = Redo.apply_payload t p

@@ -124,8 +124,6 @@ val root_oid : t -> Oid.t
 (** {1 Transactions} *)
 
 val tx_begin : t -> unit
-val tx_commit : t -> unit
-val tx_abort : t -> unit
 val tx_add_range : t -> off:int -> len:int -> unit
 val tx_add_range_oid : t -> Oid.t -> unit
 val tx_alloc : ?zero:bool -> t -> size:int -> Oid.t
@@ -152,7 +150,6 @@ val in_tx : t -> bool
 
 val with_batch : t -> (Redo.batch -> 'a) -> 'a
 
-val batch_load_word : t -> Redo.batch -> off:int -> int
 val batch_stage_word : t -> Redo.batch -> off:int -> int -> unit
 
 val batch_load_oid : t -> Redo.batch -> off:int -> Oid.t
@@ -225,12 +222,16 @@ val fold_blocks :
       done; a realloc reports the old block dead, then the new one live;
     - a transaction's allocation once it is published, its free when it
       is called, and on abort the opposite of each, newest first;
-    - a batch's allocations and frees at the commit that carries them,
-      every [Live] of a commit before its [Dead]s, commits in order,
-      including the committed prefix of a batch whose later op raised.
-    Recovery reports nothing. The observer runs on the calling domain
-    after the pool lock is released, so it may call back into the pool
-    (a transactional shadow write snapshots through {!tx_add_range}). *)
+    - a batch's allocation when {!batch_alloc} hands it out, so a later
+      op of the batch may read the block through a checker; its frees at
+      the commit that carries them, before a later op can take the block
+      again; and, when the batch raises, [Dead] for every allocation of
+      its uncommitted ops.
+    Recovery reports nothing. The observer runs on the calling domain.
+    The atomic and transactional paths call it after the pool lock is
+    released, so it may call back into the pool (a transactional shadow
+    write snapshots through {!tx_add_range}). A batch calls it under the
+    lock: no transaction is open then, so a shadow write takes no lock. *)
 
 type lifetime = Rep.lifetime = Live | Dead
 
@@ -262,8 +263,6 @@ val set_batch_observer : t -> (batch_payload -> unit) option -> unit
     the committing domain, inside the batch's critical section; an
     exception it raises aborts the remainder of the batch (the
     committed prefix stays durable). *)
-
-val batch_observer : t -> (batch_payload -> unit) option
 
 val apply_batch_payload : t -> batch_payload -> unit
 (** Import one shipped commit on a replica pool ({!Redo.apply_payload}):

@@ -75,8 +75,10 @@ let run (t : Rep.t) entries =
    durable.
 
    Under a lifetime observer, each op also notes the blocks it
-   allocates and frees ([batch_note]), and the commit that carries the
-   op reports them once it is durable. *)
+   allocates and frees ([batch_note]). An allocation is reported when it
+   is made, so later ops of the batch may read the block through a
+   checker; a free is reported by the commit that carries it, before a
+   later op can take the block again. *)
 
 type batch = {
   b_rep : Rep.t;
@@ -152,7 +154,9 @@ let batch_defer_free b ~ci ~data_off =
   check_open b;
   b.b_frees_op <- (ci, data_off) :: b.b_frees_op
 
-let batch_note b ev oid = b.b_lifetimes_op <- (ev, oid) :: b.b_lifetimes_op
+let batch_note b ev oid =
+  if ev = Rep.Live then Rep.notify b.b_rep Rep.Live oid;
+  b.b_lifetimes_op <- (ev, oid) :: b.b_lifetimes_op
 
 (* Commit the accumulated complete operations as one redo log. The
    fences actually spent are measured around the commit; a
@@ -176,15 +180,14 @@ let commit_acc b =
     (* the staged frees are durable now; their blocks are reusable *)
     List.iter (fun (ci, off) -> Rep.free_push t ci off) b.b_frees_acc;
     b.b_frees_acc <- [];
-    (* and so are its allocations and frees: report them, lives first,
-       since an op may free a block an earlier op of the commit took *)
+    (* and so are its frees: report them, oldest first; its allocations
+       were reported when they were made *)
     (match b.b_lifetimes_acc with
      | [] -> ()
      | l ->
        b.b_lifetimes_acc <- [];
-       let lives, deads = List.partition (fun (ev, _) -> ev = Rep.Live) l in
-       List.iter (fun (ev, oid) -> Rep.report t ev oid)
-         (List.rev_append lives (List.rev deads)));
+       List.iter (fun (ev, oid) -> if ev = Rep.Dead then Rep.notify t ev oid)
+         (List.rev l));
     (* Ship the commit to the replication layer, if any. The payload is
        built only past the commit point — everything in it is durable on
        the primary. Its blobs are the bytes [batch_write] kept when the
@@ -261,6 +264,13 @@ let batch_finish b =
   b.b_finished <- true
 
 let batch_commits b = b.b_commits
+
+(* The batch raised: the blocks its uncommitted ops allocated never
+   became reachable, so they are reported dead again. *)
+let batch_abort b =
+  let dead (ev, oid) = if ev = Rep.Live then Rep.notify b.b_rep Rep.Dead oid in
+  List.iter dead b.b_lifetimes_op;
+  List.iter dead b.b_lifetimes_acc
 
 (* Import side of replication: land the fresh-block blobs first (the
    ranges are unreachable on the replica until the entries publish

@@ -75,16 +75,22 @@ val batch_defer_free : batch -> ci:int -> data_off:int -> unit
 
 val batch_note : batch -> Rep.lifetime -> Oid.t -> unit
 (** Note a block the open operation allocated ([Live]) or freed
-    ([Dead]), under a lifetime observer: the commit that carries the
-    operation's entries reports its notes once it is durable, every
-    [Live] before any [Dead] ({!Rep.report}). Operations that never
-    commit report nothing. *)
+    ([Dead]), under a lifetime observer ({!Rep.notify}, under the pool
+    lock). A [Live] is reported at once, so later operations of the
+    batch may read the block through a checker. A [Dead] is reported by
+    the commit that carries the operation's entries, once it is durable
+    and before the block can be handed out again; an operation that
+    never commits reports none. *)
 
 val batch_finish : batch -> unit
 (** Commit the remaining accumulated ops and seal the batch. *)
 
 val batch_commits : batch -> int
 (** Sub-batch commits issued so far. *)
+
+val batch_abort : batch -> unit
+(** The batch raised: report every block its uncommitted operations
+    allocated as [Dead]. *)
 
 (** {1 Replication}
 

@@ -249,6 +249,12 @@ let report t ev oid =
   | None -> ()
   | Some _ -> t.reports <- (ev, oid) :: t.reports
 
+(* Deliver a report at once, under the pool lock: the batch path's way,
+   safe because a batch opens no transaction, so the observer takes no
+   lock. *)
+let notify t ev oid =
+  match t.lifetime_observer with None -> () | Some obs -> obs ev oid
+
 let set_block_header t ~data_off ~req_size ~state =
   store t (header_off ~data_off) req_size;
   store t (header_off ~data_off + 8) state;

@@ -26,10 +26,11 @@
    single-op batches, so every bmap mutation is group-committable and
    replicable.
 
-   Like the batched half of Cmap, all node/item IO is engine-internal
-   code on pool offsets (the paper instruments application code, not
-   PMDK internals): it does not travel through the tagged access-layer
-   pointers, so SPP hook counts are untouched.
+   One set of readers serves the sync ops and the batches: every node
+   and item byte is read through the variant on [t.a.direct], one check
+   per window (a whole node, a length word, a key or a value). Only the
+   root slot is read by pool offset, through the batch overlay inside a
+   batch, and fresh blocks are still stored past the variant.
 
    Concurrency: one mutex serializes sync ops and batches; the read
    cache keeps its own seqlock discipline so [cache_probe] and
@@ -90,61 +91,35 @@ let with_lock t f =
 let pool t = t.a.Spp_access.pool
 let oid_size t = t.a.Spp_access.oid_size
 
-(* Leaf/item readers copy key or value once and compare descent keys
-   against the device view ([item_cmp]) without materializing
-   candidates.
-
-   Whole-item window: in SPP mode every stored oid carries the object's
-   durable size (paper §IV-B), so one raw view covers the item's
-   lengths, key and value at once. Native-mode oids have size 0 and
-   fall back to per-field translated reads. *)
-let item_view t (it : Oid.t) =
-  let p = pool t in
-  Spp_sim.Space.read_view (Pool.space p)
-    (Pool.addr_of_off p it.Oid.off) it.Oid.size
-
+(* Item readers copy a key or a value once and compare descent keys
+   against a window over the key bytes ([item_cmp]) without
+   materializing candidates; each window covers the bytes it reads. *)
 let item_key t (it : Oid.t) =
-  if it.Oid.size > 0 then begin
-    let v = item_view t it in
-    let klen = Spp_sim.Space.view_word v 0 in
-    Spp_sim.Space.view_string v ~off:16 ~len:klen
-  end
-  else begin
-    let p = pool t in
-    let klen = Pool.load_word p ~off:it.Oid.off in
-    Spp_sim.Space.read_sub (Pool.space p)
-      (Pool.addr_of_off p (it.Oid.off + 16)) klen
-  end
+  let a = t.a in
+  let p = a.Spp_access.direct it in
+  a.Spp_access.read_sub (a.Spp_access.gep p 16) (a.Spp_access.load_word p)
 
 let item_value t (it : Oid.t) =
-  if it.Oid.size > 0 then begin
-    let v = item_view t it in
-    let klen = Spp_sim.Space.view_word v 0 in
-    let vlen = Spp_sim.Space.view_word v 8 in
-    Spp_sim.Space.view_string v ~off:(16 + klen) ~len:vlen
-  end
-  else begin
-    let p = pool t in
-    let klen = Pool.load_word p ~off:it.Oid.off in
-    let vlen = Pool.load_word p ~off:(it.Oid.off + 8) in
-    Spp_sim.Space.read_sub (Pool.space p)
-      (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen
-  end
+  let a = t.a in
+  let p = a.Spp_access.direct it in
+  let klen = a.Spp_access.load_word p in
+  let vlen = a.Spp_access.load_word (a.Spp_access.gep p 8) in
+  a.Spp_access.read_sub (a.Spp_access.gep p (16 + klen)) vlen
 
 (* [String.compare (item_key t it) key] without materializing the item
    key — what the descent ([search_desc], [find]) runs per candidate. *)
 let item_cmp t (it : Oid.t) key =
-  if it.Oid.size > 0 then begin
-    let v = item_view t it in
-    let klen = Spp_sim.Space.view_word v 0 in
-    Spp_sim.Space.view_compare_string v ~off:16 ~len:klen key
-  end
-  else begin
-    let p = pool t in
-    let klen = Pool.load_word p ~off:it.Oid.off in
-    Spp_sim.Space.compare_string (Pool.space p)
-      (Pool.addr_of_off p (it.Oid.off + 16)) ~len:klen key
-  end
+  let a = t.a in
+  let p = a.Spp_access.direct it in
+  let klen = a.Spp_access.load_word p in
+  if klen = 0 then if key = "" then 0 else -1
+  else
+    Spp_sim.Space.view_compare_string
+      (a.Spp_access.view (a.Spp_access.gep p 16) klen) ~off:0 ~len:klen key
+
+(* One node, opened as one window through the variant. *)
+let node_view t (oid : Oid.t) =
+  t.a.Spp_access.view (t.a.Spp_access.direct oid) (node_size t.a)
 
 (* In-memory image of one node, the unit the COW paths work on. The
    arrays are private to the desc, so mutating them never touches PM;
@@ -165,12 +140,7 @@ type desc = {
 let load_desc t (oid : Oid.t) =
   let p = pool t in
   let osz = oid_size t in
-  (* one hoisted check per node: the whole node is opened as a raw view
-     and decoded with bare reads *)
-  let v =
-    Spp_sim.Space.read_view (Pool.space p) (Pool.addr_of_off p oid.Oid.off)
-      (node_size t.a)
-  in
+  let v = node_view t oid in
   let n = Spp_sim.Space.view_word v 0 in
   let leaf = Spp_sim.Space.view_word v 8 <> 0 in
   { src = oid; d_leaf = leaf;
@@ -248,15 +218,12 @@ let remove_at arr i =
 (* Read paths                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Point lookup: each node is opened as one raw view and only the oids
+(* Point lookup: each node is opened as one window and only the oids
    the walk actually touches are decoded — no per-level desc record, no
    item/children arrays. *)
 let rec find t (oid : Oid.t) key =
   let p = pool t in
-  let v =
-    Spp_sim.Space.read_view (Pool.space p)
-      (Pool.addr_of_off p oid.Oid.off) (node_size t.a)
-  in
+  let v = node_view t oid in
   let n = Spp_sim.Space.view_word v 0 in
   let leaf = Spp_sim.Space.view_word v 8 <> 0 in
   let osz = oid_size t in

@@ -39,9 +39,6 @@ let f_value (a : Spp_access.t) klen = a.oid_size + 16 + klen
 
 let entry_size (a : Spp_access.t) ~klen ~vlen = a.oid_size + 16 + klen + vlen
 
-(* FNV-1a on 63-bit words; shared with the read cache's set index. *)
-let hash = Rcache.hash
-
 let create ?(nbuckets = 4096) (a : Spp_access.t) =
   let buckets =
     Pool.with_tx a.pool (fun () ->
@@ -77,100 +74,119 @@ let cache_probe t key =
 let cache_invalidate t key =
   match t.cache with None -> () | Some rc -> Rcache.invalidate rc key
 
-let bucket_of t key = hash key mod t.nbuckets
+(* FNV-1a on 63-bit words, shared with the read cache's set index. *)
+let bucket_of t key = Rcache.hash key mod t.nbuckets
 
 let with_bucket t b f =
   let m = t.locks.(b mod nstripes) in
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+let bucket_slot_off t b = t.buckets.Oid.off + (b * t.a.oid_size)
+
 let bucket_slot_ptr t b =
   t.a.gep (t.a.direct t.buckets) (b * t.a.oid_size)
 
-(* Entry readers copy key or value bytes once ([read_sub]) and compare
-   keys against the device view through a view window — one hoisted
-   check, no candidate key materialized on a chain walk. *)
+(* ------------------------------------------------------------------ *)
+(* The reader: one chain walk for the sync and the batched ops          *)
+(* ------------------------------------------------------------------ *)
 
-let entry_key t p =
-  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-  t.a.read_sub (t.a.gep p (f_key t.a)) klen
+(* Link words (bucket heads and [next] fields) are read by pool offset:
+   through the batch overlay inside a batch ([bt]), so an op sees the
+   links earlier ops staged, and from PM outside one. Every other entry
+   byte is read through the variant on [t.a.direct], one check per
+   window, each window sized to the bytes the reader uses: [klen], then
+   the key only when the lengths agree, then [vlen] and the value. *)
+let load_link t bt off =
+  match bt with
+  | Some bt -> Pool.batch_load_oid t.a.pool bt ~off
+  | None -> Pool.load_oid t.a.pool ~off
 
-let entry_value t p =
-  let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
+(* A found entry, with the link that points at it: [link] is the link's
+   pool offset and [holder] the entry holding it (null for a bucket
+   head), from which the sync path rebuilds a tagged slot pointer. *)
+type hit = { holder : Oid.t; link : int; entry : Oid.t; p : int }
+
+let rec walk t bt key holder link =
+  let entry = load_link t bt link in
+  if Oid.is_null entry then None
+  else begin
+    let p = t.a.direct entry in
+    let klen = String.length key in
+    if
+      t.a.load_word (t.a.gep p (f_klen t.a)) = klen
+      && (klen = 0
+          || Space.view_equal_string (t.a.view (t.a.gep p (f_key t.a)) klen)
+               ~off:0 key)
+    then Some { holder; link; entry; p }
+    else walk t bt key entry (entry.Oid.off + f_next)
+  end
+
+let find t bt b key = walk t bt key Oid.null (bucket_slot_off t b)
+
+let entry_value t p ~klen =
   let vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
   t.a.read_sub (t.a.gep p (f_value t.a klen)) vlen
 
-let key_matches t p key =
+let lookup t bt b key =
+  match find t bt b key with
+  | None -> None
+  | Some h -> Some (entry_value t h.p ~klen:(String.length key))
+
+let link_ptr t b h =
+  if Oid.is_null h.holder then bucket_slot_ptr t b
+  else t.a.gep (t.a.direct h.holder) f_next
+
+(* Every entry of bucket [b] in chain order, as [f entry p]. *)
+let iter_chain t bt b f =
+  let rec go link =
+    let e = load_link t bt link in
+    if not (Oid.is_null e) then begin
+      f e (t.a.direct e);
+      go (e.Oid.off + f_next)
+    end
+  in
+  go (bucket_slot_off t b)
+
+(* The key of entry [p] when it lies in [lo, hi]: range-tested against
+   a window over its bytes and copied only when in range. *)
+let key_in_range t p ~lo ~hi =
   let klen = t.a.load_word (t.a.gep p (f_klen t.a)) in
-  klen = String.length key
-  && (klen = 0
-      || Space.view_equal_string (t.a.view (t.a.gep p (f_key t.a)) klen)
-           ~off:0 key)
+  if klen = 0 then if lo = "" then Some "" else None
+  else begin
+    let kv = t.a.view (t.a.gep p (f_key t.a)) klen in
+    if
+      Space.view_compare_string kv ~off:0 ~len:klen lo >= 0
+      && Space.view_compare_string kv ~off:0 ~len:klen hi <= 0
+    then Some (Space.view_string kv ~off:0 ~len:klen)
+    else None
+  end
 
-(* Find the slot pointer referencing the entry for [key] plus the entry
-   itself, starting from the bucket slot. *)
-let find_slot t slot key =
-  let rec go slot_ptr =
-    let oid = t.a.load_oid_at slot_ptr in
-    if Oid.is_null oid then None
-    else begin
-      let p = t.a.direct oid in
-      if key_matches t p key then Some (slot_ptr, oid, p)
-      else go (t.a.gep p f_next)
-    end
-  in
-  go slot
+(* Ordered range scan over a hash layout: walk every bucket chain, keep
+   the in-range entries as [f key p], each bucket's walk run inside
+   [bucket b]. O(total entries) regardless of the range width — the
+   price of scanning an unordered engine, and the baseline the ordered
+   [Bmap] engine exists to beat. *)
+let scan_chains t bt ~lo ~hi ~bucket f =
+  let acc = ref [] in
+  for b = 0 to t.nbuckets - 1 do
+    bucket b (fun () ->
+      iter_chain t bt b (fun _ p ->
+        match key_in_range t p ~lo ~hi with
+        | Some k -> acc := f k p :: !acc
+        | None -> ()))
+  done;
+  !acc
 
-(* The get walk: per entry one view over the header (next oid +
-   lengths, read raw after one hoisted check) and — only when the key
-   length matches — one view over key+value, which serves both the
-   device-side compare and the single-copy value read. Under SPP that
-   is two masked-tag checks per matching entry instead of one hook per
-   access, and within each window the reads are bare offsets into the
-   device view. *)
-let find_value t slot key =
-  let hdr_len = t.a.oid_size + 16 in
-  let klen_q = String.length key in
-  let rec go oid =
-    if Oid.is_null oid then None
-    else begin
-      let p = t.a.direct oid in
-      let size = oid.Oid.size in
-      if size > 0 then begin
-        (* SPP-mode fast path: the oid's durable size field (paper
-           §IV-B) bounds the whole object, so one hoisted check opens a
-           window over the entire entry — header, key and value — and
-           every read of the visit is raw. *)
-        let ev = t.a.view p size in
-        let klen = Space.view_word ev (f_klen t.a) in
-        if klen = klen_q && Space.view_equal_string ev ~off:(f_key t.a) key
-        then
-          let vlen = Space.view_word ev (f_vlen t.a) in
-          Some (Space.view_string ev ~off:(f_value t.a klen) ~len:vlen)
-        else go (Pool.view_load_oid t.a.pool ev ~off:f_next)
-      end
-      else begin
-        (* Native-mode oids carry no size: two windows per visit —
-           header first, then key+value once the length is known.
-           ([f_next] is 0, so the entry pointer doubles as the header
-           window base.) *)
-        let hdr = t.a.view p hdr_len in
-        let klen = Space.view_word hdr (f_klen t.a) in
-        if klen <> klen_q then go (Pool.view_load_oid t.a.pool hdr ~off:f_next)
-        else begin
-          let vlen = Space.view_word hdr (f_vlen t.a) in
-          if klen + vlen = 0 then Some "" (* empty key matched, empty value *)
-          else begin
-            let kv = t.a.view (t.a.gep p (f_key t.a)) (klen + vlen) in
-            if Space.view_equal_string kv ~off:0 key then
-              Some (Space.view_string kv ~off:klen ~len:vlen)
-            else go (Pool.view_load_oid t.a.pool hdr ~off:f_next)
-          end
-        end
-      end
-    end
+(* Clip an unordered (key, _) accumulation to the scan contract:
+   ascending by key, at most [limit] pairs. *)
+let clip_scan ~limit acc =
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) acc in
+  let rec take n = function
+    | x :: tl when n > 0 -> x :: take (n - 1) tl
+    | _ -> []
   in
-  go (t.a.load_oid_at slot)
+  take limit sorted
 
 let mk_entry t ~key ~value ~next =
   let klen = String.length key and vlen = String.length value in
@@ -193,7 +209,7 @@ let get t key =
          ticket drops the fill if a submitter invalidated the key after
          this read began. *)
       let tk = Option.map (fun rc -> (rc, Rcache.ticket rc key)) t.cache in
-      let v = find_value t (bucket_slot_ptr t b) key in
+      let v = lookup t None b key in
       (match (v, tk) with
        | Some v, Some (rc, tk) -> Rcache.insert rc tk v
        | _ -> ());
@@ -206,9 +222,9 @@ let put t ~key ~value =
        fall through to PM (and wait on this stripe) rather than ever
        seeing the cache ahead of — or behind — the durable state. *)
     cache_invalidate t key;
-    let slot = bucket_slot_ptr t b in
-    match find_slot t slot key with
-    | Some (slot_ptr, old, p) ->
+    match find t None b key with
+    | Some h ->
+      let p = h.p in
       let klen = String.length key in
       let old_vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
       if old_vlen = String.length value then
@@ -220,10 +236,12 @@ let put t ~key ~value =
         Pool.with_tx t.a.pool (fun () ->
           let next = t.a.load_oid_at (t.a.gep p f_next) in
           let fresh = mk_entry t ~key ~value ~next in
+          let slot_ptr = link_ptr t b h in
           tx_add t.a slot_ptr t.a.oid_size;
           t.a.store_oid_at slot_ptr fresh;
-          t.a.tx_pfree old)
+          t.a.tx_pfree h.entry)
     | None ->
+      let slot = bucket_slot_ptr t b in
       Pool.with_tx t.a.pool (fun () ->
         let head = t.a.load_oid_at slot in
         let fresh = mk_entry t ~key ~value ~next:head in
@@ -234,67 +252,25 @@ let remove t key =
   let b = bucket_of t key in
   with_bucket t b (fun () ->
     cache_invalidate t key;
-    match find_slot t (bucket_slot_ptr t b) key with
+    match find t None b key with
     | None -> false
-    | Some (slot_ptr, oid, p) ->
+    | Some h ->
       Pool.with_tx t.a.pool (fun () ->
+        let slot_ptr = link_ptr t b h in
         tx_add t.a slot_ptr t.a.oid_size;
-        t.a.store_oid_at slot_ptr (t.a.load_oid_at (t.a.gep p f_next));
-        t.a.tx_pfree oid);
+        t.a.store_oid_at slot_ptr (t.a.load_oid_at (t.a.gep h.p f_next));
+        t.a.tx_pfree h.entry);
       true)
 
-(* Clip an unordered (key, value) accumulation to the scan contract:
-   ascending by key, at most [limit] pairs. *)
-let clip_scan ~limit acc =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) acc in
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  take limit sorted
-
-(* Ordered range scan over a hash layout: walk every bucket chain,
-   keep the in-range pairs, sort. O(total entries) regardless of the
-   range width — the price of scanning an unordered engine, and the
-   baseline the ordered [Bmap] engine exists to beat. Cache-bypassing
-   by contract: scans neither probe nor fill the read cache. *)
+(* Cache-bypassing by contract: scans neither probe nor fill the read
+   cache. Values are copied under each bucket's stripe lock, while no
+   writer can free the entry. *)
 let scan t ~lo ~hi ~limit =
   if limit <= 0 || hi < lo then []
-  else begin
-    let acc = ref [] in
-    (* One whole-entry window per chain link (the SPP oid's durable
-       size bounds it), range-tested against the device view so
-       out-of-range entries are never materialized. *)
-    let rec go oid =
-      if not (Oid.is_null oid) then begin
-        let p = t.a.direct oid in
-        if oid.Oid.size > 0 then begin
-          let ev = t.a.view p oid.Oid.size in
-          let klen = Space.view_word ev (f_klen t.a) in
-          let koff = f_key t.a in
-          if
-            Space.view_compare_string ev ~off:koff ~len:klen lo >= 0
-            && Space.view_compare_string ev ~off:koff ~len:klen hi <= 0
-          then begin
-            let vlen = Space.view_word ev (f_vlen t.a) in
-            let k = Space.view_string ev ~off:koff ~len:klen in
-            let v = Space.view_string ev ~off:(f_value t.a klen) ~len:vlen in
-            acc := (k, v) :: !acc
-          end;
-          go (Pool.view_load_oid t.a.pool ev ~off:f_next)
-        end
-        else begin
-          let k = entry_key t p in
-          if lo <= k && k <= hi then acc := (k, entry_value t p) :: !acc;
-          go (t.a.load_oid_at (t.a.gep p f_next))
-        end
-      end
-    in
-    for b = 0 to t.nbuckets - 1 do
-      with_bucket t b (fun () -> go (t.a.load_oid_at (bucket_slot_ptr t b)))
-    done;
-    clip_scan ~limit !acc
-  end
+  else
+    clip_scan ~limit
+      (scan_chains t None ~lo ~hi ~bucket:(with_bucket t) (fun k p ->
+         (k, entry_value t p ~klen:(String.length k))))
 
 (* ------------------------------------------------------------------ *)
 (* Group-committed multi-op entry point                                 *)
@@ -307,17 +283,15 @@ let scan t ~lo ~hi ~limit =
    are individually atomic on crash — recovery lands on a prefix of
    whole ops — because entries only join the log at op boundaries.
 
-   This is engine-internal code operating on pool offsets, like
-   libpmemobj's own log machinery: it does not travel through the tagged
-   access-layer pointers (the paper instruments application code, not
-   PMDK internals), so SPP hook counts are untouched by the batched
-   path. Two structural differences from the synchronous ops above,
-   both forced by deferred application: a put always replaces the entry
-   out of place (an in-place value overwrite would tear the durable
-   pre-state before the batch commits), and reads of chain metadata go
-   through the batch overlay so later ops observe earlier ones. The
-   fresh entry itself skips the log: it is composed in DRAM and stored
-   with one store, and only the slot oid that publishes it is staged.
+   The batched ops read through the same walk as the synchronous ones,
+   so every entry byte they touch passes the variant's check; only the
+   link words go through the batch overlay, so later ops observe
+   earlier ones. Two structural differences from the synchronous ops
+   above, both forced by deferred application: a put always replaces
+   the entry out of place (an in-place value overwrite would tear the
+   durable pre-state before the batch commits), and the fresh entry
+   skips the log: it is composed in DRAM and stored with one store, and
+   only the slot oid that publishes it is staged.
 
    The caller must hold the map exclusively for the duration — stripe
    locks are useless here because the commit applies staged words after
@@ -335,45 +309,6 @@ type batch_reply = Engine.batch_reply =
   | R_get of string option
   | R_removed of bool
   | R_scan of (string * string) list
-
-let batch_key_of = Engine.batch_key_of
-
-(* Entry field reads through the overlay. Key/value bytes are never
-   staged (fresh entries are stored whole while unreachable), so byte
-   reads go straight to the space — single-copy [Space.read_sub], with
-   the key compared against the device view instead of materialized. *)
-
-let b_entry_key t bt eoff =
-  let p = t.a.pool in
-  let klen = Pool.batch_load_word p bt ~off:(eoff + f_klen t.a) in
-  Space.read_sub (Pool.space p) (Pool.addr_of_off p (eoff + f_key t.a)) klen
-
-let b_entry_value t bt eoff =
-  let p = t.a.pool in
-  let klen = Pool.batch_load_word p bt ~off:(eoff + f_klen t.a) in
-  let vlen = Pool.batch_load_word p bt ~off:(eoff + f_vlen t.a) in
-  Space.read_sub (Pool.space p)
-    (Pool.addr_of_off p (eoff + f_value t.a klen)) vlen
-
-let b_key_matches t bt eoff key =
-  Pool.batch_load_word t.a.pool bt ~off:(eoff + f_klen t.a)
-  = String.length key
-  && Space.equal_string (Pool.space t.a.pool)
-       (Pool.addr_of_off t.a.pool (eoff + f_key t.a)) key
-
-(* Slot offset (pool offset of the oid slot pointing at the entry) plus
-   the entry's oid, walking the chain as the batch sees it. *)
-let b_find_slot t bt slot_off key =
-  let p = t.a.pool in
-  let rec go slot_off =
-    let oid = Pool.batch_load_oid p bt ~off:slot_off in
-    if Oid.is_null oid then None
-    else if b_key_matches t bt oid.Oid.off key then Some (slot_off, oid)
-    else go (oid.Oid.off + f_next)
-  in
-  go slot_off
-
-let bucket_slot_off t b = t.buckets.Oid.off + (b * t.a.oid_size)
 
 (* Fresh entry: allocate through the batch, compose the whole entry in
    the pool's DRAM buffer and store it with one [Pool.batch_write] —
@@ -398,90 +333,63 @@ let b_mk_entry t bt ~key ~value ~next =
 
 let b_put t bt ~key ~value =
   let p = t.a.pool in
-  let slot = bucket_slot_off t (bucket_of t key) in
+  let b = bucket_of t key in
   Redo.batch_op_begin bt;
   (* Invalidate at stage time, before the deferred commit: a concurrent
      fast-path reader must never observe a value newer than the durable
      state allows under the whole-op-prefix guarantee, and the stale
      pre-batch entry must die before this op's staged words exist. *)
   cache_invalidate t key;
-  (match b_find_slot t bt slot key with
-   | Some (slot_off, old) ->
-     let next = Pool.batch_load_oid p bt ~off:(old.Oid.off + f_next) in
+  (match find t (Some bt) b key with
+   | Some h ->
+     let next = Pool.batch_load_oid p bt ~off:(h.entry.Oid.off + f_next) in
      let fresh = b_mk_entry t bt ~key ~value ~next in
-     Pool.batch_stage_oid p bt ~off:slot_off ~prev:old fresh;
-     Pool.batch_free p bt old
+     Pool.batch_stage_oid p bt ~off:h.link ~prev:h.entry fresh;
+     Pool.batch_free p bt h.entry
    | None ->
+     let slot = bucket_slot_off t b in
      let head = Pool.batch_load_oid p bt ~off:slot in
      let fresh = b_mk_entry t bt ~key ~value ~next:head in
      Pool.batch_stage_oid p bt ~off:slot ~prev:head fresh);
   Redo.batch_op_end bt
 
 let b_get t bt key =
-  let slot = bucket_slot_off t (bucket_of t key) in
   Redo.batch_op_begin bt;
-  let r =
-    match b_find_slot t bt slot key with
-    | None -> None
-    | Some (_, oid) -> Some (b_entry_value t bt oid.Oid.off)
-  in
+  let r = lookup t (Some bt) (bucket_of t key) key in
   Redo.batch_op_end bt;
   r
 
-(* Batched scan: the same full-chain walk as [scan] but through the
-   batch overlay, so a scan placed after a put/remove in the same
-   batch observes it. Read-only — stages nothing, touches no cache. *)
+(* Batched scan: the same walk as [scan] but through the batch overlay,
+   so a scan placed after a put/remove in the same batch observes it.
+   Read-only — stages nothing, touches no cache. Values are read only
+   for the pairs that survive the clip, which is safe because the
+   caller holds the map exclusively for the batch: no entry can be
+   freed between the walk and the reads. *)
 let b_scan t bt ~lo ~hi ~limit =
   Redo.batch_op_begin bt;
   let r =
     if limit <= 0 || hi < lo then []
-    else begin
-      let p = t.a.pool in
-      let acc = ref [] in
-      for b = 0 to t.nbuckets - 1 do
-        let rec go slot_off =
-          let oid = Pool.batch_load_oid p bt ~off:slot_off in
-          if not (Oid.is_null oid) then begin
-            let eoff = oid.Oid.off in
-            let k = b_entry_key t bt eoff in
-            if lo <= k && k <= hi then acc := (k, eoff) :: !acc;
-            go (eoff + f_next)
-          end
-        in
-        go (bucket_slot_off t b)
-      done;
-      (* Deferred value assembly: sort and clip on keys alone, then
-         materialize values only for the surviving entries — a clipped
-         scan no longer pays a value-string allocation per in-range
-         entry it will never return. Safe to defer because the caller
-         holds the map exclusively for the batch, so no entry can be
-         freed between the walk and the assembly. *)
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-      in
-      let rec take n = function
-        | (k, eoff) :: tl when n > 0 ->
-          (k, b_entry_value t bt eoff) :: take (n - 1) tl
-        | _ -> []
-      in
-      take limit sorted
-    end
+    else
+      List.map
+        (fun (k, p) -> (k, entry_value t p ~klen:(String.length k)))
+        (clip_scan ~limit
+           (scan_chains t (Some bt) ~lo ~hi ~bucket:(fun _ f -> f ())
+              (fun k p -> (k, p))))
   in
   Redo.batch_op_end bt;
   r
 
 let b_remove t bt key =
   let p = t.a.pool in
-  let slot = bucket_slot_off t (bucket_of t key) in
   Redo.batch_op_begin bt;
   cache_invalidate t key;
   let r =
-    match b_find_slot t bt slot key with
+    match find t (Some bt) (bucket_of t key) key with
     | None -> false
-    | Some (slot_off, oid) ->
-      let next = Pool.batch_load_oid p bt ~off:(oid.Oid.off + f_next) in
-      Pool.batch_stage_oid p bt ~off:slot_off ~prev:oid next;
-      Pool.batch_free p bt oid;
+    | Some h ->
+      let next = Pool.batch_load_oid p bt ~off:(h.entry.Oid.off + f_next) in
+      Pool.batch_stage_oid p bt ~off:h.link ~prev:h.entry next;
+      Pool.batch_free p bt h.entry;
       true
   in
   Redo.batch_op_end bt;
@@ -497,13 +405,6 @@ let run_batch ?len t ops =
 let count_all t =
   let n = ref 0 in
   for b = 0 to t.nbuckets - 1 do
-    let rec go slot_ptr =
-      let oid = t.a.load_oid_at slot_ptr in
-      if not (Oid.is_null oid) then begin
-        incr n;
-        go (t.a.gep (t.a.direct oid) f_next)
-      end
-    in
-    go (bucket_slot_ptr t b)
+    iter_chain t None b (fun _ _ -> incr n)
   done;
   !n

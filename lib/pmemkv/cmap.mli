@@ -92,11 +92,6 @@ type batch_reply = Engine.batch_reply =
   | R_removed of bool
   | R_scan of (string * string) list
 
-val batch_key_of : batch_op -> string
-
 val run_batch : ?len:int -> t -> batch_op array -> batch_reply array
 (** [?len] restricts execution to the first [len] ops, so a reusable
     op buffer can feed every drain without per-batch re-allocation. *)
-
-val hash : string -> int
-(** FNV-1a, folded to the 63-bit word. *)

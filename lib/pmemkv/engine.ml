@@ -9,10 +9,12 @@
    oid parked by the caller, e.g. in the pool root), and the volatile
    read-cache hooks the serve fast path relies on.
 
-   Engine reads are zero-copy: readers open a Space view window (one
-   hoisted pointer check per window), compare keys against the
-   device view without materializing candidates, and copy a value out
-   exactly once ([read_sub] / [view_string]).
+   Each engine has one reader, shared by its sync ops and its batches,
+   and it reads through the access layer's variant: one check per
+   window, each window sized to the bytes it reads, keys compared
+   against the device view without materializing candidates, and a
+   value copied out exactly once ([read_sub] / [view_string]). So every
+   served read passes the variant's check.
 
    The shard/serve/replica stack is written against [packed] values —
    an existential pairing of a module implementing [S] with its state —

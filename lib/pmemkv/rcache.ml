@@ -75,7 +75,7 @@ type t = {
 let ways = 4
 let nwlocks = 64
 
-(* Same FNV-1a the Cmap buckets use (Cmap.hash aliases this). *)
+(* Same FNV-1a the Cmap buckets use. *)
 let hash s =
   let h = ref 0x3bf29ce484222325 in
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;

@@ -70,4 +70,4 @@ val hit_rate : stats -> float
 val pp_stats : Format.formatter -> stats -> unit
 
 val hash : string -> int
-(** FNV-1a folded to the 63-bit word; [Cmap.hash] aliases this. *)
+(** FNV-1a folded to the 63-bit word; cmap hashes its buckets with it. *)

@@ -20,7 +20,6 @@ val attach : Spp_access.t -> desc:Oid.t -> data:Oid.t -> t
 val descriptor : t -> Oid.t
 val data_oid : t -> Oid.t
 
-val capacity : t -> int
 val committed : t -> int
 val remaining : t -> int
 

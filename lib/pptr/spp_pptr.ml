@@ -17,7 +17,6 @@ type 's ptr = { oid : Oid.t }
 
 let null = { oid = Oid.null }
 let is_null p = Oid.is_null p.oid
-let oid p = p.oid
 let equal a b = Oid.equal a.oid b.oid
 
 (* Field descriptors: an offset plus typed load/store against the access
@@ -54,11 +53,6 @@ let word (l : 's layout) : ('s, int) field =
     ~load:(fun a p -> a.Spp_access.load_word p)
     ~store:(fun a p v -> a.Spp_access.store_word p v)
 
-let byte (l : 's layout) : ('s, int) field =
-  add l ~size:1
-    ~load:(fun a p -> a.Spp_access.load_u8 p)
-    ~store:(fun a p v -> a.Spp_access.store_u8 p v)
-
 let pptr (l : 's layout) : ('s, 'b ptr) field =
   add l ~size:l.l_access.Spp_access.oid_size
     ~load:(fun a p -> { oid = a.Spp_access.load_oid_at p })
@@ -77,10 +71,6 @@ let fixed_string (l : 's layout) ~len : ('s, string) field =
       a.Spp_access.write_string p v;
       a.Spp_access.store_u8 (a.Spp_access.gep p (String.length v)) 0)
 
-let padding (l : 's layout) n =
-  if l.l_sealed then invalid_arg "Spp_pptr: layout already sealed";
-  l.l_size <- l.l_size + n
-
 let seal (l : 's layout) =
   l.l_sealed <- true;
   l
@@ -92,13 +82,6 @@ let size_of (l : 's layout) = l.l_size
 let alloc ?(zero = true) (l : 's layout) : 's ptr =
   if not l.l_sealed then invalid_arg "Spp_pptr.alloc: layout not sealed";
   { oid = l.l_access.Spp_access.palloc ~zero l.l_size }
-
-let tx_alloc ?(zero = true) (l : 's layout) : 's ptr =
-  if not l.l_sealed then invalid_arg "Spp_pptr.tx_alloc: layout not sealed";
-  { oid = l.l_access.Spp_access.tx_palloc ~zero l.l_size }
-
-let free (l : 's layout) (p : 's ptr) = l.l_access.Spp_access.pfree p.oid
-let tx_free (l : 's layout) (p : 's ptr) = l.l_access.Spp_access.tx_pfree p.oid
 
 let direct (l : 's layout) (p : 's ptr) =
   l.l_access.Spp_access.direct p.oid
@@ -116,8 +99,5 @@ let set (l : 's layout) (p : 's ptr) (f : ('s, 'v) field) (v : 'v) =
 let tx_add_field (l : 's layout) (p : 's ptr) (f : ('s, 'v) field) =
   Pool.tx_add_range l.l_access.Spp_access.pool
     ~off:(p.oid.Oid.off + f.f_off) ~len:f.f_size
-
-let tx_add (l : 's layout) (p : 's ptr) =
-  Pool.tx_add_range l.l_access.Spp_access.pool ~off:p.oid.Oid.off ~len:l.l_size
 
 let with_tx (l : 's layout) f = Pool.with_tx l.l_access.Spp_access.pool f

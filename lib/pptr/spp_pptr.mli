@@ -8,13 +8,10 @@
     logging covers SPP's extra bytes. All dereferences run through the
     variant's access functions and inherit its protection. *)
 
-open Spp_pmdk
-
 type 's ptr
 
 val null : 's ptr
 val is_null : 's ptr -> bool
-val oid : 's ptr -> Oid.t
 val equal : 's ptr -> 's ptr -> bool
 
 (** {1 Layouts} *)
@@ -26,7 +23,6 @@ val layout : Spp_access.t -> 's layout
 (** Start declaring a struct for this machine. *)
 
 val word : 's layout -> ('s, int) field
-val byte : 's layout -> ('s, int) field
 val pptr : 's layout -> ('s, 'b ptr) field
 (** An embedded persistent pointer; its size follows the pool mode. *)
 
@@ -34,16 +30,12 @@ val fixed_string : 's layout -> len:int -> ('s, string) field
 (** NUL-terminated within a fixed [len]-byte field; storing a string of
     [len] or more characters raises [Invalid_argument]. *)
 
-val padding : 's layout -> int -> unit
 val seal : 's layout -> 's layout
 val size_of : 's layout -> int
 
 (** {1 Objects} *)
 
 val alloc : ?zero:bool -> 's layout -> 's ptr
-val tx_alloc : ?zero:bool -> 's layout -> 's ptr
-val free : 's layout -> 's ptr -> unit
-val tx_free : 's layout -> 's ptr -> unit
 val direct : 's layout -> 's ptr -> int
 (** The underlying (possibly tagged) application pointer. *)
 
@@ -55,5 +47,4 @@ val set : 's layout -> 's ptr -> ('s, 'v) field -> 'v -> unit
 (** {1 Transactions} *)
 
 val tx_add_field : 's layout -> 's ptr -> ('s, 'v) field -> unit
-val tx_add : 's layout -> 's ptr -> unit
 val with_tx : 's layout -> (unit -> 'a) -> 'a

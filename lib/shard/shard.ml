@@ -39,7 +39,6 @@ type t = {
 }
 
 let nshards t = Array.length t.shards
-let variant t = t.variant
 let engine t = t.engine
 let engine_name t = Spp_pmemkv.Engine.spec_name t.engine
 let shard t i = t.shards.(i)

@@ -37,7 +37,6 @@ val set_shard :
     the swap on the shard's own worker domain. *)
 
 val nshards : t -> int
-val variant : t -> Spp_access.variant
 
 val engine : t -> Spp_pmemkv.Engine.spec
 (** The engine module every shard of this store runs. *)

@@ -25,27 +25,11 @@ let push t x =
   Array.unsafe_set t.arr t.len x;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Journal.get: index out of bounds";
-  t.arr.(i)
-
 let clear t =
   (* Drop the backing store too: journals are cleared at crash/reset
      points where holding onto a large buffer would pin dead payloads. *)
   t.arr <- [||];
   t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.arr i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (Array.unsafe_get t.arr i)
-  done;
-  !acc
 
 let to_list t = List.init t.len (fun i -> t.arr.(i))
 
@@ -61,7 +45,3 @@ let filter_in_place keep t =
     end
   done;
   t.len <- !j
-
-let exists p t =
-  let rec go i = i < t.len && (p t.arr.(i) || go (i + 1)) in
-  go 0

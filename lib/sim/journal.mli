@@ -11,13 +11,10 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
-val get : 'a t -> int -> 'a
 
 val clear : 'a t -> unit
 (** Empty the journal and release the backing store. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
 
@@ -25,5 +22,3 @@ val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only elements satisfying the predicate, preserving order —
     the compaction primitive for journals that mark elements dead
     (fenced) faster than they are cleared. *)
-
-val exists : ('a -> bool) -> 'a t -> bool

@@ -134,8 +134,6 @@ val snapshot_stats : t -> stats
 (** An immutable-by-convention copy of the current counters — safe to
     keep across a [reset_stats] or to hand to {!merge_stats}. *)
 
-val zero_stats : unit -> stats
-
 val merge_stats : stats list -> stats
 (** Fieldwise sum — the aggregate view over a set of per-shard spaces
     after their driving domains have joined. *)

@@ -25,10 +25,6 @@ let create ?(base = default_base) space size =
   { space; base; hsize = size; free_list = [ { b_addr = base; b_size = size } ];
     live = Hashtbl.create 1024 }
 
-let space t = t.space
-let base t = t.base
-let size t = t.hsize
-
 (* blocks are 16-byte aligned, as glibc malloc's are on 64-bit *)
 let round_up v = (v + 15) / 16 * 16
 

@@ -16,10 +16,6 @@ val create : ?base:int -> Space.t -> int -> t
 (** [create space size] maps a fresh volatile device of [size] bytes and
     returns an allocator over it. Blocks are 16-byte aligned. *)
 
-val space : t -> Space.t
-val base : t -> int
-val size : t -> int
-
 val malloc : t -> int -> int
 (** Returns the simulated address of a fresh block. Raises [Out_of_memory]
     when the region is exhausted. *)

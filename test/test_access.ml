@@ -157,7 +157,9 @@ let test_safepm_batch_entry_zones () =
 
 (* A free through the batch path, a transaction's allocation and its
    free each take effect for the checker exactly when they do for the
-   program: at the commit, and undone on abort. *)
+   program: at the commit, and undone on abort. A batch's allocation
+   takes effect when it is made, so a later op of the same batch reads
+   the block, and it is undone when the batch raises. *)
 let test_checkers_follow_batch_frees_and_aborts () =
   List.iter
     (fun v ->
@@ -180,7 +182,33 @@ let test_checkers_follow_batch_frees_and_aborts () =
       let oid = a.Spp_access.palloc 64 in
       abort (fun () -> a.Spp_access.tx_pfree oid);
       completes (name "read after an aborted tx_pfree")
-        (read_u8 a (a.Spp_access.direct oid)))
+        (read_u8 a (a.Spp_access.direct oid));
+      let batch ops =
+        Spp_access.run_guarded (fun () ->
+          ignore (Spp_pmemkv.Cmap.run_batch kv ops))
+      in
+      let put k = Spp_pmemkv.Cmap.B_put { key = k; value = "v" } in
+      completes (name "a batch reading the entry its first op put")
+        (batch [| put "a"; Spp_pmemkv.Cmap.B_get "a" |]);
+      completes (name "a batch removing the entry its first op put")
+        (batch [| put "b"; Spp_pmemkv.Cmap.B_remove "b" |]);
+      (* one block from a closed op of the batch, one from its open op *)
+      let pool = a.Spp_access.pool in
+      let fresh = Array.make 2 0 in
+      let alloc bt i =
+        Redo.batch_op_begin bt;
+        fresh.(i) <- a.Spp_access.direct (Pool.batch_alloc pool bt ~size:64)
+      in
+      (try
+         Pool.with_batch pool (fun bt ->
+           alloc bt 0;
+           Redo.batch_op_end bt;
+           alloc bt 1;
+           raise Exit)
+       with Exit -> ());
+      Array.iter
+        (fun p -> stopped (name "read of a raising batch's block") (read_u8 a p))
+        fresh)
     [ Spp_access.Safepm; Spp_access.Memcheck ]
 
 let test_spp_memcpy_overflow_detected () =

@@ -28,11 +28,46 @@ let test_put_get_all_variants () =
       check_int "count" 1 (Spp_pmemkv.Cmap.count_all kv))
     Spp_access.all_variants
 
-(* A corrupt entry: the value-length word of a cmap entry overwritten
-   with 4000 sends a get far past the 74-byte entry. SPP's window over
-   the entry (sized by the oid), SafePM and memcheck each stop the read,
-   and [run_guarded] reports it as prevented; native PMDK returns the
-   neighbouring PM. *)
+(* Pointer to the [vlen] word of [key]'s entry in a one-bucket cmap
+   ([next oid | klen | vlen | key | value]) or its item in a one-leaf
+   btree (a node is [n | leaf | 8 child oids | 7 item oids], an item
+   [klen | vlen | key | value]), found through the access layer. *)
+let vlen_word (a : Spp_access.t) engine root key =
+  let open Spp_access in
+  let holds p klen_off =
+    a.read_sub (a.gep p (klen_off + 16)) (a.load_word (a.gep p klen_off)) = key
+  in
+  let rec entry oid =
+    let p = a.direct oid in
+    if holds p a.oid_size then a.gep p (a.oid_size + 8)
+    else entry (a.load_oid_at p)
+  in
+  let rec item leaf i =
+    let slot = a.gep leaf (16 + ((Spp_pmemkv.Bmap.order + i) * a.oid_size)) in
+    let p = a.direct (a.load_oid_at slot) in
+    if holds p 0 then a.gep p 8 else item leaf (i + 1)
+  in
+  let top = a.load_oid_at (a.direct root) in
+  if engine = "cmap" then entry top else item (a.direct top) 0
+
+(* A corrupt entry: the value-length word overwritten with 4000 sends a
+   get far past the entry. SPP's check on the value read sets the
+   pointer's overflow bit (bit 61), so the read faults on that address;
+   SafePM and memcheck each stop the read too, and [run_guarded]
+   reports it as prevented. Native PMDK returns the neighbouring PM. *)
+let expect_corrupt_read_stopped v what = function
+  | Spp_access.Ok_completed ->
+    if v <> Spp_access.Pmdk then Alcotest.failf "%s: corrupt read completed" what
+  | Spp_access.Prevented m ->
+    if v = Spp_access.Pmdk then Alcotest.failf "%s: prevented (%s)" what m;
+    if v = Spp_access.Spp then
+      check_bool
+        (Printf.sprintf "%s: overflow bit set in %s" what m)
+        true
+        (match Scanf.sscanf_opt m "SIGSEGV at 0x%x%!" Fun.id with
+         | Some addr -> addr land Spp_core.Config.default.ovf_bit <> 0
+         | None -> false)
+
 let test_corrupt_vlen_guarded () =
   List.iter
     (fun v ->
@@ -41,31 +76,11 @@ let test_corrupt_vlen_guarded () =
       let key = Spp_pmemkv.Db_bench.key_of_int 7 in
       Spp_pmemkv.Cmap.put kv ~key ~value:(String.make 10 'v');
       Spp_pmemkv.Cmap.put kv ~key:"other" ~value:(String.make 64 'o');
-      (* entry layout: [next oid | klen | vlen | key | value] *)
-      let open Spp_access in
-      let rec find oid =
-        let p = a.direct oid in
-        let klen = a.load_word (a.gep p a.oid_size) in
-        if a.read_sub (a.gep p (a.oid_size + 16)) klen = key then p
-        else find (a.load_oid_at p)
-      in
-      let bucket = a.direct (Spp_pmemkv.Cmap.buckets_oid kv) in
-      let p = find (a.load_oid_at bucket) in
-      a.store_word (a.gep p (a.oid_size + 8)) 4000;
-      let name = variant_name v in
-      let get () = ignore (Spp_pmemkv.Cmap.get kv key) in
-      match (v, run_guarded get) with
-      | Pmdk, Ok_completed -> ()
-      | Pmdk, Prevented m -> Alcotest.failf "%s: prevented (%s)" name m
-      | _, Ok_completed -> Alcotest.failf "%s: corrupt read completed" name
-      | Spp, Prevented m ->
-        let needle = "4000 bytes" in
-        let n = String.length needle in
-        let rec has i =
-          i + n <= String.length m && (String.sub m i n = needle || has (i + 1))
-        in
-        check_bool ("spp names the access: " ^ m) true (has 0)
-      | _, Prevented _ -> ())
+      a.Spp_access.store_word
+        (vlen_word a "cmap" (Spp_pmemkv.Cmap.buckets_oid kv) key) 4000;
+      expect_corrupt_read_stopped v (Spp_access.variant_name v)
+        (Spp_access.run_guarded (fun () ->
+           ignore (Spp_pmemkv.Cmap.get kv key))))
     Spp_access.all_variants
 
 let test_overwrite_same_and_different_size () =
@@ -513,6 +528,61 @@ let test_safepm_reopen () =
         done)
     [ "cmap"; "btree" ]
 
+(* The same corrupt entry on the served path, on both engines: a
+   one-op [run_batch] and a sync get are stopped as above, and through
+   [Serve] the key's get fails typed while the shard keeps serving. *)
+let test_corrupt_vlen_served () =
+  let module E = Spp_pmemkv.Engine in
+  let key = Spp_pmemkv.Db_bench.key_of_int 7 in
+  let other = String.make 64 'o' in
+  let corrupt a kv =
+    a.Spp_access.store_word (vlen_word a (E.name kv) (E.root_oid kv) key) 4000
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun v ->
+          let what how =
+            Printf.sprintf "%s %s %s" (E.spec_name spec)
+              (Spp_access.variant_name v) how
+          in
+          let a = mk v in
+          let kv = E.create ~nbuckets:1 spec a in
+          E.put kv ~key ~value:(String.make 10 'v');
+          E.put kv ~key:"other" ~value:other;
+          corrupt a kv;
+          expect_corrupt_read_stopped v (what "run_batch")
+            (Spp_access.run_guarded (fun () ->
+               ignore (E.run_batch kv [| E.B_get key |])));
+          expect_corrupt_read_stopped v (what "get")
+            (Spp_access.run_guarded (fun () -> ignore (E.get kv key)));
+          let st =
+            Spp_shard.Shard.create ~nbuckets:1 ~pool_size:(1 lsl 22)
+              ~engine:spec ~nshards:1 v
+          in
+          Spp_shard.Shard.put st ~key ~value:(String.make 10 'v');
+          Spp_shard.Shard.put st ~key:"other" ~value:other;
+          let sh = Spp_shard.Shard.shard st 0 in
+          corrupt (Spp_shard.Shard.shard_access sh) (Spp_shard.Shard.shard_kv sh);
+          let sv = Spp_shard.Serve.create st in
+          let get k =
+            Spp_shard.Serve.await sv
+              (Spp_shard.Serve.submit sv (Spp_shard.Serve.Get k))
+          in
+          (match (v, get key) with
+           | Spp_access.Pmdk, Spp_shard.Serve.Value (Some _)
+           | ( (Spp_access.Spp | Safepm | Memcheck | Spp_all),
+               Spp_shard.Serve.Failed (Spp_shard.Serve.Op_raised _) ) ->
+             ()
+           | _, r ->
+             Alcotest.failf "%s answered %a" (what "Serve get")
+               Spp_shard.Serve.pp_reply r);
+          check_bool (what "Serve get of another key") true
+            (get "other" = Spp_shard.Serve.Value (Some other));
+          Spp_shard.Serve.stop sv)
+        Spp_access.all_variants)
+    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
+
 let () =
   Alcotest.run "spp_pmemkv"
     [
@@ -551,6 +621,8 @@ let () =
             test_reads_match_model;
           Alcotest.test_case "safepm pools reopen on both engines" `Quick
             test_safepm_reopen;
+          Alcotest.test_case "corrupt vlen stopped on the served path" `Quick
+            test_corrupt_vlen_served;
         ] );
       ( "db_bench",
         [ Alcotest.test_case "all workloads run" `Quick test_db_bench_runs ] );

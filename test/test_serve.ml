@@ -272,9 +272,10 @@ let test_fence_amortization () =
 
 (* --- PM traffic budgets ------------------------------------------------ *)
 
-(* PM bytes stored and fences are pure functions of the op stream, the
-   same on every host and compiler, so they are gated exactly. Minor
-   words are not: they move with the OCaml version. *)
+(* PM bytes stored and loaded, fences and SPP checks are pure functions
+   of the op stream, the same on every host and compiler, so they are
+   gated exactly. Minor words are not: they move with the OCaml
+   version. *)
 
 (* One cmap overwrite in a one-op batch, SPP mode, 16 B key and 256 B
    value, once its class has a free block: the 312 B entry, then three
@@ -330,31 +331,40 @@ let stream_traffic engine ~batch_cap =
   let preload = by_shard ~nshards (Array.init keys put) in
   ignore (Serve.run_sequential ~use_cache:false t ~batch_cap:32 preload);
   Shard.reset_stats t;
+  Spp_core.Runtime.reset_counters ();
   ignore
     (Serve.run_sequential ~use_cache:false t ~batch_cap
        (ycsb_a_streams ~nshards ~keys ~ops));
   let per_op v = float_of_int v /. float_of_int ops in
-  ( per_op (Shard.merged_stats t).Spp_sim.Space.pm_bytes_stored,
-    per_op (Shard.merged_counters t).Spp_sim.Memdev.fences )
+  let space = Shard.merged_stats t and rt = Spp_core.Runtime.local_counters () in
+  ( per_op space.Spp_sim.Space.pm_bytes_stored,
+    per_op space.Spp_sim.Space.pm_bytes_loaded,
+    per_op (Shard.merged_counters t).Spp_sim.Memdev.fences,
+    per_op (rt.Spp_core.Runtime.checkbound + rt.Spp_core.Runtime.memintr_check) )
 
 (* Budgets: the counts of this allocator, rounded up. A change that
-   stores more PM bytes or issues more fences per op fails here. *)
+   stores or loads more PM bytes or issues more fences per op fails
+   here, and so does a served path that runs no SPP check. *)
 let test_stream_traffic_budgets () =
   List.iter
-    (fun (name, engine, batch_cap, bytes_budget, fences_budget) ->
-      let bytes, fences = stream_traffic engine ~batch_cap in
+    (fun (name, engine, batch_cap, stored_budget, loaded_budget, fences_budget) ->
+      let stored, loaded, fences, checks = stream_traffic engine ~batch_cap in
+      let within what v budget =
+        check_bool
+          (Printf.sprintf "%s cap %d: %.4f %s/op <= %.3f" name batch_cap v what
+             budget)
+          true (v <= budget)
+      in
+      within "PM bytes stored" stored stored_budget;
+      within "PM bytes loaded" loaded loaded_budget;
+      within "fences" fences fences_budget;
       check_bool
-        (Printf.sprintf "%s cap %d: %.3f PM bytes stored/op <= %.1f" name
-           batch_cap bytes bytes_budget)
-        true (bytes <= bytes_budget);
-      check_bool
-        (Printf.sprintf "%s cap %d: %.4f fences/op <= %.3f" name batch_cap
-           fences fences_budget)
-        true (fences <= fences_budget))
-    [ ("cmap", Spp_pmemkv.Engines.cmap, 1, 197.0, 1.931);
-      ("cmap", Spp_pmemkv.Engines.cmap, 32, 186.6, 0.132);
-      ("btree", Spp_pmemkv.Engines.btree, 1, 665.7, 1.931);
-      ("btree", Spp_pmemkv.Engines.btree, 32, 657.2, 0.501) ]
+        (Printf.sprintf "%s cap %d: %.2f SPP checks/op > 0" name batch_cap checks)
+        true (checks > 0.))
+    [ ("cmap", Spp_pmemkv.Engines.cmap, 1, 197.0, 864.5, 1.931);
+      ("cmap", Spp_pmemkv.Engines.cmap, 32, 186.6, 861.8, 0.132);
+      ("btree", Spp_pmemkv.Engines.btree, 1, 665.7, 2238.9, 1.931);
+      ("btree", Spp_pmemkv.Engines.btree, 32, 657.2, 2217.8, 0.501) ]
 
 (* --- Async pipeline --------------------------------------------------- *)
 
