@@ -174,17 +174,43 @@ let fig4 () =
 
 let fig5_threads = [ 1; 2; 4; 8; 16; 32 ]
 
+(* Fig. 5 and Fig. 7 time each variant's cell a millisecond or so apart
+   and take each cell as the median of [reps] per-repetition ratios,
+   with the variant that runs first rotating from one repetition to the
+   next: host drift between two back-to-back timings then moves single
+   repetitions, not the figure. *)
+let reps = if quick then 3 else 5
+
+let median l =
+  let a = Array.of_list (List.sort compare l) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* [l] with its first [k mod length] elements moved to the end. *)
+let rotate k l =
+  let k = k mod List.length l in
+  List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l
+
 let fig5 () =
   print_title "Figure 5: pmemkv slowdown w.r.t. native PMDK";
   let preload_keys = sc 3_000 and ops_per_thread = sc 1_500 in
   Printf.printf
     "(cmap engine, %d preloaded keys, 16 B keys / 1024 B values, %d \
-     ops per logical thread)\n"
-    preload_keys ops_per_thread;
+     ops per logical thread; median of %d repetitions)\n"
+    preload_keys ops_per_thread reps;
   List.iter
     (fun workload ->
       print_subtitle (Spp_pmemkv.Db_bench.workload_name workload);
-      let per_variant =
+      let wname =
+        match workload with
+        | Spp_pmemkv.Db_bench.Update_heavy -> "50-50"
+        | Read_heavy -> "95-5"
+        | Random_reads -> "reads"
+        | Seq_reads -> "seq"
+      in
+      (* one store per variant, each running the same op stream, so the
+         three evolve alike across cells and repetitions *)
+      let stores =
         List.map
           (fun v ->
             let a =
@@ -193,34 +219,59 @@ let fig5 () =
             in
             let kv = Spp_pmemkv.Cmap.create a in
             Spp_pmemkv.Db_bench.preload kv ~keys:preload_keys;
-            let times =
-              List.map
-                (fun threads ->
-                  let r =
-                    Spp_pmemkv.Db_bench.run kv ~threads ~ops_per_thread
-                      ~universe:preload_keys workload
-                  in
-                  (* the median shard time is the robust per-thread cost
-                     estimator under the logical-thread model *)
-                  r.Spp_pmemkv.Db_bench.median_shard)
-                fig5_threads
-            in
-            (v, times))
+            (v, kv))
           fig4_variants
       in
-      let base = List.assoc Spp_access.Pmdk per_variant in
+      (* (variant, threads) -> median shard time per repetition, newest
+         first *)
+      let times = Hashtbl.create 32 in
+      for rep = 0 to reps - 1 do
+        List.iter
+          (fun threads ->
+            List.iter
+              (fun (v, kv) ->
+                let r =
+                  Spp_pmemkv.Db_bench.run kv ~threads ~ops_per_thread
+                    ~universe:preload_keys workload
+                in
+                (* the median shard time is the robust per-thread cost
+                   estimator under the logical-thread model *)
+                let key = (v, threads) in
+                Hashtbl.replace times key
+                  (r.Spp_pmemkv.Db_bench.median_shard
+                   :: Option.value ~default:[] (Hashtbl.find_opt times key)))
+              (rotate rep stores))
+          fig5_threads
+      done;
+      let name v threads =
+        Printf.sprintf "%s/%dt/%s" wname threads (Spp_access.variant_name v)
+      in
+      List.iter
+        (fun v ->
+          List.iter
+            (fun threads ->
+              jemit ~experiment:"fig5" ~name:(name v threads)
+                ~metric:"ns_per_op" ~unit_:"ns"
+                (median (Hashtbl.find times (v, threads))
+                 /. float_of_int ops_per_thread *. 1e9))
+            fig5_threads)
+        fig4_variants;
       print_row ~w:10 ("threads" :: List.map string_of_int fig5_threads);
       List.iter
         (fun v ->
-          if v <> Spp_access.Pmdk then begin
-            let times = List.assoc v per_variant in
-            print_row ~w:10
-              (Spp_access.variant_name v
-               :: List.map2
-                    (fun t b -> fmt_slowdown (slowdown ~baseline:b t))
-                    times base)
-          end)
-        fig4_variants)
+          let cell threads =
+            let x =
+              median
+                (List.map2 (fun t b -> slowdown ~baseline:b t)
+                   (Hashtbl.find times (v, threads))
+                   (Hashtbl.find times (Spp_access.Pmdk, threads)))
+            in
+            jemit ~experiment:"fig5" ~name:(name v threads) ~metric:"slowdown" x;
+            fmt_slowdown x
+          in
+          print_row ~w:10
+            (Spp_access.variant_name v :: List.map cell fig5_threads))
+        [ Spp_access.Safepm; Spp_access.Spp ])
     Spp_pmemkv.Db_bench.all_workloads
 
 (* ------------------------------------------------------------------ *)
@@ -259,93 +310,119 @@ let fig6 () =
 let fig7_sizes = [ 64; 256; 1024; 4096; 16384 ]
 let fig7_ops = sc 4_000
 
-let fig7_run mode =
-  let results = Hashtbl.create 32 in
-  List.iter
-    (fun size ->
-      Gc.compact ();
-      let fresh_pool () =
-        let space = Spp_sim.Space.create () in
-        (* large enough for 4000 reallocs whose old blocks land in a
-           different class and cannot be reused *)
-        Pool.create space ~base:4096 ~size:(1 lsl 28) ~mode ~name:"ops"
-      in
-      let record name t = Hashtbl.replace results (size, name) t in
-      (* atomic API *)
-      let p = fresh_pool () in
-      let oids = Array.make fig7_ops Oid.null in
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            oids.(i) <- Pool.alloc p ~size
-          done)
-      in
-      record "atomic alloc" t;
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            oids.(i) <- Pool.realloc p oids.(i) ~size:(size * 3 / 2)
-          done)
-      in
-      record "atomic realloc" t;
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            Pool.free_ p oids.(i)
-          done)
-      in
-      record "atomic free" t;
-      (* transactional API: one operation per transaction (pmembench) *)
-      let p = fresh_pool () in
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            oids.(i) <- Pool.with_tx p (fun () -> Pool.tx_alloc p ~size)
-          done)
-      in
-      record "tx alloc" t;
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            oids.(i) <-
-              Pool.with_tx p (fun () ->
-                Pool.tx_realloc p oids.(i) ~size:(size * 3 / 2))
-          done)
-      in
-      record "tx realloc" t;
-      let t, () =
-        time (fun () ->
-          for i = 0 to fig7_ops - 1 do
-            Pool.with_tx p (fun () -> Pool.tx_free p oids.(i))
-          done)
-      in
-      record "tx free" t)
-    fig7_sizes;
-  results
+let fig7_op_names =
+  [ "atomic alloc"; "tx alloc"; "atomic free"; "tx free"; "atomic realloc";
+    "tx realloc" ]
+
+(* One size's six phases in [mode]: (operation, seconds, fences per op). *)
+let fig7_run mode size =
+  Gc.compact ();
+  let fresh_pool () =
+    let space = Spp_sim.Space.create () in
+    (* large enough for 4000 reallocs whose old blocks land in a
+       different class and cannot be reused *)
+    Pool.create space ~base:4096 ~size:(1 lsl 28) ~mode ~name:"ops"
+  in
+  let phase p name f =
+    let fences () = (Spp_sim.Memdev.counters (Pool.dev p)).Spp_sim.Memdev.fences in
+    let f0 = fences () in
+    let t, () = time (fun () -> for i = 0 to fig7_ops - 1 do f i done) in
+    (name, t, float_of_int (fences () - f0) /. float_of_int fig7_ops)
+  in
+  let oids = Array.make fig7_ops Oid.null in
+  (* atomic API *)
+  let p = fresh_pool () in
+  let a1 = phase p "atomic alloc" (fun i -> oids.(i) <- Pool.alloc p ~size) in
+  let a2 =
+    phase p "atomic realloc" (fun i ->
+      oids.(i) <- Pool.realloc p oids.(i) ~size:(size * 3 / 2))
+  in
+  let a3 = phase p "atomic free" (fun i -> Pool.free_ p oids.(i)) in
+  (* transactional API: one operation per transaction (pmembench) *)
+  let p = fresh_pool () in
+  let t1 =
+    phase p "tx alloc" (fun i ->
+      oids.(i) <- Pool.with_tx p (fun () -> Pool.tx_alloc p ~size))
+  in
+  let t2 =
+    phase p "tx realloc" (fun i ->
+      oids.(i) <-
+        Pool.with_tx p (fun () ->
+          Pool.tx_realloc p oids.(i) ~size:(size * 3 / 2)))
+  in
+  let t3 =
+    phase p "tx free" (fun i -> Pool.with_tx p (fun () -> Pool.tx_free p oids.(i)))
+  in
+  [ a1; a2; a3; t1; t2; t3 ]
 
 let fig7 () =
   print_title "Figure 7: PM management operations — SPP slowdown w.r.t. PMDK";
-  Printf.printf "(%d operations per point)\n" fig7_ops;
-  let native = fig7_run Mode.Native in
-  let spp = fig7_run (Mode.Spp Spp_core.Config.default) in
-  let ops =
-    [ "atomic alloc"; "tx alloc"; "atomic free"; "tx free";
-      "atomic realloc"; "tx realloc" ]
+  Printf.printf "(%d operations per point; median of %d repetitions)\n"
+    fig7_ops reps;
+  let modes =
+    [ ("pmdk", Mode.Native); ("spp", Mode.Spp Spp_core.Config.default) ]
   in
-  print_row ~w:16
-    ("operation" :: List.map (fun s -> Printf.sprintf "%d B" s) fig7_sizes);
+  (* (mode, size, op) -> seconds per repetition, newest first; and the
+     fences per op, which are the same in every repetition *)
+  let times = Hashtbl.create 64 and fences = Hashtbl.create 64 in
+  for rep = 0 to reps - 1 do
+    List.iter
+      (fun size ->
+        List.iter
+          (fun (mn, mode) ->
+            List.iter
+              (fun (op, t, f) ->
+                let key = (mn, size, op) in
+                Hashtbl.replace times key
+                  (t :: Option.value ~default:[] (Hashtbl.find_opt times key));
+                Hashtbl.replace fences key f)
+              (fig7_run mode size))
+          (rotate rep modes))
+      fig7_sizes
+  done;
+  let header =
+    "operation" :: List.map (fun s -> Printf.sprintf "%d B" s) fig7_sizes
+  in
+  print_row ~w:16 header;
   List.iter
     (fun op ->
       let cells =
         List.map
           (fun size ->
-            let b = Hashtbl.find native (size, op) in
-            let t = Hashtbl.find spp (size, op) in
-            fmt_slowdown (slowdown ~baseline:b t))
+            let nm = Printf.sprintf "%s/%d" op size in
+            let ts mn = Hashtbl.find times (mn, size, op) in
+            List.iter
+              (fun (mn, _) ->
+                jemit ~experiment:"fig7" ~name:(nm ^ "/" ^ mn)
+                  ~metric:"ns_per_op" ~unit_:"ns"
+                  (median (ts mn) /. float_of_int fig7_ops *. 1e9);
+                jemit ~experiment:"fig7" ~name:(nm ^ "/" ^ mn)
+                  ~metric:"fences_per_op" ~unit_:"count/op"
+                  (Hashtbl.find fences (mn, size, op)))
+              modes;
+            let x =
+              median
+                (List.map2 (fun t b -> slowdown ~baseline:b t) (ts "spp")
+                   (ts "pmdk"))
+            in
+            jemit ~experiment:"fig7" ~name:nm ~metric:"slowdown" x;
+            fmt_slowdown x)
           fig7_sizes
       in
       print_row ~w:16 (op :: cells))
-    ops
+    fig7_op_names;
+  print_subtitle "fences per op (pmdk / spp)";
+  print_row ~w:16 header;
+  List.iter
+    (fun op ->
+      print_row ~w:16
+        (op
+         :: List.map
+              (fun size ->
+                let f mn = Hashtbl.find fences (mn, size, op) in
+                Printf.sprintf "%.2f/%.2f" (f "pmdk") (f "spp"))
+              fig7_sizes))
+    fig7_op_names
 
 (* ------------------------------------------------------------------ *)
 (* Table II: recovery time vs number of snapshotted PMEMoids           *)

@@ -217,10 +217,11 @@ let make_spp ?(variant = Spp) ?tag_volatile ~space ~pool ~cfg ~name () =
 (* Native PMDK with every access validated first by [check addr len]: a
    shadow lookup (SafePM) or an interval lookup (memcheck). The pool
    reports each block's lifetime to the checker, so PM management stays
-   PMDK's. *)
+   PMDK's. Each accessor calls [check], then its [Space] accessor, so a
+   checked access allocates no more than Pmdk's. *)
 let make_checked ~variant ~check (pmdk : t) =
   let space = pmdk.space in
-  let ck p len f = check p len; f () in
+  let load_u8 p = check p 1; Space.load_u8 space p in
   let blit ~dst ~src ~len =
     check src len;
     check dst len;
@@ -229,34 +230,31 @@ let make_checked ~variant ~check (pmdk : t) =
   {
     pmdk with
     variant;
-    load_word = (fun p -> ck p 8 (fun () -> Space.load_word space p));
-    store_word = (fun p v -> ck p 8 (fun () -> Space.store_word space p v));
-    load_u8 = (fun p -> ck p 1 (fun () -> Space.load_u8 space p));
-    store_u8 = (fun p v -> ck p 1 (fun () -> Space.store_u8 space p v));
-    read_bytes =
-      (fun p len -> ck p len (fun () -> Space.read_bytes space p len));
+    load_word = (fun p -> check p 8; Space.load_word space p);
+    store_word = (fun p v -> check p 8; Space.store_word space p v);
+    load_u8;
+    store_u8 = (fun p v -> check p 1; Space.store_u8 space p v);
+    read_bytes = (fun p len -> check p len; Space.read_bytes space p len);
     read_into =
       (fun p ~len ~dst ~dst_off ->
-        ck p len (fun () -> Space.read_into space p ~len ~dst ~dst_off));
-    read_sub = (fun p len -> ck p len (fun () -> Space.read_sub space p len));
+        check p len;
+        Space.read_into space p ~len ~dst ~dst_off);
+    read_sub = (fun p len -> check p len; Space.read_sub space p len);
     write_bytes =
-      (fun p b ->
-        ck p (Bytes.length b) (fun () -> Space.write_bytes space p b));
+      (fun p b -> check p (Bytes.length b); Space.write_bytes space p b);
     write_string =
-      (fun p s ->
-        ck p (String.length s) (fun () -> Space.write_string space p s));
+      (fun p s -> check p (String.length s); Space.write_string space p s);
     (* one lookup at acquisition covers the whole window *)
-    view = (fun p len -> ck p len (fun () -> Space.read_view space p len));
+    view = (fun p len -> check p len; Space.read_view space p len);
     memcpy = blit;
     memmove = blit;
-    memset = (fun p c len -> ck p len (fun () -> Space.fill space p len c));
+    memset = (fun p c len -> check p len; Space.fill space p len c);
     strcpy =
       (fun ~dst ~src -> blit ~dst ~src ~len:(Space.strlen space src + 1));
     strcmp =
       (fun a b ->
         let rec go i =
-          let ca = ck (a + i) 1 (fun () -> Space.load_u8 space (a + i))
-          and cb = ck (b + i) 1 (fun () -> Space.load_u8 space (b + i)) in
+          let ca = load_u8 (a + i) and cb = load_u8 (b + i) in
           if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
         in
         go 0);

@@ -77,14 +77,12 @@ let untrack t ~addr =
    allocation goes unnoticed. *)
 let check t addr len =
   let limit = addr + len in
-  let rec cover point =
-    if point < limit then begin
-      let pos = locate t point in
-      if pos < 0 || t.ends.(pos) <= point then raise (Violation { addr; len });
-      cover t.ends.(pos)
-    end
-  in
-  cover addr
+  let point = ref addr in
+  while !point < limit do
+    let pos = locate t !point in
+    if pos < 0 || t.ends.(pos) <= !point then raise (Violation { addr; len });
+    point := t.ends.(pos)
+  done
 
 (* A live block is tracked at its usable (class-rounded) capacity, as
    PMDK's Valgrind annotations report it: an overflow into the slack is

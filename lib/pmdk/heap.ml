@@ -14,25 +14,18 @@
 
    So an allocation stages the block's state word (plus its requested
    size when that changes, and the bump advance when it carves virgin
-   space) and a free stages the state word alone. They travel in a
-   single redo batch with the destination oid, so a crash either keeps
-   the old heap state or lands on the new one. The destination oid
-   [size] entry precedes the [off] entry in the batch (paper §IV-F). *)
+   space) and a free stages the state word alone. There is one staging
+   path, [alloc_batched]/[free_batched], into an op of a redo batch: a
+   group commit stages many ops into one batch, and the atomic API
+   ([alloc], [free], [free_idempotent], [realloc]) stages one op that
+   commits at once ([Redo.atomically]), with the destination oid staged
+   after the allocator's words, its [size] entry before its [off] entry
+   (paper §IV-F). A crash either keeps the old heap state or lands on
+   the new one. A transactional allocation ([Tx.alloc]) reserves the
+   same way and appends its undo record between the reservation and
+   that commit. *)
 
 exception Out_of_pm
-
-type dest =
-  | No_dest           (* caller keeps the oid in volatile memory *)
-  | Pm_slot of int    (* pool offset of a PM oid slot, published atomically *)
-
-(* Prepared allocation: everything needed to publish, with no media
-   mutation yet except on virgin (bump-carved) space. A reused block
-   stays on its stack until [publish_alloc] has made it durable. *)
-type prepared = {
-  p_data_off : int;
-  p_ci : int;
-  p_entries : (int * int) list;   (* allocator update + header writes *)
-}
 
 (* One walk of the carved blocks, in address order up to the durable
    bump. A header whose class is out of range ends the walk, since the
@@ -73,88 +66,17 @@ let check_spp_size (t : Rep.t) size =
 let publish_state ci =
   Rep.st_allocated lor Rep.st_published lor (ci lsl Rep.st_class_shift)
 
-let stage_alloc (t : Rep.t) ~size =
-  if size <= 0 then invalid_arg "Pmdk alloc: non-positive size";
-  check_spp_size t size;
-  let bsize = Rep.block_size t ~size in
-  let ci = Rep.class_of_size bsize in
-  ensure_free_lists t;
-  let head = Rep.free_peek t ci in
-  if head <> 0 then begin
-    (* A reused block keeps its requested-size word when the new size
-       matches it, which an overwrite of same-sized values always does. *)
-    let hoff = Rep.header_off ~data_off:head in
-    let publish = [ (hoff + 8, publish_state ci) ] in
-    { p_data_off = head;
-      p_ci = ci;
-      p_entries =
-        (if Rep.load t hoff = bsize then publish
-         else (hoff, bsize) :: publish) }
-  end else begin
-    (* Carve virgin space past the bump pointer; the header can be staged
-       directly since the block is unreachable until the bump advances. *)
-    let bump = Rep.load t Rep.off_heap_bump in
-    let data_off = bump + Rep.block_header_size in
-    let new_bump = data_off + Rep.class_size ci in
-    if new_bump > t.Rep.psize then raise Out_of_pm;
-    Rep.set_block_header t ~data_off ~req_size:bsize
-      ~state:(Rep.st_allocated lor (ci lsl Rep.st_class_shift));
-    { p_data_off = data_off;
-      p_ci = ci;
-      p_entries =
-        [ (Rep.off_heap_bump, new_bump);
-          (Rep.header_off ~data_off + 8, publish_state ci) ] }
-  end
+(* The metadata words are read through the batch overlay, so an op sees
+   the bumps, allocations and frees of earlier ops in its batch, and
+   the update entries are staged into the open op.
 
-let dest_entries (t : Rep.t) dest (oid : Oid.t) =
-  match dest with
-  | No_dest -> []
-  | Pm_slot doff ->
-    (match t.Rep.mode with
-     | Mode.Native -> [ (doff, oid.Oid.uuid); (doff + 8, oid.Oid.off) ]
-     | Mode.Spp _ ->
-       (* size strictly before off in application order *)
-       [ (doff, oid.Oid.size); (doff + 8, oid.Oid.uuid); (doff + 16, oid.Oid.off) ])
-
-(* A reused block leaves its stack only once the allocation is durable:
-   [Tx.alloc] may raise between staging and publication. A virgin block
-   lies past the bump, on no stack. *)
-let unstack (t : Rep.t) p =
-  if Rep.free_peek t p.p_ci = p.p_data_off then Rep.free_pop t p.p_ci
-
-let publish_alloc (t : Rep.t) prepared ~size ~dest =
-  let oid = Rep.user_oid t ~data_off:prepared.p_data_off ~size in
-  Redo.run t (prepared.p_entries @ dest_entries t dest oid);
-  unstack t prepared;
-  oid
-
-let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
-  let p = stage_alloc t ~size in
-  if zero then begin
-    Spp_sim.Space.fill t.Rep.space
-      (Rep.a t p.p_data_off) (Rep.class_size p.p_ci) '\000';
-    Rep.persist t p.p_data_off (Rep.class_size p.p_ci)
-  end;
-  publish_alloc t p ~size ~dest
-
-(* ------------------------------------------------------------------ *)
-(* Group-commit variants: allocator staging inside a Redo.batch         *)
-(* ------------------------------------------------------------------ *)
-
-(* Same transitions as [stage_alloc]/[free], but the metadata
-   words are read through the batch overlay (so an op sees the bumps,
-   allocations and frees of earlier ops in the batch) and the update
-   entries are staged into the open batch op instead of forming a
-   private redo run.
-
-   Two deviations from the synchronous paths, both forced by deferred
-   application. First, a batch takes a reused block off its stack at
-   once, and a block it frees joins its stack only when the commit that
-   carries the free is durable ([Redo.batch_defer_free]); a batch that
-   raises leaves the stacks to be rebuilt ([Pool.with_batch]). Second,
-   a virgin carve composes its header in DRAM and stores it with one
-   [Redo.batch_write] plus a flush, with no fence: the commit's first
-   persist supplies the drain, and until the staged bump advance
+   Deferred application shapes both transitions. An allocation takes a
+   reused block off its stack at once, and a block a batch frees joins
+   its stack only when the commit that carries the free is durable
+   ([Redo.batch_defer_free]); a batch that raises leaves the stacks to
+   be rebuilt. A virgin carve composes its header in DRAM and stores it
+   with one [Redo.batch_write] plus a flush, with no fence: the commit's
+   first persist supplies the drain, and until the staged bump advance
    commits the block is unreachable anyway. The header goes out
    unpublished; the staged state word publishes it at commit, on the
    primary and, after the header's blob, on every replica. *)
@@ -168,6 +90,8 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
   let head = Rep.free_peek t ci in
   let data_off =
     if head <> 0 then begin
+      (* A reused block keeps its requested-size word when the new size
+         matches it, which an overwrite of same-sized values always does. *)
       Rep.free_pop t ci;
       let hoff = Rep.header_off ~data_off:head in
       if Redo.batch_load b hoff <> bsize then
@@ -193,41 +117,73 @@ let alloc_batched (t : Rep.t) (b : Redo.batch) ~size =
   in
   Rep.user_oid t ~data_off ~size
 
-let free_batched (_ : Rep.t) (b : Redo.batch) ~data_off =
+(* Stage the free of a block the batch sees as allocated+published;
+   [false], staging nothing, for any other block. *)
+let stage_free (b : Redo.batch) ~data_off =
   let soff = Rep.header_off ~data_off + 8 in
   let st = Redo.batch_load b soff in
-  if not (Rep.state_is_allocated st && Rep.state_is_published st) then
-    invalid_arg "Pmdk free: block is not allocated (double free?)";
-  let ci = Rep.state_class st in
-  Redo.batch_stage b ~off:soff ~v:(ci lsl Rep.st_class_shift);
-  Redo.batch_defer_free b ~ci ~data_off
-
-(* Free: the state word, demoted in one redo batch with the caller's
-   extra entries; then the block joins its stack. [false] on a block
-   that is not allocated+published, which makes the free idempotent, as
-   recovery needs when it re-runs a finished free. *)
-
-let free_live (t : Rep.t) ~data_off ~extra_entries =
-  let st = Rep.block_state t ~data_off in
   let live = Rep.state_is_allocated st && Rep.state_is_published st in
   if live then begin
     let ci = Rep.state_class st in
-    Redo.run t
-      ((Rep.header_off ~data_off + 8, ci lsl Rep.st_class_shift)
-       :: extra_entries);
-    Rep.free_push t ci data_off
+    Redo.batch_stage b ~off:soff ~v:(ci lsl Rep.st_class_shift);
+    Redo.batch_defer_free b ~ci ~data_off
   end;
   live
 
-let free (t : Rep.t) ~data_off ~extra_entries =
-  if not (free_live t ~data_off ~extra_entries) then
+let free_batched (_ : Rep.t) (b : Redo.batch) ~data_off =
+  if not (stage_free b ~data_off) then
     invalid_arg "Pmdk free: block is not allocated (double free?)"
 
+(* ------------------------------------------------------------------ *)
+(* The atomic API: one op, committed at once                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The destination slot's words, staged after the allocator's. *)
+let dest_entries (t : Rep.t) b dest (oid : Oid.t) =
+  match dest with
+  | None -> ()
+  | Some doff ->
+    let stage off v = Redo.batch_stage b ~off ~v in
+    (match t.Rep.mode with
+     | Mode.Native ->
+       stage doff oid.Oid.uuid;
+       stage (doff + 8) oid.Oid.off
+     | Mode.Spp _ ->
+       (* size strictly before off in application order *)
+       stage doff oid.Oid.size;
+       stage (doff + 8) oid.Oid.uuid;
+       stage (doff + 16) oid.Oid.off)
+
+(* Zero a reserved block, redzones included. It is flushed, not fenced:
+   the commit's first fence drains it before the block is published. *)
+let zero_block (t : Rep.t) (oid : Oid.t) =
+  let data_off = Rep.block_off t oid in
+  let len =
+    Rep.class_size (Rep.class_of_size (Rep.block_size t ~size:oid.Oid.size))
+  in
+  Spp_sim.Space.fill t.Rep.space (Rep.a t data_off) len '\000';
+  Spp_sim.Space.flush t.Rep.space (Rep.a t data_off) len
+
+let alloc (t : Rep.t) ?(zero = false) ~size ~dest () =
+  Redo.atomically t (fun b ->
+    let oid = alloc_batched t b ~size in
+    if zero then zero_block t oid;
+    dest_entries t b dest oid;
+    oid)
+
+let free (t : Rep.t) ~data_off ~dest =
+  Redo.atomically t (fun b ->
+    free_batched t b ~data_off;
+    dest_entries t b dest Oid.null)
+
+(* A no-op on a block that is not allocated+published, as recovery needs
+   when it re-runs a finished free. *)
 let free_idempotent (t : Rep.t) ~data_off =
-  ignore (free_live t ~data_off ~extra_entries:[])
+  Redo.atomically t (fun b -> ignore (stage_free b ~data_off))
 
 (* Realloc: same class is a pure metadata update; a class change
-   allocates, copies, and frees the old block, all in one redo batch. *)
+   allocates, copies and frees the old block, all in one op. The copy
+   is flushed, and drained like a zeroed block. *)
 
 let realloc (t : Rep.t) (oid : Oid.t) ~new_size ~dest =
   if Oid.is_null oid then alloc t ~size:new_size ~dest ()
@@ -238,29 +194,24 @@ let realloc (t : Rep.t) (oid : Oid.t) ~new_size ~dest =
     let st = Rep.block_state t ~data_off in
     if not (Rep.state_is_allocated st) then
       invalid_arg "Pmdk realloc: block is not allocated";
-    let ci_old = Rep.state_class st in
     let bsize = Rep.block_size t ~size:new_size in
-    let ci_new = Rep.class_of_size bsize in
-    if ci_old = ci_new then begin
-      let oid' = { oid with Oid.size = new_size } in
-      Redo.run t
-        ((Rep.header_off ~data_off, bsize) :: dest_entries t dest oid');
-      oid'
-    end else begin
-      let p = stage_alloc t ~size:new_size in
-      let len = min (Rep.user_size t ~data_off) new_size in
-      let oid' = Rep.user_oid t ~data_off:p.p_data_off ~size:new_size in
-      Spp_sim.Space.blit t.Rep.space
-        ~src:(Rep.a t oid.Oid.off) ~dst:(Rep.a t oid'.Oid.off) ~len;
-      Rep.persist t oid'.Oid.off len;
-      let free_old =
-        (Rep.header_off ~data_off + 8, ci_old lsl Rep.st_class_shift)
+    Redo.atomically t (fun b ->
+      let oid' =
+        if Rep.state_class st = Rep.class_of_size bsize then begin
+          Redo.batch_stage b ~off:(Rep.header_off ~data_off) ~v:bsize;
+          { oid with Oid.size = new_size }
+        end else begin
+          let oid' = alloc_batched t b ~size:new_size in
+          let len = min (Rep.user_size t ~data_off) new_size in
+          let dst = Rep.a t oid'.Oid.off in
+          Spp_sim.Space.blit t.Rep.space ~src:(Rep.a t oid.Oid.off) ~dst ~len;
+          Spp_sim.Space.flush t.Rep.space dst len;
+          free_batched t b ~data_off;
+          oid'
+        end
       in
-      Redo.run t (p.p_entries @ (free_old :: dest_entries t dest oid'));
-      unstack t p;
-      Rep.free_push t ci_old data_off;
-      oid'
-    end
+      dest_entries t b dest oid';
+      oid')
   end
 
 (* Heap accounting over the walk. Used for Table III. *)

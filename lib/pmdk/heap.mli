@@ -11,48 +11,50 @@
     allocation after open, recovery or a batch that raised. An
     allocation makes the state word durable (plus the requested size
     when it changes, and the bump advance on virgin space), a free the
-    state word; each travels in a single redo batch with the
-    destination oid, so a crash either keeps the old heap state or
+    state word.
+
+    Every call stages through one path, {!alloc_batched} and
+    {!free_batched}, into an operation of a redo batch. A group commit
+    stages many operations; the atomic calls below stage one, with the
+    destination oid after the allocator's words, and commit it at once
+    ({!Redo.atomically}), so a crash either keeps the old heap state or
     lands on the new one. The destination oid's size entry precedes its
-    offset entry (paper §IV-F). *)
+    offset entry (paper §IV-F). {!Tx.alloc} appends its undo record
+    between {!alloc_batched} and that commit. *)
 
 exception Out_of_pm
 
-type dest =
-  | No_dest
-  | Pm_slot of int   (** pool offset of a PM oid slot, published atomically *)
+val alloc_batched : Rep.t -> Redo.batch -> size:int -> Oid.t
+(** Allocation staged into the open op of a batch: metadata reads go
+    through the batch overlay, update entries join the op, a reused
+    block leaves its stack at once, and nothing is published until the
+    op commits. *)
 
-type prepared = {
-  p_data_off : int;
-  p_ci : int;
-  p_entries : (int * int) list;
-}
+val free_batched : Rep.t -> Redo.batch -> data_off:int -> unit
+(** Free staged into the open op; the block joins its stack once the
+    commit carrying the free is durable. Raises [Invalid_argument] on a
+    block the batch does not see as allocated+published. *)
 
-val stage_alloc : Rep.t -> size:int -> prepared
-(** Pick a block (free stack or bump) without publishing; {!Tx.alloc}
-    interposes its undo record between staging and publication. A
-    reused block leaves its stack only in {!publish_alloc}. *)
+val zero_block : Rep.t -> Oid.t -> unit
+(** Zero a block {!alloc_batched} just reserved, redzones included,
+    with a flush and no fence: the commit's first fence drains it. *)
 
-val publish_alloc :
-  Rep.t -> prepared -> size:int -> dest:dest -> Oid.t
+(** {1 Atomic calls}
 
-val alloc : Rep.t -> ?zero:bool -> size:int -> dest:dest -> unit -> Oid.t
-val free : Rep.t -> data_off:int -> extra_entries:(int * int) list -> unit
+    Each is one operation of {!Redo.atomically}: the redo protocol's
+    four fences, nothing more. [dest] is the pool offset of a PM oid
+    slot written in the same log. *)
+
+val alloc : Rep.t -> ?zero:bool -> size:int -> dest:int option -> unit -> Oid.t
+
+val free : Rep.t -> data_off:int -> dest:int option -> unit
+(** [dest], when given, is cleared in the same log. *)
+
 val free_idempotent : Rep.t -> data_off:int -> unit
 (** No-op on a block that is not allocated+published — what recovery
     needs when re-running a finished free. *)
 
-val realloc : Rep.t -> Oid.t -> new_size:int -> dest:dest -> Oid.t
-
-val alloc_batched : Rep.t -> Redo.batch -> size:int -> Oid.t
-(** Allocation staged into the open op of a group-commit batch: metadata
-    reads go through the batch overlay, update entries join the batch,
-    and nothing is published until the batch commits. *)
-
-val free_batched : Rep.t -> Redo.batch -> data_off:int -> unit
-(** Free staged into the open batch op; the block joins its stack once
-    the commit carrying the free is durable. Raises [Invalid_argument]
-    on a block the batch does not see as allocated+published. *)
+val realloc : Rep.t -> Oid.t -> new_size:int -> dest:int option -> Oid.t
 
 val fold_blocks :
   Rep.t -> 'a -> ('a -> data_off:int -> state:int -> 'a) -> 'a * int option

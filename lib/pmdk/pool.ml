@@ -1,8 +1,9 @@
 (* Pool facade — the libpmemobj-equivalent public API.
 
-   Functions mirror PMDK: [alloc]/[free_]/[realloc] are the atomic API,
-   [with_tx]/[tx_add_range]/[tx_alloc]/[tx_free] the transactional one,
-   [direct] is pmemobj_direct, [root] is pmemobj_root. A single pool lock
+   Functions mirror PMDK: [alloc]/[free_]/[realloc] are the atomic API
+   (each call one redo log, see [Heap]), [with_tx]/[tx_add_range]/
+   [tx_alloc]/[tx_free] the transactional one, [direct] is
+   pmemobj_direct, [root] is pmemobj_root. A single pool lock
    serializes heap and transaction operations (PMDK's runtime does the
    same for allocator metadata); plain data loads/stores are issued by the
    application through the access layer and are not serialized here. *)
@@ -267,13 +268,11 @@ let dying (t : Rep.t) (oid : Oid.t) =
     Some { oid with Oid.size = Rep.user_size t ~data_off:(Rep.block_off t oid) }
   | _ -> None
 
-let heap_dest = function None -> Heap.No_dest | Some off -> Heap.Pm_slot off
-
 (* Atomic object management (pmemobj_alloc / _zalloc / _free / _realloc). *)
 
 let alloc ?(zero = false) ?dest (t : Rep.t) ~size =
   with_lock t (fun () ->
-    let oid = Heap.alloc t ~zero ~size ~dest:(heap_dest dest) () in
+    let oid = Heap.alloc t ~zero ~size ~dest () in
     Rep.report t Rep.Live oid;
     oid)
 
@@ -285,23 +284,15 @@ let block_off (t : Rep.t) (oid : Oid.t) = Rep.block_off t oid
 let free_ ?dest (t : Rep.t) (oid : Oid.t) =
   check_owner t oid;
   with_lock t (fun () ->
-    let extra_entries = match dest with
-      | None -> []
-      | Some doff ->
-        (* Clear the oid slot in the same atomic batch. *)
-        (match t.Rep.mode with
-         | Mode.Native -> [ (doff, 0); (doff + 8, 0) ]
-         | Mode.Spp _ -> [ (doff, 0); (doff + 8, 0); (doff + 16, 0) ])
-    in
     let dead = dying t oid in
-    Heap.free t ~data_off:(Rep.block_off t oid) ~extra_entries;
+    Heap.free t ~data_off:(Rep.block_off t oid) ~dest;
     Option.iter (Rep.report t Rep.Dead) dead)
 
 let realloc ?dest (t : Rep.t) (oid : Oid.t) ~size =
   if not (Oid.is_null oid) then check_owner t oid;
   with_lock t (fun () ->
     let dead = dying t oid in
-    let oid' = Heap.realloc t oid ~new_size:size ~dest:(heap_dest dest) in
+    let oid' = Heap.realloc t oid ~new_size:size ~dest in
     Option.iter (Rep.report t Rep.Dead) dead;
     Rep.report t Rep.Live oid';
     oid')
@@ -335,9 +326,7 @@ let root (t : Rep.t) ~size =
   with_lock t (fun () ->
     let existing = Rep.load_oid t Rep.off_root in
     if Oid.is_null existing then begin
-      let oid =
-        Heap.alloc t ~zero:true ~size ~dest:(Heap.Pm_slot Rep.off_root) ()
-      in
+      let oid = Heap.alloc t ~zero:true ~size ~dest:(Some Rep.off_root) () in
       Rep.report t Rep.Live oid;
       oid
     end

@@ -83,7 +83,14 @@ val redzone : t -> int
 (** Bytes padding each side of every user range; 0 unless given to
     {!create}. *)
 
-(** {1 Atomic object management} *)
+(** {1 Atomic object management}
+
+    Each call is one redo log: it stages its allocator words (and the
+    [dest] slot's) through the same path as a group-commit operation
+    and commits them at once ({!Redo.atomically}), at the protocol's
+    four fences, whatever the call. A virgin block's header, a zeroed
+    block and a realloc's copied bytes are flushed and drained by the
+    first of those fences, before the log publishes the block. *)
 
 val alloc : ?zero:bool -> ?dest:int -> t -> size:int -> Oid.t
 (** [pmemobj_alloc]/[_zalloc]. [dest] is the pool offset of a PM oid slot
@@ -117,7 +124,7 @@ val direct : t -> Oid.t -> int
 
 val root : t -> size:int -> Oid.t
 (** [pmemobj_root]: allocated (zeroed, redzones included) once,
-    atomically, into the header's root slot. *)
+    atomically, into the header's root slot, as one atomic call. *)
 
 val root_oid : t -> Oid.t
 
@@ -126,7 +133,13 @@ val root_oid : t -> Oid.t
 val tx_begin : t -> unit
 val tx_add_range : t -> off:int -> len:int -> unit
 val tx_add_range_oid : t -> Oid.t -> unit
+
 val tx_alloc : ?zero:bool -> t -> size:int -> Oid.t
+(** Reserves like {!alloc}, appends the undo record, then commits the
+    reservation as one redo log. If the record does not fit
+    ([Tx.Tx_log_full]) nothing is published and the free lists are
+    rebuilt at the next allocation. *)
+
 val tx_realloc : t -> Oid.t -> size:int -> Oid.t
 val tx_free : t -> Oid.t -> unit
 val with_tx : t -> (unit -> 'a) -> 'a

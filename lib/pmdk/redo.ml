@@ -5,7 +5,12 @@
    flag. A crash before the valid flag is durable loses the whole batch;
    a crash after it is recovered by re-applying the (idempotent) entries
    on open. Entry order is significant: SPP relies on the oid [size]
-   entry preceding the [off] entry. *)
+   entry preceding the [off] entry.
+
+   Every log is staged through a batch: a group commit stages the
+   entries of many operations ([batch_begin] ... [batch_finish]), and
+   the atomic and transactional APIs stage one operation that commits
+   at once ([atomically]), at the protocol's four fences. *)
 
 open Spp_sim
 
@@ -264,6 +269,31 @@ let batch_finish b =
   b.b_finished <- true
 
 let batch_commits b = b.b_commits
+
+(* One-op commit, the atomic and transactional APIs' path: [f] stages
+   one operation through the same batch code, into a batch of its own,
+   and the op's entries run as one redo log as soon as [f] returns; then
+   its frees join their stacks. Nothing was grouped, so no payload ships
+   and no saving is credited. The overlay is the pool's one table, so no
+   batch may be open meanwhile: the pool lock, which a batch holds for
+   its whole lifetime, rules that out. If [f] raises, nothing was
+   published, but a block may have left its stack: the stacks are left
+   to be rebuilt, as after a batch that raised. *)
+let atomically (t : Rep.t) f =
+  let b = batch_begin t in
+  batch_op_begin b;
+  match
+    let v = f b in
+    (match b.b_op with [] -> () | op -> run t (List.rev op));
+    v
+  with
+  | v ->
+    List.iter (fun (ci, off) -> Rep.free_push t ci off) b.b_frees_op;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.Rep.free_built <- false;
+    Printexc.raise_with_backtrace e bt
 
 (* The batch raised: the blocks its uncommitted ops allocated never
    became reachable, so they are reported dead again. *)

@@ -4,12 +4,11 @@
     order; clear the flag. A crash before the flag is durable loses the
     whole batch; after it, {!recover} re-applies the idempotent entries.
     Entry order is significant: SPP relies on the oid size entry
-    preceding the offset entry. *)
+    preceding the offset entry. Every log is staged through a {!batch}:
+    a group commit's many operations, or the one operation of
+    {!atomically}. *)
 
 exception Redo_full
-
-val run : Rep.t -> (int * int) list -> unit
-(** [(pool offset, value)] pairs, applied atomically. *)
 
 val recover : Rep.t -> bool
 (** Returns [true] when a valid log was replayed. *)
@@ -91,6 +90,18 @@ val batch_commits : batch -> int
 val batch_abort : batch -> unit
 (** The batch raised: report every block its uncommitted operations
     allocated as [Dead]. *)
+
+(** {1 One-op commit} *)
+
+val atomically : Rep.t -> (batch -> 'a) -> 'a
+(** [atomically t f] runs [f b] as the only operation of a fresh batch,
+    then commits its entries as one redo log (the protocol's four
+    fences; none when [f] staged nothing) and pushes the blocks it freed
+    onto their stacks — the atomic and transactional APIs' commit. It
+    ships no payload to the batch observer and credits no saving. It
+    uses the pool's one overlay, so it must not run while a batch is
+    open; the pool lock rules that out. If [f] raises, nothing was
+    published and the free stacks are left to be rebuilt. *)
 
 (** {1 Replication}
 

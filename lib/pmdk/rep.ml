@@ -255,11 +255,6 @@ let report t ev oid =
 let notify t ev oid =
   match t.lifetime_observer with None -> () | Some obs -> obs ev oid
 
-let set_block_header t ~data_off ~req_size ~state =
-  store t (header_off ~data_off) req_size;
-  store t (header_off ~data_off + 8) state;
-  persist t (header_off ~data_off) block_header_size
-
 let state_class st = st lsr st_class_shift
 let state_is_allocated st = st land st_allocated <> 0
 let state_is_published st = st land st_published <> 0

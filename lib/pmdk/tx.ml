@@ -79,18 +79,20 @@ let add_range_oid (t : Rep.t) (oid : Oid.t) =
   add_range t ~off:oid.Oid.off
     ~len:(Rep.user_size t ~data_off:(Rep.block_off t oid))
 
+(* Reserve, zero, append the undo record, then commit: the record
+   strictly precedes publication, so a crash in between sees an
+   unpublished block and skips the rollback (no double free, no leak).
+   The record's persist also drains the block's flushed header and
+   zeroes. *)
 let alloc (t : Rep.t) ?(zero = false) ~size () =
   require_tx t;
-  let p = Heap.stage_alloc t ~size in
-  if zero then begin
-    Space.fill t.Rep.space
-      (Rep.a t p.Heap.p_data_off) (Rep.class_size p.Heap.p_ci) '\000';
-    Rep.persist t p.Heap.p_data_off (Rep.class_size p.Heap.p_ci)
-  end;
-  (* Undo record strictly before publication: a crash in between sees an
-     unpublished block and skips the rollback (no double free, no leak). *)
-  append_record t [ kind_alloc; p.Heap.p_data_off ] Bytes.empty;
-  let oid = Heap.publish_alloc t p ~size ~dest:Heap.No_dest in
+  let oid =
+    Redo.atomically t (fun b ->
+      let oid = Heap.alloc_batched t b ~size in
+      if zero then Heap.zero_block t oid;
+      append_record t [ kind_alloc; Rep.block_off t oid ] Bytes.empty;
+      oid)
+  in
   (* The new object's contents are flushed at commit, like snapshotted
      ranges — PMDK adds tx-allocated objects to the transaction. *)
   t.Rep.tx_ranges <- (oid.Oid.off, size) :: t.Rep.tx_ranges;

@@ -265,6 +265,36 @@ let test_safepm_space_overhead_visible () =
   check_bool "safepm uses more heap" true
     (s1.Heap.allocated_bytes > s2.Heap.allocated_bytes)
 
+(* A checked access allocates what Pmdk's does: nothing for a word or a
+   byte, the window record for a view, the oid record for an oid load.
+   Minor words per call, over 1,000 calls, less the empty loop's. *)
+let test_checked_access_allocates_nothing () =
+  let per_call f =
+    let n = 1000 in
+    let words g =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do g () done;
+      Gc.minor_words () -. w0
+    in
+    let empty = words (fun () -> ()) in
+    Float.to_int (Float.round ((words f -. empty) /. float_of_int n))
+  in
+  List.iter
+    (fun v ->
+      let a = mk v in
+      let p = a.Spp_access.direct (a.Spp_access.palloc 64) in
+      List.iter
+        (fun (what, expected, f) ->
+          check_int
+            (Printf.sprintf "%s %s words/call" (Spp_access.variant_name v) what)
+            expected (per_call f))
+        [ ("load_word", 0, fun () -> ignore (a.Spp_access.load_word p));
+          ("store_word", 0, fun () -> a.Spp_access.store_word p 7);
+          ("load_u8", 0, fun () -> ignore (a.Spp_access.load_u8 p));
+          ("view", 5, fun () -> ignore (a.Spp_access.view p 64));
+          ("load_oid_at", 4, fun () -> ignore (a.Spp_access.load_oid_at p)) ])
+    (Spp_access.all_variants @ [ Spp_access.Spp_all ])
+
 let () =
   Alcotest.run "spp_access"
     [
@@ -302,5 +332,7 @@ let () =
         [
           Alcotest.test_case "safepm space overhead visible" `Quick
             test_safepm_space_overhead_visible;
+          Alcotest.test_case "checked accesses allocate nothing" `Quick
+            test_checked_access_allocates_nothing;
         ] );
     ]

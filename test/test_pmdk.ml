@@ -478,6 +478,68 @@ let test_batch_free_waits_for_its_commit () =
   in
   check_int "reused once its free is durable" x.Oid.off z.Oid.off
 
+(* The exact PM traffic of each atomic and transactional call on a
+   fresh pool, as (stores, flushes, fences). Every atomic call costs the
+   redo protocol's 4 fences: a virgin header, a zeroed block or a
+   realloc's copy is flushed and drained by the first of them. An SPP
+   oid slot is one word wider, so writing one costs a store and a flush
+   more. A one-op transaction adds its lane's 8 fences to its
+   allocation's 4. *)
+let test_api_costs () =
+  let cost mode (setup : Pool.t -> unit -> unit) =
+    let p = mk_pool ~mode () in
+    let call = setup p in
+    let dev = Pool.dev p in
+    Memdev.reset_counters dev;
+    call ();
+    let c = Memdev.counters dev in
+    (c.Memdev.stores, c.Memdev.flushes, c.Memdev.fences)
+  in
+  let freed p = Pool.free_ p (Pool.alloc p ~size:100) in
+  let rooted p = (Pool.root p ~size:64).Oid.off in
+  let calls =
+    [ ("alloc 100 B, virgin", (10, 6, 4), (10, 6, 4),
+       fun p () -> ignore (Pool.alloc p ~size:100));
+      ("zalloc 100 B, virgin", (11, 7, 4), (11, 7, 4),
+       fun p () -> ignore (Pool.alloc ~zero:true p ~size:100));
+      ("alloc 100 B, reused", (6, 4, 4), (6, 4, 4),
+       fun p -> freed p; fun () -> ignore (Pool.alloc p ~size:100));
+      ("alloc ~dest", (16, 8, 4), (19, 9, 4),
+       fun p ->
+         let dest = rooted p in
+         fun () -> ignore (Pool.alloc p ~size:100 ~dest));
+      ("free", (6, 4, 4), (6, 4, 4),
+       fun p -> let o = Pool.alloc p ~size:100 in fun () -> Pool.free_ p o);
+      ("free ~dest", (12, 6, 4), (15, 7, 4),
+       fun p ->
+         let dest = rooted p in
+         let o = Pool.alloc p ~size:100 ~dest in
+         fun () -> Pool.free_ p o ~dest);
+      ("realloc, same class", (6, 4, 4), (6, 4, 4),
+       fun p ->
+         let o = Pool.alloc p ~size:100 in
+         fun () -> ignore (Pool.realloc p o ~size:110));
+      ("realloc across classes", (14, 8, 4), (14, 8, 4),
+       fun p ->
+         let o = Pool.alloc p ~size:100 in
+         fun () -> ignore (Pool.realloc p o ~size:1000));
+      ("root 64 B", (17, 9, 4), (20, 10, 4),
+       fun p () -> ignore (Pool.root p ~size:64));
+      ("tx { tx_alloc ~zero }, reused", (15, 13, 12), (15, 13, 12),
+       fun p ->
+         freed p;
+         fun () ->
+           ignore (Pool.with_tx p (fun () -> Pool.tx_alloc ~zero:true p ~size:100)))
+    ]
+  in
+  let triple = Alcotest.(triple int int int) in
+  List.iter
+    (fun (name, native, spp, setup) ->
+      Alcotest.check triple (name ^ ", native") native (cost Mode.Native setup);
+      Alcotest.check triple (name ^ ", spp") spp
+        (cost (Mode.Spp spp_cfg) setup))
+    calls
+
 (* Property tests *)
 
 let prop_alloc_free_consistency =
@@ -530,15 +592,18 @@ let prop_tx_atomicity_under_crash =
 
 (* The free stacks are volatile: an allocation or free makes only the
    state word durable, and the stacks are rebuilt from the media after
-   recovery, a reopen or a batch that raised. Random mixed-class
-   allocations and frees through the atomic API, transactions and
-   group-commit batches, interleaved with those events; after every
-   step no two live blocks overlap, every free block is reused before
-   the bump moves, and the checker is clean. *)
+   recovery, a reopen or a batch that raised, one-op commits included
+   (a double free, or a transactional allocation whose undo record does
+   not fit). Random mixed-class allocations and frees through the
+   atomic API, transactions and group-commit batches, interleaved with
+   those events; after every step no two live blocks overlap, every
+   free block is reused before the bump moves, and the checker is
+   clean. *)
 
 type alloc_step =
   | A_alloc of int
   | A_free of int                 (* index into the live blocks *)
+  | A_double_free of int          (* free a live block, then again *)
   | A_tx of { sizes : int list; frees : int list; abort : bool }
   | A_tx_full of int              (* tx_alloc on a full undo log *)
   | A_batch of { ops : (bool * int) list; raise_after : int option }
@@ -550,6 +615,7 @@ type alloc_step =
 let pp_alloc_step = function
   | A_alloc n -> Printf.sprintf "alloc %d" n
   | A_free i -> Printf.sprintf "free #%d" i
+  | A_double_free i -> Printf.sprintf "double free #%d" i
   | A_tx { sizes; frees; abort } ->
     Printf.sprintf "tx%s(alloc %d, free %d)" (if abort then "-abort" else "")
       (List.length sizes) (List.length frees)
@@ -570,6 +636,7 @@ let gen_alloc_step =
   frequency
     [ (4, map (fun n -> A_alloc n) size);
       (3, map (fun i -> A_free i) idx);
+      (1, map (fun i -> A_double_free i) idx);
       (2, map3 (fun sizes frees abort -> A_tx { sizes; frees; abort })
             (list_size (int_bound 3) size) (list_size (int_bound 3) idx) bool);
       (1, map (fun n -> A_tx_full n) size);
@@ -649,6 +716,15 @@ let prop_free_stacks_recover =
       let step = function
         | A_alloc n -> live := Pool.alloc !p ~size:n :: !live
         | A_free i -> live := free_nth (Pool.free_ !p) i !live
+        | A_double_free i ->
+          (* the second free raises inside its one-op commit *)
+          let twice o =
+            Pool.free_ !p o;
+            match Pool.free_ !p o with
+            | () -> failwith "double free accepted"
+            | exception Invalid_argument _ -> ()
+          in
+          live := free_nth twice i !live
         | A_tx { sizes; frees; abort } ->
           (match
              Pool.with_tx !p (fun () ->
@@ -742,6 +818,8 @@ let () =
             `Quick test_redzone_geometry;
           Alcotest.test_case "batch free waits for its commit" `Quick
             test_batch_free_waits_for_its_commit;
+          Alcotest.test_case "atomic and tx calls: exact PM costs" `Quick
+            test_api_costs;
         ] );
       ( "spp-mode",
         [
