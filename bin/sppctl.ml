@@ -401,10 +401,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 4096 & info [ "cache-cap" ] ~docv:"N" ~doc)
   in
-  let no_cache_arg =
-    let doc = "Disable the read cache (same as --cache-cap 0)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
   let replicas_arg =
     let doc =
       "Warm replica stacks per shard. 0 disables replication; with N > \
@@ -454,12 +450,12 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
-  let run variant engine nshards batch_cap ops window cache_cap no_cache
-      replicas policy slots rebalance zipf stats_table listen =
+  let run variant engine nshards batch_cap ops window cache_cap replicas
+      policy slots rebalance zipf stats_table listen =
     let open Spp_shard in
     let open Spp_benchlib in
     let nshards = max 1 nshards and window = max 1 window in
-    let cache_cap = if no_cache then 0 else max 0 cache_cap in
+    let cache_cap = max 0 cache_cap in
     let replication =
       if replicas <= 0 then None
       else Some { Replica.default_config with replicas; policy }
@@ -639,7 +635,7 @@ let serve_cmd =
     Term.(const run $ variant_arg $ engine_arg
           $ shards_arg ~doc:"Number of shards (one worker domain each)."
           $ batch_cap_arg
-          $ serve_ops_arg $ window_arg $ cache_cap_arg $ no_cache_arg
+          $ serve_ops_arg $ window_arg $ cache_cap_arg
           $ replicas_arg $ ack_policy_arg $ slots_arg $ rebalance_arg
           $ zipf_arg $ stats_table_arg $ listen_arg)
 

@@ -16,13 +16,13 @@ let () =
   Spp_pmemkv.Cmap.put kv ~key:"config" ~value:"{\"mode\": \"spp\"}";
   Printf.printf "count after 3 puts: %d\n" (Spp_pmemkv.Cmap.count_all kv);
 
-  (* overwrite with a different size exercises the realloc path *)
+  (* an overwrite replaces the entry out of place, at any size *)
   Spp_pmemkv.Cmap.put kv ~key:"user:2" ~value:"grace hopper";
   Printf.printf "user:2 = %s\n"
     (Option.value ~default:"?" (Spp_pmemkv.Cmap.get kv "user:2"));
 
   (* power failure in the middle of a burst of writes: committed writes
-     survive; the interrupted transaction rolls back *)
+     survive; an interrupted commit is lost whole *)
   Spp_sim.Memdev.set_tracking (Pool.dev a.Spp_access.pool) true;
   Spp_pmemkv.Cmap.put kv ~key:"committed" ~value:"survives";
   Printf.printf "\n-- simulated power failure --\n";

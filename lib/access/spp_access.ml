@@ -65,6 +65,9 @@ type t = {
      translation and the media check all paid at acquisition; reads
      through the view are raw *)
   view : int -> int -> Space.view;
+  (* the variant's check of a whole range, returning the address to
+     store it at; reads none of the range's bytes *)
+  check_range : int -> int -> int;
   (* interposed intrinsics *)
   memcpy : dst:int -> src:int -> len:int -> unit;
   memmove : dst:int -> src:int -> len:int -> unit;
@@ -112,6 +115,7 @@ let make_pmdk ~space ~pool ~vheap ~name =
     write_bytes = Space.write_bytes space;
     write_string = Space.write_string space;
     view = Space.read_view space;
+    check_range = (fun p _ -> p);
     memcpy = (fun ~dst ~src ~len -> Space.blit space ~src ~dst ~len);
     memmove = (fun ~dst ~src ~len -> Space.blit space ~src ~dst ~len);
     memset = (fun p c len -> Space.fill space p len c);
@@ -188,6 +192,7 @@ let make_spp ?(variant = Spp) ?tag_volatile ~space ~pool ~cfg ~name () =
            view is opened on the untagged address, so reads through it
            never decode the tag again. *)
         Space.read_view space (block_ptr p len) len);
+    check_range = block_ptr;
     memcpy = (fun ~dst ~src ~len -> Wrappers.wrap_memcpy cfg space ~dst ~src ~len);
     memmove =
       (fun ~dst ~src ~len -> Wrappers.wrap_memmove cfg space ~dst ~src ~len);
@@ -246,6 +251,7 @@ let make_checked ~variant ~check (pmdk : t) =
       (fun p s -> check p (String.length s); Space.write_string space p s);
     (* one lookup at acquisition covers the whole window *)
     view = (fun p len -> check p len; Space.read_view space p len);
+    check_range = (fun p len -> check p len; p);
     memcpy = blit;
     memmove = blit;
     memset = (fun p c len -> check p len; Space.fill space p len c);

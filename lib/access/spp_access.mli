@@ -62,6 +62,15 @@ type t = {
       through it are raw. Under {!Spp} this is a single
       [spp_memintr_check] — one masked tag decode — instead of one hook
       per access. *)
+  check_range : int -> int -> int;
+  (** [check_range p len] is the variant's check of the [len] bytes at
+      [p], returning the address to store them at — one check for a
+      whole range, as a memory intrinsic gets ([spp_memintr_check]
+      under {!Spp}, a shadow or interval lookup under {!Safepm} and
+      {!Memcheck}, the identity under {!Pmdk}). Unlike {!field-view},
+      which counts its whole window as loaded, it reads none of the
+      range's bytes: checking a range about to be written adds no PM
+      load beyond SafePM's shadow lookup. *)
   (* interposed intrinsics *)
   memcpy : dst:int -> src:int -> len:int -> unit;
   memmove : dst:int -> src:int -> len:int -> unit;

@@ -261,9 +261,10 @@ val set_lifetime_observer : t -> (lifetime -> Oid.t -> unit) option -> unit
     Applying the payload stream in order onto a pool opened from the
     primary's durable image ({!Spp_sim.Memdev.of_image} +
     {!open_dev}) keeps the replica bit-identical to the primary after
-    every shipped commit. Only the batched path ([with_batch] /
-    [Cmap.run_batch]) is replicated; the transactional and atomic APIs
-    are not observed. *)
+    every shipped commit. Only the batched path ([with_batch]) is
+    replicated — every engine mutation takes it, a synchronous put or
+    remove as a one-op batch; the transactional and atomic APIs are not
+    observed. *)
 
 type batch_payload = Rep.batch_payload = {
   p_entries : (int * int) list;    (** redo entries, application order *)

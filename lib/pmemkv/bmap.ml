@@ -13,24 +13,24 @@
    Durability discipline: every mutation is copy-on-write through the
    PR-4 redo batch API. An op allocates fresh nodes for the root-to-leaf
    path it changes ([Pool.batch_alloc]), composes each in DRAM and
-   stores it while it is unreachable ([Pool.batch_write], one store per
-   contiguous range and one flush per block; a replicated pool ships
-   the same bytes without reading them back), and stages exactly one
-   word — the root slot oid — via [Pool.batch_stage_oid]. Replaced
-   nodes and items are [Pool.batch_free]d (kept off the free stacks
-   until the commit is durable, so a crash mid-batch still finds the
-   old tree intact under the old root). Each op is therefore atomic by
+   stores it while it is unreachable ([Engine.store_fresh], one checked
+   store per contiguous range and one flush per block; a replicated
+   pool ships the same bytes without reading them back), and stages
+   exactly one word — the root slot oid — via [Pool.batch_stage_oid].
+   Replaced nodes and items are [Pool.batch_free]d (kept off the free
+   stacks until the commit is durable, so a crash mid-batch still finds
+   the old tree intact under the old root). Each op is therefore atomic by
    construction and recovery lands on a whole-op prefix, exactly the
-   contract [Cmap.run_batch] provides. Unlike Cmap there is no
-   undo-transaction path at all: synchronous [put]/[remove] run as
-   single-op batches, so every bmap mutation is group-committable and
-   replicable.
+   contract [Cmap.run_batch] provides. Synchronous [put]/[remove] run
+   as single-op batches, as Cmap's do, so every mutation is
+   group-committable and replicable.
 
    One set of readers serves the sync ops and the batches: every node
    and item byte is read through the variant on [t.a.direct], one check
-   per window (a whole node, a length word, a key or a value). Only the
-   root slot is read by pool offset, through the batch overlay inside a
-   batch, and fresh blocks are still stored past the variant.
+   per window (a whole node, a length word, a key or a value), and every
+   fresh node and item is stored through the variant's range check. Only
+   the root slot is read by pool offset, through the batch overlay
+   inside a batch.
 
    Concurrency: one mutex serializes sync ops and batches; the read
    cache keeps its own seqlock discipline so [cache_probe] and
@@ -58,10 +58,7 @@ let node_size (a : Spp_access.t) =
   16 + ((order + max_items) * a.Spp_access.oid_size)
 
 let create ?nbuckets:_ (a : Spp_access.t) =
-  let map_oid =
-    Pool.with_tx a.Spp_access.pool (fun () ->
-      a.Spp_access.tx_palloc ~zero:true a.Spp_access.oid_size)
-  in
+  let map_oid = a.Spp_access.palloc ~zero:true a.Spp_access.oid_size in
   { a; map_oid; mu = Mutex.create (); cache = None }
 
 let attach (a : Spp_access.t) ~root =
@@ -174,9 +171,8 @@ let b_materialize t bt d =
   for i = 0 to n - 1 do
     Pool.put_oid p buf ~pos:(items_off t.a + (i * osz)) d.d_items.(i)
   done;
-  Pool.batch_write p bt ~off buf ~pos:0 ~len:(children_off + (nc * osz));
-  Pool.batch_write p bt ~off:(off + items_off t.a) buf ~pos:(items_off t.a)
-    ~len:(n * osz);
+  Engine.store_fresh t.a bt oid buf ~pos:0 ~len:(children_off + (nc * osz));
+  Engine.store_fresh t.a bt oid buf ~pos:(items_off t.a) ~len:(n * osz);
   Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p off) size;
   if not (Oid.is_null d.src) then Pool.batch_free p bt d.src;
   oid
@@ -191,7 +187,7 @@ let b_mk_item t bt ~key ~value =
   Pool.put_word buf ~pos:8 vlen;
   Bytes.blit_string key 0 buf 16 klen;
   Bytes.blit_string value 0 buf (16 + klen) vlen;
-  Pool.batch_write p bt ~off:oid.Oid.off buf ~pos:0 ~len:size;
+  Engine.store_fresh t.a bt oid buf ~pos:0 ~len:size;
   Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p oid.Oid.off) size;
   oid
 
@@ -621,9 +617,9 @@ let count_all t =
     let root = root_of t in
     if Oid.is_null root then 0 else count_node t root)
 
-(* Sync mutations are single-op batches: bmap has no undo-transaction
-   write path, so even a lone put pays (and amortizes nothing of) the
-   batch fence schedule — and is observed by replication. *)
+(* Sync mutations are single-op batches: even a lone put pays (and
+   amortizes nothing of) the batch fence schedule, and is observed by
+   replication. *)
 let put t ~key ~value = ignore (run_batch t [| Engine.B_put { key; value } |])
 
 let remove t key =

@@ -7,13 +7,13 @@
     [lib/indices/btree_map] discipline to variable-size keys/values.
 
     Every mutation is copy-on-write through the redo batch API: fresh
-    path nodes are batch-allocated and direct-written while
-    unreachable, only the root slot oid is staged, and replaced
-    nodes/items are batch-freed — so each op is individually atomic,
-    recovery lands on a whole-op prefix, and the direct writes ride the
-    replication payload, matching [Cmap.run_batch]'s contract exactly.
-    Synchronous [put]/[remove] run as single-op batches (there is no
-    undo-transaction write path). *)
+    path nodes are batch-allocated and stored through the variant's
+    range check while unreachable, only the root slot oid is staged, and
+    replaced nodes/items are batch-freed — so each op is individually
+    atomic, recovery lands on a whole-op prefix, and the fresh stores
+    ride the replication payload, matching [Cmap.run_batch]'s contract
+    exactly. Synchronous [put]/[remove] run as single-op batches, as
+    {!Cmap}'s do. *)
 
 type t
 

@@ -6,9 +6,16 @@
 
      entry: [ next oid | key len | value len | key bytes | value bytes ]
 
-   Concurrency: striped per-bucket mutexes protect chains for readers and
-   writers; write transactions additionally serialize on the pool's
-   single undo lane (as PMDK writers contend for lanes). *)
+   Every mutation is a group-commit op ([run_batch]): a put composes a
+   fresh entry, stores it through the variant's range check while it is
+   unreachable and stages only the link oid that publishes it; a remove
+   stages the unlinking oid. A synchronous [put]/[remove] is a one-op
+   batch.
+
+   Concurrency: striped per-bucket mutexes protect chains for readers
+   and synchronous writers, which hold the key's stripe until their
+   one-op commit returns; commits additionally serialize on the pool's
+   single lane (as PMDK writers contend for lanes). *)
 
 open Spp_pmdk
 open Spp_access
@@ -26,11 +33,6 @@ let name = "cmap"
 
 let nstripes = 256
 
-(* Snapshot [len] bytes behind an application pointer. *)
-let tx_add (a : Spp_access.t) ptr len =
-  let raw = a.ptr_to_int ptr in
-  Pool.tx_add_range a.pool ~off:(Pool.off_of_addr a.pool raw) ~len
-
 let f_next = 0
 let f_klen (a : Spp_access.t) = a.oid_size
 let f_vlen (a : Spp_access.t) = a.oid_size + 8
@@ -40,10 +42,7 @@ let f_value (a : Spp_access.t) klen = a.oid_size + 16 + klen
 let entry_size (a : Spp_access.t) ~klen ~vlen = a.oid_size + 16 + klen + vlen
 
 let create ?(nbuckets = 4096) (a : Spp_access.t) =
-  let buckets =
-    Pool.with_tx a.pool (fun () ->
-      a.tx_palloc ~zero:true (nbuckets * a.oid_size))
-  in
+  let buckets = a.palloc ~zero:true (nbuckets * a.oid_size) in
   { a; nbuckets; buckets;
     locks = Array.init nstripes (fun _ -> Mutex.create ());
     cache = None }
@@ -84,11 +83,8 @@ let with_bucket t b f =
 
 let bucket_slot_off t b = t.buckets.Oid.off + (b * t.a.oid_size)
 
-let bucket_slot_ptr t b =
-  t.a.gep (t.a.direct t.buckets) (b * t.a.oid_size)
-
 (* ------------------------------------------------------------------ *)
-(* The reader: one chain walk for the sync and the batched ops          *)
+(* The reader: one chain walk for every op                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Link words (bucket heads and [next] fields) are read by pool offset:
@@ -102,12 +98,10 @@ let load_link t bt off =
   | Some bt -> Pool.batch_load_oid t.a.pool bt ~off
   | None -> Pool.load_oid t.a.pool ~off
 
-(* A found entry, with the link that points at it: [link] is the link's
-   pool offset and [holder] the entry holding it (null for a bucket
-   head), from which the sync path rebuilds a tagged slot pointer. *)
-type hit = { holder : Oid.t; link : int; entry : Oid.t; p : int }
+(* A found entry, with the pool offset of the link that points at it. *)
+type hit = { link : int; entry : Oid.t; p : int }
 
-let rec walk t bt key holder link =
+let rec walk t bt key link =
   let entry = load_link t bt link in
   if Oid.is_null entry then None
   else begin
@@ -118,11 +112,11 @@ let rec walk t bt key holder link =
       && (klen = 0
           || Space.view_equal_string (t.a.view (t.a.gep p (f_key t.a)) klen)
                ~off:0 key)
-    then Some { holder; link; entry; p }
-    else walk t bt key entry (entry.Oid.off + f_next)
+    then Some { link; entry; p }
+    else walk t bt key (entry.Oid.off + f_next)
   end
 
-let find t bt b key = walk t bt key Oid.null (bucket_slot_off t b)
+let find t bt b key = walk t bt key (bucket_slot_off t b)
 
 let entry_value t p ~klen =
   let vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
@@ -132,10 +126,6 @@ let lookup t bt b key =
   match find t bt b key with
   | None -> None
   | Some h -> Some (entry_value t h.p ~klen:(String.length key))
-
-let link_ptr t b h =
-  if Oid.is_null h.holder then bucket_slot_ptr t b
-  else t.a.gep (t.a.direct h.holder) f_next
 
 (* Every entry of bucket [b] in chain order, as [f entry p]. *)
 let iter_chain t bt b f =
@@ -188,17 +178,6 @@ let clip_scan ~limit acc =
   in
   take limit sorted
 
-let mk_entry t ~key ~value ~next =
-  let klen = String.length key and vlen = String.length value in
-  let oid = t.a.tx_palloc (entry_size t.a ~klen ~vlen) in
-  let p = t.a.direct oid in
-  t.a.store_oid_at (t.a.gep p f_next) next;
-  t.a.store_word (t.a.gep p (f_klen t.a)) klen;
-  t.a.store_word (t.a.gep p (f_vlen t.a)) vlen;
-  t.a.write_string (t.a.gep p (f_key t.a)) key;
-  t.a.write_string (t.a.gep p (f_value t.a klen)) value;
-  oid
-
 let get t key =
   match cache_probe t key with
   | Some _ as hit -> hit
@@ -214,53 +193,6 @@ let get t key =
        | Some v, Some (rc, tk) -> Rcache.insert rc tk v
        | _ -> ());
       v)
-
-let put t ~key ~value =
-  let b = bucket_of t key in
-  with_bucket t b (fun () ->
-    (* Write-through invalidation, before the mutation commits: readers
-       fall through to PM (and wait on this stripe) rather than ever
-       seeing the cache ahead of — or behind — the durable state. *)
-    cache_invalidate t key;
-    match find t None b key with
-    | Some h ->
-      let p = h.p in
-      let klen = String.length key in
-      let old_vlen = t.a.load_word (t.a.gep p (f_vlen t.a)) in
-      if old_vlen = String.length value then
-        (* overwrite in place, transactionally *)
-        Pool.with_tx t.a.pool (fun () ->
-          tx_add t.a (t.a.gep p (f_value t.a klen)) old_vlen;
-          t.a.write_string (t.a.gep p (f_value t.a klen)) value)
-      else
-        Pool.with_tx t.a.pool (fun () ->
-          let next = t.a.load_oid_at (t.a.gep p f_next) in
-          let fresh = mk_entry t ~key ~value ~next in
-          let slot_ptr = link_ptr t b h in
-          tx_add t.a slot_ptr t.a.oid_size;
-          t.a.store_oid_at slot_ptr fresh;
-          t.a.tx_pfree h.entry)
-    | None ->
-      let slot = bucket_slot_ptr t b in
-      Pool.with_tx t.a.pool (fun () ->
-        let head = t.a.load_oid_at slot in
-        let fresh = mk_entry t ~key ~value ~next:head in
-        tx_add t.a slot t.a.oid_size;
-        t.a.store_oid_at slot fresh))
-
-let remove t key =
-  let b = bucket_of t key in
-  with_bucket t b (fun () ->
-    cache_invalidate t key;
-    match find t None b key with
-    | None -> false
-    | Some h ->
-      Pool.with_tx t.a.pool (fun () ->
-        let slot_ptr = link_ptr t b h in
-        tx_add t.a slot_ptr t.a.oid_size;
-        t.a.store_oid_at slot_ptr (t.a.load_oid_at (t.a.gep h.p f_next));
-        t.a.tx_pfree h.entry);
-      true)
 
 (* Cache-bypassing by contract: scans neither probe nor fill the read
    cache. Values are copied under each bucket's stripe lock, while no
@@ -283,15 +215,13 @@ let scan t ~lo ~hi ~limit =
    are individually atomic on crash — recovery lands on a prefix of
    whole ops — because entries only join the log at op boundaries.
 
-   The batched ops read through the same walk as the synchronous ones,
-   so every entry byte they touch passes the variant's check; only the
-   link words go through the batch overlay, so later ops observe
-   earlier ones. Two structural differences from the synchronous ops
-   above, both forced by deferred application: a put always replaces
-   the entry out of place (an in-place value overwrite would tear the
-   durable pre-state before the batch commits), and the fresh entry
-   skips the log: it is composed in DRAM and stored with one store, and
-   only the slot oid that publishes it is staged.
+   The ops read through the one chain walk, so every entry byte they
+   touch passes the variant's check; only the link words go through the
+   batch overlay, so later ops observe earlier ones. A put always
+   replaces the entry out of place (an in-place value overwrite would
+   tear the durable pre-state before the batch commits), and the fresh
+   entry skips the log: it is composed in DRAM and stored with one
+   checked store, and only the link oid that publishes it is staged.
 
    The caller must hold the map exclusively for the duration — stripe
    locks are useless here because the commit applies staged words after
@@ -311,11 +241,11 @@ type batch_reply = Engine.batch_reply =
   | R_scan of (string * string) list
 
 (* Fresh entry: allocate through the batch, compose the whole entry in
-   the pool's DRAM buffer and store it with one [Pool.batch_write] —
-   the block is unreachable until the staged slot oid commits, and a
-   replicated pool ships these bytes without reading them back — then
-   flush it once; the commit's first fence drains it before the log
-   becomes valid. *)
+   the pool's DRAM buffer and store it with one checked store
+   ([Engine.store_fresh]) — the block is unreachable until the staged
+   slot oid commits, and a replicated pool ships these bytes without
+   reading them back — then flush it once; the commit's first fence
+   drains it before the log becomes valid. *)
 let b_mk_entry t bt ~key ~value ~next =
   let p = t.a.pool in
   let klen = String.length key and vlen = String.length value in
@@ -327,7 +257,7 @@ let b_mk_entry t bt ~key ~value ~next =
   Pool.put_word buf ~pos:(f_vlen t.a) vlen;
   Bytes.blit_string key 0 buf (f_key t.a) klen;
   Bytes.blit_string value 0 buf (f_value t.a klen) vlen;
-  Pool.batch_write p bt ~off:oid.Oid.off buf ~pos:0 ~len:size;
+  Engine.store_fresh t.a bt oid buf ~pos:0 ~len:size;
   Spp_sim.Space.flush (Pool.space p) (Pool.addr_of_off p oid.Oid.off) size;
   oid
 
@@ -401,6 +331,19 @@ let run_batch ?len t ops =
     | B_get key -> R_get (b_get t bt key)
     | B_remove key -> R_removed (b_remove t bt key)
     | B_scan { lo; hi; limit } -> R_scan (b_scan t bt ~lo ~hi ~limit))
+
+(* Synchronous mutations are one-op batches, held under the key's
+   bucket stripe until the commit returns, so a get of the key waits
+   for the commit while the other stripes stay readable. *)
+let put t ~key ~value =
+  with_bucket t (bucket_of t key) (fun () ->
+    ignore (run_batch t [| B_put { key; value } |]))
+
+let remove t key =
+  with_bucket t (bucket_of t key) (fun () ->
+    match (run_batch t [| B_remove key |]).(0) with
+    | R_removed b -> b
+    | _ -> false)
 
 let count_all t =
   let n = ref 0 in

@@ -3,9 +3,13 @@
     concurrent engine).
 
     Fixed bucket array in PM with chains of variable-size entry objects
-    ([next oid | key len | value len | key | value]). Striped per-bucket
-    mutexes protect chains; write transactions additionally serialize on
-    the pool's undo lane. *)
+    ([next oid | key len | value len | key | value]). Every mutation is
+    a group-commit op: a put stores a fresh entry through the variant's
+    range check and stages the link oid that publishes it, a remove
+    stages the unlinking oid; a synchronous {!put}/{!remove} is a one-op
+    {!run_batch}. Striped per-bucket mutexes protect chains: a
+    synchronous writer holds the key's stripe until its commit returns,
+    and commits serialize on the pool's lane. *)
 
 type t
 
@@ -25,14 +29,14 @@ val attach : Spp_access.t -> buckets:Spp_pmdk.Oid.t -> t
 
     An optional {!Rcache.t} fronts the PM chain walks. [get] probes it
     lock-free before taking the bucket stripe and fills it on a miss;
-    every mutation site invalidates write-through — [put]/[remove]
-    inside the bucket stripe before the transaction, the batched
-    [b_put]/[b_remove] paths at stage time before the deferred commit —
-    so the cache can never serve a value newer than the durable state
-    allows, and [run_batch] replays fills only after its commit
-    returns. A fill whose key was invalidated after its value was read
-    or staged drops itself (see {!Rcache.insert}), so a deferred fill
-    never resurrects a value a later submission replaced. Purely
+    every mutation invalidates write-through at stage time, before its
+    commit, so the cache can never serve a value newer than the durable
+    state allows, and [run_batch] replays fills only after its commit
+    returns: a get fills the value it read, a put — a synchronous one
+    included — the value it made durable. A fill whose key was
+    invalidated after its value was read or staged drops itself (see
+    {!Rcache.insert}), so a deferred fill never resurrects a value a
+    later submission replaced. Purely
     volatile: no simulated PM traffic, no new crash points, gone on
     reopen. *)
 
@@ -56,8 +60,9 @@ val root_oid : t -> Spp_pmdk.Oid.t
 (** Alias of {!buckets_oid} under the {!Engine.S} contract. *)
 
 val put : t -> key:string -> value:string -> unit
-(** Same-size overwrites happen in place (one snapshot); size changes
-    allocate a replacement entry and free the old one, transactionally. *)
+(** A one-op {!run_batch} under the key's stripe: the entry is replaced
+    out of place, at any size — a fresh entry, one staged link oid and
+    the old entry freed at the commit. *)
 
 val get : t -> string -> string option
 val remove : t -> string -> bool
@@ -78,7 +83,7 @@ val scan : t -> lo:string -> hi:string -> limit:int -> (string * string) list
     [Redo.batch]). Later ops in the batch observe earlier ones. The
     caller must hold the map exclusively for the call — the per-shard
     serve queue does — since stripe locks cannot cover the deferred
-    commit. Batched puts always replace entries out of place. *)
+    commit. Puts always replace entries out of place. *)
 
 type batch_op = Engine.batch_op =
   | B_put of { key : string; value : string }

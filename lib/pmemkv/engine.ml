@@ -13,8 +13,12 @@
    and it reads through the access layer's variant: one check per
    window, each window sized to the bytes it reads, keys compared
    against the device view without materializing candidates, and a
-   value copied out exactly once ([read_sub] / [view_string]). So every
-   served read passes the variant's check.
+   value copied out exactly once ([read_sub] / [view_string]). Each
+   engine also has one writer: every mutation is a group-commit op (a
+   synchronous put or remove is a one-op batch), and every fresh block
+   it composes is stored through the variant's range check
+   ([store_fresh]). So every served read and write passes the variant's
+   check.
 
    The shard/serve/replica stack is written against [packed] values —
    an existential pairing of a module implementing [S] with its state —
@@ -37,6 +41,17 @@ type batch_reply =
   | R_get of string option
   | R_removed of bool
   | R_scan of (string * string) list
+
+(* Store bytes [pos, pos + len) of [buf] at the same offset of the
+   fresh block [oid], through the variant's check of the whole range
+   ([a.check_range]) and then one store past the log
+   ([Pool.batch_write]). Every fresh entry, item and node an engine
+   writes goes through here. *)
+let store_fresh (a : Spp_access.t) bt (oid : Oid.t) buf ~pos ~len =
+  let p = a.direct oid in
+  let p = if pos = 0 then p else a.gep p pos in
+  let addr = a.check_range p len in
+  Pool.batch_write a.pool bt ~off:(Pool.off_of_addr a.pool addr) buf ~pos ~len
 
 let batch_key_of = function
   | B_put { key; _ } | B_get key | B_remove key -> key

@@ -54,16 +54,6 @@ let shadow_bytes_for_pool pool_size =
 
 let shadow_addr t idx = Pool.addr_of_off t.pool (t.shadow_off + idx)
 
-let set_shadow t ~off ~len v =
-  if len > 0 then begin
-    let first = shadow_index off in
-    let last = shadow_index (off + len - 1) in
-    for i = first to last do
-      Space.store_u8 (Pool.space t.pool) (shadow_addr t i) v
-    done;
-    Space.persist (Pool.space t.pool) (shadow_addr t first) (last - first + 1)
-  end
-
 (* Shadow bytes are ordinary pool data: when mutated inside a transaction
    they are snapshotted first, so an abort (or crash) rolls the safety
    metadata back together with the data — SafePM's crash-consistency
@@ -74,19 +64,23 @@ let tx_guard_shadow t ~off ~len =
     Pool.tx_add_range t.pool ~off:(t.shadow_off + first) ~len:(last - first + 1)
   end
 
+(* Set the shadow of [off, off+len) to [v] with one fill, as ASan
+   memsets its shadow, then the last granule's byte to [tail] when it
+   is non-zero, and persist the range. *)
+let set_shadow ?(tail = 0) t ~off ~len v =
+  if len > 0 then begin
+    let space = Pool.space t.pool in
+    let first = shadow_index off and last = shadow_index (off + len - 1) in
+    Space.fill space (shadow_addr t first) (last - first + 1) (Char.chr v);
+    if tail <> 0 then Space.store_u8 space (shadow_addr t last) tail;
+    Space.persist space (shadow_addr t first) (last - first + 1)
+  end
+
 (* Unpoison [off, off+len): full granules 0, the trailing partial granule
    records how many leading bytes are valid. *)
 let unpoison t ~off ~len =
   tx_guard_shadow t ~off ~len;
-  let first = shadow_index off in
-  let last = shadow_index (off + len - 1) in
-  for i = first to last do
-    Space.store_u8 (Pool.space t.pool) (shadow_addr t i) 0
-  done;
-  let tail = (off + len) land (shadow_scale - 1) in
-  if tail <> 0 then
-    Space.store_u8 (Pool.space t.pool) (shadow_addr t last) tail;
-  Space.persist (Pool.space t.pool) (shadow_addr t first) (last - first + 1)
+  set_shadow t ~off ~len 0 ~tail:((off + len) land (shadow_scale - 1))
 
 let poison t ~off ~len =
   tx_guard_shadow t ~off ~len;

@@ -49,10 +49,11 @@
    are not — standard failover ambiguity, resolved by the client
    re-reading.
 
-   Replication rides the batch observer, so it sees exactly the batched
-   mutations: with [?replication] configured, all writes must flow
-   through this pipeline (the synchronous [Shard.put] tx path is
-   invisible to replicas). The holder gates ticket fulfilment on
+   Replication rides the batch observer, so it sees every committed
+   mutation, a synchronous [Shard.put] (a one-op batch) included; but
+   only this pipeline waits for the replicas' acks, so with
+   [?replication] configured, writes that must be acknowledged per the
+   policy flow through it. The holder gates ticket fulfilment on
    [Replica.wait_acks] per the configured policy and runs one heartbeat
    round per drain; [promote] executes on the failed shard's own worker
    domain, holding the shard, then repoints the router via

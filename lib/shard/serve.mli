@@ -48,9 +48,11 @@
     {!Replica} group (configured via [?replication] at {!create}).
     [Failed] means the op's outcome is {e unknown}: sub-batches
     committed before the failure are durable and replicated, later ones
-    are not. Replication observes the group-commit stream, so with
-    [?replication] all mutations must flow through this pipeline — the
-    synchronous [Shard.put] tx path is invisible to replicas.
+    are not. Replication observes the group-commit stream, which carries
+    every mutation, a synchronous [Shard.put] (a one-op batch) included;
+    only this pipeline waits for the replicas' acks, so with
+    [?replication] writes that must be acknowledged per the policy flow
+    through it.
 
     {b Live slot migration.} {!migrate_slot} moves one slot of the
     store's slot map (see {!Shard}) to another shard while traffic

@@ -42,14 +42,21 @@ let tlb_size = 1 lsl tlb_bits
 type t = {
   mutable regions : region array;   (* sorted by base, ascending *)
   tlb_pages : int array;            (* page tag per slot; -1 = invalid *)
-  tlb_regs : region option array;
+  tlb_regs : region array;          (* [no_region] in an invalid slot *)
   stats : stats;
 }
+
+(* What an invalid TLB slot holds: a plain array fills a slot without
+   boxing, and an invalidated slot keeps no unmapped device alive. No
+   page tag matches an invalid slot, so it is never returned. *)
+let no_region =
+  { base = -1; rsize = 0; dev = Memdev.create_volatile ~name:"" 0;
+    kind = Volatile; rname = "" }
 
 let create () =
   { regions = [||];
     tlb_pages = Array.make tlb_size (-1);
-    tlb_regs = Array.make tlb_size None;
+    tlb_regs = Array.make tlb_size no_region;
     stats = { pm_loads = 0; pm_stores = 0; vol_loads = 0; vol_stores = 0;
               pm_bytes_loaded = 0; pm_bytes_stored = 0;
               tlb_hits = 0; tlb_misses = 0 } }
@@ -94,7 +101,7 @@ let reset_stats t =
 
 let tlb_invalidate t =
   Array.fill t.tlb_pages 0 tlb_size (-1);
-  Array.fill t.tlb_regs 0 tlb_size None
+  Array.fill t.tlb_regs 0 tlb_size no_region
 
 let overlaps a b =
   a.base < b.base + b.rsize && b.base < a.base + a.rsize
@@ -145,7 +152,7 @@ let find_region_slow t addr page slot =
   let pbase = page lsl page_bits in
   if pbase >= r.base && pbase + (1 lsl page_bits) <= r.base + r.rsize then begin
     t.tlb_pages.(slot) <- page;
-    t.tlb_regs.(slot) <- Some r
+    t.tlb_regs.(slot) <- r
   end;
   r
 
@@ -153,12 +160,10 @@ let find_region t addr =
   if addr < 0 then Fault.segfault addr;
   let page = addr lsr page_bits in
   let slot = page land (tlb_size - 1) in
-  if Array.unsafe_get t.tlb_pages slot = page then
-    match Array.unsafe_get t.tlb_regs slot with
-    | Some r ->
-      t.stats.tlb_hits <- t.stats.tlb_hits + 1;
-      r
-    | None -> find_region_slow t addr page slot
+  if Array.unsafe_get t.tlb_pages slot = page then begin
+    t.stats.tlb_hits <- t.stats.tlb_hits + 1;
+    Array.unsafe_get t.tlb_regs slot
+  end
   else find_region_slow t addr page slot
 
 (* Translate an access of [len] bytes at [addr]: the region holding it,

@@ -22,10 +22,11 @@ let check_all checks =
       | Ok () -> if ok then Ok () else Error msg)
     (Ok ()) checks
 
-(* pmemkv cmap: transactional puts into a persistent hashmap. The bucket
-   array's oid is parked in the root object; the oracle re-attaches and
-   requires every acked key readable and every later key absent or fully
-   written (the in-flight put either committed or rolled back). *)
+(* pmemkv cmap: synchronous puts (each a one-op group commit) into a
+   persistent hashmap. The bucket array's oid is parked in the root
+   object; the oracle re-attaches and requires every acked key readable
+   and every later key absent or fully written (the in-flight put either
+   committed or did not). *)
 let kvstore ?(variant = Spp_access.Spp) ?(ops = 24) () =
   let w_make () =
     let a =
@@ -127,22 +128,33 @@ let pmemlog ?(variant = Spp_access.Spp) ?(ops = 24) () =
   in
   { Torture.w_name = "pmemlog"; w_make }
 
-(* Transactional counter: two root words updated together inside one
-   transaction per op. The oracle requires them equal (atomicity) and
-   within [acked, ops] (no lost acked update, no invented one). *)
+(* Transactional counter on the transactional allocator: each op's
+   transaction sets two root words to the count, allocates a cell
+   holding it, repoints the root's oid slot at the cell and frees the
+   previous cell. The oracle requires the halves equal (atomicity) and
+   within [acked, ops] (no lost acked update, no invented one), the
+   slot's cell holding the count, and exactly one live cell. *)
 let counter ?(variant = Spp_access.Spp) ?(ops = 24) () =
   let w_make () =
     let a =
       Spp_access.create ~pool_size:(1 lsl 16) ~name:"torture-ctr" variant
     in
     let pool = a.Spp_access.pool in
-    let root = a.Spp_access.root 16 in
+    let osz = a.Spp_access.oid_size in
+    let root = a.Spp_access.root (16 + osz) in
+    let slot = root.Oid.off + 16 in
+    let base_blocks = (Pool.heap_stats pool).Heap.allocated_blocks in
     let mutate ~ack =
       for i = 1 to ops do
         Pool.with_tx pool (fun () ->
-          Pool.tx_add_range pool ~off:root.Oid.off ~len:16;
+          Pool.tx_add_range pool ~off:root.Oid.off ~len:(16 + osz);
           Pool.store_word pool ~off:root.Oid.off i;
-          Pool.store_word pool ~off:(root.Oid.off + 8) i);
+          Pool.store_word pool ~off:(root.Oid.off + 8) i;
+          let cell = Pool.tx_alloc pool ~size:8 in
+          Pool.store_word pool ~off:cell.Oid.off i;
+          let prev = Pool.load_oid pool ~off:slot in
+          Pool.store_oid pool ~off:slot cell;
+          if not (Oid.is_null prev) then Pool.tx_free pool prev);
         ack ()
       done
     in
@@ -150,12 +162,24 @@ let counter ?(variant = Spp_access.Spp) ?(ops = 24) () =
       let root' = Pool.root_oid pool' in
       let c1 = Pool.load_word pool' ~off:root'.Oid.off in
       let c2 = Pool.load_word pool' ~off:(root'.Oid.off + 8) in
+      let cell = Pool.load_oid pool' ~off:(root'.Oid.off + 16) in
+      let cells =
+        (Pool.heap_stats pool').Heap.allocated_blocks - base_blocks
+      in
       if c1 <> c2 then
         Error (Printf.sprintf "counter halves diverged: %d vs %d" c1 c2)
       else if c1 < acked then
         Error (Printf.sprintf "counter %d < %d acked" c1 acked)
       else if c1 > ops then
         Error (Printf.sprintf "counter %d > %d ops" c1 ops)
+      else if c1 > 0 && Oid.is_null cell then
+        Error (Printf.sprintf "counter %d without a cell" c1)
+      else if c1 > 0 && Pool.load_word pool' ~off:cell.Oid.off <> c1 then
+        Error
+          (Printf.sprintf "cell holds %d, counter %d"
+             (Pool.load_word pool' ~off:cell.Oid.off) c1)
+      else if cells <> min c1 1 then
+        Error (Printf.sprintf "%d live cells at counter %d" cells c1)
       else Ok ()
     in
     { Torture.access = a; mutate; check }

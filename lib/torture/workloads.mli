@@ -8,16 +8,20 @@
     (default 24). *)
 
 val kvstore : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workload
-(** Transactional puts into a pmemkv cmap. Oracle: baseline and all
-    acked keys readable with exact values; later keys absent or intact. *)
+(** Synchronous puts (one-op group commits) into a pmemkv cmap. Oracle:
+    baseline and all acked keys readable with exact values; later keys
+    absent or intact. *)
 
 val pmemlog : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workload
 (** Fixed 16-byte appends to a pmemlog. Oracle: committed watermark on a
     record boundary, between acked and appended counts, contents exact. *)
 
 val counter : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workload
-(** Two root words incremented together inside one transaction per op.
-    Oracle: halves equal and within [acked, ops]. *)
+(** Two root words incremented together inside one transaction per op,
+    which also [tx_alloc]s a cell holding the count, repoints a root oid
+    slot at it and [tx_free]s the previous cell. Oracle: halves equal
+    and within [acked, ops], the slot's cell holds the count, and
+    exactly one cell is live. *)
 
 val kvbatch : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workload
 (** Group-committed multi-put ([Cmap.run_batch], two batches; the final

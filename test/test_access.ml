@@ -166,7 +166,21 @@ let test_checkers_follow_batch_frees_and_aborts () =
       let a = mk v in
       let name what = Spp_access.variant_name v ^ ": " ^ what in
       let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
-      Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"v";
+      (* the bucket's one entry, [null next | klen 1 | vlen 1 | "kv"],
+         allocated and linked by a transaction *)
+      let pool = a.Spp_access.pool and osz = a.Spp_access.oid_size in
+      Pool.with_tx pool (fun () ->
+        let oid = a.Spp_access.tx_palloc (osz + 18) in
+        let p = a.Spp_access.direct oid in
+        a.Spp_access.store_oid_at p Oid.null;
+        a.Spp_access.store_word (p + osz) 1;
+        a.Spp_access.store_word (p + osz + 8) 1;
+        a.Spp_access.write_string (p + osz + 16) "kv";
+        let buckets = Spp_pmemkv.Cmap.buckets_oid kv in
+        Pool.tx_add_range pool ~off:buckets.Oid.off ~len:osz;
+        a.Spp_access.store_oid_at (a.Spp_access.direct buckets) oid);
+      Alcotest.(check (option string)) (name "the tx-built entry reads back")
+        (Some "v") (Spp_pmemkv.Cmap.get kv "k");
       let p = head_entry a kv in
       ignore (Spp_pmemkv.Cmap.run_batch kv [| Spp_pmemkv.Cmap.B_remove "k" |]);
       stopped (name "read of a batch-freed, sync-allocated entry")
@@ -193,7 +207,6 @@ let test_checkers_follow_batch_frees_and_aborts () =
       completes (name "a batch removing the entry its first op put")
         (batch [| put "b"; Spp_pmemkv.Cmap.B_remove "b" |]);
       (* one block from a closed op of the batch, one from its open op *)
-      let pool = a.Spp_access.pool in
       let fresh = Array.make 2 0 in
       let alloc bt i =
         Redo.batch_op_begin bt;
@@ -210,6 +223,32 @@ let test_checkers_follow_batch_frees_and_aborts () =
         (fun p -> stopped (name "read of a raising batch's block") (read_u8 a p))
         fresh)
     [ Spp_access.Safepm; Spp_access.Memcheck ]
+
+(* A fresh block is stored through the variant's range check: a store
+   one byte past the block is stopped by every checker, and PMDK lets it
+   through. *)
+let test_fresh_store_checked () =
+  List.iter
+    (fun v ->
+      let a = mk v in
+      let name what = Spp_access.variant_name v ^ ": " ^ what in
+      let pool = a.Spp_access.pool in
+      let store ~past =
+        Spp_access.run_guarded (fun () ->
+          Pool.with_batch pool (fun bt ->
+            Redo.batch_op_begin bt;
+            (* 128 B is a size class: the object fills its block *)
+            let oid = Pool.batch_alloc pool bt ~size:128 in
+            check_int (name "usable size") 128 (Pool.usable_size pool oid);
+            let len = 128 + past in
+            let buf = Pool.batch_buffer pool bt len in
+            Spp_pmemkv.Engine.store_fresh a bt oid buf ~pos:0 ~len;
+            Redo.batch_op_end bt))
+      in
+      completes (name "a store of the whole block") (store ~past:0);
+      (if v = Spp_access.Pmdk then completes else stopped)
+        (name "a store one byte past the block") (store ~past:1))
+    Spp_access.all_variants
 
 let test_spp_memcpy_overflow_detected () =
   let a = mk Spp_access.Spp in
@@ -327,6 +366,8 @@ let () =
             test_spp_external_call_unprotected;
           Alcotest.test_case "spp int2ptr loses tag" `Quick
             test_spp_ptr_to_int_roundtrip_loses_tag;
+          Alcotest.test_case "fresh-block stores are checked" `Quick
+            test_fresh_store_checked;
         ] );
       ( "space",
         [

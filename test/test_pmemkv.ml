@@ -87,13 +87,78 @@ let test_overwrite_same_and_different_size () =
   let a = mk Spp_access.Spp in
   let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
   Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"aaaa";
-  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"bbbb";   (* in-place *)
+  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"bbbb";   (* same size *)
   Alcotest.(check (option string)) "same-size overwrite" (Some "bbbb")
     (Spp_pmemkv.Cmap.get kv "k");
-  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"cccccccc";   (* realloc path *)
+  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"cccccccc";   (* resize *)
   Alcotest.(check (option string)) "resize overwrite" (Some "cccccccc")
     (Spp_pmemkv.Cmap.get kv "k");
   check_int "single live entry" 1 (Spp_pmemkv.Cmap.count_all kv)
+
+(* A synchronous put or remove is a one-op group commit. One seeded
+   stream of puts (value sizes mixed, same-size overwrites included) and
+   removes, run through [put]/[remove] and through one-op [run_batch]
+   calls, leaves equal device counters, PM byte counts, SPP checks, heap
+   and contents under every variant, and the pool's batch observer
+   hears one payload per sync mutation. *)
+let test_sync_ops_are_one_op_batches () =
+  let open Spp_pmemkv in
+  let st = Random.State.make [| 0x5a11 |] in
+  let stream =
+    List.init 400 (fun i ->
+      let key = Printf.sprintf "k%02d" (Random.State.int st 24) in
+      if Random.State.int st 4 = 0 then `Remove key
+      else
+        let len = [| 8; 100; 1024 |].(Random.State.int st 3) in
+        `Put (key, String.make len (Char.chr (97 + (i mod 26)))))
+  in
+  let run v ~sync =
+    let a = mk v in
+    let pool = a.Spp_access.pool in
+    let kv = Cmap.create ~nbuckets:16 a in
+    let payloads = ref 0 and mutations = ref 0 in
+    Pool.set_batch_observer pool (Some (fun _ -> incr payloads));
+    Spp_sim.Memdev.reset_counters (Pool.dev pool);
+    Spp_sim.Space.reset_stats a.Spp_access.space;
+    Spp_core.Runtime.reset_counters ();
+    List.iter
+      (function
+        | `Put (key, value) ->
+          incr mutations;
+          if sync then Cmap.put kv ~key ~value
+          else ignore (Cmap.run_batch kv [| Cmap.B_put { key; value } |])
+        | `Remove key ->
+          let removed =
+            if sync then Cmap.remove kv key
+            else
+              Cmap.run_batch kv [| Cmap.B_remove key |]
+              = [| R_removed true |]
+          in
+          if removed then incr mutations)
+      stream;
+    let s = Spp_sim.Space.stats a.Spp_access.space in
+    let rt = Spp_core.Runtime.counters in
+    ( Spp_sim.Memdev.counters (Pool.dev pool),
+      (s.pm_bytes_loaded, s.pm_bytes_stored),
+      rt.checkbound + rt.memintr_check,
+      Pool.heap_stats pool,
+      Cmap.scan kv ~lo:"" ~hi:"\255" ~limit:max_int,
+      (!payloads, !mutations) )
+  in
+  List.iter
+    (fun v ->
+      let name what = Spp_access.variant_name v ^ ": " ^ what in
+      let c, bytes, checks, heap, contents, (payloads, mutations) =
+        run v ~sync:true
+      in
+      let c', bytes', checks', heap', contents', _ = run v ~sync:false in
+      check_bool (name "device counters") true (c = c');
+      check_bool (name "PM bytes loaded and stored") true (bytes = bytes');
+      check_int (name "SPP checks") checks' checks;
+      check_bool (name "heap stats") true (heap = heap');
+      check_bool (name "contents") true (contents = contents');
+      check_int (name "one payload per sync mutation") mutations payloads)
+    Spp_access.all_variants
 
 let test_oracle_random_ops () =
   let a = mk Spp_access.Spp in
@@ -599,6 +664,8 @@ let () =
           Alcotest.test_case "1 KiB values" `Quick test_large_values;
           Alcotest.test_case "corrupt vlen prevented on checked variants"
             `Quick test_corrupt_vlen_guarded;
+          Alcotest.test_case "sync put/remove cost a one-op batch" `Quick
+            test_sync_ops_are_one_op_batches;
         ] );
       ( "bmap",
         [

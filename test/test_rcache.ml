@@ -133,16 +133,25 @@ let mk_cached ?(cap = 64) () =
 let cache_of kv =
   match Cmap.cache kv with Some c -> c | None -> Alcotest.fail "no cache"
 
+(* A put invalidates its key before it commits and, once the commit
+   returns, fills the value it made durable (a sync put is a one-op
+   batch): the probe after each put returns that put's value, never an
+   older one. *)
 let test_cmap_get_fills_put_invalidates () =
   let _, kv = mk_cached () in
   Cmap.put kv ~key:"k" ~value:"v1";
-  check_opt "put does not fill" None (Cmap.cache_probe kv "k");
+  check_opt "probe after put: its value" (Some "v1") (Cmap.cache_probe kv "k");
+  Cmap.cache_invalidate kv "k";
   check_opt "get reads PM" (Some "v1") (Cmap.get kv "k");
   check_opt "get filled cache" (Some "v1") (Cmap.cache_probe kv "k");
   check_opt "cached get" (Some "v1") (Cmap.get kv "k");
   Cmap.put kv ~key:"k" ~value:"v2";
-  check_opt "put invalidated" None (Cmap.cache_probe kv "k");
-  check_opt "fresh value after put" (Some "v2") (Cmap.get kv "k");
+  check_opt "probe after overwrite: its value" (Some "v2")
+    (Cmap.cache_probe kv "k");
+  Cmap.put kv ~key:"k" ~value:"v3-longer";
+  check_opt "probe after resize: its value" (Some "v3-longer")
+    (Cmap.cache_probe kv "k");
+  check_opt "fresh value after put" (Some "v3-longer") (Cmap.get kv "k");
   check_bool "remove" true (Cmap.remove kv "k");
   check_opt "remove invalidated" None (Cmap.cache_probe kv "k");
   check_opt "removed for real" None (Cmap.get kv "k");

@@ -544,6 +544,37 @@ let test_tlb_unmap_remap_no_stale () =
   Space.map s ~base:4096 ~size:8192 ~kind:Space.Persistent ~name:"r2" d2;
   check_int "remap serves the new device" 2 (Space.load_u8 s 4096)
 
+(* A TLB fill stores the region itself, unboxed: two pages 64 pages
+   apart share a TLB slot, so alternating loads miss on every access,
+   and the misses allocate nothing. Invalidation still drops the
+   unmapped region's device. *)
+let test_tlb_miss_no_alloc () =
+  let s = Space.create () in
+  let d = Memdev.create_persistent ~name:"d" (1 lsl 19) in
+  Space.map s ~base:4096 ~size:(1 lsl 19) ~kind:Space.Persistent ~name:"r" d;
+  let a = 4096 and b = 4096 + (64 * 4096) in
+  ignore (Space.load_u8 s a);
+  Space.reset_stats s;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Space.load_u8 s b);
+    ignore (Space.load_u8 s a)
+  done;
+  let w = Gc.minor_words () -. w0 in
+  check_int "every load misses" (2 * n) (Space.stats s).Space.tlb_misses;
+  check_int "minor words per miss" 0 (int_of_float (w /. float_of_int (2 * n)));
+  let gone = Weak.create 1 in
+  (fun () ->
+     let d' = Memdev.create_persistent ~name:"d'" 8192 in
+     Weak.set gone 0 (Some d');
+     Space.map s ~base:(1 lsl 20) ~size:8192 ~kind:Space.Persistent
+       ~name:"r'" d';
+     ignore (Space.load_u8 s (1 lsl 20));
+     Space.unmap s ~base:(1 lsl 20)) ();
+  Gc.full_major ();
+  check_bool "unmapped device collected" false (Weak.check gone 0)
+
 (* Caller-buffer reads and views — the zero-copy read path's substrate. *)
 
 let test_read_into_roundtrip_and_counters () =
@@ -910,6 +941,8 @@ let () =
             test_view_bad_block_faults;
           Alcotest.test_case "typed accesses allocate nothing" `Quick
             test_space_typed_no_alloc;
+          Alcotest.test_case "a TLB miss allocates nothing" `Quick
+            test_tlb_miss_no_alloc;
         ] );
       ( "vheap",
         [
