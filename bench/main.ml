@@ -1107,8 +1107,9 @@ let scaleout () =
    batching, pre-enqueued) must be bit-identical to that baseline before
    any live number is reported.
    (3) Live sweep: batch cap x offered load (per-client submission
-   window) x shard count, with adaptive batching and per-request
-   latency percentiles from the shard histograms. *)
+   window) x shard count, each client running the shards it finds free
+   and queueing behind held ones, with per-request latency percentiles
+   from the shard histograms. *)
 
 let serve () =
   let open Spp_shard in
@@ -1174,10 +1175,8 @@ let serve () =
   in
   let t_seq = build nd_max and t_par = build nd_max in
   let seq_replies = Serve.run_sequential t_seq ~batch_cap:diff_cap streams in
-  let sv = Serve.create ~batch_cap:diff_cap ~adaptive:false ~autostart:false
-      t_par in
+  let sv = Serve.create ~batch_cap:diff_cap ~adaptive:false t_par in
   let tickets = Array.map (Array.map (Serve.submit sv)) streams in
-  Serve.start sv;
   let par_replies = Array.map (Array.map (Serve.await sv)) tickets in
   Serve.stop sv;
   let identical =
@@ -1194,7 +1193,7 @@ let serve () =
      else "!! DIVERGENCE — results invalid");
   gate ~experiment:"serve" ~name:"differential" identical;
   (* -- part 3: live sweep -- *)
-  print_subtitle "live async sweep (adaptive batching, 2 client domains)";
+  print_subtitle "live async sweep (2 client domains, each draining what it holds)";
   if quick then
     Printf.printf
       "(note: latency percentiles are meaningless under --quick; use a full \
@@ -1651,7 +1650,7 @@ let failover () =
   let dt, promote_s =
     time (fun () ->
       drive sv reqs 0 half;
-      (* the window is drained: the worker is idle, kill its device *)
+      (* the window is drained: nobody holds the shard, kill its device *)
       Spp_sim.Memdev.power_off
         (Pool.dev (Shard.shard_access (Shard.shard t 0)).Spp_access.pool);
       (* drain a burst against the dead primary before promoting: its
@@ -1763,13 +1762,12 @@ let scan_bench () =
     in
     let t_seq = build engine and t_par = build engine in
     let seq = Serve.run_sequential t_seq ~batch_cap:16 streams in
-    let sv = Serve.create ~batch_cap:16 ~adaptive:false ~autostart:false t_par in
+    let sv = Serve.create ~batch_cap:16 ~adaptive:false t_par in
     let tickets =
       Array.mapi
         (fun i stream -> Array.map (fun r -> Serve.submit_to sv i r) stream)
         streams
     in
-    Serve.start sv;
     let par = Array.map (Array.map (fun tk -> Serve.await sv tk)) tickets in
     Serve.stop sv;
     let digests_ok = ref true in

@@ -387,9 +387,11 @@ let serve_cmd =
   in
   let window_arg =
     let doc =
-      "Submission window: outstanding requests kept in flight. Large \
-       windows build queue pressure and let adaptive batching amortize \
-       fences; window 1 degenerates to one op per batch."
+      "Submission window: outstanding requests kept in flight. A \
+       request that finds its shard idle runs at once as a one-op \
+       batch, so a lone submitter commits op by op whatever the window; \
+       batches form only when requests queue behind a shard another \
+       domain holds."
     in
     Arg.(value & opt int 64 & info [ "window" ] ~docv:"N" ~doc)
   in
@@ -593,7 +595,7 @@ let serve_cmd =
           (Shard.owned_slots t i)
       done
     end;
-    match Serve.replication_stats sv with
+    (match Serve.replication_stats sv with
     | [] -> ()
     | rs ->
       List.iter
@@ -613,13 +615,19 @@ let serve_cmd =
           (Replica.ack_policy_to_string policy)
           (Bench_util.fmt_lat_ns (Histogram.p50 lag))
           (Bench_util.fmt_lat_ns (Histogram.p99 lag))
-          (Histogram.count lag)
+          (Histogram.count lag));
+    let failed = Serve.total_failed sv in
+    if failed > 0 then begin
+      Printf.printf "%d ticket(s) resolved Failed\n" failed;
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Drive the asynchronous batched serving pipeline: per-shard \
-          submission queues drained in adaptive batches, each batch \
+          submission queues, each drained by whichever domain holds the \
+          shard in batches of up to --batch-cap, each batch \
           group-committed through one coalesced redo flush and fence \
           schedule. An op whose shard is idle (nothing queued, no other \
           domain inside it) runs on the submitting thread as a one-op \
@@ -628,12 +636,13 @@ let serve_cmd =
           read cache (--cache-cap) answers hot gets on the submitting \
           thread, bypassing the queue. With --replicas N every batch is \
           also shipped to N warm standbys per shard and acknowledged per \
-          --ack-policy (threaded standbys under semi-sync or sync keep \
-          every op on the shard's worker). Keys route \
+          --ack-policy (with threaded standbys under semi-sync or sync, \
+          the domain running the batch waits for the acks). Keys route \
           through a versioned slot table (--slots); --rebalance \
-          live-migrates hot slots between shards while serving")
+          live-migrates hot slots between shards while serving. Exits 1 \
+          if any request resolved Failed.")
     Term.(const run $ variant_arg $ engine_arg
-          $ shards_arg ~doc:"Number of shards (one worker domain each)."
+          $ shards_arg ~doc:"Number of shards."
           $ batch_cap_arg
           $ serve_ops_arg $ window_arg $ cache_cap_arg
           $ replicas_arg $ ack_policy_arg $ slots_arg $ rebalance_arg
@@ -745,7 +754,7 @@ let failover_cmd =
           Failed_over, promote the shard's warm replica and finish the \
           run on the new primary")
     Term.(const run $ variant_arg $ engine_arg
-          $ shards_arg ~doc:"Number of shards (one worker domain each)."
+          $ shards_arg ~doc:"Number of shards."
           $ replicas_arg
           $ ack_policy_arg $ fo_ops_arg $ drop_rate_arg)
 

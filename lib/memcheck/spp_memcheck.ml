@@ -76,6 +76,7 @@ let untrack t ~addr =
    provenance is not tracked, so an overflow landing in another live
    allocation goes unnoticed. *)
 let check t addr len =
+  if len < 0 then raise (Violation { addr; len });
   let limit = addr + len in
   let point = ref addr in
   while !point < limit do

@@ -2,10 +2,15 @@
    listener, a self-pipe and every connection's non-blocking socket.
 
    Replies are encoded on the loop: at once for a cache hit or an op
-   that [Serve.submit] ran on its idle shard, both of which resolve
-   inside the call; through [post], which queues a closure and writes a
-   byte to the pipe, for a queued ticket (its [notify] runs on the
-   resolving worker) and for a scan (run on the helper thread).
+   that the loop ran itself — on a shard it found idle inside
+   [Serve.submit], or queued behind a shard the loop held; through
+   [post], which queues a closure and writes a byte to the pipe, for a
+   ticket another domain or the helper thread resolved (its [notify]
+   runs on that holder) and for a scan (run on the helper thread, which
+   may hold shards too, so "on the loop" means the loop's thread, not
+   its domain). Holding a shard, the loop may run requests that other
+   domains queued behind it, and under threaded semi-sync or sync
+   replication it waits for the replicas' acks.
    Each sweep decodes what every connection has buffered, writes what
    its peer will take and closes the connections that are done. The
    loop's thread blocks SIGPIPE, so a vanished peer fails its write with
@@ -97,7 +102,7 @@ let pending c = c.c_base + Buffer.length c.c_out - c.c_sent
 let raised e = Serve.Failed (Serve.Op_raised (Printexc.to_string e))
 let poke = Bytes.make 1 '!'
 
-(* Hand a completion to the loop, from a shard worker or the helper. The
+(* Hand a completion to the loop, from another shard holder. The
    loop clears [ns_poked] as it takes the queue, so the pipe never holds
    more than one byte. *)
 let post t f =
@@ -145,10 +150,10 @@ let dispatch t me c corr (req : Serve.request) =
       in
       post t (fun () -> c.c_scan <- false; reply c corr r))
   | _ ->
-    (* a cache hit or an op run inline is answered inside [submit],
-       here on the loop *)
+    (* a cache hit or an op the loop ran is answered here, on the
+       loop *)
     let notify r =
-      if Domain.self () = me then reply c corr r
+      if Thread.id (Thread.self ()) = me then reply c corr r
       else post t (fun () -> reply c corr r)
     in
     (try ignore (Serve.submit ~notify t.ns_serve req)
@@ -233,7 +238,7 @@ let accept t conns =
 let run t =
   (* on this thread only; the helper thread inherits it *)
   ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigpipe ]);
-  let me = Domain.self () and wake_r = fst t.ns_wake in
+  let me = Thread.id (Thread.self ()) and wake_r = fst t.ns_wake in
   let buf = Bytes.create 65536 and posted = Queue.create () in
   let conns = Hashtbl.create 16 and rd = ref [] and wr = ref [] in
   let listening = ref true and stopping = ref false in

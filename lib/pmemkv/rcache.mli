@@ -9,8 +9,8 @@
     Readers are lock-free from any domain: per-entry seqlock stamps make
     a torn probe read as a miss, never a wrong value. Writers (fills and
     invalidations) serialize on a small striped mutex array. The
-    intended single steady-state writer is the owning shard's worker
-    domain (post-commit fills, stage-time invalidations); submitting
+    intended steady-state writer is whichever domain holds the owning
+    shard (post-commit fills, stage-time invalidations); submitting
     domains may additionally invalidate on mutation submission, which
     the striping makes safe. *)
 

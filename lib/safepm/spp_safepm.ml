@@ -64,37 +64,43 @@ let tx_guard_shadow t ~off ~len =
     Pool.tx_add_range t.pool ~off:(t.shadow_off + first) ~len:(last - first + 1)
   end
 
-(* Set the shadow of [off, off+len) to [v] with one fill, as ASan
-   memsets its shadow, then the last granule's byte to [tail] when it
-   is non-zero, and persist the range. *)
-let set_shadow ?(tail = 0) t ~off ~len v =
+(* Poison [off, off+len): one fill of its shadow, as ASan memsets its
+   shadow, snapshotted inside a transaction and persisted. *)
+let poison t ~off ~len =
+  tx_guard_shadow t ~off ~len;
   if len > 0 then begin
     let space = Pool.space t.pool in
     let first = shadow_index off and last = shadow_index (off + len - 1) in
-    Space.fill space (shadow_addr t first) (last - first + 1) (Char.chr v);
-    if tail <> 0 then Space.store_u8 space (shadow_addr t last) tail;
+    Space.fill space (shadow_addr t first) (last - first + 1)
+      (Char.chr poisoned);
     Space.persist space (shadow_addr t first) (last - first + 1)
   end
 
-(* Unpoison [off, off+len): full granules 0, the trailing partial granule
-   records how many leading bytes are valid. *)
-let unpoison t ~off ~len =
-  tx_guard_shadow t ~off ~len;
-  set_shadow t ~off ~len 0 ~tail:((off + len) land (shadow_scale - 1))
-
-let poison t ~off ~len =
-  tx_guard_shadow t ~off ~len;
-  set_shadow t ~off ~len poisoned
-
-(* The right redzone must start at a shadow-granule boundary, or its
-   poisoning would clobber the partial-granule byte that makes the tail
-   of an unaligned object addressable (ASan aligns redzones the same
-   way). *)
+(* A block becoming live: its left redzone, the object and its right
+   redzone are one contiguous shadow range, composed in DRAM — poisoned,
+   then the object's granules cleared and its partial granule's byte
+   set — snapshotted once inside a transaction, stored once and
+   persisted once. The right redzone starts at the granule after the
+   object's last, so it never clobbers the partial-granule byte that
+   makes the tail of an unaligned object addressable (ASan aligns
+   redzones the same way). *)
 let apply_zones t ~user_off ~size =
-  poison t ~off:(user_off - redzone) ~len:redzone;
-  unpoison t ~off:user_off ~len:size;
-  let right = (user_off + size + shadow_scale - 1) / shadow_scale * shadow_scale in
-  poison t ~off:right ~len:(user_off + size + redzone - right)
+  let off = user_off - redzone and len = size + (2 * redzone) in
+  tx_guard_shadow t ~off ~len;
+  let first = shadow_index off in
+  let b =
+    Bytes.make (shadow_index (off + len - 1) - first + 1) (Char.chr poisoned)
+  in
+  if size > 0 then begin
+    let lo = shadow_index user_off - first
+    and hi = shadow_index (user_off + size - 1) - first in
+    Bytes.fill b lo (hi - lo + 1) '\000';
+    let tail = (user_off + size) land (shadow_scale - 1) in
+    if tail <> 0 then Bytes.set b hi (Char.chr tail)
+  end;
+  let space = Pool.space t.pool in
+  Space.write_bytes space (shadow_addr t first) b;
+  Space.persist space (shadow_addr t first) (Bytes.length b)
 
 let attach_fresh pool =
   if Pool.redzone pool <> redzone then
@@ -117,6 +123,7 @@ let attach_fresh pool =
    load in the simulator, reproducing SafePM's dominant runtime cost. *)
 
 let check t addr len =
+  if len < 0 then raise (Violation { addr; len; kind = "negative length" });
   let off = Pool.off_of_addr t.pool addr in
   if off < 0 || off + len > Pool.size t.pool then
     raise (Violation { addr; len; kind = "out-of-pool" });

@@ -245,7 +245,8 @@ let create ?(cfg = default_config) ?(engine = Spp_pmemkv.Engines.cmap) ~shard
 
 (* One heartbeat round over the same lossy channel as the data path: a
    link bad enough to drop commits misses pings too. Called by the
-   serving layer between drains; deterministic under a seeded channel. *)
+   serving layer's shard holder once per batch; deterministic under a
+   seeded channel. *)
 let heartbeat g =
   Array.iter
     (fun l ->

@@ -74,8 +74,8 @@ val create :
 val heartbeat : t -> unit
 (** One ping round to every live replica over the same lossy channel as
     the data path. [hb_timeout] consecutive losses mark the replica
-    down. Call from the domain that owns the primary (the serve worker,
-    between drains). *)
+    down. Call from the domain that owns the primary (the domain holding
+    the serve shard, once per batch). *)
 
 val wait_acks : t -> unit
 (** Block per the ack policy until the required replicas have applied

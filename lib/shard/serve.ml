@@ -1,36 +1,44 @@
 (* Asynchronous batched serving pipeline over the shard stack.
 
-   One MPSC mailbox per shard (Mutex/Condition, any submitter) and one
-   worker Domain per shard. A shard is held by one domain at a time — a
-   flag under the mailbox lock — and only the holder enters the shard's
-   stack: its worker, to drain the queue or to run a promotion or a
-   migration, or a submitter that found the shard idle. A drain executes
-   the drained requests through [Engine.run_batch], so the whole drain
-   rides a single group-committed redo log (see [Redo.batch]) — the
-   fence schedule that a synchronous routed put pays per operation is
-   paid once per batch. Each request carries a promise-like ticket: the
+   One MPSC mailbox per shard (Mutex/Condition, any submitter) and no
+   domain of its own. A shard is held by one domain at a time — a flag
+   under the mailbox lock — and only the holder enters the shard's
+   stack. Whoever holds a shard drains its queue before letting go, in
+   chunks of at most [batch_cap], each executed through
+   [Engine.run_batch], so the chunk rides a single group-committed redo
+   log (see [Redo.batch]) — the fence schedule that a synchronous routed
+   put pays per operation is paid once per batch. This is flat
+   combining: the domain that finds the shard free runs the requests
+   queued behind it. Each request carries a promise-like ticket: the
    holder fulfils it after the batch's commit returns, which is exactly
    when the op is durable, and records the submission-to-fulfilment
    latency into the shard's histogram.
 
-   Inline execution: a routed [submit] that finds its shard unheld with
-   an empty queue takes the shard and runs the op itself, as a one-op
-   drain through the same code, so its ticket and [notify] resolve
-   before [submit] returns — no worker wake, no hand-off back. That
-   needs an adaptive, started pipeline, a live shard with no promotion
-   or migration pending, and acks that wait on no other domain (not
-   threaded replicas under semi-sync or sync). [submit_to] always
-   queues. Batches still form whenever requests queue behind a held
-   shard; a lone submitter pipelining to an idle shard commits op by op.
+   Who holds a shard:
+   - a routed [submit] that finds its shard unheld with an empty queue
+     runs its op there, as a one-op batch, so its ticket and [notify]
+     resolve before [submit] returns;
+   - whoever pushes a request onto an unheld shard's queue takes the
+     shard and drains it: [submit] or [submit_to] (adaptive mode), a
+     drain forwarding a request to its new owner, and a migration flip
+     re-pointing queued requests — all try-only: if another domain
+     holds the shard, that holder drains it;
+   - [await] on an unresolved ticket whose shard is unheld;
+   - [promote], [migrate_slot] and [stop], which wait for the hold
+     while holding no shard and run on the calling domain.
+   A held shard queues every request submitted to it, so batches form
+   whenever requests arrive behind a holder; a lone submitter
+   pipelining to an idle shard commits op by op. Only a migration holds
+   two shards: it holds the source while it awaits its copy on the
+   target, whose holder never waits for a hold, so no cycle can form.
 
-   Batching is adaptive: the drain size doubles while a backlog remains
-   after a drain (queue pressure) up to [batch_cap], and halves when a
-   drain empties the queue (idle). With [adaptive = false] every drain
-   takes exactly [batch_cap] requests when available and nothing runs
-   inline — combined with pre-enqueueing ([autostart:false] then
-   [start]) this makes batch boundaries, and therefore every
-   Space/Memdev counter, a pure function of the submitted streams: the
-   property the parallel-vs-sequential differential asserts.
+   With [adaptive = false] a submitter never runs the shard: nothing
+   executes until a domain awaits a ticket or holds the shard, and every
+   drain takes exactly [batch_cap] requests when available, so
+   pre-enqueued streams batch exactly as [run_sequential] chunks them
+   and every Space/Memdev counter is a pure function of the submitted
+   streams: the property the parallel-vs-sequential differential
+   asserts.
 
    Crash atomicity is per op, not per batch: recovery lands on a prefix
    of whole operations of the interrupted batch (torture workload
@@ -38,51 +46,49 @@
    ticket means the op's sub-batch committed.
 
    Failure semantics: a ticket resolves to [Failed] instead of hanging.
-   An op that raises fails its whole drain with [Op_raised] but leaves
-   the shard serving (the abandoned batch staged only volatile state;
-   locks unwind via [Fun.protect]). A primary whose device died —
-   [Memdev.power_off], the kill the failover torture injects — fails
-   the drain and every later request on that shard with [Failed_over]
-   until [promote] swaps in a replica stack. A [Failed] reply means the
-   op's outcome is unknown, not that it didn't happen: sub-batches that
-   committed before the failure are durable (and replicated), the rest
-   are not — standard failover ambiguity, resolved by the client
-   re-reading.
+   An op that raises fails its whole batch with [Op_raised] but leaves
+   the shard serving (the abandoned batch staged only volatile state).
+   A primary whose device died — [Memdev.power_off], the kill the
+   failover torture injects — fails the batch and every later request
+   on that shard with [Failed_over] until [promote] swaps in a replica
+   stack. A [Failed] reply means the op's outcome is unknown, not that
+   it didn't happen: sub-batches that committed before the failure are
+   durable (and replicated), the rest are not — standard failover
+   ambiguity, resolved by the client re-reading.
 
    Replication rides the batch observer, so it sees every committed
    mutation, a synchronous [Shard.put] (a one-op batch) included; but
    only this pipeline waits for the replicas' acks, so with
    [?replication] configured, writes that must be acknowledged per the
    policy flow through it. The holder gates ticket fulfilment on
-   [Replica.wait_acks] per the configured policy and runs one heartbeat
-   round per drain; [promote] executes on the failed shard's own worker
-   domain, holding the shard, then repoints the router via
-   [Shard.set_shard].
+   [Replica.wait_acks] per the configured policy — with threaded
+   replicas under semi-sync or sync it waits there for an applier
+   domain, whether it is a submitter or [Net_server]'s loop — and runs
+   one heartbeat round per batch; [promote] holds the failed shard,
+   then repoints the router via [Shard.set_shard].
 
-   Live slot migration ([migrate_slot]) also executes on the source
-   shard's own worker domain, holding the shard between drains — the
-   migration is a mailbox control request like promotion, so the source
-   stack is never entered by two domains at once. The protocol is
-   copy -> flip -> delete:
-   (1) the worker drains the slot's keys out of its own engine through
-   paginated ordered scans and replays them into the target shard as
-   ordinary batched [Put]s via the target's mailbox — so the copy rides
-   the target's group commit and its redo payloads reach the target's
-   replica; during the copy the worker holds the source shard, so no
-   op, queued or inline, can make the scanned values stale; (2) the
-   flip takes both mailbox locks, re-points every queued request on the
-   migrating slot at the target (tickets chase their requests across
-   mailboxes), invalidates the source cache for the moved keys and
-   swaps in the new slot table — submitters re-check the table under
-   the mailbox lock, so no slot request can land on the source after
-   the swap; (3) the worker deletes the moved keys from its own engine
-   in group-committed remove batches. A crash between (1) and (2)
-   leaves the slot on the source (the copy is garbage the target never
-   owns); after (2) the slot is served by the target, which has every
-   key — exactly-once either way, which the [kvreshard] torture
-   workload enumerates. One migration runs at a time ([mig_mu]);
-   whole-store scans serialize against it so a range never observes a
-   slot in neither (or both) shards. *)
+   Live slot migration ([migrate_slot]) holds the source shard for its
+   whole run, so the source stack is never entered by two domains at
+   once. The protocol is copy -> flip -> delete:
+   (1) the migration drains the slot's keys out of the source engine
+   through paginated ordered scans and replays them into the target
+   shard as ordinary batched [Put]s via the target's mailbox — so the
+   copy rides the target's group commit and its redo payloads reach the
+   target's replica; the source is held, so no op, queued or inline,
+   can make the scanned values stale; (2) the flip takes both mailbox
+   locks, re-points every queued request on the migrating slot at the
+   target (tickets chase their requests across mailboxes), invalidates
+   the source cache for the moved keys and swaps in the new slot table
+   — submitters re-check the table under the mailbox lock, so no slot
+   request can land on the source after the swap; (3) the migration
+   deletes the moved keys from the source engine in group-committed
+   remove batches. A crash between (1) and (2) leaves the slot on the
+   source (the copy is garbage the target never owns); after (2) the
+   slot is served by the target, which has every key — exactly-once
+   either way, which the [kvreshard] torture workload enumerates. One
+   migration runs at a time ([mig_mu]); whole-store scans serialize
+   against it so a range never observes a slot in neither (or both)
+   shards. *)
 
 type request =
   | Put of { key : string; value : string }
@@ -91,7 +97,7 @@ type request =
   | Scan of { lo : string; hi : string; limit : int }
 
 type failure =
-  | Op_raised of string   (* an op raised; outcome of the drain unknown *)
+  | Op_raised of string   (* an op raised; outcome of the batch unknown *)
   | Failed_over           (* primary died; resubmit after promotion *)
 
 type reply =
@@ -103,7 +109,7 @@ type reply =
 
 (* Every scan reply is clamped to this many pairs, whatever limit the
    client asked for — the reply is a materialized list built while the
-   worker holds the shard. *)
+   holder holds the shard. *)
 let scan_limit_cap = 4096
 
 exception Not_replicated of int
@@ -145,16 +151,13 @@ type migration_report = {
 
 type mailbox = {
   mu : Mutex.t;
-  work : Condition.t;   (* the worker waits here for work it may take *)
-  done_ : Condition.t;  (* broadcast on fulfilment; awaiters wait *)
+  done_ : Condition.t;
+      (* broadcast on fulfilment and on release; awaiters and domains
+         waiting for the hold wait here *)
   q : (request * ticket) Queue.t;
   mutable peak_q : int;    (* high-water queue depth, under [mu] *)
   mutable stop : bool;
-  mutable failed : bool;   (* device died: fail drains until promotion *)
-  mutable promote_req : int option;   (* Some cache_cap: promote now *)
-  mutable promoted : (Replica.promoted, string) result option;
-  mutable migrate_req : (int * int) option;   (* (slot, target shard) *)
-  mutable migrated : (migration_report, string) result option;
+  mutable failed : bool;   (* device died: fail batches until promotion *)
   mutable held : bool;     (* a domain is inside the shard, under [mu] *)
   (* Written only by the domain holding the shard; [ops] and [busy] are
      atomic so observers read them live (the rebalancer's busy windows,
@@ -165,10 +168,9 @@ type mailbox = {
   mutable nfailed : int;   (* tickets resolved [Failed] *)
   busy : float Atomic.t;   (* seconds inside [run_batch] *)
   hist : Spp_benchlib.Histogram.t;   (* latency, ns *)
-  mutable cur : int;       (* adaptive drain size *)
-  (* drain scratch, allocated once at [batch_cap]: only the first [n]
-     slots are live per drain, and item slots are reset to [idle] after
-     resolution so fulfilled tickets don't outlive their drain *)
+  (* batch scratch, allocated once at [batch_cap]: only the first [n]
+     slots are live per batch, and item slots are reset to [idle] after
+     resolution so fulfilled tickets don't outlive their batch *)
   items : (request * ticket) array;
   opbuf : Spp_pmemkv.Engine.batch_op array;
 }
@@ -188,8 +190,7 @@ type t = {
   boxes : mailbox array;
   repl : Replica.t option array;   (* one group per shard, if configured *)
   batch_cap : int;
-  adaptive : bool;
-  inline : bool;            (* a routed op may run on an idle shard *)
+  adaptive : bool;          (* submitters run the shards they find free *)
   bypass : bool;            (* answer cache-hit gets on the submitter *)
   bypassed : int Atomic.t;  (* gets that never saw a mailbox *)
   promotions : int Atomic.t;
@@ -198,7 +199,6 @@ type t = {
   migrations : int Atomic.t;
   forwarded : int Atomic.t;        (* requests re-pointed across boxes *)
   keys_moved : int Atomic.t;
-  mutable workers : unit Domain.t array;
   mutable stopped : bool;
 }
 
@@ -219,7 +219,7 @@ let of_engine_reply = function
 (* The answer to every request of a batch that raised. *)
 let op_raised e = Failed (Op_raised (Printexc.to_string e))
 
-(* Resolve a drain's tickets — the first [n] slots of the holder's
+(* Resolve a batch's tickets — the first [n] slots of the holder's
    scratch buffer. [Failed] still records latency — a failed op occupied
    the pipeline for that long. *)
 let resolve box n replies =
@@ -242,68 +242,53 @@ let resolve box n replies =
       tk.tk_notify
   done
 
-let has_work box =
-  not (Queue.is_empty box.q) || box.stop || box.promote_req <> None
-  || box.migrate_req <> None
+(* Under [box.mu]: queue a request and note the high-water depth. *)
+let push box item =
+  Queue.push item box.q;
+  let d = Queue.length box.q in
+  if d > box.peak_q then box.peak_q <- d
 
-(* Run [f] holding the shard — the caller set [held] under the lock —
-   and give the shard back however [f] exits. The worker is woken only
-   when it has something to take. *)
-let holding box f =
-  Fun.protect f ~finally:(fun () ->
-    Mutex.lock box.mu;
-    box.held <- false;
-    if has_work box then Condition.signal box.work;
-    Mutex.unlock box.mu)
+(* Under [box.mu]: take the shard if nobody holds it. *)
+let try_hold box = (not box.held) && (box.held <- true; true)
 
-(* Promotion runs here, on the shard's own worker domain holding the
-   shard, so the router swap can never race a drain. The sealed group
-   stays in [t.repl] for post-mortem stats; [Replica.sealed] keeps it off
-   the ack path. *)
-let do_promote t i box cache_cap =
-  let res =
-    match t.repl.(i) with
-    | None -> Error "no replication group"
-    | Some g ->
-      (try
-         let p = Replica.promote ~cache_cap g in
-         Shard.set_shard t.store i ~access:p.Replica.pr_access
-           ~kv:p.Replica.pr_kv;
-         Atomic.incr t.promotions;
-         Ok p
-       with
-       | Replica.Promotion_failed { reason; _ } -> Error reason
-       | e -> Error (Printexc.to_string e))
-  in
+let release box =
   Mutex.lock box.mu;
-  box.promote_req <- None;
-  (match res with Ok _ -> box.failed <- false | Error _ -> ());
-  box.promoted <- Some res;
+  box.held <- false;
   Condition.broadcast box.done_;
   Mutex.unlock box.mu
+
+(* Promotion runs holding the failed shard, so the router swap can never
+   race a batch. The sealed group stays in [t.repl] for post-mortem
+   stats; [Replica.sealed] keeps it off the ack path. *)
+let do_promote t i cache_cap =
+  match t.repl.(i) with
+  | None -> Error "no replication group"
+  | Some g ->
+    (try
+       let p = Replica.promote ~cache_cap g in
+       Shard.set_shard t.store i ~access:p.Replica.pr_access
+         ~kv:p.Replica.pr_kv;
+       Atomic.incr t.promotions;
+       let box = t.boxes.(i) in
+       Mutex.protect box.mu (fun () -> box.failed <- false);
+       Ok p
+     with
+     | Replica.Promotion_failed { reason; _ } -> Error reason
+     | e -> Error (Printexc.to_string e))
 
 (* Keys above this sentinel never occur in practice; the paginated copy
    scan uses it as its open upper bound. *)
 let scan_hi_sentinel = String.make 32 '\xff'
-
-let started t = Array.length t.workers > 0
 
 let idle =
   (Get "",
    { tk_shard = 0; tk_submitted = 0.; tk_reply = None; tk_pinned = true;
      tk_notify = None })
 
-(* The drain size after a drain that left [backlog] requests queued *)
-let adapt t box ~backlog =
-  if t.adaptive then
-    box.cur <-
-      (if backlog > 0 then min (max (2 * box.cur) 2) t.batch_cap
-       else max 1 (box.cur / 2))
-
 (* Execute the first [n0] requests of shard [i]'s scratch buffer as one
    group-committed batch, resolve their tickets and account the batch.
-   The caller holds the shard: its worker for a drain, or a submitter
-   for the one op it runs inline. *)
+   The caller holds the shard. Returns the shards it forwarded requests
+   to, for the caller to drain once it has let go of this one. *)
 let execute t i box n0 ~already_failed =
   let items = box.items and opbuf = box.opbuf in
   (* Double-check router-submitted ops against the live slot table: a
@@ -314,6 +299,7 @@ let execute t i box n0 ~already_failed =
      requests ([submit_to]) are exempt: the caller chose the shard —
      notably the migration copy, which targets the shard that does not
      own the slot yet. *)
+  let fwd = ref [] in
   let n =
     let m = ref 0 in
     for j = 0 to n0 - 1 do
@@ -332,10 +318,10 @@ let execute t i box n0 ~already_failed =
         let obox = t.boxes.(owner) in
         Mutex.lock obox.mu;
         tk.tk_shard <- owner;
-        Queue.push (req, tk) obox.q;
-        if not obox.held then Condition.signal obox.work;
+        push obox (req, tk);
         Mutex.unlock obox.mu;
-        Atomic.incr t.forwarded
+        Atomic.incr t.forwarded;
+        fwd := owner :: !fwd
       end
     done;
     !m
@@ -345,7 +331,7 @@ let execute t i box n0 ~already_failed =
      (* dead primary, not yet promoted: nothing to execute on *)
      resolve box n (fun _ -> Failed Failed_over)
    else begin
-     (* re-resolve the stack each drain: [promote] may have swapped it
+     (* re-resolve the stack each batch: [promote] may have swapped it
         since the last one *)
      let sh = Shard.shard t.store i in
      let kv = Shard.shard_kv sh in
@@ -386,8 +372,58 @@ let execute t i box n0 ~already_failed =
        box.batches <- box.batches + 1;
        if n > box.max_batch then box.max_batch <- n
    end);
-  (* release resolved tickets to the GC before the next drain *)
-  Array.fill items 0 n0 idle
+  (* release resolved tickets to the GC before the next batch *)
+  Array.fill items 0 n0 idle;
+  !fwd
+
+(* The holder's loop: run what is queued in chunks of at most
+   [batch_cap] until the queue is empty, then release the shard and
+   wake everyone waiting on it. Shards that a batch forwarded requests
+   to ([fwd], and those [execute] returns) are drained afterwards if
+   nobody holds them. Called holding shard [i], without its lock. *)
+let rec drain ?(fwd = []) t i =
+  let box = t.boxes.(i) in
+  Mutex.lock box.mu;
+  let n = min (Queue.length box.q) t.batch_cap in
+  if n = 0 then begin
+    box.held <- false;
+    Condition.broadcast box.done_;
+    Mutex.unlock box.mu;
+    List.iter (settle t) fwd
+  end
+  else begin
+    for j = 0 to n - 1 do
+      box.items.(j) <- Queue.pop box.q
+    done;
+    let already_failed = box.failed in
+    Mutex.unlock box.mu;
+    match execute t i box n ~already_failed with
+    | more -> drain ~fwd:(List.rev_append more fwd) t i
+    | exception e -> release box; raise e
+  end
+
+(* Take shard [i] if nobody holds it, and drain it: what a domain does
+   after leaving requests on a queue it does not hold. *)
+and settle t i =
+  let box = t.boxes.(i) in
+  Mutex.lock box.mu;
+  let took = try_hold box in
+  Mutex.unlock box.mu;
+  if took then drain t i
+
+(* Wait for shard [i]'s hold, run [f] holding it, and drain. The caller
+   must hold no shard. *)
+let exclusively t i f =
+  let box = t.boxes.(i) in
+  Mutex.lock box.mu;
+  while box.held do
+    Condition.wait box.done_ box.mu
+  done;
+  box.held <- true;
+  Mutex.unlock box.mu;
+  match f () with
+  | r -> drain t i; r
+  | exception e -> release box; raise e
 
 (* Push under the mailbox lock, re-checking the slot table for keyed
    requests: a migration flip that completed between routing and this
@@ -396,11 +432,13 @@ let execute t i box n0 ~already_failed =
    re-route loop terminates because [mig_mu] admits one migration at a
    time and each flip moves exactly one slot.
 
-   A routed op ([key] given) that finds the shard idle — unheld, nothing
-   queued, nothing pending, not failed — is run here instead, holding
-   the shard, so its ticket is resolved on return. Nothing queued means
-   nothing submitted earlier is overtaken. *)
-let rec submit_queued t i ?key ?notify req =
+   In adaptive mode ([run]) a routed op ([key] given) that finds the
+   shard idle — unheld, nothing queued — is run here, holding the
+   shard, so its ticket is resolved on return; nothing queued means
+   nothing submitted earlier is overtaken. Any other request is queued,
+   and with [run] the submitter then drains the shard if nobody holds
+   it. *)
+let rec submit_queued t i ~run ?key ?notify req =
   let box = t.boxes.(i) in
   Mutex.lock box.mu;
   let owner =
@@ -408,7 +446,7 @@ let rec submit_queued t i ?key ?notify req =
   in
   if owner <> i then begin
     Mutex.unlock box.mu;
-    submit_queued t owner ?key ?notify req
+    submit_queued t owner ~run ?key ?notify req
   end
   else if box.stop then begin
     Mutex.unlock box.mu;
@@ -419,29 +457,25 @@ let rec submit_queued t i ?key ?notify req =
       { tk_shard = i; tk_submitted = Spp_benchlib.Bench_util.now_mono ();
         tk_reply = None; tk_pinned = (key = None); tk_notify = notify }
     in
-    if t.inline && key <> None && started t && not box.held
-       && Queue.is_empty box.q && not box.failed && box.promote_req = None
-       && box.migrate_req = None
-    then begin
+    if run && key <> None && (not box.held) && Queue.is_empty box.q then begin
       box.held <- true;
       box.items.(0) <- (req, tk);
+      let already_failed = box.failed in
       Mutex.unlock box.mu;
-      holding box (fun () ->
-        adapt t box ~backlog:0;
-        execute t i box 1 ~already_failed:false)
+      match execute t i box 1 ~already_failed with
+      | fwd -> drain ~fwd t i
+      | exception e -> release box; raise e
     end
     else begin
-      Queue.push (req, tk) box.q;
-      let d = Queue.length box.q in
-      if d > box.peak_q then box.peak_q <- d;
-      (* a holder signals as it releases *)
-      if not box.held then Condition.signal box.work;
-      Mutex.unlock box.mu
+      push box (req, tk);
+      let took = run && try_hold box in
+      Mutex.unlock box.mu;
+      if took then drain t i
     end;
     tk
   end
 
-let submit_prepared t i ?key ?notify req =
+let submit_prepared t i ~run ?key ?notify req =
   let kv = Shard.shard_kv (Shard.shard t.store i) in
   (* Submission-time invalidation: by the time a mutation is visible in
      the mailbox, no later probe — from this client or any other — can
@@ -467,282 +501,215 @@ let submit_prepared t i ?key ?notify req =
        { tk_shard = i;
          tk_submitted = Spp_benchlib.Bench_util.now_mono ();
          tk_reply = Some r; tk_pinned = false; tk_notify = None }
-     | None -> submit_queued t i ?key ?notify req)
-  | _ -> submit_queued t i ?key ?notify req
+     | None -> submit_queued t i ~run ?key ?notify req)
+  | _ -> submit_queued t i ~run ?key ?notify req
 
 let submit ?notify t req =
   let key = request_key req in
   Atomic.incr t.slot_ops.(Shard.slot_of t.store key);
-  submit_prepared t (Shard.route t.store key) ~key ?notify req
+  submit_prepared t (Shard.route t.store key) ~run:t.adaptive ~key ?notify
+    req
 
 (* Target one shard explicitly — how a [Scan] (which has no routing
    key: the hash router spreads every range over all shards) enters a
-   specific worker's batch stream. No table re-check: the caller chose
+   specific shard's batch stream. No table re-check: the caller chose
    the shard. *)
 let submit_to t i req =
   if i < 0 || i >= Shard.nshards t.store then
     invalid_arg "Serve.submit_to: shard index out of range";
-  submit_prepared t i req
+  submit_prepared t i ~run:t.adaptive req
 
-(* A ticket may be re-pointed at another shard by a migration flip
-   while we wait; the flip broadcasts the old box's [done_], so we wake,
-   notice the move and chase the ticket to its new box. *)
-let await t tk =
+(* A ticket may be re-pointed at another shard by a migration flip or a
+   batch's forward while we wait; both broadcast the old box's [done_]
+   (the flip directly, the forward as its holder releases), so we wake,
+   notice the move and chase the ticket to its new box. A ticket whose
+   shard nobody holds is ours to run. *)
+let rec await t tk =
   match tk.tk_reply with
   | Some r -> r   (* cache hit or inline op: fulfilled at submission *)
   | None ->
-    if not (started t) then
-      invalid_arg "Serve.await: pipeline not started (autostart:false)";
-    let rec chase () =
-      let i = tk.tk_shard in
-      let box = t.boxes.(i) in
-      Mutex.lock box.mu;
-      while tk.tk_reply = None && tk.tk_shard = i do
-        Condition.wait box.done_ box.mu
-      done;
-      let r = tk.tk_reply in
-      Mutex.unlock box.mu;
-      match r with Some r -> r | None -> chase ()
-    in
-    chase ()
+    let i = tk.tk_shard in
+    let box = t.boxes.(i) in
+    Mutex.lock box.mu;
+    while tk.tk_reply = None && tk.tk_shard = i && box.held do
+      Condition.wait box.done_ box.mu
+    done;
+    let took = tk.tk_reply = None && tk.tk_shard = i && try_hold box in
+    Mutex.unlock box.mu;
+    if took then drain t i;
+    await t tk
 
 let peek tk = tk.tk_reply
 
-(* Live slot migration, executed here on the source shard's own worker
-   domain between drains (see the module header for the protocol and
-   why each phase is race-free). [mig_mu] is held by the initiator for
-   the whole call, so at most one migration is in flight. *)
-let do_migrate t i box (slot, dst) =
-  let res =
-    try
-      if dst = i then failwith "target is the source shard";
-      let sh = Shard.shard t.store i in
-      let kv = Shard.shard_kv sh in
-      (* Phase 1 — copy: paginate the source engine in key order and
-         replay the slot's entries into the target through its normal
-         mailbox/batch path. This domain holds the source shard, so no
-         copied value can be overwritten on the source mid-copy. *)
-      let moved = ref [] and nmoved = ref 0 and nbatches = ref 0 in
-      let flush chunk =
-        match chunk with
-        | [] -> ()
-        | chunk ->
-          let tks =
-            List.rev_map
-              (fun (key, value) -> submit_to t dst (Put { key; value }))
-              chunk
-          in
-          List.iter
-            (fun tk ->
-              match await t tk with
-              | Done -> ()
-              | Failed _ -> failwith "copy batch failed on the target"
-              | _ -> assert false)
-            tks;
-          incr nbatches
-      in
-      let lo = ref "" and more = ref true in
-      while !more do
-        let page =
-          Spp_pmemkv.Engine.scan kv ~lo:!lo ~hi:scan_hi_sentinel
-            ~limit:scan_limit_cap
+(* Live slot migration, run holding the source shard [i] (see the
+   module header for the protocol and why each phase is race-free).
+   [mig_mu] is held by the caller for the whole call, so at most one
+   migration is in flight. *)
+let do_migrate t i (slot, dst) =
+  try
+    if dst = i then failwith "target is the source shard";
+    let box = t.boxes.(i) in
+    let sh = Shard.shard t.store i in
+    let kv = Shard.shard_kv sh in
+    (* Phase 1 — copy: paginate the source engine in key order and
+       replay the slot's entries into the target through its normal
+       mailbox/batch path: queue a chunk, then await it, which drains
+       the target unless another domain holds it. This domain holds the
+       source shard, so no copied value can be overwritten on the source
+       mid-copy. *)
+    let moved = ref [] and nmoved = ref 0 and nbatches = ref 0 in
+    let flush chunk =
+      match chunk with
+      | [] -> ()
+      | chunk ->
+        let tks =
+          List.rev_map
+            (fun (key, value) ->
+              submit_prepared t dst ~run:false (Put { key; value }))
+            chunk
         in
-        (match List.rev page with
-         | [] -> more := false
-         | (last, _) :: _ ->
-           lo := last ^ "\x00";
-           if List.length page < scan_limit_cap then more := false);
-        let chunk = ref [] and len = ref 0 in
         List.iter
-          (fun (k, v) ->
-            if Shard.slot_of t.store k = slot then begin
-              moved := k :: !moved;
-              incr nmoved;
-              chunk := (k, v) :: !chunk;
-              incr len;
-              if !len >= t.batch_cap then begin
-                flush !chunk; chunk := []; len := 0
-              end
-            end)
-          page;
-        flush !chunk
-      done;
-      (* Phase 2 — flip: under both mailbox locks, re-point queued
-         requests on the slot at the target (in queue order, ahead of
-         nothing the target has not already committed — the copy was
-         fully acked above), drop the moved keys from the source cache,
-         and swap in the new table. Submitters re-check the table under
-         the mailbox lock, so after the unlock no slot request can land
-         here. *)
-      let dbox = t.boxes.(dst) in
-      Mutex.lock box.mu;
-      Mutex.lock dbox.mu;
-      let keep = Queue.create () in
-      let nfwd = ref 0 in
-      while not (Queue.is_empty box.q) do
-        let ((req, tk) as item) = Queue.pop box.q in
-        let goes =
-          match req with
-          | Put { key; _ } | Get key | Remove key ->
-            Shard.slot_of t.store key = slot
-          | Scan _ -> false
-        in
-        if goes then begin
-          tk.tk_shard <- dst;
-          Queue.push item dbox.q;
-          incr nfwd
-        end
-        else Queue.push item keep
-      done;
-      Queue.transfer keep box.q;
-      List.iter (fun k -> Spp_pmemkv.Engine.cache_invalidate kv k) !moved;
-      Shard.set_slot_owner t.store ~slot ~shard:dst;
-      if !nfwd > 0 then begin
-        Condition.signal dbox.work;
-        (* wake awaiters parked on this box so they chase their
-           forwarded tickets to the target *)
-        Condition.broadcast box.done_
-      end;
-      Mutex.unlock dbox.mu;
-      Mutex.unlock box.mu;
-      Atomic.set t.forwarded (Atomic.get t.forwarded + !nfwd);
-      (* Phase 3 — delete: group-committed remove batches on our own
-         engine (this domain holds it). The batch observer fires, so the
-         source's replica sees the departures too. The slot already
-         routes to the target, so nothing can read these keys here. *)
-      let rec delete = function
-        | [] -> ()
-        | keys ->
-          let n = min t.batch_cap (List.length keys) in
-          let chunk = Array.make n (Spp_pmemkv.Engine.B_get "") in
-          let rest = ref keys in
-          for j = 0 to n - 1 do
-            (match !rest with
-             | k :: tl -> chunk.(j) <- Spp_pmemkv.Engine.B_remove k; rest := tl
-             | [] -> assert false)
-          done;
-          ignore (Spp_pmemkv.Engine.run_batch kv chunk);
-          delete !rest
-      in
-      delete !moved;
-      Atomic.incr t.migrations;
-      Atomic.set t.keys_moved (Atomic.get t.keys_moved + !nmoved);
-      Ok
-        { mig_slot = slot; mig_from = i; mig_to = dst; mig_keys = !nmoved;
-          mig_batches = !nbatches; mig_forwarded = !nfwd }
-    with e -> Error (Printexc.to_string e)
-  in
-  Mutex.lock box.mu;
-  box.migrate_req <- None;
-  box.migrated <- Some res;
-  Condition.broadcast box.done_;
-  Mutex.unlock box.mu
-
-(* The worker waits until its shard is unheld and has work, takes the
-   shard and runs that work: a promotion, a migration or one drain. It
-   leaves once [stop] is set, nothing is queued and nobody holds the
-   shard. *)
-let worker t i =
-  let box = t.boxes.(i) in
-  let rec loop () =
-    Mutex.lock box.mu;
-    while box.held || not (has_work box) do
-      Condition.wait box.work box.mu
-    done;
-    let job =
-      match (box.promote_req, box.migrate_req) with
-      | Some cap, _ -> Some (fun () -> do_promote t i box cap)
-      | None, Some mig -> Some (fun () -> do_migrate t i box mig)
-      | None, None when Queue.is_empty box.q -> None   (* stopping *)
-      | None, None ->
-        let want = if t.adaptive then box.cur else t.batch_cap in
-        let n0 = min (Queue.length box.q) want in
-        for j = 0 to n0 - 1 do
-          box.items.(j) <- Queue.pop box.q
-        done;
-        let backlog = Queue.length box.q and already_failed = box.failed in
-        Some (fun () ->
-          adapt t box ~backlog;
-          execute t i box n0 ~already_failed)
+          (fun tk ->
+            match await t tk with
+            | Done -> ()
+            | Failed _ -> failwith "copy batch failed on the target"
+            | _ -> assert false)
+          tks;
+        incr nbatches
     in
-    match job with
-    | None -> Mutex.unlock box.mu
-    | Some f ->
-      box.held <- true;
-      Mutex.unlock box.mu;
-      holding box f;
-      loop ()
-  in
-  loop ()
+    let lo = ref "" and more = ref true in
+    while !more do
+      let page =
+        Spp_pmemkv.Engine.scan kv ~lo:!lo ~hi:scan_hi_sentinel
+          ~limit:scan_limit_cap
+      in
+      (match List.rev page with
+       | [] -> more := false
+       | (last, _) :: _ ->
+         lo := last ^ "\x00";
+         if List.length page < scan_limit_cap then more := false);
+      let chunk = ref [] and len = ref 0 in
+      List.iter
+        (fun (k, v) ->
+          if Shard.slot_of t.store k = slot then begin
+            moved := k :: !moved;
+            incr nmoved;
+            chunk := (k, v) :: !chunk;
+            incr len;
+            if !len >= t.batch_cap then begin
+              flush !chunk; chunk := []; len := 0
+            end
+          end)
+        page;
+      flush !chunk
+    done;
+    (* Phase 2 — flip: under both mailbox locks, re-point queued
+       requests on the slot at the target (in queue order, ahead of
+       nothing the target has not already committed — the copy was
+       fully acked above), drop the moved keys from the source cache,
+       and swap in the new table. Submitters re-check the table under
+       the mailbox lock, so after the unlock no slot request can land
+       here. *)
+    let dbox = t.boxes.(dst) in
+    Mutex.lock box.mu;
+    Mutex.lock dbox.mu;
+    let keep = Queue.create () in
+    let nfwd = ref 0 in
+    while not (Queue.is_empty box.q) do
+      let ((req, tk) as item) = Queue.pop box.q in
+      let goes =
+        match req with
+        | Put { key; _ } | Get key | Remove key ->
+          Shard.slot_of t.store key = slot
+        | Scan _ -> false
+      in
+      if goes then begin
+        tk.tk_shard <- dst;
+        Queue.push item dbox.q;
+        incr nfwd
+      end
+      else Queue.push item keep
+    done;
+    Queue.transfer keep box.q;
+    List.iter (fun k -> Spp_pmemkv.Engine.cache_invalidate kv k) !moved;
+    Shard.set_slot_owner t.store ~slot ~shard:dst;
+    (* wake awaiters parked on this box so they chase their forwarded
+       tickets to the target *)
+    if !nfwd > 0 then Condition.broadcast box.done_;
+    Mutex.unlock dbox.mu;
+    Mutex.unlock box.mu;
+    Atomic.set t.forwarded (Atomic.get t.forwarded + !nfwd);
+    (* the re-pointed requests may sit on an unheld target: drain it *)
+    if !nfwd > 0 then settle t dst;
+    (* Phase 3 — delete: group-committed remove batches on the source
+       engine (this domain holds it). The batch observer fires, so the
+       source's replica sees the departures too. The slot already
+       routes to the target, so nothing can read these keys here. *)
+    let rec delete = function
+      | [] -> ()
+      | keys ->
+        let n = min t.batch_cap (List.length keys) in
+        let chunk = Array.make n (Spp_pmemkv.Engine.B_get "") in
+        let rest = ref keys in
+        for j = 0 to n - 1 do
+          (match !rest with
+           | k :: tl -> chunk.(j) <- Spp_pmemkv.Engine.B_remove k; rest := tl
+           | [] -> assert false)
+        done;
+        ignore (Spp_pmemkv.Engine.run_batch kv chunk);
+        delete !rest
+    in
+    delete !moved;
+    Atomic.incr t.migrations;
+    Atomic.set t.keys_moved (Atomic.get t.keys_moved + !nmoved);
+    Ok
+      { mig_slot = slot; mig_from = i; mig_to = dst; mig_keys = !nmoved;
+        mig_batches = !nbatches; mig_forwarded = !nfwd }
+  with e -> Error (Printexc.to_string e)
 
 let mk_box batch_cap =
-  { mu = Mutex.create (); work = Condition.create ();
-    done_ = Condition.create (); q = Queue.create (); peak_q = 0;
-    stop = false; failed = false; promote_req = None; promoted = None;
-    migrate_req = None; migrated = None; held = false;
+  { mu = Mutex.create (); done_ = Condition.create (); q = Queue.create ();
+    peak_q = 0; stop = false; failed = false; held = false;
     ops = Atomic.make 0; batches = 0; max_batch = 0; nfailed = 0;
     busy = Atomic.make 0.;
-    hist = Spp_benchlib.Histogram.create (); cur = 1;
+    hist = Spp_benchlib.Histogram.create ();
     items = Array.make batch_cap idle;
     opbuf = Array.make batch_cap (Spp_pmemkv.Engine.B_get "") }
 
-let start t =
-  if t.stopped then invalid_arg "Serve.start: pipeline already stopped";
-  if not (started t) then
-    t.workers <-
-      Array.init (Shard.nshards t.store) (fun i ->
-        Domain.spawn (fun () -> worker t i))
-
-let create ?(batch_cap = 32) ?(adaptive = true) ?(autostart = true)
-    ?replication store =
+let create ?(batch_cap = 32) ?(adaptive = true) ?replication store =
   if batch_cap <= 0 then invalid_arg "Serve.create: batch_cap must be positive";
   let n = Shard.nshards store in
-  let t =
-    { store; boxes = Array.init n (fun _ -> mk_box batch_cap);
-      repl =
-        (match replication with
-         | None -> Array.make n None
-         | Some cfg ->
-           (* One group per shard, installed before any batched traffic:
-              the replica images snapshot the store as preloaded. *)
-           Array.init n (fun i ->
-             let pool =
-               (Shard.shard_access (Shard.shard store i)).Spp_access.pool
-             in
-             Some
-               (Replica.create ~cfg ~engine:(Shard.engine store) ~shard:i
-                  pool)));
-      batch_cap; adaptive;
-      (* A threaded replica acks from its applier domain: under semi-sync
-         or sync, an op run inline would block the submitter — in
-         Net_server, the loop serving every connection — in
-         [Replica.wait_acks]. *)
-      inline =
-        adaptive
-        && (match replication with
-            | Some { Replica.threaded = true; policy = Semi_sync | Sync; _ }
-              -> false
-            | _ -> true);
-      (* The read fast path answers a cache-hit [Get] on the submitting
-         thread, skipping the mailbox and the worker domain. It is safe
-         from any domain — the probe touches only the volatile Rcache,
-         never the shard's single-domain simulator state — but it makes
-         batch boundaries depend on cache contents, so deterministic
-         mode ([adaptive = false], the differential-test configuration)
-         keeps every request on the mailbox path. *)
-      bypass = adaptive && Shard.cache_enabled store;
-      bypassed = Atomic.make 0;
-      promotions = Atomic.make 0;
-      mig_mu = Mutex.create ();
-      slot_ops = Array.init (Shard.nslots store) (fun _ -> Atomic.make 0);
-      migrations = Atomic.make 0;
-      forwarded = Atomic.make 0;
-      keys_moved = Atomic.make 0;
-      workers = [||];
-      stopped = false }
-  in
-  if autostart then start t;
-  t
+  { store; boxes = Array.init n (fun _ -> mk_box batch_cap);
+    repl =
+      (match replication with
+       | None -> Array.make n None
+       | Some cfg ->
+         (* One group per shard, installed before any batched traffic:
+            the replica images snapshot the store as preloaded. *)
+         Array.init n (fun i ->
+           let pool =
+             (Shard.shard_access (Shard.shard store i)).Spp_access.pool
+           in
+           Some
+             (Replica.create ~cfg ~engine:(Shard.engine store) ~shard:i
+                pool)));
+    batch_cap; adaptive;
+    (* The read fast path answers a cache-hit [Get] on the submitting
+       thread, skipping the mailbox. It is safe from any domain — the
+       probe touches only the volatile Rcache, never the shard's
+       single-domain simulator state — but it makes batch boundaries
+       depend on cache contents, so deterministic mode ([adaptive =
+       false], the differential-test configuration) keeps every request
+       on the mailbox path. *)
+    bypass = adaptive && Shard.cache_enabled store;
+    bypassed = Atomic.make 0;
+    promotions = Atomic.make 0;
+    mig_mu = Mutex.create ();
+    slot_ops = Array.init (Shard.nslots store) (fun _ -> Atomic.make 0);
+    migrations = Atomic.make 0;
+    forwarded = Atomic.make 0;
+    keys_moved = Atomic.make 0;
+    stopped = false }
 
 (* Scatter-gather ordered scan: one [Scan] request per shard rides the
    normal mailbox/batch path (so it group-commits with the writes
@@ -795,17 +762,15 @@ let () =
         (Printf.sprintf "Serve.Migration_failed: slot %d: %s" slot reason)
     | _ -> None)
 
-(* Ask the slot's current owner to migrate it to [dst], and wait. The
-   owner's worker performs copy -> flip -> delete between drains (see
-   [do_migrate]); [mig_mu] is held across the whole call, so migrations
-   are serialized and whole-store scans never straddle a flip. *)
+(* Move [slot] to [dst]: wait for the current owner's hold and run
+   copy -> flip -> delete on this domain (see [do_migrate]); [mig_mu] is
+   held across the whole call, so migrations are serialized and
+   whole-store scans never straddle a flip. *)
 let migrate_slot t ~slot ~dst =
   if slot < 0 || slot >= Shard.nslots t.store then
     invalid_arg "Serve.migrate_slot: slot out of range";
   if dst < 0 || dst >= Shard.nshards t.store then
     invalid_arg "Serve.migrate_slot: target shard out of range";
-  if not (started t) then
-    invalid_arg "Serve.migrate_slot: pipeline not started";
   if t.stopped then invalid_arg "Serve.migrate_slot: pipeline stopped";
   Mutex.lock t.mig_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mig_mu) @@ fun () ->
@@ -813,23 +778,10 @@ let migrate_slot t ~slot ~dst =
   if src = dst then
     { mig_slot = slot; mig_from = src; mig_to = dst; mig_keys = 0;
       mig_batches = 0; mig_forwarded = 0 }
-  else begin
-    let box = t.boxes.(src) in
-    Mutex.lock box.mu;
-    box.migrated <- None;
-    box.migrate_req <- Some (slot, dst);
-    Condition.signal box.work;
-    while box.migrated = None do
-      Condition.wait box.done_ box.mu
-    done;
-    let res = box.migrated in
-    box.migrated <- None;
-    Mutex.unlock box.mu;
-    match res with
-    | Some (Ok r) -> r
-    | Some (Error reason) -> raise (Migration_failed { slot; reason })
-    | None -> assert false
-  end
+  else
+    match exclusively t src (fun () -> do_migrate t src (slot, dst)) with
+    | Ok r -> r
+    | Error reason -> raise (Migration_failed { slot; reason })
 
 let migrations t = Atomic.get t.migrations
 let forwarded t = Atomic.get t.forwarded
@@ -865,32 +817,17 @@ let shard_failed t i = t.boxes.(i).failed
 
 let promotions t = Atomic.get t.promotions
 
-(* Ask shard [i]'s worker to promote a replica, and wait for it. The
-   worker performs the swap between drains; requests queued meanwhile
-   resolve [Failed Failed_over] (dead primary) or execute normally (live
-   primary being drained away from). *)
+(* Promote a replica of shard [i], holding the shard. Requests queued
+   meanwhile resolve [Failed Failed_over] (dead primary, drained before
+   the promotion took the shard) or execute on the promoted stack. *)
 let promote ?(cache_cap = 0) t i =
   if i < 0 || i >= Shard.nshards t.store then
     invalid_arg "Serve.promote: shard index out of range";
   if t.repl.(i) = None then raise (Not_replicated i);
-  if not (started t) then
-    invalid_arg "Serve.promote: pipeline not started";
   if t.stopped then invalid_arg "Serve.promote: pipeline already stopped";
-  let box = t.boxes.(i) in
-  Mutex.lock box.mu;
-  box.promoted <- None;
-  box.promote_req <- Some cache_cap;
-  Condition.signal box.work;
-  while box.promoted = None do
-    Condition.wait box.done_ box.mu
-  done;
-  let res = box.promoted in
-  Mutex.unlock box.mu;
-  match res with
-  | Some (Ok p) -> p
-  | Some (Error reason) ->
-    raise (Replica.Promotion_failed { shard = i; reason })
-  | None -> assert false
+  match exclusively t i (fun () -> do_promote t i cache_cap) with
+  | Ok p -> p
+  | Error reason -> raise (Replica.Promotion_failed { shard = i; reason })
 
 let replication_stats t =
   Array.to_list t.repl
@@ -905,21 +842,15 @@ let replication_lag t =
     (Spp_benchlib.Histogram.create ())
     t.repl
 
-(* Drain everything still queued, then join the workers. Safe to call
-   once; afterwards [stats]/[merged_*] read race-free. *)
+(* Refuse new submissions, then hold and drain every shard in turn.
+   Safe to call once; afterwards [stats]/[merged_*] read race-free. *)
 let stop t =
   if not t.stopped then begin
-    if not (started t) then start t;
-    Array.iter
-      (fun box ->
-        Mutex.lock box.mu;
-        box.stop <- true;
-        Condition.broadcast box.work;
-        Mutex.unlock box.mu)
+    Array.iter (fun box -> Mutex.protect box.mu (fun () -> box.stop <- true))
       t.boxes;
-    Array.iter Domain.join t.workers;
-    (* join the applier domains too, promoted groups' parked ones
-       included: lag histograms read race-free *)
+    Array.iteri (fun i _ -> exclusively t i ignore) t.boxes;
+    (* join the applier domains, promoted groups' parked ones included:
+       lag histograms read race-free *)
     Array.iter (Option.iter Replica.seal) t.repl;
     t.stopped <- true
   end
@@ -954,8 +885,8 @@ let store t = t.store
 
 (* The same per-shard request streams executed synchronously on the
    calling domain, chunked at exactly [batch_cap], through the identical
-   group-commit path. Against a [create ~adaptive:false ~autostart:false]
-   pipeline that was fully pre-enqueued before [start], batch boundaries
+   group-commit path. Against a [create ~adaptive:false] pipeline that
+   was fully pre-enqueued before the first [await], batch boundaries
    match, so replies, Space stats and Memdev counters must all be
    bit-identical. A chunk whose batch raises answers each of its
    requests as the pipeline answers a drain that raised. *)

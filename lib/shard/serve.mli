@@ -1,27 +1,27 @@
 (** Asynchronous batched serving pipeline over the shard stack.
 
-    One MPSC submission queue (Mutex/Condition mailbox) and one worker
-    Domain per shard. A shard is held by one domain at a time, and only
-    the holder runs ops on it. The worker holds it to drain the queue in
-    adaptive batches — the drain size grows under queue pressure up to
-    [batch_cap] and shrinks when a drain empties the queue — and
-    executes each drain through [Engine.run_batch], so the drained ops
-    share one group-committed redo log and one fence schedule
-    ([Redo.batch]). Requests resolve through promise-like tickets
-    fulfilled after the batch commit returns; submission-to-fulfilment
-    latency is recorded per request in the shard's
-    {!Spp_benchlib.Histogram}.
+    One MPSC submission queue (Mutex/Condition mailbox) per shard and no
+    domain of the pipeline's own. A shard is held by one domain at a
+    time, and only the holder runs ops on it. Whoever holds a shard
+    drains its queue before letting go, in chunks of at most
+    [batch_cap], and executes each chunk through [Engine.run_batch], so
+    the chunk's ops share one group-committed redo log and one fence
+    schedule ([Redo.batch]). Requests resolve through promise-like
+    tickets fulfilled after the batch commit returns;
+    submission-to-fulfilment latency is recorded per request in the
+    shard's {!Spp_benchlib.Histogram}.
 
-    {b Inline execution.} A routed {!submit} that finds its shard
-    unheld with nothing queued takes the shard and runs the op itself,
-    as a one-op batch through the same drain code, so the ticket is
-    fulfilled when [submit] returns and no other domain is woken. This
-    needs an adaptive pipeline that has started, a shard that has not
-    failed with no promotion or migration pending, and acks that wait on
-    no other domain — threaded replicas under semi-sync or sync keep
-    every op on the worker. Batches still form when requests queue
-    behind a held shard; a lone submitter pipelining to an idle shard
-    commits op by op.
+    {b Who runs a shard.} A routed {!submit} that finds its shard unheld
+    with nothing queued takes the shard and runs the op itself, as a
+    one-op batch, so the ticket is fulfilled when [submit] returns. A
+    request that finds the shard held queues behind it, and the holder
+    runs it before releasing the shard — so batches form when requests
+    queue behind a holder, and a lone submitter pipelining to an idle
+    shard commits op by op. Whoever leaves a request on a queue nobody
+    holds drains that queue, and {!await} on a ticket whose shard nobody
+    holds runs the shard too; {!promote}, {!migrate_slot} and {!stop}
+    wait for the shard and run on the calling domain. With threaded
+    replicas under semi-sync or sync, the holder waits for the acks.
 
     Crash atomicity is per operation (recovery lands on a prefix of
     whole ops of an interrupted batch); a fulfilled ticket additionally
@@ -30,19 +30,20 @@
     {b Read fast path.} When the store has a {!Spp_pmemkv.Rcache}
     attached and the pipeline is adaptive, a [Get] whose key hits the
     cache is answered immediately on the submitting thread with a
-    pre-fulfilled ticket — no mailbox, no worker domain, no PM walk.
+    pre-fulfilled ticket — no mailbox, no PM walk.
     This is sound because fills only come from committed batches (the
     hit is durable data) and every mutation invalidates its key at
     submission time, before it becomes visible in the mailbox, so a
     client that pipelines a put and then a get of the same key can
     never be answered from ahead of its own write. Deterministic mode
-    ([adaptive = false]) disables the bypass and inline execution:
-    batch boundaries stay a pure function of the submitted streams and
-    the bit-identical async-vs-sequential differential still holds.
+    ([adaptive = false]) disables the bypass, and submitters never run
+    a shard: batch boundaries stay a pure function of the submitted
+    streams and the bit-identical async-vs-sequential differential
+    still holds.
 
     {b Failure and failover.} A ticket always resolves — with [Failed]
     rather than hanging when its op cannot be acked. An op that raises
-    fails its drain with [Op_raised] but the shard keeps serving; a
+    fails its batch with [Op_raised] but the shard keeps serving; a
     shard whose device died fails everything with [Failed_over] until
     {!promote} swaps in a replica stack promoted from the shard's
     {!Replica} group (configured via [?replication] at {!create}).
@@ -56,14 +57,15 @@
 
     {b Live slot migration.} {!migrate_slot} moves one slot of the
     store's slot map (see {!Shard}) to another shard while traffic
-    flows: the slot's current owner drains the slot's keys out of its
-    own engine through paginated ordered scans and replays them into
-    the target as ordinary batched puts (so the copy group-commits on
-    the target and its redo payloads reach the target's replica), then
-    flips the slot table under both mailbox locks — re-pointing every
+    flows: holding the slot's current owner, it drains the slot's keys
+    out of the owner's engine through paginated ordered scans and
+    replays them into the target as ordinary batched puts (so the copy
+    group-commits on the target and its redo payloads reach the
+    target's replica), then flips the slot table under both mailbox
+    locks — re-pointing every
     queued request on the slot at the target, whose ticket an awaiter
-    transparently chases — and finally deletes the moved keys from
-    itself in group-committed remove batches. Submitters re-check the
+    transparently chases — and finally deletes the moved keys from the
+    owner in group-committed remove batches. Submitters re-check the
     table under the mailbox lock and every batch double-checks its ops
     against it, so replies are identical to a no-migration run. One
     migration runs at a time; {!scan} serializes against it, so a
@@ -75,7 +77,7 @@ type request =
   | Remove of string
   | Scan of { lo : string; hi : string; limit : int }
       (** ordered range over one shard's slice; cache-bypassing,
-          executed inside the worker batch *)
+          executed inside the shard's batch *)
 
 (** Why a ticket could not be acked. *)
 type failure =
@@ -127,45 +129,52 @@ type shard_stats = {
 type t
 
 val create :
-  ?batch_cap:int -> ?adaptive:bool -> ?autostart:bool ->
-  ?replication:Replica.config -> Shard.t -> t
-(** Defaults: [batch_cap = 32], [adaptive = true], [autostart = true],
-    no replication. With [adaptive:false] every drain takes exactly
-    [batch_cap] requests when available; with [autostart:false]
-    submissions queue up until {!start} — together they make batch
-    boundaries (and therefore all Space/Memdev accounting) a pure
-    function of the submitted streams, which is what the
-    parallel-vs-sequential differential asserts. [?replication] builds
-    one {!Replica} group per shard from the store's current durable
-    images (call before any batched traffic) and gates every ack on the
+  ?batch_cap:int -> ?adaptive:bool -> ?replication:Replica.config ->
+  Shard.t -> t
+(** Defaults: [batch_cap = 32], [adaptive = true], no replication.
+    Starts no domain. [adaptive] selects whether submitters run the
+    shards they find free (the inline op, and the drain after queueing
+    on an unheld shard) and whether cache hits bypass the mailbox. With
+    [adaptive:false] nothing runs until a domain awaits a ticket or
+    holds the shard, and every drain takes exactly [batch_cap] requests
+    when available: batch boundaries of streams submitted before the
+    first {!await} (and therefore all Space/Memdev accounting) are a
+    pure function of the streams, which is what the
+    parallel-vs-sequential differential asserts. Such a pipeline needs
+    an awaiter: a ticket submitted with [notify] alone resolves only
+    when some domain runs its shard. [?replication] builds one
+    {!Replica} group per shard from the store's current durable images
+    (call before any batched traffic) and gates every ack on the
     configured policy. *)
-
-val start : t -> unit
 
 val submit : ?notify:(reply -> unit) -> t -> request -> ticket
 (** Route by key to the owning shard's mailbox — or, for a cache-hit
     [Get] on an adaptive cached pipeline, answer it from the cache, and
-    on an idle shard run the op on the calling domain (see {e Inline
-    execution} above); both return a fulfilled ticket. Mutations
-    invalidate their key in the shard's read cache before enqueueing.
-    Callable from any domain. Raises once {!stop} has begun (a bypassed
-    get may still succeed: it is read-only and touches no queue), and
-    on [Scan] (no routing key — use {!scan} or {!submit_to}).
+    on an idle shard run the op on the calling domain (see {e Who runs
+    a shard} above); both return a fulfilled ticket. On a shard that is
+    not idle the request queues; in adaptive mode, if nobody holds the
+    shard, the caller then drains it. Mutations invalidate their key in
+    the shard's read cache before enqueueing. Callable from any domain.
+    Raises once {!stop} has begun (a bypassed get may still succeed: it
+    is read-only and touches no queue), and on [Scan] (no routing key —
+    use {!scan} or {!submit_to}).
 
     [notify] gets the reply once: before [submit] returns for a cache
-    hit or an op run inline, else on the domain that resolved the
-    ticket, outside the mailbox lock. Its exceptions are ignored. *)
+    hit or an op run by the caller, else on the domain that resolved
+    the ticket, outside the mailbox lock. Its exceptions are ignored. *)
 
 val submit_to : t -> int -> request -> ticket
 (** [submit_to t i req] bypasses the router and enqueues on shard [i] —
-    how a [Scan] targets one shard's slice, how a migration copies into
-    its target, and how the differential tests drive predetermined
-    per-shard streams. It always queues, never running inline; same
-    cache discipline as {!submit}. *)
+    how a [Scan] targets one shard's slice and how the differential
+    tests drive predetermined per-shard streams. It always queues; in
+    adaptive mode the caller then drains the shard if nobody holds it.
+    Same cache discipline as {!submit}. *)
 
 val await : t -> ticket -> reply
 (** Block until the ticket's batch has committed (immediate for a
-    bypassed get or an op run inline). *)
+    bypassed get or an op run inline). If nobody holds the ticket's
+    shard, the caller takes it and drains the queue; otherwise it waits
+    for the holder. *)
 
 val peek : ticket -> reply option
 
@@ -177,7 +186,7 @@ val scan :
     one ascending list of at most [limit] pairs. [Error] if any shard
     failed over mid-scan. Every scan's limit, here as in a submitted
     [Scan], is clamped to 4096 pairs on entry: replies are materialized
-    lists built while the worker holds the shard. *)
+    lists built while the shard is held. *)
 
 val bypassed_gets : t -> int
 (** Gets answered on the submitting thread without entering a mailbox. *)
@@ -194,9 +203,10 @@ exception Migration_failed of { slot : int; reason : string }
     Registered with [Printexc]. *)
 
 val migrate_slot : t -> slot:int -> dst:int -> migration_report
-(** [migrate_slot t ~slot ~dst] asks the slot's current owner to move
-    it to shard [dst] (copy → flip → delete, on the owner's worker
-    domain holding the shard, between drains) and blocks until done.
+(** [migrate_slot t ~slot ~dst] moves the slot from its current owner
+    to shard [dst]: it waits until the owner is free, then holds it and
+    runs copy → flip → delete on the calling domain, which must hold no
+    shard (so not from a [notify] callback).
     Serialized: one migration at a time, mutually exclusive with
     whole-store {!scan}s. A no-op report if [dst] already owns the slot.
     Requests queued or submitted during the migration are answered
@@ -241,10 +251,10 @@ val shard_failed : t -> int -> bool
     requests are resolving [Failed Failed_over]. *)
 
 val promote : ?cache_cap:int -> t -> int -> Replica.promoted
-(** [promote t i] asks shard [i]'s worker — the domain holding the
-    shard — to seal its replication group, promote the
-    best replica ({!Replica.promote}), and repoint the router
-    ([Shard.set_shard]); blocks until the swap is done. The promoted
+(** [promote t i] waits until shard [i] is free, then holds it on the
+    calling domain (which must hold no shard) to seal its replication
+    group, promote the best replica ({!Replica.promote}) and repoint
+    the router ([Shard.set_shard]). The promoted
     stack starts with a cold read cache of [cache_cap] entries (default
     none). Requests queued behind the promotion execute on the new
     stack; tickets failed with [Failed_over] before it are {e not}
@@ -262,8 +272,9 @@ val replication_lag : t -> Spp_benchlib.Histogram.t
 (** Merged commit-to-apply lag over every group, ns. *)
 
 val stop : t -> unit
-(** Drain all queues, join the workers and any replica appliers.
-    Idempotent; required before {!stats}. *)
+(** Refuse new submissions, hold and drain every shard in turn on the
+    calling domain (which must hold no shard), and join any replica
+    appliers. Idempotent; required before {!stats}. *)
 
 val stats : t -> shard_stats array
 val merged_hist : t -> Spp_benchlib.Histogram.t

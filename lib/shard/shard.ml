@@ -130,8 +130,9 @@ let create ?(nbuckets = 1024) ?(pool_size = 1 lsl 23) ?(cache_cap = 0)
       let root = access.Spp_access.root access.Spp_access.oid_size in
       Pool.store_oid pool ~off:root.Oid.off (Spp_pmemkv.Engine.root_oid kv);
       Pool.persist pool ~off:root.Oid.off ~len:access.Spp_access.oid_size;
-      (* One DRAM read cache per shard: single worker-domain writer on
-         the serving path, lock-free readers from any submitting domain. *)
+      (* One DRAM read cache per shard: written by the domain holding
+         the shard on the serving path, lock-free readers from any
+         submitting domain. *)
       if cache_cap > 0 then
         Spp_pmemkv.Engine.set_cache kv
           (Some (Spp_pmemkv.Rcache.create ~cap:cache_cap));
@@ -148,8 +149,8 @@ let create ?(nbuckets = 1024) ?(pool_size = 1 lsl 23) ?(cache_cap = 0)
 
 (* Failover repoint: swap a shard's stack for a promoted replica's. The
    router is pure (key -> index), so the swap changes which stack an
-   index resolves to without moving any key. Caller (the serve layer's
-   worker protocol) must guarantee no other domain is inside the old
+   index resolves to without moving any key. Caller (the serve layer,
+   holding the shard) must guarantee no other domain is inside the old
    stack. *)
 let set_shard t i ~access ~kv =
   if i < 0 || i >= Array.length t.shards then

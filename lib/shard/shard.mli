@@ -34,7 +34,7 @@ val set_shard :
     promoted replica's). The router is a pure function of the key and
     shard count, so no key moves. The caller must guarantee no other
     domain is executing inside the old stack — the serve layer performs
-    the swap on the shard's own worker domain. *)
+    the swap holding the shard. *)
 
 val nshards : t -> int
 

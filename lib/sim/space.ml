@@ -275,44 +275,51 @@ let rec clean_prefix dev ~off ~len =
   | exception Fault.Fault (Fault.Bus_error, boff) ->
     if boff <= off then 0 else clean_prefix dev ~off ~len:(boff - off)
 
+(* [read_into] on [addr]'s region [r], for a positive [len] *)
+let read_region t r addr ~len ~dst ~dst_off =
+  let limit = r.base + r.rsize in
+  let count copied chunk =
+    match r.kind with
+    | Persistent ->
+      if copied = 0 then t.stats.pm_loads <- t.stats.pm_loads + 1;
+      t.stats.pm_bytes_loaded <- t.stats.pm_bytes_loaded + chunk
+    | Volatile ->
+      if copied = 0 then t.stats.vol_loads <- t.stats.vol_loads + 1
+  in
+  let rec go a copied =
+    if copied < len then begin
+      if a >= limit then Fault.segfault limit;
+      let chunk = min read_chunk (min (len - copied) (limit - a)) in
+      let off = dev_offset r a in
+      let ok = clean_prefix r.dev ~off ~len:chunk in
+      if ok > 0 then begin
+        count copied ok;
+        Memdev.load_into r.dev ~off ~len:ok ~dst ~dst_off:(dst_off + copied)
+      end;
+      if ok < chunk then Fault.bus_error (off + ok)
+      else go (a + chunk) (copied + chunk)
+    end
+  in
+  go addr 0
+
 let read_into t addr ~len ~dst ~dst_off =
   if len < 0 || dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Space.read_into: bad destination range";
-  if len > 0 then begin
-    let r = find_region t addr in
-    let limit = r.base + r.rsize in
-    let count copied chunk =
-      match r.kind with
-      | Persistent ->
-        if copied = 0 then t.stats.pm_loads <- t.stats.pm_loads + 1;
-        t.stats.pm_bytes_loaded <- t.stats.pm_bytes_loaded + chunk
-      | Volatile ->
-        if copied = 0 then t.stats.vol_loads <- t.stats.vol_loads + 1
-    in
-    let rec go a copied =
-      if copied < len then begin
-        if a >= limit then Fault.segfault limit;
-        let chunk = min read_chunk (min (len - copied) (limit - a)) in
-        let off = dev_offset r a in
-        let ok = clean_prefix r.dev ~off ~len:chunk in
-        if ok > 0 then begin
-          count copied ok;
-          Memdev.load_into r.dev ~off ~len:ok ~dst ~dst_off:(dst_off + copied)
-        end;
-        if ok < chunk then Fault.bus_error (off + ok)
-        else go (a + chunk) (copied + chunk)
-      end
-    in
-    go addr 0
-  end
+  if len > 0 then read_region t (find_region t addr) addr ~len ~dst ~dst_off
 
 let read_sub t addr len =
   (* Single-copy string read: one fresh buffer, filled in place, frozen.
-     The buffer never escapes mutable, so the unsafe freeze is sound. *)
+     The buffer never escapes mutable, so the unsafe freeze is sound. A
+     length that runs past [addr]'s mapping — a negative one is a
+     [size_t] that does — faults at the mapping's end before the buffer
+     is allocated, so a corrupt length never sizes an allocation. *)
   if len = 0 then ""
   else begin
+    let r = find_region t addr in
+    let limit = r.base + r.rsize in
+    if len < 0 || len > limit - addr then Fault.segfault limit;
     let b = Bytes.create len in
-    read_into t addr ~len ~dst:b ~dst_off:0;
+    read_region t r addr ~len ~dst:b ~dst_off:0;
     Bytes.unsafe_to_string b
   end
 

@@ -60,7 +60,10 @@ val read_into : t -> int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 val read_sub : t -> int -> int -> string
 (** [read_sub t addr len] — the [len]-byte substring at [addr] as a
     string, in a single copy (fresh buffer filled in place and frozen):
-    no intermediate [read_bytes] + [Bytes.to_string] double copy. *)
+    no intermediate [read_bytes] + [Bytes.to_string] double copy. A
+    [len] that runs past the end of [addr]'s region — a negative one
+    included, as a [size_t] — faults there before anything is allocated
+    or copied. *)
 
 val write_bytes : t -> int -> Bytes.t -> unit
 

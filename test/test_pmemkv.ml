@@ -68,20 +68,69 @@ let expect_corrupt_read_stopped v what = function
          | Some addr -> addr land Spp_core.Config.default.ovf_bit <> 0
          | None -> false)
 
+(* A negative value length is a [size_t] past every object: SPP's check
+   overflows the pointer, SafePM and memcheck refuse the length, and even
+   Pmdk's unchecked read runs off its mapping into a typed fault — never
+   an untyped exception from allocating the reply. *)
+let expect_negative_read_stopped v what = function
+  | Spp_access.Ok_completed -> Alcotest.failf "%s: negative read completed" what
+  | Spp_access.Prevented m ->
+    if v = Spp_access.Spp then
+      check_bool
+        (Printf.sprintf "%s: overflow bit set in %s" what m)
+        true
+        (match Scanf.sscanf_opt m "SIGSEGV at 0x%x%!" Fun.id with
+         | Some addr -> addr land Spp_core.Config.default.ovf_bit <> 0
+         | None -> false)
+
 let test_corrupt_vlen_guarded () =
   List.iter
-    (fun v ->
-      let a = mk v in
-      let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
-      let key = Spp_pmemkv.Db_bench.key_of_int 7 in
-      Spp_pmemkv.Cmap.put kv ~key ~value:(String.make 10 'v');
-      Spp_pmemkv.Cmap.put kv ~key:"other" ~value:(String.make 64 'o');
-      a.Spp_access.store_word
-        (vlen_word a "cmap" (Spp_pmemkv.Cmap.buckets_oid kv) key) 4000;
-      expect_corrupt_read_stopped v (Spp_access.variant_name v)
-        (Spp_access.run_guarded (fun () ->
-           ignore (Spp_pmemkv.Cmap.get kv key))))
-    Spp_access.all_variants
+    (fun (vlen, expect) ->
+      List.iter
+        (fun v ->
+          let a = mk v in
+          let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+          let key = Spp_pmemkv.Db_bench.key_of_int 7 in
+          Spp_pmemkv.Cmap.put kv ~key ~value:(String.make 10 'v');
+          Spp_pmemkv.Cmap.put kv ~key:"other" ~value:(String.make 64 'o');
+          a.Spp_access.store_word
+            (vlen_word a "cmap" (Spp_pmemkv.Cmap.buckets_oid kv) key) vlen;
+          expect v
+            (Printf.sprintf "%s, vlen %d" (Spp_access.variant_name v) vlen)
+            (match
+               Spp_access.run_guarded (fun () ->
+                 ignore (Spp_pmemkv.Cmap.get kv key))
+             with
+             | r -> r
+             | exception e ->
+               Alcotest.failf "vlen %d: untyped %s" vlen
+                 (Printexc.to_string e)))
+        Spp_access.all_variants)
+    [ (4000, expect_corrupt_read_stopped); (-8, expect_negative_read_stopped) ]
+
+(* SafePM persists a block's shadow once per lifetime event: a block
+   becoming live (left redzone, object and right redzone, one range) and
+   a block dying each cost one flush and one fence on top of the one-op
+   commit's 4 fences, under every value size. *)
+let test_safepm_shadow_fences () =
+  List.iter
+    (fun vsize ->
+      let a = mk Spp_access.Safepm in
+      let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
+      let dev = Pool.dev a.Spp_access.pool in
+      let value = String.make vsize 'v' in
+      Spp_pmemkv.Cmap.put kv ~key:"warm" ~value;
+      let fences f =
+        Spp_sim.Memdev.reset_counters dev;
+        f ();
+        (Spp_sim.Memdev.counters dev).Spp_sim.Memdev.fences
+      in
+      check_int (Printf.sprintf "%d B new-key put: fences" vsize) 5
+        (fences (fun () -> Spp_pmemkv.Cmap.put kv ~key:"k" ~value));
+      check_int (Printf.sprintf "%d B same-size overwrite: fences" vsize) 6
+        (fences (fun () ->
+           Spp_pmemkv.Cmap.put kv ~key:"k" ~value:(String.make vsize 'w'))))
+    [ 8; 256; 1024 ]
 
 let test_overwrite_same_and_different_size () =
   let a = mk Spp_access.Spp in
@@ -664,6 +713,8 @@ let () =
           Alcotest.test_case "1 KiB values" `Quick test_large_values;
           Alcotest.test_case "corrupt vlen prevented on checked variants"
             `Quick test_corrupt_vlen_guarded;
+          Alcotest.test_case "safepm: one shadow persist per lifetime event"
+            `Quick test_safepm_shadow_fences;
           Alcotest.test_case "sync put/remove cost a one-op batch" `Quick
             test_sync_ops_are_one_op_batches;
         ] );

@@ -447,14 +447,13 @@ let serve_differential engine () =
   let t_seq = build_serve_store ~nshards ~engine () in
   let t_par = build_serve_store ~nshards ~engine () in
   let seq_replies = Serve.run_sequential t_seq ~batch_cap streams in
-  let serve = Serve.create ~batch_cap ~adaptive:false ~autostart:false t_par in
+  let serve = Serve.create ~batch_cap ~adaptive:false t_par in
   let tickets =
     Array.mapi
       (fun i stream ->
         Array.map (fun req -> (req, Serve.submit_to serve i req)) stream)
       streams
   in
-  Serve.start serve;
   let par_replies =
     Array.map (Array.map (fun (_, tk) -> Serve.await serve tk)) tickets
   in
@@ -478,25 +477,25 @@ let test_serve_differential () = serve_differential Spp_pmemkv.Engines.cmap ()
 let test_serve_differential_btree () =
   serve_differential Spp_pmemkv.Engines.btree ()
 
-let test_serve_adaptive_batching () =
-  (* pre-enqueue a big backlog: the adaptive drain must actually grow
-     beyond 1 and stay within the cap *)
-  let nshards = 1 in
-  let t = build_serve_store ~nshards () in
-  let serve = Serve.create ~batch_cap:32 ~adaptive:true ~autostart:false t in
+(* A backlog queued before anyone runs the shard: the first await takes
+   the shard and drains everything queued, in chunks of the cap. *)
+let test_serve_drain_backlog () =
+  let t = build_serve_store ~nshards:1 () in
+  let batch_cap = 32 and n = 500 in
+  let serve = Serve.create ~batch_cap ~adaptive:false t in
   let tickets =
-    Array.init 500 (fun i ->
+    Array.init n (fun i ->
       Serve.submit serve
         (Serve.Put { key = Printf.sprintf "k%d" i; value = "v" }))
   in
-  Serve.start serve;
+  check_int "queued, not run" n (Serve.queue_depths serve).(0);
   Array.iter (fun tk -> ignore (Serve.await serve tk)) tickets;
   Serve.stop serve;
   let s = (Serve.stats serve).(0) in
-  check_int "all ops served" 500 s.Serve.ss_ops;
-  check_bool "batches grew under pressure" true (s.Serve.ss_max_batch > 4);
-  check_bool "cap respected" true (s.Serve.ss_max_batch <= 32);
-  check_bool "fewer batches than ops" true (s.Serve.ss_batches < 500)
+  check_int "all ops served" n s.Serve.ss_ops;
+  check_int "largest batch = cap" batch_cap s.Serve.ss_max_batch;
+  check_int "ceil(n / cap) batches" ((n + batch_cap - 1) / batch_cap)
+    s.Serve.ss_batches
 
 (* --- Inline execution on an idle shard ---------------------------------- *)
 
@@ -536,7 +535,7 @@ let test_inline_idle_shard () =
 
 (* While a submitter holds the shard — stopped inside the first fence of
    its inline op's commit — ops from another domain queue behind it and
-   do not run; after the release the worker answers them in submission
+   do not run; before it lets go, the holder answers them in submission
    order. *)
 let test_inline_held_shard () =
   let t = build_serve_store ~nshards:1 () in
@@ -564,7 +563,7 @@ let test_inline_held_shard () =
          in
          while (Serve.queue_depths serve).(0) < k do Domain.cpu_relax () done;
          queued := Domain.join sub;
-         (* give a wrongly woken worker time to take them *)
+         (* give a wrongly running domain time to take them *)
          Unix.sleepf 0.02;
          depth_held := (Serve.queue_depths serve).(0);
          ran_held :=
@@ -585,8 +584,8 @@ let test_inline_held_shard () =
   let order = List.rev !order in
   Alcotest.(check (list int)) "answered in submission order"
     (List.init k Fun.id) (List.map fst order);
-  check_bool "answered by the worker" true
-    (List.for_all (fun (_, d) -> d <> me) order);
+  check_bool "answered by the holder" true
+    (List.for_all (fun (_, d) -> d = me) order);
   check_int "every op executed" (k + 1) (Serve.stats serve).(0).Serve.ss_ops
 
 (* While another domain keeps taking the shard for its own puts, a
@@ -673,9 +672,9 @@ let test_inline_contention () =
     (Histogram.count (Serve.merged_hist serve));
   check_int "no failures" 0 (Serve.total_failed serve)
 
-(* A threaded replica acks from its applier domain, so under semi-sync an
-   op keeps the worker path rather than block its submitter; an inline
-   (unthreaded) replica does not stop an op running on the submitter. *)
+(* A replica, threaded or inline, does not move an op off its
+   submitter: under threaded semi-sync the holder waits for the applier
+   domain's ack itself, so [notify] runs on the submitting domain. *)
 let test_inline_replication () =
   let me = Domain.self () in
   let ran_on threaded =
@@ -696,10 +695,183 @@ let test_inline_replication () =
     Serve.stop serve;
     Option.get (Atomic.get where)
   in
-  check_bool "threaded semi-sync: notify on another domain" true
-    (ran_on true <> me);
+  check_bool "threaded semi-sync: notify on the submitter" true
+    (ran_on true = me);
   check_bool "unthreaded semi-sync: notify on the submitter" true
     (ran_on false = me)
+
+(* --- No domains of its own ---------------------------------------------- *)
+
+(* The process's OS thread count, as the kernel reports it; -1 where
+   /proc is absent, which makes the comparisons below vacuous. *)
+let os_threads () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> -1
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | l when String.length l > 8 && String.sub l 0 8 = "Threads:" ->
+        int_of_string (String.trim (String.sub l 8 (String.length l - 8)))
+      | _ -> find ()
+      | exception End_of_file -> -1
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) find
+
+(* A 16-shard pipeline runs its traffic, queued and inline, on the
+   domains that submit and await it: creating, serving and stopping it
+   starts no thread. (A thread an earlier test ended may still be
+   exiting, so the count may fall, never rise.) *)
+let test_no_threads_started () =
+  let t =
+    Shard.create ~nbuckets:16 ~pool_size:(1 lsl 18) ~nshards:16
+      Spp_access.Spp
+  in
+  let before = os_threads () in
+  let serve = Serve.create ~batch_cap:8 t in
+  let no_new_thread what =
+    let now = os_threads () in
+    check_bool (Printf.sprintf "%s: %d threads, %d before" what now before)
+      true (now <= before)
+  in
+  no_new_thread "create";
+  let tks =
+    Array.init 256 (fun i ->
+      Serve.submit serve
+        (Serve.Put { key = Printf.sprintf "t%d" i; value = "v" }))
+  in
+  Array.iter
+    (fun tk -> check_bool "acked" true (Serve.await serve tk = Serve.Done))
+    tks;
+  no_new_thread "serving";
+  Serve.stop serve;
+  no_new_thread "stop"
+
+(* More shards than OCaml 5.1 allows domains: a 256-shard store serves a
+   pre-enqueued stream exactly as the sequential baseline does. *)
+let test_many_shards () =
+  let nshards = 256 and batch_cap = 8 in
+  let build () =
+    Shard.create ~nbuckets:16 ~pool_size:(1 lsl 17) ~nshards Spp_access.Spp
+  in
+  let reqs =
+    Array.init 2_048 (fun i ->
+      let key = Spp_pmemkv.Db_bench.key_of_int (i * 7 mod 600) in
+      match i mod 4 with
+      | 0 | 1 -> Serve.Put { key; value = Printf.sprintf "m%d" i }
+      | 2 -> Serve.Get key
+      | _ -> Serve.Remove key)
+  in
+  let streams = by_shard ~nshards reqs in
+  let t_seq = build () and t_par = build () in
+  let seq = Serve.run_sequential t_seq ~batch_cap streams in
+  let serve = Serve.create ~batch_cap ~adaptive:false t_par in
+  let tickets = Array.map (Array.map (Serve.submit serve)) streams in
+  let par = Array.map (Array.map (Serve.await serve)) tickets in
+  Serve.stop serve;
+  Array.iteri
+    (fun i sq ->
+      check_int
+        (Printf.sprintf "shard %d reply digest" i)
+        (Serve.digest_replies sq) (Serve.digest_replies par.(i)))
+    seq;
+  check_bool "merged Memdev counters identical" true
+    (Shard.merged_counters t_seq = Shard.merged_counters t_par)
+
+(* Requests submitted with [notify] alone and never awaited, as
+   Net_server submits them, are all answered across a live migration and
+   a promotion driven from another domain. The first part is
+   deterministic: a burst is submitted while the migration holds the
+   source (stopped inside the copy's first fence on the target), so the
+   slot's requests are queued on the source at the flip and reach an
+   unheld target that only the flip's drain runs; nothing is submitted
+   until the migration returns. The second part keeps up to 64
+   requests unanswered (a holder drains until its queue is empty, so an
+   unbounded submitter would keep it draining) while the other domain
+   promotes a replica and migrates the slot back. *)
+let test_notify_only_across_moves () =
+  let nshards = 2 and universe = 256 in
+  let t =
+    Shard.create ~nbuckets:64 ~pool_size:(1 lsl 21) ~nshards Spp_access.Spp
+  in
+  let cfg =
+    { Replica.default_config with
+      replicas = 1; policy = Replica.Sync; threaded = false }
+  in
+  let serve = Serve.create ~batch_cap:8 ~replication:cfg t in
+  let key_of = Spp_pmemkv.Db_bench.key_of_int in
+  for i = 0 to universe - 1 do
+    ignore
+      (Serve.await serve
+         (Serve.submit serve (Serve.Put { key = key_of i; value = "p" })))
+  done;
+  let submitted = ref 0 and answered = Atomic.make 0
+  and failed = Atomic.make 0 in
+  let notify r =
+    (match r with Serve.Failed _ -> Atomic.incr failed | _ -> ());
+    Atomic.incr answered
+  in
+  let send key =
+    incr submitted;
+    ignore
+      (Serve.submit ~notify serve
+         (Serve.Put { key; value = string_of_int !submitted }))
+  in
+  let all_answered what =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get answered < !submitted && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.001
+    done;
+    check_int (what ^ ": every notification arrived") !submitted
+      (Atomic.get answered)
+  in
+  let hot = key_of 5 in
+  let slot = Shard.slot_of t hot and src = Shard.route t hot in
+  let dst = (src + 1) mod nshards in
+  let burst_asked = Atomic.make false and burst_sent = Atomic.make false in
+  let dev = shard_dev t dst in
+  Spp_sim.Memdev.set_injector dev
+    (Some (function
+       | Spp_sim.Memdev.Hk_fence ->
+         Spp_sim.Memdev.set_injector dev None;
+         Atomic.set burst_asked true;
+         while not (Atomic.get burst_sent) do Domain.cpu_relax () done
+       | _ -> ()));
+  let phase = Atomic.make 0 in
+  let mover =
+    Domain.spawn (fun () ->
+      ignore (Serve.migrate_slot serve ~slot ~dst);
+      Atomic.set phase 1;
+      while Atomic.get phase < 2 do Domain.cpu_relax () done;
+      ignore (Serve.promote serve 0);
+      ignore (Serve.migrate_slot serve ~slot ~dst:src);
+      Atomic.set phase 3)
+  in
+  while not (Atomic.get burst_asked) do Domain.cpu_relax () done;
+  for i = 0 to 63 do
+    send (if i mod 2 = 0 then hot else key_of i)
+  done;
+  Atomic.set burst_sent true;
+  while Atomic.get phase < 1 do Domain.cpu_relax () done;
+  all_answered "queued behind a migration";
+  check_bool "the flip re-pointed queued requests" true
+    (Serve.forwarded serve > 0);
+  Atomic.set phase 2;
+  let i = ref 0 in
+  while Atomic.get phase < 3 do
+    if !submitted - Atomic.get answered < 64 then begin
+      send (key_of (!i mod universe));
+      incr i
+    end
+    else Domain.cpu_relax ()
+  done;
+  Domain.join mover;
+  all_answered "across a promotion and a migration";
+  check_int "no request failed" 0 (Atomic.get failed);
+  check_int "one promotion" 1 (Serve.promotions serve);
+  check_int "two migrations" 2 (Serve.migrations serve);
+  Serve.stop serve;
+  check_bool "the hot key is still stored" true (Shard.get t hot <> None)
 
 (* --- Read cache ------------------------------------------------------- *)
 
@@ -841,11 +1013,10 @@ let test_cache_deterministic_mode () =
   let seq_replies =
     Serve.run_sequential ~use_cache:false t_seq ~batch_cap streams
   in
-  let serve = Serve.create ~batch_cap ~adaptive:false ~autostart:false t_par in
+  let serve = Serve.create ~batch_cap ~adaptive:false t_par in
   let tickets =
     Array.map (Array.map (fun req -> (req, Serve.submit serve req))) streams
   in
-  Serve.start serve;
   let par_replies =
     Array.map (Array.map (fun (_, tk) -> Serve.await serve tk)) tickets
   in
@@ -1145,7 +1316,7 @@ let test_rebalancer_moves_hot_slots () =
    across a drain would corrupt earlier replies in the same batch. *)
 let test_reply_bytes_unchanged () =
   let t = build_serve_store ~nshards:1 () in
-  let serve = Serve.create ~batch_cap:32 ~adaptive:false ~autostart:false t in
+  let serve = Serve.create ~batch_cap:32 ~adaptive:false t in
   let value i = String.init (1 + (i * 37 mod 300)) (fun j ->
     Char.chr (32 + ((i + j) mod 95)))
   in
@@ -1167,7 +1338,6 @@ let test_reply_bytes_unchanged () =
     Serve.submit_to serve 0
       (Serve.Scan { lo = "rb-"; hi = "rb-999"; limit = 7 })
   in
-  Serve.start serve;
   Array.iteri
     (fun i tk ->
       match Serve.await serve tk with
@@ -1331,10 +1501,9 @@ let test_run_sequential_raising_chunk () =
   in
   let seq = (Serve.run_sequential (build ()) ~batch_cap:4 [| stream |]).(0) in
   let serve =
-    Serve.create ~batch_cap:4 ~adaptive:false ~autostart:false (build ())
+    Serve.create ~batch_cap:4 ~adaptive:false (build ())
   in
   let tickets = Array.map (Serve.submit_to serve 0) stream in
-  Serve.start serve;
   let par = Array.map (Serve.await serve) tickets in
   Serve.stop serve;
   Array.iter
@@ -1622,21 +1791,31 @@ let () =
             test_serve_differential_btree;
           Alcotest.test_case "async = sequential differential" `Quick
             test_serve_differential;
-          Alcotest.test_case "adaptive batch sizing" `Quick
-            test_serve_adaptive_batching;
+          Alcotest.test_case
+            "a drain takes everything queued, up to batch_cap" `Quick
+            test_serve_drain_backlog;
         ] );
       ( "inline",
         [
           Alcotest.test_case "idle shard: op runs on the submitter" `Quick
             test_inline_idle_shard;
-          Alcotest.test_case "held shard: others queue, worker keeps order"
+          Alcotest.test_case "held shard: others queue, holder keeps order"
             `Quick test_inline_held_shard;
           Alcotest.test_case "a queued put is never overtaken" `Quick
             test_inline_no_overtaking;
           Alcotest.test_case "4 domains on 2 shards match their models"
             `Quick test_inline_contention;
-          Alcotest.test_case "threaded semi-sync keeps the worker path"
+          Alcotest.test_case "threaded semi-sync keeps the op on the submitter"
             `Quick test_inline_replication;
+        ] );
+      ( "holders",
+        [
+          Alcotest.test_case "16 shards start no thread" `Quick
+            test_no_threads_started;
+          Alcotest.test_case "256 shards = sequential" `Quick
+            test_many_shards;
+          Alcotest.test_case "notify-only requests across moves" `Quick
+            test_notify_only_across_moves;
         ] );
       ( "read cache",
         [
