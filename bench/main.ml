@@ -217,7 +217,7 @@ let fig5 () =
               Spp_access.create ~pool_size:(1 lsl 27)
                 ~name:(Spp_access.variant_name v) v
             in
-            let kv = Spp_pmemkv.Cmap.create a in
+            let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.cmap a in
             Spp_pmemkv.Db_bench.preload kv ~keys:preload_keys;
             (v, kv))
           fig4_variants

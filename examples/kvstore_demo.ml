@@ -8,23 +8,23 @@ open Spp_pmdk
 
 let () =
   let a = Spp_access.create ~pool_size:(1 lsl 22) ~name:"kv" Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:256 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:256 Spp_pmemkv.Engines.cmap a in
 
   (* ordinary session *)
-  Spp_pmemkv.Cmap.put kv ~key:"user:1" ~value:"ada";
-  Spp_pmemkv.Cmap.put kv ~key:"user:2" ~value:"grace";
-  Spp_pmemkv.Cmap.put kv ~key:"config" ~value:"{\"mode\": \"spp\"}";
-  Printf.printf "count after 3 puts: %d\n" (Spp_pmemkv.Cmap.count_all kv);
+  Spp_pmemkv.Engine.put kv ~key:"user:1" ~value:"ada";
+  Spp_pmemkv.Engine.put kv ~key:"user:2" ~value:"grace";
+  Spp_pmemkv.Engine.put kv ~key:"config" ~value:"{\"mode\": \"spp\"}";
+  Printf.printf "count after 3 puts: %d\n" (Spp_pmemkv.Engine.count_all kv);
 
   (* an overwrite replaces the entry out of place, at any size *)
-  Spp_pmemkv.Cmap.put kv ~key:"user:2" ~value:"grace hopper";
+  Spp_pmemkv.Engine.put kv ~key:"user:2" ~value:"grace hopper";
   Printf.printf "user:2 = %s\n"
-    (Option.value ~default:"?" (Spp_pmemkv.Cmap.get kv "user:2"));
+    (Option.value ~default:"?" (Spp_pmemkv.Engine.get kv "user:2"));
 
   (* power failure in the middle of a burst of writes: committed writes
      survive; an interrupted commit is lost whole *)
   Spp_sim.Memdev.set_tracking (Pool.dev a.Spp_access.pool) true;
-  Spp_pmemkv.Cmap.put kv ~key:"committed" ~value:"survives";
+  Spp_pmemkv.Engine.put kv ~key:"committed" ~value:"survives";
   Printf.printf "\n-- simulated power failure --\n";
   let report = Pool.crash_and_recover a.Spp_access.pool in
   Printf.printf "recovery: redo=%b tx=%s\n" report.Pool.redo_replayed
@@ -36,7 +36,7 @@ let () =
   List.iter
     (fun k ->
       Printf.printf "%-10s -> %s\n" k
-        (Option.value ~default:"(missing)" (Spp_pmemkv.Cmap.get kv k)))
+        (Option.value ~default:"(missing)" (Spp_pmemkv.Engine.get kv k)))
     [ "user:1"; "user:2"; "config"; "committed" ];
 
   (* the store is still fully protected: a buggy read past a value

@@ -96,12 +96,14 @@ let spp_memintr_check cfg ptr n =
   (* Account for the furthest byte a memory intrinsic will touch, then
      mask. An overflown result is an unmapped address, so the intrinsic
      itself faults (paper §V-B). A negative length is a [size_t] past
-     every object, so its result is overflown; zero touches nothing. *)
+     every object, and so is one above the largest object: adding it to
+     the tag would wrap the delta field past the overflow bit. Either
+     result is overflown; zero touches nothing. *)
   let c = local_counters () in
   c.memintr_check <- c.memintr_check + 1;
   c.pm_bit_tests <- c.pm_bit_tests + 1;
   if n = 0 then Encoding.clean_tag cfg ptr
-  else if n < 0 then
+  else if n < 0 || n > cfg.Config.max_object_size then
     Encoding.clean_tag cfg
       (if Encoding.is_pm cfg ptr then ptr lor cfg.Config.ovf_bit else ptr)
   else Encoding.clean_tag cfg (Encoding.update_tag cfg ptr (n - 1))

@@ -10,31 +10,25 @@
      node: [ n | leaf | ORDER child oids | (ORDER-1) item oids ]
      item: [ klen | vlen | key bytes | value bytes ]
 
-   Durability discipline: every mutation is copy-on-write through the
-   PR-4 redo batch API. An op allocates fresh nodes for the root-to-leaf
-   path it changes ([Pool.batch_alloc]), composes each in DRAM and
-   stores it while it is unreachable ([Engine.store_fresh], one checked
-   store per contiguous range and one flush per block; a replicated
-   pool ships the same bytes without reading them back), and stages
-   exactly one word — the root slot oid — via [Pool.batch_stage_oid].
-   Replaced nodes and items are [Pool.batch_free]d (kept off the free
-   stacks until the commit is durable, so a crash mid-batch still finds
-   the old tree intact under the old root). Each op is therefore atomic by
-   construction and recovery lands on a whole-op prefix, exactly the
-   contract [Cmap.run_batch] provides. Synchronous [put]/[remove] run
-   as single-op batches, as Cmap's do, so every mutation is
-   group-committable and replicable.
+   Durability discipline: every op runs through [Engine.run_batch] as
+   one op of an open redo batch ([exec]), and every mutation is
+   copy-on-write. An op allocates fresh nodes for the root-to-leaf path
+   it changes ([Pool.batch_alloc]), composes each in DRAM and stores it
+   while it is unreachable ([Engine.store_fresh], one checked store per
+   contiguous range and one flush per block; a replicated pool ships
+   the same bytes without reading them back), and stages exactly one
+   word — the root slot oid — via [Pool.batch_stage_oid]. Replaced
+   nodes and items are [Pool.batch_free]d (kept off the free stacks
+   until the commit is durable, so a crash mid-batch still finds the old
+   tree intact under the old root). Each op is therefore atomic by
+   construction and recovery lands on a whole-op prefix, as for Cmap.
 
-   One set of readers serves the sync ops and the batches: every node
-   and item byte is read through the variant on [t.a.direct], one check
-   per window (a whole node, a length word, a key or a value), and every
-   fresh node and item is stored through the variant's range check. Only
-   the root slot is read by pool offset, through the batch overlay
-   inside a batch.
-
-   Concurrency: one mutex serializes sync ops and batches; the read
-   cache keeps its own seqlock discipline so [cache_probe] and
-   [cache_invalidate] stay safe from any domain (the serve fast path). *)
+   Every node and item byte is read through the variant on [t.a.direct],
+   one check per window (a whole node, a length word, a key or a value),
+   and every fresh node and item is stored through the variant's range
+   check. Only the root slot is read by pool offset, through the batch
+   overlay. Exclusion is the pool's lane, which [Engine.run_batch]
+   holds for every op. *)
 
 open Spp_pmdk
 
@@ -47,8 +41,6 @@ let min_items = (order / 2) - 1
 type t = {
   a : Spp_access.t;
   map_oid : Oid.t;                 (* root-slot object: one oid *)
-  mu : Mutex.t;
-  mutable cache : Rcache.t option;
 }
 
 let children_off = 16
@@ -59,27 +51,14 @@ let node_size (a : Spp_access.t) =
 
 let create ?nbuckets:_ (a : Spp_access.t) =
   let map_oid = a.Spp_access.palloc ~zero:true a.Spp_access.oid_size in
-  { a; map_oid; mu = Mutex.create (); cache = None }
+  { a; map_oid }
 
 let attach (a : Spp_access.t) ~root =
   if Pool.alloc_size a.Spp_access.pool root < a.Spp_access.oid_size then
     invalid_arg "Bmap.attach: root slot too small";
-  { a; map_oid = root; mu = Mutex.create (); cache = None }
+  { a; map_oid = root }
 
 let root_oid t = t.map_oid
-
-let set_cache t c = t.cache <- c
-let cache t = t.cache
-
-let cache_probe t key =
-  match t.cache with None -> None | Some rc -> Rcache.probe rc key
-
-let cache_invalidate t key =
-  match t.cache with None -> () | Some rc -> Rcache.invalidate rc key
-
-let with_lock t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* ------------------------------------------------------------------ *)
 (* Node and item IO                                                    *)
@@ -496,133 +475,69 @@ let rec b_rem t bt d key =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Batch ops                                                           *)
+(* Ops                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let b_put t bt ~key ~value =
+let root_of t bt = Pool.batch_load_oid (pool t) bt ~off:t.map_oid.Oid.off
+
+let put t bt ~key ~value =
   let p = pool t in
-  Redo.batch_op_begin bt;
-  (* stage-time invalidation, same contract as Cmap.b_put *)
-  cache_invalidate t key;
   let slot = t.map_oid.Oid.off in
-  let root = Pool.batch_load_oid p bt ~off:slot in
-  (if Oid.is_null root then begin
-     let leaf =
-       { src = Oid.null; d_leaf = true;
-         d_items = [| b_mk_item t bt ~key ~value |]; d_children = [||] }
-     in
-     Pool.batch_stage_oid p bt ~off:slot ~prev:root (b_materialize t bt leaf)
-   end
-   else
-     match b_ins t bt root ~key ~value with
-     | Fit r -> Pool.batch_stage_oid p bt ~off:slot ~prev:root r
-     | Split (l, sep, r) ->
-       let nroot =
-         { src = Oid.null; d_leaf = false;
-           d_items = [| sep |]; d_children = [| l; r |] }
-       in
-       Pool.batch_stage_oid p bt ~off:slot ~prev:root
-         (b_materialize t bt nroot));
-  Redo.batch_op_end bt
+  let root = root_of t bt in
+  if Oid.is_null root then begin
+    let leaf =
+      { src = Oid.null; d_leaf = true;
+        d_items = [| b_mk_item t bt ~key ~value |]; d_children = [||] }
+    in
+    Pool.batch_stage_oid p bt ~off:slot ~prev:root (b_materialize t bt leaf)
+  end
+  else
+    match b_ins t bt root ~key ~value with
+    | Fit r -> Pool.batch_stage_oid p bt ~off:slot ~prev:root r
+    | Split (l, sep, r) ->
+      let nroot =
+        { src = Oid.null; d_leaf = false;
+          d_items = [| sep |]; d_children = [| l; r |] }
+      in
+      Pool.batch_stage_oid p bt ~off:slot ~prev:root
+        (b_materialize t bt nroot)
 
-let b_get t bt key =
-  Redo.batch_op_begin bt;
-  let root = Pool.batch_load_oid (pool t) bt ~off:t.map_oid.Oid.off in
-  let r = if Oid.is_null root then None else find t root key in
-  Redo.batch_op_end bt;
-  r
-
-let b_remove t bt key =
+let remove t bt key =
   let p = pool t in
-  Redo.batch_op_begin bt;
-  cache_invalidate t key;
   let slot = t.map_oid.Oid.off in
-  let root = Pool.batch_load_oid p bt ~off:slot in
-  let r =
-    if Oid.is_null root then false
-    else begin
-      let d = load_desc t root in
-      let removed, dirty = b_rem t bt d key in
-      (* Stage whenever the tree changed — descending past a minimal
-         child pre-balances (freeing the borrowed-from or merged
-         nodes) even when the key then turns out to be absent, and
-         that restructure must reach the root slot or the committed
-         tree keeps pointing at freed nodes. *)
-      if dirty then begin
-        if Array.length d.d_items = 0 then begin
-          (* root shrink: an emptied leaf root leaves an empty tree,
-             an emptied internal root hands over to its lone child *)
-          let next = if d.d_leaf then Oid.null else d.d_children.(0) in
-          Pool.batch_free p bt d.src;
-          Pool.batch_stage_oid p bt ~off:slot ~prev:root next
-        end
-        else
-          Pool.batch_stage_oid p bt ~off:slot ~prev:root
-            (b_materialize t bt d)
-      end;
-      removed <> None
-    end
-  in
-  Redo.batch_op_end bt;
-  r
+  let root = root_of t bt in
+  if Oid.is_null root then false
+  else begin
+    let d = load_desc t root in
+    let removed, dirty = b_rem t bt d key in
+    (* Stage whenever the tree changed — descending past a minimal
+       child pre-balances (freeing the borrowed-from or merged
+       nodes) even when the key then turns out to be absent, and
+       that restructure must reach the root slot or the committed
+       tree keeps pointing at freed nodes. *)
+    if dirty then begin
+      if Array.length d.d_items = 0 then begin
+        (* root shrink: an emptied leaf root leaves an empty tree,
+           an emptied internal root hands over to its lone child *)
+        let next = if d.d_leaf then Oid.null else d.d_children.(0) in
+        Pool.batch_free p bt d.src;
+        Pool.batch_stage_oid p bt ~off:slot ~prev:root next
+      end
+      else
+        Pool.batch_stage_oid p bt ~off:slot ~prev:root (b_materialize t bt d)
+    end;
+    removed <> None
+  end
 
-let b_scan t bt ~lo ~hi ~limit =
-  Redo.batch_op_begin bt;
-  let root = Pool.batch_load_oid (pool t) bt ~off:t.map_oid.Oid.off in
-  let r =
-    if Oid.is_null root || limit <= 0 || hi < lo then []
-    else collect_range t root ~lo ~hi ~limit
-  in
-  Redo.batch_op_end bt;
-  r
+let exec t bt : Engine.batch_op -> Engine.batch_reply = function
+  | B_put { key; value } -> put t bt ~key ~value; R_put
+  | B_get key ->
+    let root = root_of t bt in
+    R_get (if Oid.is_null root then None else find t root key)
+  | B_remove key -> R_removed (remove t bt key)
+  | B_scan { lo; hi; limit } ->
+    R_scan (collect_range t (root_of t bt) ~lo ~hi ~limit)
 
-let run_batch ?len t ops =
-  with_lock t (fun () ->
-    Engine.run_cached_batch ?len (pool t) t.cache ops (fun bt -> function
-      | Engine.B_put { key; value } -> b_put t bt ~key ~value; Engine.R_put
-      | Engine.B_get key -> Engine.R_get (b_get t bt key)
-      | Engine.B_remove key -> Engine.R_removed (b_remove t bt key)
-      | Engine.B_scan { lo; hi; limit } ->
-        Engine.R_scan (b_scan t bt ~lo ~hi ~limit)))
-
-(* ------------------------------------------------------------------ *)
-(* Synchronous API                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let root_of t = Pool.load_oid (pool t) ~off:t.map_oid.Oid.off
-
-let get t key =
-  match cache_probe t key with
-  | Some _ as hit -> hit
-  | None ->
-    with_lock t (fun () ->
-      let tk = Option.map (fun rc -> (rc, Rcache.ticket rc key)) t.cache in
-      let root = root_of t in
-      let r = if Oid.is_null root then None else find t root key in
-      (* fill under the engine lock: a same-key writer serializes on
-         it, so a stale value can never overwrite a newer put *)
-      (match (r, tk) with
-       | Some v, Some (rc, tk) -> Rcache.insert rc tk v
-       | _ -> ());
-      r)
-
-let scan t ~lo ~hi ~limit =
-  with_lock t (fun () ->
-    let root = root_of t in
-    if Oid.is_null root || limit <= 0 || hi < lo then []
-    else collect_range t root ~lo ~hi ~limit)
-
-let count_all t =
-  with_lock t (fun () ->
-    let root = root_of t in
-    if Oid.is_null root then 0 else count_node t root)
-
-(* Sync mutations are single-op batches: even a lone put pays (and
-   amortizes nothing of) the batch fence schedule, and is observed by
-   replication. *)
-let put t ~key ~value = ignore (run_batch t [| Engine.B_put { key; value } |])
-
-let remove t key =
-  match (run_batch t [| Engine.B_remove key |]).(0) with
-  | Engine.R_removed b -> b
-  | _ -> false
+let count_all t bt =
+  let root = root_of t bt in
+  if Oid.is_null root then 0 else count_node t root

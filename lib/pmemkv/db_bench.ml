@@ -1,6 +1,8 @@
 (* pmemkv-bench driver (the paper's §VI-B KV-store experiment, based on
-   db_bench): four workload mixes over the cmap engine, 16-byte keys,
-   1024-byte values, with a preloaded store.
+   db_bench): four workload mixes over an engine (Fig. 5 runs cmap),
+   16-byte keys, 1024-byte values, with a preloaded store. Every get,
+   put and remove is a synchronous [Engine] call: a one-op group commit
+   through [Engine.run_batch].
 
    Thread model: the simulator is a single address space without a real
    multi-socket testbed, so "threads" are logical shards — each shard's
@@ -28,7 +30,7 @@ let value_block = String.init 1024 (fun i -> Char.chr (33 + (i mod 90)))
 
 let preload t ~keys =
   for i = 0 to keys - 1 do
-    Cmap.put t ~key:(key_of_int i) ~value:value_block
+    Engine.put t ~key:(key_of_int i) ~value:value_block
   done
 
 type result = {
@@ -45,7 +47,7 @@ let run_shard t ~seed ~ops ~universe workload =
   (match workload with
    | Seq_reads ->
      for i = 0 to ops - 1 do
-       ignore (Cmap.get t (key_of_int ((seed + i) mod universe)))
+       ignore (Engine.get t (key_of_int ((seed + i) mod universe)))
      done
    | Update_heavy | Read_heavy | Random_reads ->
      let write_pct =
@@ -57,8 +59,8 @@ let run_shard t ~seed ~ops ~universe workload =
      for _ = 1 to ops do
        let k = key_of_int (Random.State.int st universe) in
        if Random.State.int st 100 < write_pct then
-         Cmap.put t ~key:k ~value:value_block
-       else ignore (Cmap.get t k)
+         Engine.put t ~key:k ~value:value_block
+       else ignore (Engine.get t k)
      done);
   Spp_benchlib.Bench_util.now_mono () -. start
 

@@ -1,5 +1,6 @@
 (** pmemkv-bench driver (paper §VI-B, Fig. 5): the four db_bench workload
-    mixes over the cmap engine, 16-byte keys and 1024-byte values.
+    mixes over an engine's synchronous calls (each a one-op batch through
+    {!Engine.run_batch}), 16-byte keys and 1024-byte values.
 
     "Threads" are logical shards — each shard's operation stream is run
     and timed on its own; see DESIGN.md for why this preserves Fig. 5's
@@ -20,7 +21,7 @@ val key_of_int : int -> string
 val value_block : string
 (** The 1024-byte value payload. *)
 
-val preload : Cmap.t -> keys:int -> unit
+val preload : Engine.packed -> keys:int -> unit
 
 type result = {
   threads : int;
@@ -31,5 +32,5 @@ type result = {
 }
 
 val run :
-  Cmap.t -> threads:int -> ops_per_thread:int -> universe:int -> workload ->
-  result
+  Engine.packed -> threads:int -> ops_per_thread:int -> universe:int ->
+  workload -> result

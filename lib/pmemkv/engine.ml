@@ -1,28 +1,37 @@
-(* engine — the first-class engine abstraction behind the serving stack.
+(* engine — the one way into a storage engine.
 
    pmemkv ships interchangeable storage engines behind one API; this
    module is our version of that seam. An engine owns a durable
-   key/value structure inside one pool and exposes point ops, an
-   ordered range scan, group-committed batches (the PR-4 redo batch
-   discipline: one fence schedule per sub-batch, crash recovery lands
-   on a whole-op prefix), a durable re-attach handle (a single root
-   oid parked by the caller, e.g. in the pool root), and the volatile
-   read-cache hooks the serve fast path relies on.
+   key/value structure inside one pool and supplies only what differs
+   between engines: building and re-attaching the structure, its
+   durable root, a count of its entries, and [exec], which runs one op
+   inside an open redo batch. Everything around an op lives here, in
+   [run_batch]:
 
-   Each engine has one reader, shared by its sync ops and its batches,
-   and it reads through the access layer's variant: one check per
-   window, each window sized to the bytes it reads, keys compared
-   against the device view without materializing candidates, and a
-   value copied out exactly once ([read_sub] / [view_string]). Each
-   engine also has one writer: every mutation is a group-commit op (a
-   synchronous put or remove is a one-op batch), and every fresh block
-   it composes is stored through the variant's range check
-   ([store_fresh]). So every served read and write passes the variant's
-   check.
+   - every op — a served batch's, or a synchronous [get], [put],
+     [remove] or [scan], which is a one-op batch — runs inside
+     [Pool.with_batch], so every entry into an engine holds the pool's
+     lane (its transaction lane and allocator lock) and every engine
+     read runs inside a batch: the lane serializes the domains that use
+     one pool, and with them the pool's Space and device counters;
+   - [run_batch] opens and closes each op ([Redo.batch_op_begin] /
+     [batch_op_end]), so consecutive ops share a staged log and one
+     fence schedule per sub-batch, and crash recovery lands on a
+     whole-op prefix;
+   - the volatile read cache lives in [packed], and [run_batch]
+     invalidates and fills it around each op.
+
+   Each engine has one reader and one writer, both through the access
+   layer's variant: one check per window, each window sized to the
+   bytes it reads, keys compared against the device view without
+   materializing candidates, a value copied out exactly once
+   ([read_sub] / [view_string]), and every fresh block stored through
+   the variant's range check ([store_fresh]). So every read and write
+   an engine serves passes the variant's check.
 
    The shard/serve/replica stack is written against [packed] values —
-   an existential pairing of a module implementing [S] with its state —
-   so a shard's engine is chosen at [Shard.create] time and everything
+   an engine module paired with its state, its pool and its cache — so
+   a shard's engine is chosen at [Shard.create] time and everything
    above it stays engine-agnostic. *)
 
 open Spp_pmdk
@@ -53,54 +62,6 @@ let store_fresh (a : Spp_access.t) bt (oid : Oid.t) buf ~pos ~len =
   let addr = a.check_range p len in
   Pool.batch_write a.pool bt ~off:(Pool.off_of_addr a.pool addr) buf ~pos ~len
 
-let batch_key_of = function
-  | B_put { key; _ } | B_get key | B_remove key -> key
-  | B_scan { lo; _ } -> lo
-
-(* The body of every engine's [run_batch]: ops [0, len) run inside one
-   [Pool.with_batch], and once it is durable their cache fills replay in
-   op order — a get fills the value it returned, a put the value it made
-   durable. A get's fill ticket is taken before it reads, a put's after
-   its stage-time invalidation, so a key invalidated in between — a
-   mutation submitted while the batch runs, or a later remove or put of
-   the same batch — drops the fill instead of resurrecting an older
-   value. On a crash the exception propagates before the replay and only
-   the stage-time invalidations remain: conservative, never wrong. *)
-let run_cached_batch ?len pool cache ops exec =
-  let n =
-    match len with
-    | None -> Array.length ops
-    | Some l ->
-      if l < 0 || l > Array.length ops then
-        invalid_arg "run_batch: len out of range";
-      l
-  in
-  let tickets = Array.make n None in
-  let ticket key = Option.map (fun rc -> Rcache.ticket rc key) cache in
-  let replies =
-    Pool.with_batch pool (fun bt ->
-      Array.init n (fun i ->
-        match ops.(i) with
-        | B_get key -> tickets.(i) <- ticket key; exec bt ops.(i)
-        | B_put { key; _ } ->
-          let r = exec bt ops.(i) in
-          tickets.(i) <- ticket key;
-          r
-        | B_remove _ | B_scan _ -> exec bt ops.(i)))
-  in
-  Option.iter
-    (fun rc ->
-      Array.iteri
-        (fun i tk ->
-          match (tk, ops.(i), replies.(i)) with
-          | Some tk, B_get _, R_get (Some v)
-          | Some tk, B_put { value = v; _ }, _ ->
-            Rcache.insert rc tk v
-          | _ -> ())
-        tickets)
-    cache;
-  replies
-
 module type S = sig
   type t
 
@@ -112,59 +73,134 @@ module type S = sig
 
   val attach : Spp_access.t -> root:Oid.t -> t
   (** Re-attach to an existing map after a pool reopen given its root
-      oid ({!root_oid} of the original). Caches start cold. *)
+      oid ({!root_oid} of the original). *)
 
   val root_oid : t -> Oid.t
   (** The single durable handle — park it in the pool root so the map
       survives a restart. *)
 
-  val set_cache : t -> Rcache.t option -> unit
-  val cache : t -> Rcache.t option
-  val cache_probe : t -> string -> string option
-  val cache_invalidate : t -> string -> unit
+  val count_all : t -> Redo.batch -> int
+  (** Live entries, read through the open batch. *)
 
-  val put : t -> key:string -> value:string -> unit
-  val get : t -> string -> string option
-  val remove : t -> string -> bool
-  val count_all : t -> int
-
-  val scan : t -> lo:string -> hi:string -> limit:int -> (string * string) list
-  (** Ordered range scan: at most [limit] pairs with [lo <= key <= hi],
-      ascending by key. Cache-bypassing — never probes nor fills. *)
-
-  val run_batch : ?len:int -> t -> batch_op array -> batch_reply array
-  (** Group-committed batch; replies align with ops by index. Each op
-      individually atomic on crash (whole-op-prefix recovery); the
-      caller holds the map exclusively for the call. [?len] restricts
-      the batch to the first [len] ops — so a caller can reuse one
-      grow-only op buffer across drains instead of allocating a fresh
-      exactly-sized array per batch (the reply array has [len]
-      entries). Defaults to the whole array. *)
+  val exec : t -> Redo.batch -> batch_op -> batch_reply
+  (** Run one op inside the batch's open operation: reads see the ops
+      staged before it, and a mutation stages its words and stores its
+      fresh blocks there. A scan returns at most [limit] pairs with
+      [lo <= key <= hi], ascending by key. *)
 end
 
 type spec = (module S)
 (** An engine module, before it is given state — what [Shard.create]
     and the registries in {!Engines} traffic in. *)
 
-type packed = Packed : (module S with type t = 'a) * 'a -> packed
-(** An engine module paired with one live map. *)
+type packed =
+  | Packed : {
+      e : (module S with type t = 'a);
+      st : 'a;
+      pool : Pool.t;
+      mutable cache : Rcache.t option;   (* volatile, never reattached *)
+    }
+      -> packed
+(** An engine module paired with one live map, its pool and its read
+    cache. *)
 
-let create ?nbuckets (module E : S) a = Packed ((module E), E.create ?nbuckets a)
-let attach (module E : S) a ~root = Packed ((module E), E.attach a ~root)
+let create ?nbuckets (module E : S) (a : Spp_access.t) =
+  Packed
+    { e = (module E); st = E.create ?nbuckets a; pool = a.pool; cache = None }
+
+(* The cache is volatile by design: a re-attached map starts cold. *)
+let attach (module E : S) (a : Spp_access.t) ~root =
+  Packed { e = (module E); st = E.attach a ~root; pool = a.pool; cache = None }
 
 let spec_name (module E : S) = E.name
-let name (Packed ((module E), _)) = E.name
-let root_oid (Packed ((module E), t)) = E.root_oid t
-let set_cache (Packed ((module E), t)) c = E.set_cache t c
-let cache (Packed ((module E), t)) = E.cache t
-let cache_probe (Packed ((module E), t)) key = E.cache_probe t key
-let cache_invalidate (Packed ((module E), t)) key = E.cache_invalidate t key
-let put (Packed ((module E), t)) ~key ~value = E.put t ~key ~value
-let get (Packed ((module E), t)) key = E.get t key
-let remove (Packed ((module E), t)) key = E.remove t key
-let count_all (Packed ((module E), t)) = E.count_all t
-let scan (Packed ((module E), t)) ~lo ~hi ~limit = E.scan t ~lo ~hi ~limit
-let run_batch ?len (Packed ((module E), t)) ops = E.run_batch ?len t ops
+let name (Packed { e = (module E); _ }) = E.name
+let root_oid (Packed { e = (module E); st; _ }) = E.root_oid st
+
+let set_cache (Packed k) c = k.cache <- c
+let cache (Packed k) = k.cache
+
+(* Lock-free from any domain: the serve layer's fast path probes from
+   submitting domains, where the shard's simulator state (Space stats,
+   Memdev) must not be touched. *)
+let cache_probe (Packed k) key =
+  match k.cache with None -> None | Some rc -> Rcache.probe rc key
+
+let cache_invalidate (Packed k) key =
+  match k.cache with None -> () | Some rc -> Rcache.invalidate rc key
+
+(* [run_batch]: ops [0, len) run inside one [Pool.with_batch], each
+   between its own op boundaries, and once the batch is durable their
+   cache fills replay in op order — a get fills the value it returned, a
+   put the value it made durable. A mutation's key is invalidated before
+   the op stages, so a concurrent fast-path reader never observes a
+   value newer than the durable state allows. A get's fill ticket is
+   taken before it reads, a put's after it stages, so a key invalidated
+   in between — a mutation submitted while the batch runs, or a later
+   remove or put of the same batch — drops the fill instead of
+   resurrecting an older value. On a crash the exception propagates
+   before the replay and only the stage-time invalidations remain:
+   conservative, never wrong. *)
+let run_batch ?len (Packed { e = (module E); st; pool; cache }) ops =
+  let n =
+    match len with
+    | None -> Array.length ops
+    | Some l ->
+      if l < 0 || l > Array.length ops then
+        invalid_arg "Engine.run_batch: len out of range";
+      l
+  in
+  let tickets = if Option.is_none cache then [||] else Array.make n None in
+  let replies =
+    Pool.with_batch pool (fun bt ->
+      Array.init n (fun i ->
+        let op = ops.(i) in
+        Redo.batch_op_begin bt;
+        (match (op, cache) with
+         | B_get key, Some rc -> tickets.(i) <- Some (Rcache.ticket rc key)
+         | (B_put { key; _ } | B_remove key), Some rc ->
+           Rcache.invalidate rc key
+         | _ -> ());
+        let r = E.exec st bt op in
+        (match (op, cache) with
+         | B_put { key; _ }, Some rc ->
+           tickets.(i) <- Some (Rcache.ticket rc key)
+         | _ -> ());
+        Redo.batch_op_end bt;
+        r))
+  in
+  (match cache with
+   | None -> ()
+   | Some rc ->
+     Array.iteri
+       (fun i tk ->
+         match (tk, ops.(i), replies.(i)) with
+         | Some tk, B_get _, R_get (Some v)
+         | Some tk, B_put { value = v; _ }, _ ->
+           Rcache.insert rc tk v
+         | _ -> ())
+       tickets);
+  replies
+
+(* The synchronous calls are one-op batches through [run_batch]; a get
+   answers a cache hit without entering the engine. *)
+let run_one kv op = (run_batch kv [| op |]).(0)
+
+let get kv key =
+  match cache_probe kv key with
+  | Some _ as hit -> hit
+  | None -> (match run_one kv (B_get key) with R_get v -> v | _ -> None)
+
+let put kv ~key ~value = ignore (run_one kv (B_put { key; value }))
+
+let remove kv key =
+  match run_one kv (B_remove key) with R_removed b -> b | _ -> false
+
+(* Cache-bypassing: a scan neither probes nor fills the read cache. *)
+let scan kv ~lo ~hi ~limit =
+  match run_one kv (B_scan { lo; hi; limit }) with R_scan l -> l | _ -> []
+
+let count_all (Packed { e = (module E); st; pool; _ }) =
+  Pool.with_batch pool (fun bt -> E.count_all st bt)
 
 (* Merge per-shard scan results (each already ascending and unique —
    shards partition the key space by hash, so no key appears twice)

@@ -4,14 +4,7 @@
    its implementations (Cmap and Bmap both depend on Engine for the
    shared batch types). *)
 
-(* Cmap predates the engine seam; only its attach label differs. *)
-module Cmap_engine : Engine.S with type t = Cmap.t = struct
-  include Cmap
-
-  let attach a ~root = Cmap.attach a ~buckets:root
-end
-
-let cmap : Engine.spec = (module Cmap_engine)
+let cmap : Engine.spec = (module Cmap)
 let btree : Engine.spec = (module Bmap)
 
 let names = [ "cmap"; "btree" ]

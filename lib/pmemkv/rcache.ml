@@ -1,4 +1,4 @@
-(* rcache — a volatile DRAM read cache fronting the Cmap PM chain walks.
+(* rcache — a volatile DRAM read cache fronting an engine's PM reads.
 
    Real pmemkv keeps a volatile index in front of the persistent leaves
    because every PM access pays pointer-decode plus media latency; our
@@ -21,7 +21,7 @@
    stale read is a stale pointer, never a torn string, and the stamp
    recheck rejects any cross-generation mix. This is what lets the serve
    layer probe a shard's cache from any submitting domain without taking
-   the shard's stripe locks or hopping through its mailbox.
+   the pool's lane or hopping through its mailbox.
 
    Fills are deferred (a batch fills after its commit), so every fill
    carries a ticket taken before its value was read or staged, and each

@@ -1,4 +1,5 @@
-(** Volatile DRAM read cache fronting the Cmap PM chain walks.
+(** Volatile DRAM read cache fronting an engine's PM reads; {!Engine}
+    keeps one per map, next to the engine's state.
 
     Fixed-capacity, power-of-two, set-associative (4-way) map from key
     to value, keyed by the same FNV-1a hash as the Cmap buckets. Lives
@@ -9,10 +10,10 @@
     Readers are lock-free from any domain: per-entry seqlock stamps make
     a torn probe read as a miss, never a wrong value. Writers (fills and
     invalidations) serialize on a small striped mutex array. The
-    intended steady-state writer is whichever domain holds the owning
-    shard (post-commit fills, stage-time invalidations); submitting
-    domains may additionally invalidate on mutation submission, which
-    the striping makes safe. *)
+    intended steady-state writer is the domain running
+    {!Engine.run_batch} under the pool's lane (post-commit fills,
+    stage-time invalidations); submitting domains may additionally
+    invalidate on mutation submission, which the striping makes safe. *)
 
 type t
 

@@ -69,15 +69,16 @@ type config = {
   policy : ack_policy;
   threaded : bool;       (* applier Domain per replica vs inline apply *)
   send_retries : int;    (* total attempts per message *)
-  backoff_ns : int;      (* base retry backoff; doubles per attempt *)
-  hb_timeout : int;      (* consecutive missed heartbeats before Down *)
   drop_rate : float;     (* channel loss probability *)
   seed : int;            (* channel fault seed (per-shard salted) *)
 }
 
 let default_config =
   { replicas = 1; policy = Semi_sync; threaded = true; send_retries = 4;
-    backoff_ns = 1_000; hb_timeout = 3; drop_rate = 0.; seed = 0 }
+    drop_rate = 0.; seed = 0 }
+
+let backoff_ns = 1_000   (* base retry backoff; doubles per attempt *)
+let hb_timeout = 3       (* consecutive missed heartbeats before Down *)
 
 type link = {
   l_replica : int;
@@ -179,7 +180,7 @@ let send g l seq payload ts =
       go (attempt + 1) (backoff * 2)
     end
   in
-  go 1 g.g_cfg.backoff_ns
+  go 1 backoff_ns
 
 let on_commit g payload =
   if not g.g_sealed then begin
@@ -254,7 +255,7 @@ let heartbeat g =
         if Netfault.attempt g.g_net then l.l_missed <- 0
         else begin
           l.l_missed <- l.l_missed + 1;
-          if l.l_missed >= g.g_cfg.hb_timeout then mark_down l
+          if l.l_missed >= hb_timeout then mark_down l
         end
       end)
     g.g_links

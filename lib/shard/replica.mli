@@ -18,11 +18,10 @@
     bound is what the failover torture oracle checks.
 
     Failure detection is channel-driven: retry exhaustion on a data
-    send, or [hb_timeout] consecutive missed {!heartbeat}s, marks a
-    replica down. Down replicas receive nothing further (applied
-    sequence numbers never have gaps) and leave the ack quorum; a
-    policy wait short of its quorum completes anyway and counts a
-    degraded ack. *)
+    send, or 3 consecutive missed {!heartbeat}s, marks a replica down.
+    Down replicas receive nothing further (applied sequence numbers
+    never have gaps) and leave the ack quorum; a policy wait short of
+    its quorum completes anyway and counts a degraded ack. *)
 
 (** When a mutation is acked to the client, relative to replication:
     [Async] — on primary durability alone; [Semi_sync] — after at
@@ -43,16 +42,14 @@ type config = {
   threaded : bool;       (** applier Domain per replica; [false] applies
                              inline on the committing domain —
                              deterministic, the torture configuration *)
-  send_retries : int;    (** total send attempts per message (>= 1) *)
-  backoff_ns : int;      (** base retry backoff, doubled per attempt *)
-  hb_timeout : int;      (** consecutive missed heartbeats before down *)
+  send_retries : int;    (** total send attempts per message (>= 1);
+                             retries back off from 1 us, doubling *)
   drop_rate : float;     (** channel loss probability, in [0, 1) *)
   seed : int;            (** channel fault seed, salted per shard *)
 }
 
 val default_config : config
-(** One replica, semi-sync, threaded, 4 attempts, 1 us base backoff,
-    3-beat failure detector, lossless channel. *)
+(** One replica, semi-sync, threaded, 4 attempts, lossless channel. *)
 
 type t
 
@@ -73,9 +70,9 @@ val create :
 
 val heartbeat : t -> unit
 (** One ping round to every live replica over the same lossy channel as
-    the data path. [hb_timeout] consecutive losses mark the replica
-    down. Call from the domain that owns the primary (the domain holding
-    the serve shard, once per batch). *)
+    the data path. Three consecutive losses mark the replica down. Call
+    from the domain that owns the primary (the domain holding the serve
+    shard, once per batch). *)
 
 val wait_acks : t -> unit
 (** Block per the ack policy until the required replicas have applied

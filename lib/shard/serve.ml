@@ -19,10 +19,9 @@
      runs its op there, as a one-op batch, so its ticket and [notify]
      resolve before [submit] returns;
    - whoever pushes a request onto an unheld shard's queue takes the
-     shard and drains it: [submit] or [submit_to] (adaptive mode), a
-     drain forwarding a request to its new owner, and a migration flip
-     re-pointing queued requests — all try-only: if another domain
-     holds the shard, that holder drains it;
+     shard and drains it: [submit] or [submit_to] (adaptive mode), and
+     a migration flip re-pointing queued requests — both try-only: if
+     another domain holds the shard, that holder drains it;
    - [await] on an unresolved ticket whose shard is unheld;
    - [promote], [migrate_slot] and [stop], which wait for the hold
      while holding no shard and run on the calling domain.
@@ -133,10 +132,6 @@ type ticket = {
   mutable tk_shard : int;            (* re-pointed when a flip forwards *)
   tk_submitted : float;              (* monotonic seconds *)
   mutable tk_reply : reply option;   (* written under the mailbox lock *)
-  tk_pinned : bool;
-      (* the caller chose the shard explicitly ([submit_to]) — the
-         drain-time ownership double-check must not re-route it; the
-         migration copy deliberately targets the not-yet-owner *)
   tk_notify : (reply -> unit) option;   (* run by the resolving holder *)
 }
 
@@ -282,52 +277,18 @@ let scan_hi_sentinel = String.make 32 '\xff'
 
 let idle =
   (Get "",
-   { tk_shard = 0; tk_submitted = 0.; tk_reply = None; tk_pinned = true;
-     tk_notify = None })
+   { tk_shard = 0; tk_submitted = 0.; tk_reply = None; tk_notify = None })
 
-(* Execute the first [n0] requests of shard [i]'s scratch buffer as one
+(* Execute the first [n] requests of shard [i]'s scratch buffer as one
    group-committed batch, resolve their tickets and account the batch.
-   The caller holds the shard. Returns the shards it forwarded requests
-   to, for the caller to drain once it has let go of this one. *)
-let execute t i box n0 ~already_failed =
+   The caller holds the shard. Every request it holds belongs here:
+   submitters re-check the slot table under the mailbox lock, and a
+   migration holds its source shard from copy to delete, so its flip
+   re-points every queued request on the slot before any holder can
+   pop one. *)
+let execute t i box n ~already_failed =
   let items = box.items and opbuf = box.opbuf in
-  (* Double-check router-submitted ops against the live slot table: a
-     keyed request that raced a migration flip is forwarded to its
-     owner's mailbox instead of executing on a shard that no longer
-     holds the key. The flip itself re-points everything still queued
-     under the lock, so this net only catches stragglers. Pinned
-     requests ([submit_to]) are exempt: the caller chose the shard —
-     notably the migration copy, which targets the shard that does not
-     own the slot yet. *)
-  let fwd = ref [] in
-  let n =
-    let m = ref 0 in
-    for j = 0 to n0 - 1 do
-      let (req, tk) = items.(j) in
-      let owner =
-        match req with
-        | _ when tk.tk_pinned -> i
-        | Put { key; _ } | Get key | Remove key -> Shard.route t.store key
-        | Scan _ -> i
-      in
-      if owner = i then begin
-        items.(!m) <- items.(j);
-        incr m
-      end
-      else begin
-        let obox = t.boxes.(owner) in
-        Mutex.lock obox.mu;
-        tk.tk_shard <- owner;
-        push obox (req, tk);
-        Mutex.unlock obox.mu;
-        Atomic.incr t.forwarded;
-        fwd := owner :: !fwd
-      end
-    done;
-    !m
-  in
-  (if n = 0 then ()
-   else if already_failed then
+  (if already_failed then
      (* dead primary, not yet promoted: nothing to execute on *)
      resolve box n (fun _ -> Failed Failed_over)
    else begin
@@ -373,23 +334,20 @@ let execute t i box n0 ~already_failed =
        if n > box.max_batch then box.max_batch <- n
    end);
   (* release resolved tickets to the GC before the next batch *)
-  Array.fill items 0 n0 idle;
-  !fwd
+  Array.fill items 0 n idle
 
 (* The holder's loop: run what is queued in chunks of at most
    [batch_cap] until the queue is empty, then release the shard and
-   wake everyone waiting on it. Shards that a batch forwarded requests
-   to ([fwd], and those [execute] returns) are drained afterwards if
-   nobody holds them. Called holding shard [i], without its lock. *)
-let rec drain ?(fwd = []) t i =
+   wake everyone waiting on it. Called holding shard [i], without its
+   lock. *)
+let rec drain t i =
   let box = t.boxes.(i) in
   Mutex.lock box.mu;
   let n = min (Queue.length box.q) t.batch_cap in
   if n = 0 then begin
     box.held <- false;
     Condition.broadcast box.done_;
-    Mutex.unlock box.mu;
-    List.iter (settle t) fwd
+    Mutex.unlock box.mu
   end
   else begin
     for j = 0 to n - 1 do
@@ -398,13 +356,13 @@ let rec drain ?(fwd = []) t i =
     let already_failed = box.failed in
     Mutex.unlock box.mu;
     match execute t i box n ~already_failed with
-    | more -> drain ~fwd:(List.rev_append more fwd) t i
+    | () -> drain t i
     | exception e -> release box; raise e
   end
 
 (* Take shard [i] if nobody holds it, and drain it: what a domain does
    after leaving requests on a queue it does not hold. *)
-and settle t i =
+let settle t i =
   let box = t.boxes.(i) in
   Mutex.lock box.mu;
   let took = try_hold box in
@@ -455,7 +413,7 @@ let rec submit_queued t i ~run ?key ?notify req =
   else begin
     let tk =
       { tk_shard = i; tk_submitted = Spp_benchlib.Bench_util.now_mono ();
-        tk_reply = None; tk_pinned = (key = None); tk_notify = notify }
+        tk_reply = None; tk_notify = notify }
     in
     if run && key <> None && (not box.held) && Queue.is_empty box.q then begin
       box.held <- true;
@@ -463,7 +421,7 @@ let rec submit_queued t i ~run ?key ?notify req =
       let already_failed = box.failed in
       Mutex.unlock box.mu;
       match execute t i box 1 ~already_failed with
-      | fwd -> drain ~fwd t i
+      | () -> drain t i
       | exception e -> release box; raise e
     end
     else begin
@@ -500,7 +458,7 @@ let submit_prepared t i ~run ?key ?notify req =
        Option.iter (fun f -> try f r with _ -> ()) notify;
        { tk_shard = i;
          tk_submitted = Spp_benchlib.Bench_util.now_mono ();
-         tk_reply = Some r; tk_pinned = false; tk_notify = None }
+         tk_reply = Some r; tk_notify = None }
      | None -> submit_queued t i ~run ?key ?notify req)
   | _ -> submit_queued t i ~run ?key ?notify req
 
@@ -519,9 +477,8 @@ let submit_to t i req =
     invalid_arg "Serve.submit_to: shard index out of range";
   submit_prepared t i ~run:t.adaptive req
 
-(* A ticket may be re-pointed at another shard by a migration flip or a
-   batch's forward while we wait; both broadcast the old box's [done_]
-   (the flip directly, the forward as its holder releases), so we wake,
+(* A ticket may be re-pointed at another shard by a migration flip
+   while we wait; the flip broadcasts the old box's [done_], so we wake,
    notice the move and chase the ticket to its new box. A ticket whose
    shard nobody holds is ours to run. *)
 let rec await t tk =

@@ -66,8 +66,8 @@
     queued request on the slot at the target, whose ticket an awaiter
     transparently chases — and finally deletes the moved keys from the
     owner in group-committed remove batches. Submitters re-check the
-    table under the mailbox lock and every batch double-checks its ops
-    against it, so replies are identical to a no-migration run. One
+    table under the mailbox lock, so replies are identical to a
+    no-migration run. One
     migration runs at a time; {!scan} serializes against it, so a
     whole-store scan always reports every key exactly once. *)
 
@@ -218,8 +218,10 @@ val migrations : t -> int
 (** Completed migrations. *)
 
 val forwarded : t -> int
-(** Requests re-pointed to another shard's mailbox — at a flip, or by a
-    batch's ownership double-check. *)
+(** Queued requests a migration flip re-pointed to the target shard's
+    mailbox. No other request changes mailboxes: submitters re-check
+    the slot table under the mailbox lock, and a migration holds its
+    source shard until its flip has re-pointed the slot's requests. *)
 
 val keys_moved : t -> int
 (** Entries copied (and deleted from their source) across migrations. *)

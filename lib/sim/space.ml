@@ -527,7 +527,7 @@ let store_word_persist t addr v =
    the simulator's own read pipeline. A view is transient by contract:
    it must not be held across anything that could remap the space or
    poison the device — acquire, read, drop (cmap holds one per entry
-   visit, under the bucket stripe). Accounting is block-op style: the
+   visit, under the pool's lane). Accounting is block-op style: the
    window counts as one load event for [len] bytes at acquisition,
    however many reads follow — the same accounting a block read of the
    window would pay. *)

@@ -33,34 +33,34 @@ let kvstore ?(variant = Spp_access.Spp) ?(ops = 24) () =
       Spp_access.create ~pool_size:(1 lsl 17) ~name:"torture-kv" variant
     in
     let pool = a.Spp_access.pool in
-    let map = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
+    let map = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
     let root = a.Spp_access.root a.Spp_access.oid_size in
-    Pool.store_oid pool ~off:root.Oid.off (Spp_pmemkv.Cmap.buckets_oid map);
+    Pool.store_oid pool ~off:root.Oid.off (Spp_pmemkv.Engine.root_oid map);
     Pool.persist pool ~off:root.Oid.off ~len:a.Spp_access.oid_size;
-    Spp_pmemkv.Cmap.put map ~key:"baseline" ~value:"present";
+    Spp_pmemkv.Engine.put map ~key:"baseline" ~value:"present";
     let mutate ~ack =
       for i = 1 to ops do
-        Spp_pmemkv.Cmap.put map ~key:(kv_key i) ~value:(kv_value i);
+        Spp_pmemkv.Engine.put map ~key:(kv_key i) ~value:(kv_value i);
         ack ()
       done
     in
     let check ~pool:pool' ~acked =
       let a' = Spp_access.attach (Pool.space pool') pool' in
       let root' = Pool.root_oid pool' in
-      let buckets = Pool.load_oid pool' ~off:root'.Oid.off in
-      let map' = Spp_pmemkv.Cmap.attach a' ~buckets in
+      let root = Pool.load_oid pool' ~off:root'.Oid.off in
+      let map' = Spp_pmemkv.Engine.attach Spp_pmemkv.Engines.cmap a' ~root in
       let checks = ref [] in
       let add ok msg = checks := (ok, msg) :: !checks in
       add
-        (Spp_pmemkv.Cmap.get map' "baseline" = Some "present")
+        (Spp_pmemkv.Engine.get map' "baseline" = Some "present")
         "baseline key lost";
       for i = 1 to acked do
         add
-          (Spp_pmemkv.Cmap.get map' (kv_key i) = Some (kv_value i))
+          (Spp_pmemkv.Engine.get map' (kv_key i) = Some (kv_value i))
           (Printf.sprintf "acked put %d not durable" i)
       done;
       for i = acked + 1 to ops do
-        match Spp_pmemkv.Cmap.get map' (kv_key i) with
+        match Spp_pmemkv.Engine.get map' (kv_key i) with
         | None -> ()
         | Some v ->
           add (v = kv_value i)
@@ -186,12 +186,12 @@ let counter ?(variant = Spp_access.Spp) ?(ops = 24) () =
   in
   { Torture.w_name = "counter"; w_make }
 
-(* Group-committed multi-put (Cmap.run_batch): [ops] puts executed as
-   two batches of roughly half each, acking a batch's ops only after its
-   run_batch call returns — the serve pipeline's promise semantics. The
-   final op of the second batch *updates* a key written by the first op,
-   so the oracle also proves no reordering across ops: the update is
-   durable only in the all-ops-committed state.
+(* Group-committed multi-put (cmap's [Engine.run_batch]): [ops] puts
+   executed as two batches of roughly half each, acking a batch's ops
+   only after its run_batch call returns — the serve pipeline's promise
+   semantics. The final op of the second batch *updates* a key written
+   by the first op, so the oracle also proves no reordering across ops:
+   the update is durable only in the all-ops-committed state.
 
    Oracle: the durable keys must form a *prefix* of the batch program —
    some k with keys 1..k present and byte-exact, keys k+1..ops-1 absent,
@@ -214,22 +214,22 @@ let kvbatch ?(variant = Spp_access.Spp) ?(ops = 12) () =
       Spp_access.create ~pool_size:(1 lsl 17) ~name:"torture-kvbatch" variant
     in
     let pool = a.Spp_access.pool in
-    let map = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
-    Spp_pmemkv.Cmap.set_cache map (Some (Spp_pmemkv.Rcache.create ~cap:64));
+    let map = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
+    Spp_pmemkv.Engine.set_cache map (Some (Spp_pmemkv.Rcache.create ~cap:64));
     let root = a.Spp_access.root a.Spp_access.oid_size in
-    Pool.store_oid pool ~off:root.Oid.off (Spp_pmemkv.Cmap.buckets_oid map);
+    Pool.store_oid pool ~off:root.Oid.off (Spp_pmemkv.Engine.root_oid map);
     Pool.persist pool ~off:root.Oid.off ~len:a.Spp_access.oid_size;
     let op_of i =
       (* ops 1..ops-1 put fresh keys; op [ops] updates key 1 *)
       if i < ops then
-        Spp_pmemkv.Cmap.B_put { key = kv_key i; value = kv_value i }
-      else Spp_pmemkv.Cmap.B_put { key = kv_key 1; value = updated_value }
+        Spp_pmemkv.Engine.B_put { key = kv_key i; value = kv_value i }
+      else Spp_pmemkv.Engine.B_put { key = kv_key 1; value = updated_value }
     in
     let mutate ~ack =
       let half = ops / 2 in
       let batch lo hi =
         ignore
-          (Spp_pmemkv.Cmap.run_batch map
+          (Spp_pmemkv.Engine.run_batch map
              (Array.init (hi - lo + 1) (fun j -> op_of (lo + j))));
         for _ = lo to hi do ack () done
       in
@@ -239,24 +239,24 @@ let kvbatch ?(variant = Spp_access.Spp) ?(ops = 12) () =
     let check ~pool:pool' ~acked =
       let a' = Spp_access.attach (Pool.space pool') pool' in
       let root' = Pool.root_oid pool' in
-      let buckets = Pool.load_oid pool' ~off:root'.Oid.off in
-      let map' = Spp_pmemkv.Cmap.attach a' ~buckets in
+      let root = Pool.load_oid pool' ~off:root'.Oid.off in
+      let map' = Spp_pmemkv.Engine.attach Spp_pmemkv.Engines.cmap a' ~root in
       let err = ref None in
       let fail msg = if !err = None then err := Some msg in
       (* The cache is volatile: reopen must start cold, with no channel
          by which the pre-crash cache could survive the power cycle. *)
-      if Spp_pmemkv.Cmap.cache map' <> None then
+      if Spp_pmemkv.Engine.cache map' <> None then
         fail "reattached map did not start with a cold cache";
       (* Run the oracle itself through a fresh cache: the first read of
          each key fills from the recovered durable state, the second
          must hit warm and agree byte-for-byte — any divergence means
          the cache served something the durable image does not hold
          (e.g. a value only staged in the interrupted batch). *)
-      Spp_pmemkv.Cmap.set_cache map'
+      Spp_pmemkv.Engine.set_cache map'
         (Some (Spp_pmemkv.Rcache.create ~cap:64));
       let get2 key =
-        let cold = Spp_pmemkv.Cmap.get map' key in
-        let warm = Spp_pmemkv.Cmap.get map' key in
+        let cold = Spp_pmemkv.Engine.get map' key in
+        let warm = Spp_pmemkv.Engine.get map' key in
         if cold <> warm then
           fail
             (Printf.sprintf "cache diverged from durable state on %S" key);
@@ -384,10 +384,8 @@ let kvfailover ?(variant = Spp_access.Spp) ?(ops = 12) ?(drop_rate = 0.)
     let g =
       Spp_shard.Replica.create
         ~cfg:
-          { Spp_shard.Replica.default_config with
-            replicas = 1; policy = Spp_shard.Replica.Sync;
-            threaded = false; send_retries; drop_rate;
-            seed = 0x4f56 }
+          { Spp_shard.Replica.replicas = 1; policy = Spp_shard.Replica.Sync;
+            threaded = false; send_retries; drop_rate; seed = 0x4f56 }
         ~engine ~shard:0 pool
     in
     let lossless = drop_rate = 0. in

@@ -24,10 +24,10 @@ val counter : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workloa
     exactly one cell is live. *)
 
 val kvbatch : ?variant:Spp_access.variant -> ?ops:int -> unit -> Torture.workload
-(** Group-committed multi-put ([Cmap.run_batch], two batches; the final
-    op updates the first op's key). Oracle: the durable keys form a
-    prefix of whole ops — no torn op, no hole, no reordering across ops
-    — and every acked batch is fully durable. *)
+(** Group-committed multi-put (cmap's [Engine.run_batch], two batches;
+    the final op updates the first op's key). Oracle: the durable keys
+    form a prefix of whole ops — no torn op, no hole, no reordering
+    across ops — and every acked batch is fully durable. *)
 
 val kvfailover :
   ?variant:Spp_access.variant -> ?ops:int -> ?drop_rate:float ->

@@ -108,7 +108,21 @@ let test_view_window_overflow () =
   prevented "safepm, 65 B" "SafePM poisoned" (outcome Spp_access.Safepm 65);
   opens "pmdk, 65 B" (outcome Spp_access.Pmdk 65);
   opens "memcheck, 65 B (class slack)" (outcome Spp_access.Memcheck 65);
-  prevented "memcheck, 129 B" "memcheck" (outcome Spp_access.Memcheck 129)
+  prevented "memcheck, 129 B" "memcheck" (outcome Spp_access.Memcheck 129);
+  (* SPP's range check overflows the pointer for any length past the
+     object, including one too long for the tag's delta field to hold
+     (2^(tag_bits+1) and more at the default 26 tag bits): the load at
+     the address it returns faults. *)
+  let a = mk Spp_access.Spp in
+  let p = a.Spp_access.direct (a.Spp_access.palloc 64) in
+  List.iter
+    (fun len ->
+      prevented
+        (Printf.sprintf "spp check_range, %d B" len)
+        "SIGSEGV"
+        (Spp_access.run_guarded (fun () ->
+           ignore (a.Spp_access.load_word (a.Spp_access.check_range p len)))))
+    [ 65; (1 lsl 27) + 11; (1 lsl 61) + 11 ]
 
 let test_safepm_redzone_and_freed () =
   let a = mk Spp_access.Safepm in
@@ -130,7 +144,7 @@ let test_safepm_redzone_and_freed () =
    cmap keeps its newest entry at the head of the chain. *)
 let head_entry a kv =
   let open Spp_access in
-  a.direct (a.load_oid_at (a.direct (Spp_pmemkv.Cmap.buckets_oid kv)))
+  a.direct (a.load_oid_at (a.direct (Spp_pmemkv.Engine.root_oid kv)))
 
 let read_u8 a p =
   Spp_access.run_guarded (fun () -> ignore (a.Spp_access.load_u8 p))
@@ -145,10 +159,10 @@ let stopped what = function
 
 let test_safepm_batch_entry_zones () =
   let a = mk Spp_access.Safepm in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:1 Spp_pmemkv.Engines.cmap a in
   ignore
-    (Spp_pmemkv.Cmap.run_batch kv
-       [| Spp_pmemkv.Cmap.B_put { key = "k"; value = String.make 21 'v' } |]);
+    (Spp_pmemkv.Engine.run_batch kv
+       [| Spp_pmemkv.Engine.B_put { key = "k"; value = String.make 21 'v' } |]);
   (* entry: [next oid | klen | vlen | key | value], 54 bytes *)
   let size = a.Spp_access.oid_size + 16 + 1 + 21 in
   let p = head_entry a kv in
@@ -165,7 +179,7 @@ let test_checkers_follow_batch_frees_and_aborts () =
     (fun v ->
       let a = mk v in
       let name what = Spp_access.variant_name v ^ ": " ^ what in
-      let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+      let kv = Spp_pmemkv.Engine.create ~nbuckets:1 Spp_pmemkv.Engines.cmap a in
       (* the bucket's one entry, [null next | klen 1 | vlen 1 | "kv"],
          allocated and linked by a transaction *)
       let pool = a.Spp_access.pool and osz = a.Spp_access.oid_size in
@@ -176,13 +190,14 @@ let test_checkers_follow_batch_frees_and_aborts () =
         a.Spp_access.store_word (p + osz) 1;
         a.Spp_access.store_word (p + osz + 8) 1;
         a.Spp_access.write_string (p + osz + 16) "kv";
-        let buckets = Spp_pmemkv.Cmap.buckets_oid kv in
+        let buckets = Spp_pmemkv.Engine.root_oid kv in
         Pool.tx_add_range pool ~off:buckets.Oid.off ~len:osz;
         a.Spp_access.store_oid_at (a.Spp_access.direct buckets) oid);
       Alcotest.(check (option string)) (name "the tx-built entry reads back")
-        (Some "v") (Spp_pmemkv.Cmap.get kv "k");
+        (Some "v") (Spp_pmemkv.Engine.get kv "k");
       let p = head_entry a kv in
-      ignore (Spp_pmemkv.Cmap.run_batch kv [| Spp_pmemkv.Cmap.B_remove "k" |]);
+      ignore
+        (Spp_pmemkv.Engine.run_batch kv [| Spp_pmemkv.Engine.B_remove "k" |]);
       stopped (name "read of a batch-freed, sync-allocated entry")
         (read_u8 a p);
       let abort f =
@@ -199,13 +214,13 @@ let test_checkers_follow_batch_frees_and_aborts () =
         (read_u8 a (a.Spp_access.direct oid));
       let batch ops =
         Spp_access.run_guarded (fun () ->
-          ignore (Spp_pmemkv.Cmap.run_batch kv ops))
+          ignore (Spp_pmemkv.Engine.run_batch kv ops))
       in
-      let put k = Spp_pmemkv.Cmap.B_put { key = k; value = "v" } in
+      let put k = Spp_pmemkv.Engine.B_put { key = k; value = "v" } in
       completes (name "a batch reading the entry its first op put")
-        (batch [| put "a"; Spp_pmemkv.Cmap.B_get "a" |]);
+        (batch [| put "a"; Spp_pmemkv.Engine.B_get "a" |]);
       completes (name "a batch removing the entry its first op put")
-        (batch [| put "b"; Spp_pmemkv.Cmap.B_remove "b" |]);
+        (batch [| put "b"; Spp_pmemkv.Engine.B_remove "b" |]);
       (* one block from a closed op of the batch, one from its open op *)
       let fresh = Array.make 2 0 in
       let alloc bt i =

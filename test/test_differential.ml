@@ -107,7 +107,7 @@ let prop_kv_crash_fuzz =
               (int_bound 30))
     (fun (ops, crash_at) ->
       let a = mk Spp_access.Spp in
-      let kv = Spp_pmemkv.Cmap.create ~nbuckets:64 a in
+      let kv = Spp_pmemkv.Engine.create ~nbuckets:64 Spp_pmemkv.Engines.cmap a in
       Spp_sim.Memdev.set_tracking (Pool.dev a.Spp_access.pool) true;
       let model = Hashtbl.create 16 in
       List.iteri
@@ -115,19 +115,19 @@ let prop_kv_crash_fuzz =
           let key = "k" ^ string_of_int k in
           (match v with
            | Some v ->
-             Spp_pmemkv.Cmap.put kv ~key ~value:(string_of_int v);
+             Spp_pmemkv.Engine.put kv ~key ~value:(string_of_int v);
              Hashtbl.replace model key (string_of_int v)
            | None ->
-             ignore (Spp_pmemkv.Cmap.remove kv key);
+             ignore (Spp_pmemkv.Engine.remove kv key);
              Hashtbl.remove model key);
           if i = crash_at then
             ignore (Pool.crash_and_recover a.Spp_access.pool))
         ops;
       ignore (Pool.crash_and_recover a.Spp_access.pool);
       Hashtbl.fold
-        (fun k v acc -> acc && Spp_pmemkv.Cmap.get kv k = Some v)
+        (fun k v acc -> acc && Spp_pmemkv.Engine.get kv k = Some v)
         model true
-      && Spp_pmemkv.Cmap.count_all kv = Hashtbl.length model)
+      && Spp_pmemkv.Engine.count_all kv = Hashtbl.length model)
 
 (* protection invariant at arbitrary states: a one-past-the-end probe of
    a live object always faults under SPP *)

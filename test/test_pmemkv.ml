@@ -14,18 +14,18 @@ let test_put_get_all_variants () =
   List.iter
     (fun v ->
       let a = mk v in
-      let kv = Spp_pmemkv.Cmap.create ~nbuckets:64 a in
-      Spp_pmemkv.Cmap.put kv ~key:"alpha" ~value:"1";
-      Spp_pmemkv.Cmap.put kv ~key:"beta" ~value:"2";
+      let kv = Spp_pmemkv.Engine.create ~nbuckets:64 Spp_pmemkv.Engines.cmap a in
+      Spp_pmemkv.Engine.put kv ~key:"alpha" ~value:"1";
+      Spp_pmemkv.Engine.put kv ~key:"beta" ~value:"2";
       Alcotest.(check (option string))
         (Spp_access.variant_name v ^ " get alpha")
-        (Some "1") (Spp_pmemkv.Cmap.get kv "alpha");
+        (Some "1") (Spp_pmemkv.Engine.get kv "alpha");
       Alcotest.(check (option string))
         (Spp_access.variant_name v ^ " get missing")
-        None (Spp_pmemkv.Cmap.get kv "gamma");
-      check_bool "remove beta" true (Spp_pmemkv.Cmap.remove kv "beta");
-      check_bool "remove twice" false (Spp_pmemkv.Cmap.remove kv "beta");
-      check_int "count" 1 (Spp_pmemkv.Cmap.count_all kv))
+        None (Spp_pmemkv.Engine.get kv "gamma");
+      check_bool "remove beta" true (Spp_pmemkv.Engine.remove kv "beta");
+      check_bool "remove twice" false (Spp_pmemkv.Engine.remove kv "beta");
+      check_int "count" 1 (Spp_pmemkv.Engine.count_all kv))
     Spp_access.all_variants
 
 (* Pointer to the [vlen] word of [key]'s entry in a one-bucket cmap
@@ -89,17 +89,19 @@ let test_corrupt_vlen_guarded () =
       List.iter
         (fun v ->
           let a = mk v in
-          let kv = Spp_pmemkv.Cmap.create ~nbuckets:1 a in
+          let kv =
+            Spp_pmemkv.Engine.create ~nbuckets:1 Spp_pmemkv.Engines.cmap a
+          in
           let key = Spp_pmemkv.Db_bench.key_of_int 7 in
-          Spp_pmemkv.Cmap.put kv ~key ~value:(String.make 10 'v');
-          Spp_pmemkv.Cmap.put kv ~key:"other" ~value:(String.make 64 'o');
+          Spp_pmemkv.Engine.put kv ~key ~value:(String.make 10 'v');
+          Spp_pmemkv.Engine.put kv ~key:"other" ~value:(String.make 64 'o');
           a.Spp_access.store_word
-            (vlen_word a "cmap" (Spp_pmemkv.Cmap.buckets_oid kv) key) vlen;
+            (vlen_word a "cmap" (Spp_pmemkv.Engine.root_oid kv) key) vlen;
           expect v
             (Printf.sprintf "%s, vlen %d" (Spp_access.variant_name v) vlen)
             (match
                Spp_access.run_guarded (fun () ->
-                 ignore (Spp_pmemkv.Cmap.get kv key))
+                 ignore (Spp_pmemkv.Engine.get kv key))
              with
              | r -> r
              | exception e ->
@@ -116,33 +118,33 @@ let test_safepm_shadow_fences () =
   List.iter
     (fun vsize ->
       let a = mk Spp_access.Safepm in
-      let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
+      let kv = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
       let dev = Pool.dev a.Spp_access.pool in
       let value = String.make vsize 'v' in
-      Spp_pmemkv.Cmap.put kv ~key:"warm" ~value;
+      Spp_pmemkv.Engine.put kv ~key:"warm" ~value;
       let fences f =
         Spp_sim.Memdev.reset_counters dev;
         f ();
         (Spp_sim.Memdev.counters dev).Spp_sim.Memdev.fences
       in
       check_int (Printf.sprintf "%d B new-key put: fences" vsize) 5
-        (fences (fun () -> Spp_pmemkv.Cmap.put kv ~key:"k" ~value));
+        (fences (fun () -> Spp_pmemkv.Engine.put kv ~key:"k" ~value));
       check_int (Printf.sprintf "%d B same-size overwrite: fences" vsize) 6
         (fences (fun () ->
-           Spp_pmemkv.Cmap.put kv ~key:"k" ~value:(String.make vsize 'w'))))
+           Spp_pmemkv.Engine.put kv ~key:"k" ~value:(String.make vsize 'w'))))
     [ 8; 256; 1024 ]
 
 let test_overwrite_same_and_different_size () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
-  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"aaaa";
-  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"bbbb";   (* same size *)
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
+  Spp_pmemkv.Engine.put kv ~key:"k" ~value:"aaaa";
+  Spp_pmemkv.Engine.put kv ~key:"k" ~value:"bbbb";   (* same size *)
   Alcotest.(check (option string)) "same-size overwrite" (Some "bbbb")
-    (Spp_pmemkv.Cmap.get kv "k");
-  Spp_pmemkv.Cmap.put kv ~key:"k" ~value:"cccccccc";   (* resize *)
+    (Spp_pmemkv.Engine.get kv "k");
+  Spp_pmemkv.Engine.put kv ~key:"k" ~value:"cccccccc";   (* resize *)
   Alcotest.(check (option string)) "resize overwrite" (Some "cccccccc")
-    (Spp_pmemkv.Cmap.get kv "k");
-  check_int "single live entry" 1 (Spp_pmemkv.Cmap.count_all kv)
+    (Spp_pmemkv.Engine.get kv "k");
+  check_int "single live entry" 1 (Spp_pmemkv.Engine.count_all kv)
 
 (* A synchronous put or remove is a one-op group commit. One seeded
    stream of puts (value sizes mixed, same-size overwrites included) and
@@ -164,7 +166,7 @@ let test_sync_ops_are_one_op_batches () =
   let run v ~sync =
     let a = mk v in
     let pool = a.Spp_access.pool in
-    let kv = Cmap.create ~nbuckets:16 a in
+    let kv = Engine.create ~nbuckets:16 Engines.cmap a in
     let payloads = ref 0 and mutations = ref 0 in
     Pool.set_batch_observer pool (Some (fun _ -> incr payloads));
     Spp_sim.Memdev.reset_counters (Pool.dev pool);
@@ -174,13 +176,13 @@ let test_sync_ops_are_one_op_batches () =
       (function
         | `Put (key, value) ->
           incr mutations;
-          if sync then Cmap.put kv ~key ~value
-          else ignore (Cmap.run_batch kv [| Cmap.B_put { key; value } |])
+          if sync then Engine.put kv ~key ~value
+          else ignore (Engine.run_batch kv [| Engine.B_put { key; value } |])
         | `Remove key ->
           let removed =
-            if sync then Cmap.remove kv key
+            if sync then Engine.remove kv key
             else
-              Cmap.run_batch kv [| Cmap.B_remove key |]
+              Engine.run_batch kv [| Engine.B_remove key |]
               = [| R_removed true |]
           in
           if removed then incr mutations)
@@ -191,7 +193,7 @@ let test_sync_ops_are_one_op_batches () =
       (s.pm_bytes_loaded, s.pm_bytes_stored),
       rt.checkbound + rt.memintr_check,
       Pool.heap_stats pool,
-      Cmap.scan kv ~lo:"" ~hi:"\255" ~limit:max_int,
+      Engine.scan kv ~lo:"" ~hi:"\255" ~limit:max_int,
       (!payloads, !mutations) )
   in
   List.iter
@@ -211,7 +213,7 @@ let test_sync_ops_are_one_op_batches () =
 
 let test_oracle_random_ops () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:32 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:32 Spp_pmemkv.Engines.cmap a in
   let model = Hashtbl.create 64 in
   let st = Random.State.make [| 7 |] in
   for _ = 1 to 2000 do
@@ -219,31 +221,32 @@ let test_oracle_random_ops () =
     match Random.State.int st 3 with
     | 0 ->
       let value = Printf.sprintf "val-%d" (Random.State.int st 10000) in
-      Spp_pmemkv.Cmap.put kv ~key ~value;
+      Spp_pmemkv.Engine.put kv ~key ~value;
       Hashtbl.replace model key value
     | 1 ->
       let expected = Hashtbl.mem model key in
-      check_bool "remove agrees" expected (Spp_pmemkv.Cmap.remove kv key);
+      check_bool "remove agrees" expected (Spp_pmemkv.Engine.remove kv key);
       Hashtbl.remove model key
     | _ ->
       Alcotest.(check (option string)) "get agrees"
         (Hashtbl.find_opt model key)
-        (Spp_pmemkv.Cmap.get kv key)
+        (Spp_pmemkv.Engine.get kv key)
   done;
-  check_int "final count" (Hashtbl.length model) (Spp_pmemkv.Cmap.count_all kv)
+  check_int "final count" (Hashtbl.length model)
+    (Spp_pmemkv.Engine.count_all kv)
 
 let test_crash_durability () =
   let a = mk Spp_access.Pmdk in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
   Spp_sim.Memdev.set_tracking (Pool.dev a.Spp_access.pool) true;
-  Spp_pmemkv.Cmap.put kv ~key:"durable" ~value:"yes";
-  Spp_pmemkv.Cmap.put kv ~key:"gone-after-remove" ~value:"x";
-  check_bool "removed" true (Spp_pmemkv.Cmap.remove kv "gone-after-remove");
+  Spp_pmemkv.Engine.put kv ~key:"durable" ~value:"yes";
+  Spp_pmemkv.Engine.put kv ~key:"gone-after-remove" ~value:"x";
+  check_bool "removed" true (Spp_pmemkv.Engine.remove kv "gone-after-remove");
   let (_ : Pool.recovery_report) = Pool.crash_and_recover a.Spp_access.pool in
   Alcotest.(check (option string)) "committed put durable" (Some "yes")
-    (Spp_pmemkv.Cmap.get kv "durable");
+    (Spp_pmemkv.Engine.get kv "durable");
   Alcotest.(check (option string)) "committed remove durable" None
-    (Spp_pmemkv.Cmap.get kv "gone-after-remove")
+    (Spp_pmemkv.Engine.get kv "gone-after-remove")
 
 (* Reopen-after-churn: heavy put/remove traffic (with a warm read cache
    attached) must leave a durable image that a fresh process — a new
@@ -252,12 +255,12 @@ let test_crash_durability () =
    Rcache is volatile by design. *)
 let test_attach_after_remove_churn () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:32 a in
-  Spp_pmemkv.Cmap.set_cache kv (Some (Spp_pmemkv.Rcache.create ~cap:64));
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:32 Spp_pmemkv.Engines.cmap a in
+  Spp_pmemkv.Engine.set_cache kv (Some (Spp_pmemkv.Rcache.create ~cap:64));
   let pool = a.Spp_access.pool in
   let root = a.Spp_access.root a.Spp_access.oid_size in
   Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off
-    (Spp_pmemkv.Cmap.buckets_oid kv);
+    (Spp_pmemkv.Engine.root_oid kv);
   Pool.persist pool ~off:root.Spp_pmdk.Oid.off ~len:a.Spp_access.oid_size;
   let model = Hashtbl.create 64 in
   let st = Random.State.make [| 2026 |] in
@@ -268,17 +271,17 @@ let test_attach_after_remove_churn () =
     for i = 0 to 199 do
       let k = key i in
       let v = Printf.sprintf "r%d-%d" round i in
-      Spp_pmemkv.Cmap.put kv ~key:k ~value:v;
+      Spp_pmemkv.Engine.put kv ~key:k ~value:v;
       Hashtbl.replace model k v;
-      ignore (Spp_pmemkv.Cmap.get kv k);
+      ignore (Spp_pmemkv.Engine.get kv k);
       if Random.State.int st 4 < 3 then begin
-        check_bool "remove live key" true (Spp_pmemkv.Cmap.remove kv k);
+        check_bool "remove live key" true (Spp_pmemkv.Engine.remove kv k);
         Hashtbl.remove model k
       end
     done
   done;
   check_int "live count before reopen" (Hashtbl.length model)
-    (Spp_pmemkv.Cmap.count_all kv);
+    (Spp_pmemkv.Engine.count_all kv);
   (* A fresh device from the durable snapshot — nothing volatile can
      leak across, by construction. *)
   let img = Spp_sim.Memdev.durable_snapshot (Pool.dev pool) in
@@ -291,28 +294,30 @@ let test_attach_after_remove_churn () =
     let buckets =
       Pool.load_oid pool' ~off:(Pool.root_oid pool').Spp_pmdk.Oid.off
     in
-    let kv' = Spp_pmemkv.Cmap.attach a' ~buckets in
+    let kv' =
+      Spp_pmemkv.Engine.attach Spp_pmemkv.Engines.cmap a' ~root:buckets
+    in
     check_bool "reattached map starts cold" true
-      (Spp_pmemkv.Cmap.cache kv' = None);
+      (Spp_pmemkv.Engine.cache kv' = None);
     check_int "count survives reopen" (Hashtbl.length model)
-      (Spp_pmemkv.Cmap.count_all kv');
+      (Spp_pmemkv.Engine.count_all kv');
     for i = 0 to 199 do
       Alcotest.(check (option string)) ("survivor " ^ key i)
         (Hashtbl.find_opt model (key i))
-        (Spp_pmemkv.Cmap.get kv' (key i))
+        (Spp_pmemkv.Engine.get kv' (key i))
     done
 
 let test_large_values () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:16 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:16 Spp_pmemkv.Engines.cmap a in
   let v = String.make 1024 'z' in
-  Spp_pmemkv.Cmap.put kv ~key:"big" ~value:v;
+  Spp_pmemkv.Engine.put kv ~key:"big" ~value:v;
   Alcotest.(check (option string)) "1 KiB value" (Some v)
-    (Spp_pmemkv.Cmap.get kv "big")
+    (Spp_pmemkv.Engine.get kv "big")
 
 let test_db_bench_runs () =
   let a = mk Spp_access.Pmdk in
-  let kv = Spp_pmemkv.Cmap.create a in
+  let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.cmap a in
   Spp_pmemkv.Db_bench.preload kv ~keys:200;
   List.iter
     (fun w ->
@@ -338,7 +343,7 @@ let test_bmap_oracle_random_ops () =
   List.iter
     (fun variant ->
       let a = mk variant in
-      let kv = Spp_pmemkv.Bmap.create a in
+      let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.btree a in
       let model = Hashtbl.create 64 in
       let st = Random.State.make [| 11 |] in
       for _ = 1 to 1200 do
@@ -346,33 +351,33 @@ let test_bmap_oracle_random_ops () =
         match Random.State.int st 3 with
         | 0 ->
           let value = Printf.sprintf "val-%d" (Random.State.int st 10000) in
-          Spp_pmemkv.Bmap.put kv ~key ~value;
+          Spp_pmemkv.Engine.put kv ~key ~value;
           Hashtbl.replace model key value
         | 1 ->
           let expected = Hashtbl.mem model key in
-          check_bool "remove agrees" expected (Spp_pmemkv.Bmap.remove kv key);
+          check_bool "remove agrees" expected (Spp_pmemkv.Engine.remove kv key);
           Hashtbl.remove model key
         | _ ->
           Alcotest.(check (option string)) "get agrees"
             (Hashtbl.find_opt model key)
-            (Spp_pmemkv.Bmap.get kv key)
+            (Spp_pmemkv.Engine.get kv key)
       done;
       check_int
         (Spp_access.variant_name variant ^ " final count")
         (Hashtbl.length model)
-        (Spp_pmemkv.Bmap.count_all kv);
+        (Spp_pmemkv.Engine.count_all kv);
       Alcotest.(check (list (pair string string)))
         (Spp_access.variant_name variant ^ " full scan = sorted model")
         (sorted_bindings model)
-        (Spp_pmemkv.Bmap.scan kv ~lo:"" ~hi:"~" ~limit:1000))
+        (Spp_pmemkv.Engine.scan kv ~lo:"" ~hi:"~" ~limit:1000))
     Spp_access.all_variants
 
 (* Inclusive bounds, ascending order, limit clipping, empty windows. *)
 let test_bmap_scan_semantics () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Bmap.create a in
+  let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.btree a in
   for i = 0 to 49 do
-    Spp_pmemkv.Bmap.put kv
+    Spp_pmemkv.Engine.put kv
       ~key:(Printf.sprintf "k%02d" i)
       ~value:(Printf.sprintf "v%02d" i)
   done;
@@ -385,28 +390,28 @@ let test_bmap_scan_semantics () =
   in
   Alcotest.(check (list (pair string string)))
     "inclusive window" (expect "k10" "k19")
-    (Spp_pmemkv.Bmap.scan kv ~lo:"k10" ~hi:"k19" ~limit:100);
+    (Spp_pmemkv.Engine.scan kv ~lo:"k10" ~hi:"k19" ~limit:100);
   Alcotest.(check (list (pair string string)))
     "limit clips the head"
     [ ("k10", "v10"); ("k11", "v11"); ("k12", "v12") ]
-    (Spp_pmemkv.Bmap.scan kv ~lo:"k10" ~hi:"k19" ~limit:3);
+    (Spp_pmemkv.Engine.scan kv ~lo:"k10" ~hi:"k19" ~limit:3);
   check_int "empty window" 0
-    (List.length (Spp_pmemkv.Bmap.scan kv ~lo:"k90" ~hi:"k99" ~limit:10));
+    (List.length (Spp_pmemkv.Engine.scan kv ~lo:"k90" ~hi:"k99" ~limit:10));
   check_int "inverted bounds" 0
-    (List.length (Spp_pmemkv.Bmap.scan kv ~lo:"k19" ~hi:"k10" ~limit:10));
+    (List.length (Spp_pmemkv.Engine.scan kv ~lo:"k19" ~hi:"k10" ~limit:10));
   check_int "limit 0" 0
-    (List.length (Spp_pmemkv.Bmap.scan kv ~lo:"" ~hi:"~" ~limit:0))
+    (List.length (Spp_pmemkv.Engine.scan kv ~lo:"" ~hi:"~" ~limit:0))
 
 (* A scan op inside a batch sees every earlier op of the same batch
    (puts and removes staged ahead of it), matching Cmap's read-your-
    batched-writes contract. *)
 let test_bmap_batch_scan_visibility () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Bmap.create a in
-  Spp_pmemkv.Bmap.put kv ~key:"b" ~value:"old";
-  Spp_pmemkv.Bmap.put kv ~key:"d" ~value:"dead";
+  let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.btree a in
+  Spp_pmemkv.Engine.put kv ~key:"b" ~value:"old";
+  Spp_pmemkv.Engine.put kv ~key:"d" ~value:"dead";
   let replies =
-    Spp_pmemkv.Bmap.run_batch kv
+    Spp_pmemkv.Engine.run_batch kv
       [| Spp_pmemkv.Engine.B_put { key = "a"; value = "1" };
          Spp_pmemkv.Engine.B_put { key = "b"; value = "new" };
          Spp_pmemkv.Engine.B_remove "d";
@@ -432,12 +437,12 @@ let test_bmap_batch_scan_visibility () =
    subtree. *)
 let test_bmap_attach_after_churn () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Bmap.create a in
-  Spp_pmemkv.Bmap.set_cache kv (Some (Spp_pmemkv.Rcache.create ~cap:64));
+  let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.btree a in
+  Spp_pmemkv.Engine.set_cache kv (Some (Spp_pmemkv.Rcache.create ~cap:64));
   let pool = a.Spp_access.pool in
   let root = a.Spp_access.root a.Spp_access.oid_size in
   Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off
-    (Spp_pmemkv.Bmap.root_oid kv);
+    (Spp_pmemkv.Engine.root_oid kv);
   Pool.persist pool ~off:root.Spp_pmdk.Oid.off ~len:a.Spp_access.oid_size;
   let model = Hashtbl.create 64 in
   let st = Random.State.make [| 4242 |] in
@@ -456,10 +461,10 @@ let test_bmap_attach_after_churn () =
           Spp_pmemkv.Engine.B_remove k
         end)
     in
-    ignore (Spp_pmemkv.Bmap.run_batch kv batch)
+    ignore (Spp_pmemkv.Engine.run_batch kv batch)
   done;
   check_int "live count before reopen" (Hashtbl.length model)
-    (Spp_pmemkv.Bmap.count_all kv);
+    (Spp_pmemkv.Engine.count_all kv);
   let img = Spp_sim.Memdev.durable_snapshot (Pool.dev pool) in
   let dev' = Spp_sim.Memdev.of_image ~name:"bmap-reopen" img in
   let space' = Spp_sim.Space.create () in
@@ -470,14 +475,16 @@ let test_bmap_attach_after_churn () =
     let map_root =
       Pool.load_oid pool' ~off:(Pool.root_oid pool').Spp_pmdk.Oid.off
     in
-    let kv' = Spp_pmemkv.Bmap.attach a' ~root:map_root in
+    let kv' =
+      Spp_pmemkv.Engine.attach Spp_pmemkv.Engines.btree a' ~root:map_root
+    in
     check_bool "reattached tree starts cold" true
-      (Spp_pmemkv.Bmap.cache kv' = None);
+      (Spp_pmemkv.Engine.cache kv' = None);
     check_int "count survives reopen" (Hashtbl.length model)
-      (Spp_pmemkv.Bmap.count_all kv');
+      (Spp_pmemkv.Engine.count_all kv');
     Alcotest.(check (list (pair string string)))
       "scan survives reopen in order" (sorted_bindings model)
-      (Spp_pmemkv.Bmap.scan kv' ~lo:"" ~hi:"~" ~limit:1000)
+      (Spp_pmemkv.Engine.scan kv' ~lo:"" ~hi:"~" ~limit:1000)
 
 (* Ascending keys keep the rightmost path full, so every few puts a
    split cascades from the leaf to the root. Each put is its own batch,
@@ -486,13 +493,13 @@ let test_bmap_attach_after_churn () =
    overflow it. *)
 let test_bmap_ascending_puts () =
   let a = mk ~pool_size:(1 lsl 26) Spp_access.Spp in
-  let kv = Spp_pmemkv.Bmap.create a in
+  let kv = Spp_pmemkv.Engine.create Spp_pmemkv.Engines.btree a in
   let n = 40_000 in
   let failed = ref 0 and first = ref (-1) in
   for i = 0 to n - 1 do
     let key = Spp_pmemkv.Db_bench.key_of_int i in
     match
-      Spp_pmemkv.Bmap.run_batch kv
+      Spp_pmemkv.Engine.run_batch kv
         [| Spp_pmemkv.Engine.B_put { key; value = "v" } |]
     with
     | _ -> ()
@@ -503,24 +510,24 @@ let test_bmap_ascending_puts () =
   check_int
     (Printf.sprintf "puts raising Redo_full (first at key %d)" !first)
     0 !failed;
-  check_int "every key stored" n (Spp_pmemkv.Bmap.count_all kv);
+  check_int "every key stored" n (Spp_pmemkv.Engine.count_all kv);
   Alcotest.(check (option string)) "last key reads back" (Some "v")
-    (Spp_pmemkv.Bmap.get kv (Spp_pmemkv.Db_bench.key_of_int (n - 1)))
+    (Spp_pmemkv.Engine.get kv (Spp_pmemkv.Db_bench.key_of_int (n - 1)))
 
 (* Cmap's scan obeys the same Engine.S contract even though it sorts a
    hash walk; and the registry resolves both engines by name. *)
 let test_cmap_scan_and_registry () =
   let a = mk Spp_access.Spp in
-  let kv = Spp_pmemkv.Cmap.create ~nbuckets:8 a in
+  let kv = Spp_pmemkv.Engine.create ~nbuckets:8 Spp_pmemkv.Engines.cmap a in
   for i = 0 to 29 do
-    Spp_pmemkv.Cmap.put kv
+    Spp_pmemkv.Engine.put kv
       ~key:(Printf.sprintf "k%02d" i)
       ~value:(Printf.sprintf "v%02d" i)
   done;
   Alcotest.(check (list (pair string string)))
     "cmap scan is ordered and bounded"
     [ ("k05", "v05"); ("k06", "v06"); ("k07", "v07") ]
-    (Spp_pmemkv.Cmap.scan kv ~lo:"k05" ~hi:"k95" ~limit:3);
+    (Spp_pmemkv.Engine.scan kv ~lo:"k05" ~hi:"k95" ~limit:3);
   check_bool "registry: cmap" true
     (match Spp_pmemkv.Engines.of_name "cmap" with
      | Some e -> Spp_pmemkv.Engine.spec_name e = "cmap"
@@ -697,6 +704,54 @@ let test_corrupt_vlen_served () =
         Spp_access.all_variants)
     [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
 
+(* Every entry into an engine holds its pool's lane, so two domains
+   running the same synchronous gets on one map take turns in its Space:
+   the loads and address translations they count add up to exactly what
+   the same gets count on one domain (a Space is single-domain state —
+   its counters and software TLB are plain fields). *)
+let test_gets_hold_the_lane () =
+  List.iter
+    (fun spec ->
+      let module E = Spp_pmemkv.Engine in
+      let a = mk Spp_access.Spp in
+      let kv = E.create ~nbuckets:1024 spec a in
+      let nkeys = 2_000 in
+      let key i = Spp_pmemkv.Db_bench.key_of_int i in
+      for i = 0 to nkeys - 1 do
+        E.put kv ~key:(key i) ~value:(String.make 256 'v')
+      done;
+      let gets () =
+        let st = Random.State.make [| 5 |] in
+        for _ = 1 to 100_000 do
+          ignore (E.get kv (key (Random.State.int st nkeys)))
+        done
+      in
+      let counted run =
+        let sp = a.Spp_access.space in
+        Spp_sim.Space.reset_stats sp;
+        run ();
+        let s = Spp_sim.Space.stats sp in
+        (s.Spp_sim.Space.pm_loads, s.tlb_hits + s.tlb_misses)
+      in
+      let one = counted (fun () -> gets (); gets ()) in
+      let two =
+        counted (fun () ->
+          (* both start together, so their gets overlap *)
+          let ready = Atomic.make false in
+          let d =
+            Domain.spawn (fun () ->
+              Atomic.set ready true;
+              gets ())
+          in
+          while not (Atomic.get ready) do Domain.cpu_relax () done;
+          gets ();
+          Domain.join d)
+      in
+      Alcotest.(check (pair int int))
+        (E.spec_name spec ^ ": loads and translations, two domains")
+        one two)
+    [ Spp_pmemkv.Engines.cmap; Spp_pmemkv.Engines.btree ]
+
 let () =
   Alcotest.run "spp_pmemkv"
     [
@@ -741,6 +796,8 @@ let () =
             test_safepm_reopen;
           Alcotest.test_case "corrupt vlen stopped on the served path" `Quick
             test_corrupt_vlen_served;
+          Alcotest.test_case "two domains' gets take the pool's lane" `Quick
+            test_gets_hold_the_lane;
         ] );
       ( "db_bench",
         [ Alcotest.test_case "all workloads run" `Quick test_db_bench_runs ] );

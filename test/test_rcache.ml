@@ -1,11 +1,13 @@
 (* Tests for the volatile DRAM read cache: unit behaviour of the
    set-associative store, the seqlock value-relation invariant under
    concurrent readers and writers, and the cache-coherence contract of
-   the cached Cmap (fills only from committed state, write-through
-   invalidation, in-order replay after run_batch, cold on reattach). *)
+   a cached cmap behind [Engine] (fills only from committed state,
+   write-through invalidation, in-order replay after run_batch, cold on
+   reattach). *)
 
 module Rcache = Spp_pmemkv.Rcache
-module Cmap = Spp_pmemkv.Cmap
+module Engine = Spp_pmemkv.Engine
+module Engines = Spp_pmemkv.Engines
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -126,12 +128,12 @@ let test_seqlock_readers_never_torn () =
 let mk_cached ?(cap = 64) () =
   let a = Spp_access.create ~pool_size:(1 lsl 21) ~name:"rcache-kv"
       Spp_access.Spp in
-  let kv = Cmap.create ~nbuckets:32 a in
-  Cmap.set_cache kv (Some (Rcache.create ~cap));
+  let kv = Engine.create ~nbuckets:32 Engines.cmap a in
+  Engine.set_cache kv (Some (Rcache.create ~cap));
   (a, kv)
 
 let cache_of kv =
-  match Cmap.cache kv with Some c -> c | None -> Alcotest.fail "no cache"
+  match Engine.cache kv with Some c -> c | None -> Alcotest.fail "no cache"
 
 (* A put invalidates its key before it commits and, once the commit
    returns, fills the value it made durable (a sync put is a one-op
@@ -139,51 +141,52 @@ let cache_of kv =
    older one. *)
 let test_cmap_get_fills_put_invalidates () =
   let _, kv = mk_cached () in
-  Cmap.put kv ~key:"k" ~value:"v1";
-  check_opt "probe after put: its value" (Some "v1") (Cmap.cache_probe kv "k");
-  Cmap.cache_invalidate kv "k";
-  check_opt "get reads PM" (Some "v1") (Cmap.get kv "k");
-  check_opt "get filled cache" (Some "v1") (Cmap.cache_probe kv "k");
-  check_opt "cached get" (Some "v1") (Cmap.get kv "k");
-  Cmap.put kv ~key:"k" ~value:"v2";
+  Engine.put kv ~key:"k" ~value:"v1";
+  check_opt "probe after put: its value" (Some "v1")
+    (Engine.cache_probe kv "k");
+  Engine.cache_invalidate kv "k";
+  check_opt "get reads PM" (Some "v1") (Engine.get kv "k");
+  check_opt "get filled cache" (Some "v1") (Engine.cache_probe kv "k");
+  check_opt "cached get" (Some "v1") (Engine.get kv "k");
+  Engine.put kv ~key:"k" ~value:"v2";
   check_opt "probe after overwrite: its value" (Some "v2")
-    (Cmap.cache_probe kv "k");
-  Cmap.put kv ~key:"k" ~value:"v3-longer";
+    (Engine.cache_probe kv "k");
+  Engine.put kv ~key:"k" ~value:"v3-longer";
   check_opt "probe after resize: its value" (Some "v3-longer")
-    (Cmap.cache_probe kv "k");
-  check_opt "fresh value after put" (Some "v3-longer") (Cmap.get kv "k");
-  check_bool "remove" true (Cmap.remove kv "k");
-  check_opt "remove invalidated" None (Cmap.cache_probe kv "k");
-  check_opt "removed for real" None (Cmap.get kv "k");
+    (Engine.cache_probe kv "k");
+  check_opt "fresh value after put" (Some "v3-longer") (Engine.get kv "k");
+  check_bool "remove" true (Engine.remove kv "k");
+  check_opt "remove invalidated" None (Engine.cache_probe kv "k");
+  check_opt "removed for real" None (Engine.get kv "k");
   let s = Rcache.stats (cache_of kv) in
   check_bool "saw hits" true (s.Rcache.rc_hits >= 2);
   check_bool "saw invalidations" true (s.Rcache.rc_invalidations >= 2)
 
 let test_run_batch_replay_order () =
   let _, kv = mk_cached () in
-  Cmap.put kv ~key:"a" ~value:"a0";
-  Cmap.put kv ~key:"b" ~value:"b0";
+  Engine.put kv ~key:"a" ~value:"a0";
+  Engine.put kv ~key:"b" ~value:"b0";
   (* In one batch: read a (fill), then overwrite a (the later mutation
      must win over the earlier get's fill); put c then remove c (the
      remove must win); read b (plain fill). *)
   let replies =
-    Cmap.run_batch kv
-      [| Cmap.B_get "a";
-         Cmap.B_put { key = "a"; value = "a1" };
-         Cmap.B_put { key = "c"; value = "c1" };
-         Cmap.B_remove "c";
-         Cmap.B_get "b" |]
+    Engine.run_batch kv
+      [| Engine.B_get "a";
+         Engine.B_put { key = "a"; value = "a1" };
+         Engine.B_put { key = "c"; value = "c1" };
+         Engine.B_remove "c";
+         Engine.B_get "b" |]
   in
   (match replies.(0) with
-   | Cmap.R_get v -> check_opt "in-batch get sees pre-state" (Some "a0") v
+   | Engine.R_get v -> check_opt "in-batch get sees pre-state" (Some "a0") v
    | _ -> Alcotest.fail "reply shape");
   check_opt "later put wins over earlier get fill" (Some "a1")
-    (Cmap.cache_probe kv "a");
+    (Engine.cache_probe kv "a");
   check_opt "remove wins over earlier put fill" None
-    (Cmap.cache_probe kv "c");
-  check_opt "plain get fill" (Some "b0") (Cmap.cache_probe kv "b");
-  check_opt "durable a" (Some "a1") (Cmap.get kv "a");
-  check_opt "durable c" None (Cmap.get kv "c")
+    (Engine.cache_probe kv "c");
+  check_opt "plain get fill" (Some "b0") (Engine.cache_probe kv "b");
+  check_opt "durable a" (Some "a1") (Engine.get kv "a");
+  check_opt "durable c" None (Engine.get kv "c")
 
 (* A deferred fill must not resurrect a value that a mutation submitted
    while the batch ran has invalidated: the serve layer invalidates a
@@ -231,22 +234,22 @@ let test_attach_starts_cold () =
   let a, kv = mk_cached () in
   let pool = a.Spp_access.pool in
   let root = a.Spp_access.root a.Spp_access.oid_size in
-  Spp_pmdk.Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off (Cmap.buckets_oid kv);
+  Spp_pmdk.Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off (Engine.root_oid kv);
   Spp_pmdk.Pool.persist pool ~off:root.Spp_pmdk.Oid.off
     ~len:a.Spp_access.oid_size;
-  Cmap.put kv ~key:"warm" ~value:"w";
-  check_opt "warm the cache" (Some "w") (Cmap.get kv "warm");
-  check_opt "cache warm" (Some "w") (Cmap.cache_probe kv "warm");
+  Engine.put kv ~key:"warm" ~value:"w";
+  check_opt "warm the cache" (Some "w") (Engine.get kv "warm");
+  check_opt "cache warm" (Some "w") (Engine.cache_probe kv "warm");
   ignore (Spp_pmdk.Pool.crash_and_recover pool);
   let a' = Spp_access.attach (Spp_pmdk.Pool.space pool) pool in
   let buckets =
     Spp_pmdk.Pool.load_oid pool
       ~off:(Spp_pmdk.Pool.root_oid pool).Spp_pmdk.Oid.off
   in
-  let kv' = Cmap.attach a' ~buckets in
-  check_bool "reattached map has no cache" true (Cmap.cache kv' = None);
-  check_opt "probe without cache is None" None (Cmap.cache_probe kv' "warm");
-  check_opt "data survived" (Some "w") (Cmap.get kv' "warm")
+  let kv' = Engine.attach Engines.cmap a' ~root:buckets in
+  check_bool "reattached map has no cache" true (Engine.cache kv' = None);
+  check_opt "probe without cache is None" None (Engine.cache_probe kv' "warm");
+  check_opt "data survived" (Some "w") (Engine.get kv' "warm")
 
 let () =
   Alcotest.run "spp_rcache"

@@ -1,5 +1,5 @@
 (* Tests for the group-commit stack and the asynchronous batched serving
-   pipeline: histogram unit tests, Cmap.run_batch vs a model oracle and
+   pipeline: histogram unit tests, Engine.run_batch vs a model oracle and
    vs the synchronous path, the fences/op amortization bar, and the
    async-pipeline differential. *)
 
@@ -115,11 +115,11 @@ let test_histogram_mean () =
   Alcotest.(check (float 0.)) "all-zero values still mean 0" 0.
     (Histogram.mean g)
 
-(* --- Cmap.run_batch --------------------------------------------------- *)
+(* --- Engine.run_batch --------------------------------------------------- *)
 
 let mk_map ?(nbuckets = 32) variant =
   let a = Spp_access.create ~pool_size:(1 lsl 21) ~name:"serve-test" variant in
-  Cmap.create ~nbuckets a
+  Engine.create ~nbuckets Engines.cmap a
 
 let test_run_batch_oracle () =
   List.iter
@@ -134,53 +134,55 @@ let test_run_batch_oracle () =
             let key = Printf.sprintf "key-%d" (Random.State.int st 60) in
             match Random.State.int st 3 with
             | 0 ->
-              Cmap.B_put
+              Engine.B_put
                 { key;
                   value = Printf.sprintf "val-%d" (Random.State.int st 9999) }
-            | 1 -> Cmap.B_remove key
-            | _ -> Cmap.B_get key)
+            | 1 -> Engine.B_remove key
+            | _ -> Engine.B_get key)
         in
-        let replies = Cmap.run_batch kv ops in
+        let replies = Engine.run_batch kv ops in
         Array.iteri
           (fun i op ->
             match (op, replies.(i)) with
-            | Cmap.B_put { key; value }, Cmap.R_put ->
+            | Engine.B_put { key; value }, Engine.R_put ->
               Hashtbl.replace model key value
-            | Cmap.B_get key, Cmap.R_get v ->
+            | Engine.B_get key, Engine.R_get v ->
               Alcotest.(check (option string))
                 "batched get agrees with model" (Hashtbl.find_opt model key) v
-            | Cmap.B_remove key, Cmap.R_removed r ->
+            | Engine.B_remove key, Engine.R_removed r ->
               check_bool "batched remove agrees" (Hashtbl.mem model key) r;
               Hashtbl.remove model key
             | _ -> Alcotest.fail "reply shape mismatch")
           ops
       done;
-      check_int "surviving entries" (Hashtbl.length model) (Cmap.count_all kv);
+      check_int "surviving entries" (Hashtbl.length model)
+        (Engine.count_all kv);
       (* the synchronous path reads what the batched path wrote *)
       Hashtbl.iter
         (fun k v ->
           Alcotest.(check (option string)) "sync get sees batched put" (Some v)
-            (Cmap.get kv k))
+            (Engine.get kv k))
         model)
     [ Spp_access.Spp; Spp_access.Pmdk ]
 
 let test_run_batch_within_batch_visibility () =
   let kv = mk_map Spp_access.Spp in
   let replies =
-    Cmap.run_batch kv
-      [| Cmap.B_put { key = "a"; value = "1" };
-         Cmap.B_get "a";                          (* sees the staged put *)
-         Cmap.B_put { key = "a"; value = "22" };  (* replaces in-batch entry *)
-         Cmap.B_get "a";
-         Cmap.B_remove "a";
-         Cmap.B_get "a";
-         Cmap.B_put { key = "a"; value = "333" } |]
+    Engine.run_batch kv
+      [| Engine.B_put { key = "a"; value = "1" };
+         Engine.B_get "a";                         (* sees the staged put *)
+         Engine.B_put { key = "a"; value = "22" }; (* replaces in-batch entry *)
+         Engine.B_get "a";
+         Engine.B_remove "a";
+         Engine.B_get "a";
+         Engine.B_put { key = "a"; value = "333" } |]
   in
-  check_bool "get after put" true (replies.(1) = Cmap.R_get (Some "1"));
-  check_bool "get after replace" true (replies.(3) = Cmap.R_get (Some "22"));
-  check_bool "remove hits" true (replies.(4) = Cmap.R_removed true);
-  check_bool "get after remove" true (replies.(5) = Cmap.R_get None);
-  Alcotest.(check (option string)) "final state" (Some "333") (Cmap.get kv "a")
+  check_bool "get after put" true (replies.(1) = Engine.R_get (Some "1"));
+  check_bool "get after replace" true (replies.(3) = Engine.R_get (Some "22"));
+  check_bool "remove hits" true (replies.(4) = Engine.R_removed true);
+  check_bool "get after remove" true (replies.(5) = Engine.R_get None);
+  Alcotest.(check (option string)) "final state" (Some "333")
+    (Engine.get kv "a")
 
 (* Group commit must survive a crash mid-stream like any other path:
    recovery replays or discards the staged log, never tears an op. The
@@ -190,26 +192,26 @@ let test_run_batch_crash_between_batches () =
   let a = Spp_access.create ~pool_size:(1 lsl 20) ~name:"crashkv"
       Spp_access.Spp in
   let pool = a.Spp_access.pool in
-  let kv = Cmap.create ~nbuckets:16 a in
+  let kv = Engine.create ~nbuckets:16 Engines.cmap a in
   let root = a.Spp_access.root a.Spp_access.oid_size in
-  Spp_pmdk.Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off (Cmap.buckets_oid kv);
+  Spp_pmdk.Pool.store_oid pool ~off:root.Spp_pmdk.Oid.off (Engine.root_oid kv);
   Spp_pmdk.Pool.persist pool ~off:root.Spp_pmdk.Oid.off
     ~len:a.Spp_access.oid_size;
   Spp_sim.Memdev.set_tracking (Spp_pmdk.Pool.dev pool) true;
   ignore
-    (Cmap.run_batch kv
-       [| Cmap.B_put { key = "k1"; value = "v1" };
-          Cmap.B_put { key = "k2"; value = "v2" } |]);
+    (Engine.run_batch kv
+       [| Engine.B_put { key = "k1"; value = "v1" };
+          Engine.B_put { key = "k2"; value = "v2" } |]);
   ignore (Spp_pmdk.Pool.crash_and_recover pool);
   let a' = Spp_access.attach (Spp_pmdk.Pool.space pool) pool in
   let buckets =
     Spp_pmdk.Pool.load_oid pool ~off:(Spp_pmdk.Pool.root_oid pool).Spp_pmdk.Oid.off
   in
-  let kv' = Cmap.attach a' ~buckets in
+  let kv' = Engine.attach Engines.cmap a' ~root:buckets in
   Alcotest.(check (option string)) "committed batch durable" (Some "v1")
-    (Cmap.get kv' "k1");
+    (Engine.get kv' "k1");
   Alcotest.(check (option string)) "committed batch durable (2)" (Some "v2")
-    (Cmap.get kv' "k2")
+    (Engine.get kv' "k2")
 
 (* --- Fence amortization (acceptance bar) ------------------------------ *)
 
@@ -286,12 +288,13 @@ let test_overwrite_traffic () =
   let a =
     Spp_access.create ~pool_size:(1 lsl 21) ~name:"traffic" Spp_access.Spp
   in
-  let kv = Cmap.create ~nbuckets:32 a in
+  let kv = Engine.create ~nbuckets:32 Engines.cmap a in
   let pool = a.Spp_access.pool in
   let key = Spp_pmemkv.Db_bench.key_of_int 7 in
   let put c =
     ignore
-      (Cmap.run_batch kv [| Cmap.B_put { key; value = String.make 256 c } |])
+      (Engine.run_batch kv
+         [| Engine.B_put { key; value = String.make 256 c } |])
   in
   put 'a';
   put 'b';   (* frees the first entry: its class now has a free block *)
@@ -303,7 +306,7 @@ let test_overwrite_traffic () =
   check_int "redo words staged" 3
     (Spp_pmdk.Pool.load_word pool ~off:Spp_pmdk.Rep.off_redo_n);
   Alcotest.(check (option string)) "value" (Some (String.make 256 'c'))
-    (Cmap.get kv key)
+    (Engine.get kv key)
 
 (* A seeded YCSB-A stream (50% gets, 50% overwrites of 256 B values,
    zipfian over a preloaded key set) on 2 shards through the pure PM
